@@ -28,18 +28,19 @@ from .matrix_core import (
     complex_spectrum,
     inertia,
     is_semisimple,
+    standard_symplectic,
 )
 from .nbody import (
     CCSettings,
     CollisionError,
     ConvergenceError,
     NBodySystem,
+    _parity_verdicts,
     amended_hessian,
     e1_linearization,
     find_central_configuration,
     locked_inertia,
     potential_U,
-    stability_verdict,
 )
 from .spectral_flow import (
     IrregularCrossingError,
@@ -48,7 +49,7 @@ from .spectral_flow import (
     kappa_identity_check,
     spectral_flow,
 )
-from .stability import Verdict, block_normal_form, classify, theorem_predict
+from .stability import Verdict, block_normal_form, classify, parity_verdict
 
 __all__ = ["main", "run_examples"]
 
@@ -106,11 +107,8 @@ def _run_classify(args) -> int:
         omega = jsonio.matrix_from_data(jsonio.load_json(args.omega), field)
     cls = classify(b, omega=omega, tol=args.tol)
     ir = inertia(b, tol=args.tol)
-    pred = theorem_predict(b, tol=args.tol)
-    n = b.n_rows // 2
-    from .matrix_core import standard_symplectic
-
-    gen = omega if omega is not None else standard_symplectic(n, field)
+    pred = parity_verdict(ir.morse_index, ir.nullity)
+    gen = omega if omega is not None else standard_symplectic(b.n_rows // 2, field)
     spectrum = complex_spectrum(gen @ b, tol=args.tol)
     report = {
         "backend": args.backend,
@@ -244,7 +242,7 @@ def _run_nbody_stability(args) -> int:
     system, settings = _load_problem(args.problem)
     cc = find_central_configuration(system, settings)
     rep = amended_hessian(cc)
-    verdict = stability_verdict(cc)
+    verdict = _parity_verdicts(cc.system.alpha, rep)
     report = {
         "cc": _cc_data(cc),
         "hessian": {
@@ -328,8 +326,6 @@ def run_examples(stream=None) -> int:
     row("odd-index-stable-verdict",
         "verdict=spectrally_stable_not_linear morse=3 nullity=2",
         f"verdict={cls.verdict.value} morse={ir.morse_index} nullity={ir.nullity}")
-    from .matrix_core import standard_symplectic
-
     jb = standard_symplectic(3) @ b
     r2 = math.sqrt(2)
     row("odd-index-stable-spectrum",

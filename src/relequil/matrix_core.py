@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -220,17 +221,22 @@ class Matrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Matrix product.
+
+        Over the rationals each operand is cleared once to an integer matrix
+        over one common denominator, A = M / da and B = N / db; the dot
+        products are taken on the integers and each entry of the product is
+        a single ``Fraction((M N)_ij, da * db)``.
+        """
         self._check_same_field(other)
         if self.n_cols != other.n_rows:
             raise ShapeError("shape mismatch in product")
         if self.field == FLOAT64:
             return Matrix.from_numpy(self.to_numpy() @ other.to_numpy())
-        bt = list(zip(*other._rows)) if other._rows else []
-        zero = Fraction(0)
-        return Matrix(
-            [[sum((a * b for a, b in zip(row, col)), zero) for col in bt] for row in self._rows],
-            RATIONAL,
-        )
+        a, da = _cleared(self._rows)
+        b, db = _cleared(other._rows)
+        d = da * db
+        return Matrix([[Fraction(x, d) for x in row] for row in _int_matmul(a, b)], RATIONAL)
 
     def matvec(self, v: Sequence) -> list:
         coerce = _coerce_rational if self.field == RATIONAL else _coerce_float
@@ -299,7 +305,7 @@ def standard_symplectic(n: int, field: str = RATIONAL) -> Matrix:
 
 
 def _exact_rank(rows: list[list[Fraction]]) -> int:
-    return len(_bareiss_echelon(_cleared_int_rows(rows))[1])
+    return len(_bareiss_echelon(_cleared(rows)[0])[1])
 
 
 @dataclass(frozen=True)
@@ -425,15 +431,15 @@ class SemisimplicityReport:
 # exact elimination utilities
 
 
-def _cleared_int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (kernel preserving)."""
-    out = []
-    for row in rows:
-        l = 1
-        for x in row:
-            l = l * x.denominator // math.gcd(l, x.denominator)
-        out.append([int(x * l) for x in row])
-    return out
+def _cleared(rows) -> tuple[list[list[int]], int]:
+    """Integer rows M and the least common denominator d with rows = M / d."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -443,19 +449,24 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form; returns (pivot rows, pivot columns)."""
+def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free row echelon form; returns (pivot rows, pivot columns,
+    sign of the row permutation).  The last pivot of a nonsingular square
+    matrix is its determinant times that sign."""
     m = [row[:] for row in m]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     piv_cols: list[int] = []
+    sign = 1
     prev = 1
     r = 0
     for c in range(n_cols):
         pr = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
         for i in range(r + 1, n_rows):
             for j in range(c + 1, n_cols):
                 m[i][j] = _exact_div(m[r][c] * m[i][j] - m[i][c] * m[r][j], prev)
@@ -465,11 +476,11 @@ def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         r += 1
         if r == n_rows:
             break
-    return m[:r], piv_cols
+    return m[:r], piv_cols, sign
 
 
 def _kernel_exact(rows: list[list[Fraction]], n_cols: int) -> list[list[Fraction]]:
-    echelon, piv_cols = _bareiss_echelon(_cleared_int_rows(rows))
+    echelon, piv_cols, _ = _bareiss_echelon(_cleared(rows)[0])
     free_cols = [c for c in range(n_cols) if c not in piv_cols]
     basis = []
     for f in free_cols:
@@ -639,43 +650,15 @@ def determinant(a: Matrix) -> Scalar:
         return Fraction(1) if a.field == RATIONAL else 1.0
     if a.field == FLOAT64:
         return float(np.linalg.det(a.to_numpy()))
-    rows = a.to_lists()
-    scale = Fraction(1)
-    ints = []
-    for row in rows:
-        l = 1
-        for x in row:
-            l = l * x.denominator // math.gcd(l, x.denominator)
-        scale *= l
-        ints.append([int(x * l) for x in row])
-    n = len(ints)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pr = next((i for i in range(k, n) if ints[i][k] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != k:
-            ints[k], ints[pr] = ints[pr], ints[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                ints[i][j] = _exact_div(ints[k][k] * ints[i][j] - ints[i][k] * ints[k][j], prev)
-            ints[i][k] = 0
-        prev = ints[k][k]
-    return Fraction(sign * ints[n - 1][n - 1]) / scale
+    ints, d = _cleared(a.rows())
+    echelon, piv_cols, sign = _bareiss_echelon(ints)
+    if len(piv_cols) < a.n_rows:
+        return Fraction(0)
+    return Fraction(sign * echelon[-1][-1], d ** a.n_rows)
 
 
 # ---------------------------------------------------------------------------
 # characteristic and minimal polynomials (exact)
-
-
-def _common_denominator(rows: list[list[Fraction]]) -> int:
-    d = 1
-    for row in rows:
-        for x in row:
-            d = d * x.denominator // math.gcd(d, x.denominator)
-    return d
 
 
 def _char_poly_int(m: list[list[int]]) -> list[int]:
@@ -709,17 +692,23 @@ def char_poly(a: Matrix) -> list[Fraction]:
     n = a.n_rows
     if n == 0:
         return [Fraction(1)]
-    rows = a.to_lists()
-    d = _common_denominator(rows)
-    ints = [[int(x * d) for x in row] for row in rows]
+    ints, d = _cleared(a.rows())
     c = _char_poly_int(ints)
     # det(xI - A) = d^-n * det((dx)I - dA)
     return rp.trim([Fraction(c[k], d ** (n - k)) for k in range(n + 1)])
 
 
 def minimal_poly(a: Matrix) -> list[Fraction]:
-    """Monic minimal polynomial, exact, found as the first linear dependence
-    among the flattened powers I, A, A^2, ..."""
+    """Monic minimal polynomial, exact, lowest degree first.
+
+    With A = M / d for an integer matrix M, the first linear dependence among
+    the flattened integer powers I, M, M^2, ... is found by fraction-free
+    elimination: each new power is reduced against the earlier reduced rows
+    by cross-multiplication, and each stored row is divided, together with
+    its combination of powers, by their content gcd.  The dependence gives
+    the monic minimal polynomial mu of M, of degree k, and
+    m(x) = mu(d x) / d^k is that of A.
+    """
     if a.field != RATIONAL:
         raise FieldError("minimal_poly is exact-backend only")
     if not a.is_square:
@@ -727,37 +716,30 @@ def minimal_poly(a: Matrix) -> list[Fraction]:
     n = a.n_rows
     if n == 0:
         return [Fraction(1)]
-    rows = a.to_lists()
-    power = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    # reduced[k] = (vector, pivot index, combination over earlier powers)
-    reduced: list[tuple[list[Fraction], int, list[Fraction]]] = []
-    k = 0
-    while True:
-        vec = [power[i][j] for i in range(n) for j in range(n)]
-        combo = [Fraction(0)] * k + [Fraction(1)]
+    m, d = _cleared(a.rows())
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    # reduced rows: (vector, pivot index, combination over the powers 0..n)
+    reduced: list[tuple[list[int], int, list[int]]] = []
+    for k in range(n + 1):
+        vec = [x for row in power for x in row]
+        combo = [int(i == k) for i in range(n + 1)]
         for rvec, piv, rcombo in reduced:
             f = vec[piv]
-            if f != 0:
-                vec = [x - f * y for x, y in zip(vec, rvec)]
-                combo = [
-                    (combo[i] if i < len(combo) else Fraction(0))
-                    - f * (rcombo[i] if i < len(rcombo) else Fraction(0))
-                    for i in range(max(len(combo), len(rcombo)))
-                ]
-        piv = next((i for i, x in enumerate(vec) if x != 0), None)
+            if f:
+                p = rvec[piv]
+                g = math.gcd(p, f)
+                p, f = p // g, f // g
+                vec = [p * x - f * y for x, y in zip(vec, rvec)]
+                combo = [p * x - f * y for x, y in zip(combo, rcombo)]
+        piv = next((i for i, x in enumerate(vec) if x), None)
         if piv is None:
-            # A^k = sum over lower powers; monic minimal polynomial
-            lead = combo[k]
-            return rp.trim([c / lead for c in combo])
-        inv = 1 / vec[piv]
-        reduced.append(([x * inv for x in vec], piv, [c * inv for c in combo]))
-        power = [
-            [sum((rows[i][l] * power[l][j] for l in range(n)), Fraction(0)) for j in range(n)]
-            for i in range(n)
-        ]
-        k += 1
-        if k > n:
-            raise AssertionError("power dependence not found by degree n")
+            # sum_i combo[i] M^i = 0 with combo[k] != 0
+            lead = combo[k] * d ** k
+            return [Fraction(c * d ** i, lead) for i, c in enumerate(combo[:k + 1])]
+        g = math.gcd(*vec, *combo)
+        reduced.append(([x // g for x in vec], piv, [c // g for c in combo]))
+        power = _int_matmul(power, m)
+    raise AssertionError("power dependence not found by degree n")
 
 
 # ---------------------------------------------------------------------------
@@ -889,58 +871,57 @@ def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityRepor
 def symplectic_reduction(omega: Matrix, tol: Optional[float] = None) -> Matrix:
     """Invertible Q with Q J Q^T = Omega for an invertible skew Omega.
 
-    Built from a symplectic (Darboux) basis of the bilinear form
-    w(x, y) = x^T Omega y via skew Gram-Schmidt; Q is the inverse transpose
-    of the basis matrix.  Exact over the rationals; over floats the result is
-    validated against ``tol``.
+    Built from a symplectic (Darboux) basis u_1..u_n, v_1..v_n of the
+    bilinear form w(x, y) = x^T Omega y via skew Gram-Schmidt on the
+    standard basis: u is the first nonzero seed, v = -s / w(u, s) for the
+    first seed s with w(u, s) != 0, and every seed loses its w-components
+    along u and v.  With P = [u | v], P^T Omega P = J, so
+    Q = P^-T = Omega P J^-1 has the columns -Omega v_k and Omega u_k.
+
+    Over the rationals the seeds are one integer matrix over a common
+    denominator; each step takes Omega times the seeds as one integer
+    product, reads the needed values of w off it, and updates the seeds
+    fraction-free.  The columns of Q come from the same product, so nothing
+    is inverted.  Over floats the result is validated against ``tol``.
     """
     if not omega.is_square or omega.n_rows % 2 != 0:
         raise ShapeError("an invertible skew form needs even dimension")
     two_n = omega.n_rows
     n = two_n // 2
-    exact = omega.field == RATIONAL
-    if exact:
+    if omega.field == RATIONAL:
         if not omega.is_skew_symmetric():
             raise SymmetryError("matrix is not exactly skew-symmetric")
-        rows = omega.to_lists()
-        zero = Fraction(0)
-
-        def w(x, y):
-            return sum(
-                (x[i] * sum((rows[i][j] * y[j] for j in range(two_n)), zero)
-                 for i in range(two_n)),
-                zero,
-            )
-
-        seeds = [[Fraction(1) if i == k else Fraction(0) for i in range(two_n)]
-                 for k in range(two_n)]
-        us, vs = [], []
-        for _ in range(n):
-            u = next((s for s in seeds if any(x != 0 for x in s)), None)
-            if u is None:
+        w_int, dw = _cleared(omega.rows())
+        seeds = [[int(i == k) for i in range(two_n)] for k in range(two_n)]
+        den = 1  # the seeds are seeds[k] / den
+        q_cols: list[list[Fraction]] = [[] for _ in range(two_n)]
+        for step in range(n):
+            iu = next((k for k, s in enumerate(seeds) if any(s)), None)
+            if iu is None:
                 raise SingularMatrixError("skew form is degenerate")
-            partner = None
-            for s in seeds:
-                c = w(u, s)
-                if c != 0:
-                    partner = (s, c)
-                    break
-            if partner is None:
+            u = seeds[iu]
+            # Omega s_k = w_seeds[k] / (dw den), w(u, s_k) = wu[k] / (dw den^2)
+            w_seeds = [[sum(map(mul, row, s)) for row in w_int] for s in seeds]
+            wu = [sum(map(mul, u, ws)) for ws in w_seeds]
+            ip = next((k for k, x in enumerate(wu) if x), None)
+            if ip is None:
                 raise SingularMatrixError("skew form is degenerate")
-            wvec, c = partner
-            v = [x * (-1 / c) for x in wvec]  # w(u, v) = -1
-            new_seeds = []
-            for s in seeds:
-                a = w(v, s)
-                b = w(u, s)
-                new_seeds.append([si - a * ui + b * vi for si, ui, vi in zip(s, u, v)])
-            seeds = new_seeds
-            us.append(u)
-            vs.append(v)
-        p_cols = us + vs
-        p_rows = [[p_cols[k][i] for k in range(two_n)] for i in range(two_n)]
-        q_rows = _invert_transpose_exact(p_rows)
-        q = Matrix(q_rows, RATIONAL)
+            p = seeds[ip]
+            wp = [sum(map(mul, p, ws)) for ws in w_seeds]
+            c = wu[ip]
+            # -Omega v = Omega p / w(u, p) and Omega u
+            q_cols[step] = [Fraction(x * den, c) for x in w_seeds[ip]]
+            q_cols[n + step] = [Fraction(x, dw * den) for x in w_seeds[iu]]
+            # s <- s - w(v, s) u + w(u, s) v = s + (wp[k] u - wu[k] p) / c
+            seeds = [[c * si + a * ui - b * pi for si, ui, pi in zip(s, u, p)]
+                     for s, a, b in zip(seeds, wp, wu)]
+            den *= c
+            g = math.gcd(den, *(x for s in seeds for x in s))
+            if den < 0:
+                g = -g
+            seeds = [[x // g for x in s] for s in seeds]
+            den //= g
+        q = Matrix([list(row) for row in zip(*q_cols)], RATIONAL)
         j = standard_symplectic(n)
         if (q @ j @ q.T) != omega:
             raise AssertionError("symplectic reduction failed to reproduce the form")
@@ -974,26 +955,6 @@ def symplectic_reduction(omega: Matrix, tol: Optional[float] = None) -> Matrix:
     if resid > max(t, default_tolerance(omega.max_abs())) * 100:
         raise SingularMatrixError(f"reduction residual {resid:.3e} exceeds tolerance")
     return Matrix.from_numpy(q_arr)
-
-
-def _invert_transpose_exact(p_rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(p_rows)
-    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(p_rows)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pr is None:
-            raise SingularMatrixError("basis matrix is singular")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    # rows of P^-1 are aug[:, n:]; Q = (P^-1)^T
-    pinv = [row[n:] for row in aug]
-    return [[pinv[j][i] for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

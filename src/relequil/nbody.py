@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .matrix_core import IndexReport, Matrix, ShapeError, inertia, rank
-from .stability import TheoremVerdict, parity_verdict
+from .stability import TheoremVerdict, _fraction_sqrt, parity_verdict
 
 __all__ = [
     "CollisionError",
@@ -390,9 +390,10 @@ def find_central_configuration(sys: NBodySystem,
             raise ConvergenceError(
                 f"residual {res:.3e} above {cfg.cc_tol:.1e} "
                 f"after {cfg.max_iter} iterations")
-    system = NBodySystem.assemble(tuple(m), alpha, q)
-    res_final, u, _, _, xi2 = _residual(m, system.q(), alpha, cfg.collision_guard)
-    return CentralConfiguration(system, xi2, res_final)
+    # _gauge_normalize has centered q: recentering it again would move the
+    # residual off the value tested against cc_tol
+    system = NBodySystem(tuple(float(x) for x in m), float(alpha), tuple(float(x) for x in q))
+    return CentralConfiguration(system, xi2, res)
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +462,6 @@ def amended_hessian(cc: CentralConfiguration) -> AmendedHessianReport:
 # the 4-dimensional symmetry block
 
 
-def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def e1_linearization(xi, alpha) -> E1Report:
     """Linearized field on the block spanned by the configuration, its
     rotation, and their momenta.
@@ -529,12 +520,13 @@ def stability_verdict(cc: CentralConfiguration) -> RelativeEquilibriumVerdict:
     of the central configuration itself.  Both verdicts are reported; odd
     index or odd nullity anywhere means linear instability there.
     """
-    rep = amended_hessian(cc)
+    return _parity_verdicts(cc.system.alpha, amended_hessian(cc))
+
+
+def _parity_verdicts(alpha: float, rep: AmendedHessianReport) -> RelativeEquilibriumVerdict:
+    """The verdicts of ``stability_verdict`` from an amended Hessian report."""
     e2 = parity_verdict(rep.inertia_shat.morse_index, rep.inertia_shat.nullity)
-    alpha = cc.system.alpha
+    reduced = None
     if 0 < alpha < 2:
         reduced = parity_verdict(rep.inertia_v.morse_index, rep.inertia_v.nullity)
-        return RelativeEquilibriumVerdict(alpha, rep.inertia_v, rep.inertia_shat,
-                                          reduced, e2)
-    return RelativeEquilibriumVerdict(alpha, rep.inertia_v, rep.inertia_shat,
-                                      None, e2)
+    return RelativeEquilibriumVerdict(alpha, rep.inertia_v, rep.inertia_shat, reduced, e2)

@@ -46,7 +46,7 @@ from .matrix_core import (
     restrict_form,
     standard_symplectic,
 )
-from .stability import classify
+from .stability import _fraction_sqrt, classify
 
 __all__ = [
     "IrregularCrossingError",
@@ -472,18 +472,6 @@ def _krein_interior_locations_exact(b: Matrix) -> list[tuple[float, Optional[Fra
                 out.append(((-approx) ** 0.5, None, mult))
     out.sort(key=lambda t: t[0])
     return out
-
-
-def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
-    import math
-
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 def _krein_interior_locations_float(b: Matrix, tol: float) -> list[tuple[float, None, int]]:

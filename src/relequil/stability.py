@@ -16,6 +16,7 @@ counts decide exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -434,12 +435,11 @@ def spectral_instability_certificate(b: Matrix,
 
 
 def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
+    """The rational square root of q, or None when q has none."""
     if q < 0:
         return None
-    import math as _math
-
-    rn = _math.isqrt(q.numerator)
-    rd = _math.isqrt(q.denominator)
+    rn = math.isqrt(q.numerator)
+    rd = math.isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None

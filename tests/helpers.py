@@ -95,6 +95,37 @@ def kernel_dim_gauss(rows: Sequence[Sequence[Fraction]]) -> int:
     return n_cols - rank
 
 
+def minimal_poly_fraction(rows: Sequence[Sequence[Fraction]]) -> List[Fraction]:
+    """Monic minimal polynomial, lowest degree first: the first linear
+    dependence among the flattened powers I, A, A^2, ..., eliminated as
+    Fraction vectors.  The package's own version until it moved to integer
+    elimination; kept unchanged as the reference for it."""
+    n = len(rows)
+    if n == 0:
+        return [Fraction(1)]
+    a = [[Fraction(x) for x in row] for row in rows]
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    reduced = []  # (unit-pivot vector, pivot index, combination of powers)
+    for k in range(n + 1):
+        vec = [power[i][j] for i in range(n) for j in range(n)]
+        combo = [Fraction(0)] * k + [Fraction(1)]
+        for rvec, piv, rcombo in reduced:
+            f = vec[piv]
+            if f != 0:
+                vec = [x - f * y for x, y in zip(vec, rvec)]
+                combo = [(combo[i] if i < len(combo) else Fraction(0))
+                         - f * (rcombo[i] if i < len(rcombo) else Fraction(0))
+                         for i in range(max(len(combo), len(rcombo)))]
+        piv = next((i for i, x in enumerate(vec) if x != 0), None)
+        if piv is None:
+            return [c / combo[k] for c in combo]
+        inv = 1 / vec[piv]
+        reduced.append(([x * inv for x in vec], piv, [c * inv for c in combo]))
+        power = [[sum((a[i][l] * power[l][j] for l in range(n)), Fraction(0))
+                  for j in range(n)] for i in range(n)]
+    raise AssertionError("power dependence not found by degree n")
+
+
 # ---------------------------------------------------------------------------
 # float spectral oracles
 

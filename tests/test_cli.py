@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 
@@ -15,6 +16,21 @@ def write_json(path, payload) -> str:
     return str(path)
 
 
+def count_calls(monkeypatch, name, modules) -> list:
+    """Wrap ``name`` in each of the given relequil modules with a counter."""
+    calls = []
+    for mod_name in modules:
+        mod = importlib.import_module(f"relequil.{mod_name}")
+        original = getattr(mod, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -27,6 +43,14 @@ def test_classify_report(tmp_path, capsys):
     assert report["inertia"] == {"coindex": 1, "morse_index": 3, "nullity": 2}
     assert report["prediction"]["reason"] == "odd_index"
     assert report["semisimple"] is False
+
+
+def test_classify_computes_inertia_once(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "inertia", ("cli", "stability"))
+    matrix = write_json(tmp_path / "b.json", COUNTEREXAMPLE_ROWS)
+    assert main(["classify", matrix]) == 0
+    assert json.loads(capsys.readouterr().out)["prediction"]["reason"] == "odd_index"
+    assert len(calls) == 1
 
 
 def test_classify_sorted_keys(tmp_path, capsys):
@@ -142,6 +166,20 @@ def test_nbody_stability(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["hessian"]["inertia_shat"]["morse_index"] == 0
     assert report["verdicts"]["e2"]["predicts_instability"] is False
+
+
+def test_nbody_stability_builds_hessian_once(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "amended_hessian", ("cli", "nbody"))
+    problem = write_json(tmp_path / "p.json", {
+        "masses": [1.0, 1.0, 1.0],
+        "alpha": 1.0,
+        "positions": [[-1.0, 0.0], [0.05, 0.0], [1.1, 0.0]],
+    })
+    assert main(["nbody-stability", problem]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"]["e2"]["reason"] == "odd_index"
+    assert report["verdicts"]["reduced"]["predicts_instability"] is True
+    assert len(calls) == 1
 
 
 def test_nbody_rejects_unknown_settings(tmp_path, capsys):

@@ -114,6 +114,84 @@ def test_inertia_requires_symmetry():
         inertia(Matrix([[0, 1], [2, 0]], RATIONAL))
 
 
+def _fraction_product(a, b):
+    """Entrywise sums of Fraction products, the textbook definition."""
+    return [[sum((Fraction(a[i][l]) * Fraction(b[l][j]) for l in range(len(b))),
+                 Fraction(0)) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _jordan(blocks):
+    """Block-diagonal Jordan matrix from (eigenvalue, block size) pairs."""
+    n = sum(size for _, size in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    i = 0
+    for lam, size in blocks:
+        for k in range(size):
+            rows[i + k][i + k] = Fraction(lam)
+            if k + 1 < size:
+                rows[i + k][i + k + 1] = Fraction(1)
+        i += size
+    return rows
+
+
+def _similar(rows, rng):
+    """S A S^-1 for a random unimodular integer S, built together with its
+    inverse from elementary row additions."""
+    n = len(rows)
+    s = [[int(i == j) for j in range(n)] for i in range(n)]
+    s_inv = [r[:] for r in s]
+    for _ in range(3 * n if n > 1 else 0):
+        i, k = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        s[i] = [x + c * y for x, y in zip(s[i], s[k])]
+        for r in s_inv:
+            r[k] -= c * r[i]
+    return _fraction_product(_fraction_product(s, rows), s_inv)
+
+
+def test_minimal_poly_matches_fraction_reference(rng):
+    cases = [H.random_symmetric(rng, dim, num=7, den=5) for dim in range(1, 6)]
+    cases += [[[H.random_fraction(rng, 6, 5) for _ in range(dim)] for _ in range(dim)]
+              for dim in (2, 3, 4, 5, 6)]
+    cases += [
+        _similar(_jordan([(Fraction(1, 2), 3), (Fraction(-2, 3), 1)]), rng),
+        _similar(_jordan([(Fraction(3, 2), 3), (Fraction(3, 2), 2), (0, 1)]), rng),
+        # Yun factor (x - 1)(x - 2) of multiplicity 2: 1 defective, 2 not
+        _similar(_jordan([(1, 2), (2, 1), (2, 1)]), rng),
+        [[Fraction(0)] * 4 for _ in range(4)],
+        (Matrix.identity(4) * Fraction(3, 4)).to_lists(),
+        [[Fraction(-5, 7)]],
+        [[Fraction(0)]],
+    ]
+    for rows in cases:
+        assert minimal_poly(Matrix(rows, RATIONAL)) == H.minimal_poly_fraction(rows)
+
+
+def test_minimal_poly_structured_cases(rng):
+    # (x - 1/2)^3 (x + 2/3)
+    expected = [Fraction(-1, 12), Fraction(3, 8), Fraction(-1, 4), Fraction(-5, 6), Fraction(1)]
+    a = Matrix(_similar(_jordan([(Fraction(1, 2), 3), (Fraction(-2, 3), 1)]), rng), RATIONAL)
+    assert minimal_poly(a) == expected
+    partly = Matrix(_similar(_jordan([(1, 2), (2, 1), (2, 1)]), rng), RATIONAL)
+    assert minimal_poly(partly) == [Fraction(-2), Fraction(5), Fraction(-4), Fraction(1)]
+    report = is_semisimple(partly)
+    assert report.semisimple is False
+    assert [complex(round(z.real, 9), round(z.imag, 9))
+            for z in report.defective_eigenvalues] == [1]
+    assert minimal_poly(Matrix.zeros(3, 3)) == [Fraction(0), Fraction(1)]
+    assert minimal_poly(Matrix.identity(3) * Fraction(3, 4)) == [Fraction(-3, 4), Fraction(1)]
+    assert minimal_poly(Matrix([[Fraction(-5, 7)]], RATIONAL)) == [Fraction(5, 7), Fraction(1)]
+
+
+def test_rational_matmul_matches_fraction_sums(rng):
+    for n_rows, inner, n_cols in ((3, 5, 2), (1, 4, 3), (4, 1, 4), (2, 3, 1)):
+        a = [[H.random_fraction(rng, 9, 7) for _ in range(inner)] for _ in range(n_rows)]
+        b = [[H.random_fraction(rng, 9, 7) for _ in range(n_cols)] for _ in range(inner)]
+        product = Matrix(a, RATIONAL) @ Matrix(b, RATIONAL)
+        assert product.shape == (n_rows, n_cols)
+        assert product.to_lists() == _fraction_product(a, b)
+
+
 def test_minimal_poly_divides_and_annihilates():
     # diag(1,1,2) has minimal polynomial (x-1)(x-2)
     m = Matrix.diagonal([1, 1, 2])
@@ -160,6 +238,20 @@ def test_symplectic_reduction_exact():
     q = symplectic_reduction(omega)
     j = standard_symplectic(2)
     assert (q @ j @ q.T).rows() == omega.rows()
+
+
+def test_symplectic_reduction_rational_form(rng):
+    # Omega = R J R^T for a random rational R: a non-standard skew form
+    # with denominators
+    for n in (1, 2, 3):
+        j = standard_symplectic(n).to_lists()
+        while True:
+            r = [[H.random_fraction(rng, 3, 4) for _ in range(2 * n)] for _ in range(2 * n)]
+            if H.det_gauss(r) != 0:
+                break
+        omega = _fraction_product(_fraction_product(r, j), [list(c) for c in zip(*r)])
+        q = symplectic_reduction(Matrix(omega, RATIONAL)).to_lists()
+        assert _fraction_product(_fraction_product(q, j), [list(c) for c in zip(*q)]) == omega
 
 
 def test_symplectic_reduction_float():

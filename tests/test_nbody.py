@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -125,6 +126,22 @@ def test_collinear_three_body_cc():
     assert cc.residual <= 1e-10
     pts = cc.system.q().reshape(-1, 2)
     assert np.allclose(pts[:, 1], 0.0, atol=1e-9)
+
+
+def test_returned_residual_within_tolerance():
+    # perturbed regular 16-gons with alpha = 3 whose search ends within a
+    # few 1e-11 of cc_tol: the returned residual is the one tested
+    tol = CCSettings().cc_tol
+    for seed in (2, 14, 18):
+        rng = random.Random(f"probe:16:3.0:{seed}")
+        pts = [(math.cos(2 * math.pi * k / 16) + rng.uniform(-0.02, 0.02),
+                math.sin(2 * math.pi * k / 16) + rng.uniform(-0.02, 0.02))
+               for k in range(16)]
+        cc = find_central_configuration(system([1.0] * 16, 3.0, pts))
+        assert cc.residual <= tol
+        m = np.repeat(cc.system.mass_vector(), 2)
+        f = grad_U(cc.system) + cc.xi_squared * m * cc.system.q()
+        assert float(np.linalg.norm(f)) == cc.residual
 
 
 def test_convergence_error_on_tiny_budget():
