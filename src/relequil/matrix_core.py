@@ -364,15 +364,10 @@ class Subspace:
         vec = list(vector)
         if len(vec) != self.ambient_dim:
             raise ShapeError("vector has wrong length")
-        if self.dimension == 0:
-            if self.is_exact and all(isinstance(x, (Fraction, int)) for x in vec):
-                return all(Fraction(x) == 0 for x in vec)
-            return bool(np.linalg.norm(np.array(vec, dtype=complex)) <= (tol or 1e-12))
         if self.is_exact and all(isinstance(x, (Fraction, int)) for x in vec):
-            cols = [list(col) for col in self.basis]
-            a = [[Fraction(cols[k][i]) for k in range(self.dimension)]
-                 for i in range(self.ambient_dim)]
-            return solve_exact(a, [Fraction(x) for x in vec]) is not None
+            return in_span([list(col) for col in self.basis], vec)
+        if self.dimension == 0:
+            return bool(np.linalg.norm(np.array(vec, dtype=complex)) <= (tol or 1e-12))
         arr = self.basis_numpy()
         v = np.array(vec, dtype=complex)
         c, *_ = np.linalg.lstsq(arr, v, rcond=None)
@@ -479,51 +474,30 @@ def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int], in
     return m[:r], piv_cols, sign
 
 
+def _back_substitute(echelon: list[list[int]], piv_cols: list[int],
+                     y: list[Fraction]) -> list[Fraction]:
+    """Fill the pivot entries of y, its other entries given, so that every
+    echelon row annihilates y."""
+    for row, pc in zip(reversed(echelon), reversed(piv_cols)):
+        y[pc] = -sum((row[j] * y[j] for j in range(pc + 1, len(y))), Fraction(0)) / row[pc]
+    return y
+
+
 def _kernel_exact(rows: list[list[Fraction]], n_cols: int) -> list[list[Fraction]]:
     echelon, piv_cols, _ = _bareiss_echelon(_cleared(rows)[0])
-    free_cols = [c for c in range(n_cols) if c not in piv_cols]
-    basis = []
-    for f in free_cols:
-        x = [Fraction(0)] * n_cols
-        x[f] = Fraction(1)
-        for row_idx in range(len(piv_cols) - 1, -1, -1):
-            pc = piv_cols[row_idx]
-            row = echelon[row_idx]
-            s = sum((Fraction(row[j]) * x[j] for j in range(pc + 1, n_cols)), Fraction(0))
-            x[pc] = -s / row[pc]
-        basis.append(x)
-    return basis
+    return [_back_substitute(echelon, piv_cols, [Fraction(int(j == f)) for j in range(n_cols)])
+            for f in range(n_cols) if f not in piv_cols]
 
 
 def solve_exact(a_rows: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
-    """One exact solution of A x = b, or None when inconsistent."""
-    n_rows = len(a_rows)
+    """One exact solution of A x = b, free variables zero, or None when
+    inconsistent: the Bareiss echelon form of [A | b] with x extended by -1."""
     n_cols = len(a_rows[0]) if a_rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    piv = []
-    r = 0
-    for c in range(n_cols):
-        pr = next((i for i in range(r, n_rows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n_rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
-        if aug[i][n_cols] != 0:
-            return None
-    x = [Fraction(0)] * n_cols
-    for row_idx, c in enumerate(piv):
-        x[c] = aug[row_idx][n_cols]
-    return x
+    aug = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a_rows, b)]
+    echelon, piv_cols, _ = _bareiss_echelon(_cleared(aug)[0])
+    if n_cols in piv_cols:
+        return None
+    return _back_substitute(echelon, piv_cols, [Fraction(0)] * n_cols + [Fraction(-1)])[:n_cols]
 
 
 def in_span(columns: list[list[Fraction]], vector: list[Fraction]) -> bool:
@@ -535,51 +509,6 @@ def in_span(columns: list[list[Fraction]], vector: list[Fraction]) -> bool:
 
 # ---------------------------------------------------------------------------
 # inertia
-
-
-def _inertia_exact(rows: list[list[Fraction]]) -> IndexReport:
-    """Inertia by symmetric congruence elimination with 1x1 and 2x2 pivots."""
-    a = {i: {j: x for j, x in enumerate(row)} for i, row in enumerate(rows)}
-    active = list(range(len(rows)))
-    pos = neg = 0
-    while active:
-        p = next((i for i in active if a[i][i] != 0), None)
-        if p is not None:
-            d = a[p][p]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = [i for i in active if i != p]
-            for i in rest:
-                if a[i][p] == 0:
-                    continue
-                f = a[i][p] / d
-                for j in rest:
-                    a[i][j] -= f * a[p][j]
-            active = rest
-            continue
-        # all diagonal entries vanish; look for an off-diagonal pivot
-        pq = next(
-            ((i, j) for ii, i in enumerate(active) for j in active[ii + 1:] if a[i][j] != 0),
-            None,
-        )
-        if pq is None:
-            return IndexReport(morse_index=neg, nullity=len(active), coindex=pos)
-        p, q = pq
-        c = a[p][q]
-        # the block [[0, c], [c, 0]] contributes one positive and one negative
-        pos += 1
-        neg += 1
-        rest = [i for i in active if i not in (p, q)]
-        for i in rest:
-            ui, vi = a[i][p], a[i][q]
-            if ui == 0 and vi == 0:
-                continue
-            for j in rest:
-                a[i][j] -= (ui * a[q][j] + vi * a[p][j]) / c
-        active = rest
-    return IndexReport(morse_index=neg, nullity=0, coindex=pos)
 
 
 def _require_symmetric(b: Matrix, tol: Optional[float]) -> Matrix:
@@ -597,14 +526,23 @@ def _require_symmetric(b: Matrix, tol: Optional[float]) -> Matrix:
 def inertia(b: Matrix, tol: Optional[float] = None) -> IndexReport:
     """Counts of negative, zero and positive eigenvalues of a symmetric matrix.
 
-    Exact (congruence with mixed 1x1 / 2x2 pivots) over the rationals;
-    eigenvalue counting with the default tolerance over floats.
+    Exact over the rationals, by Descartes' rule of signs: the
+    characteristic polynomial p of a real symmetric matrix has only real
+    roots, and for such a polynomial the sign variations of the coefficients
+    of p(x) / x^z and of p(-x) / x^z are exactly the counts of positive and
+    negative roots, with z the nullity.  p is taken of the cleared integer
+    matrix, whose eigenvalues are those of b times a positive denominator.
+    Eigenvalue counting with the default tolerance over floats.
     """
     b = _require_symmetric(b, tol)
     if b.n_rows == 0:
         return IndexReport(0, 0, 0)
     if b.field == RATIONAL:
-        return _inertia_exact(b.to_lists())
+        p = _char_poly_int(_cleared(b.rows())[0])
+        z = next(k for k, c in enumerate(p) if c)
+        pos = rp._variations(p[z:])
+        neg = rp._variations([-c if k % 2 else c for k, c in enumerate(p[z:])])
+        return IndexReport(morse_index=neg, nullity=z, coindex=pos)
     t = default_tolerance(b.max_abs()) if tol is None else tol
     w = np.linalg.eigvalsh(b.to_numpy())
     neg = int(np.sum(w < -t))
@@ -651,40 +589,83 @@ def determinant(a: Matrix) -> Scalar:
     if a.field == FLOAT64:
         return float(np.linalg.det(a.to_numpy()))
     ints, d = _cleared(a.rows())
-    echelon, piv_cols, sign = _bareiss_echelon(ints)
-    if len(piv_cols) < a.n_rows:
-        return Fraction(0)
-    return Fraction(sign * echelon[-1][-1], d ** a.n_rows)
+    return Fraction(_int_det(ints), d ** a.n_rows)
+
+
+def _int_det(m: list[list[int]]) -> int:
+    """Determinant of a nonempty square integer matrix by Bareiss."""
+    echelon, piv_cols, sign = _bareiss_echelon(m)
+    return sign * echelon[-1][-1] if len(piv_cols) == len(m) else 0
 
 
 # ---------------------------------------------------------------------------
 # characteristic and minimal polynomials (exact)
 
 
+_PRIMES: dict[int, list[int]] = {}  # bit size -> the primes found so far, largest first
+
+
+def _prime_bits(n: int) -> int:
+    """Bit size b of the primes for an n x n matrix: n p^2 < 2^62 for every
+    p < 2^b, so no int64 dot product of residues below 2p overflows."""
+    return (62 - n.bit_length()) // 2
+
+
+def _primes(bits: int):
+    """The primes below 2**bits, largest first, by trial division (a
+    deterministic test at this size); cached per bit size, never capped."""
+    cache = _PRIMES.setdefault(bits, [])
+    yield from cache
+    c = cache[-1] if cache else (1 << bits) + 1
+    while True:
+        c -= 2
+        if all(c % f for f in range(3, math.isqrt(c) + 1, 2)):
+            cache.append(c)
+            yield c
+
+
 def _char_poly_int(m: list[list[int]]) -> list[int]:
-    """Faddeev-LeVerrier over the integers; returns monic coefficients,
-    lowest degree first."""
+    """Monic characteristic polynomial of a nonempty square integer matrix,
+    lowest degree first.
+
+    The coefficient of x^(n-k) sums C(n, k) principal k x k minors, each at
+    most (sqrt(k) max|m_ij|)^k (Hadamard), so primes are taken until their
+    product exceeds twice the largest bound.  Faddeev-LeVerrier runs modulo
+    all of them at once in int64, dividing by k through k^-1 mod p, and the
+    residues are lifted by CRT to the symmetric range."""
     n = len(m)
-    coeffs = [0] * n + [1]  # x^n
-    work = [row[:] for row in m]  # M_1 = A
-    for k in range(1, n + 1):
-        tr = sum(work[i][i] for i in range(n))
-        a_k = -_exact_div(tr, k) if k > 1 else -tr
-        coeffs[n - k] = a_k
-        if k == n:
+    big = max(abs(x) for row in m for x in row)
+    bound = max(math.comb(n, k) * (math.isqrt(k ** k) + 1) * big ** k for k in range(n + 1))
+    primes, modulus = [], 1
+    for p in _primes(_prime_bits(n)):
+        primes.append(p)
+        modulus *= p
+        if modulus > 2 * bound:
             break
-        for i in range(n):
-            work[i][i] += a_k
-        work = [
-            [sum(m[i][l] * work[l][j] for l in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    return coeffs
+    pv = np.array(primes, dtype=np.int64)
+    mods = np.array([[[x % p for x in row] for row in m] for p in primes], dtype=np.int64)
+    work = mods.copy()  # M_1 = A
+    res = np.zeros((len(primes), n + 1), dtype=np.int64)
+    res[:, n] = 1
+    for k in range(1, n + 1):
+        inv_k = np.array([pow(k, -1, p) for p in primes], dtype=np.int64)
+        res[:, n - k] = -np.trace(work, axis1=1, axis2=2) % pv * inv_k % pv
+        if k < n:
+            # entries below 2p after the shift keep each dot product under 2 n p^2
+            work.reshape(len(primes), n * n)[:, :: n + 1] += res[:, n - k, None]
+            work = mods @ work % pv[:, None, None]
+    coeffs, modulus = [0] * (n + 1), 1
+    for p, r in zip(primes, res.tolist()):
+        inv = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((ri - c) * inv % p) for c, ri in zip(coeffs, r)]
+        modulus *= p
+    return [c - modulus if 2 * c > modulus else c for c in coeffs]
 
 
 def char_poly(a: Matrix) -> list[Fraction]:
     """Monic characteristic polynomial det(xI - A), exact, lowest degree
-    first.  Requires the rational field."""
+    first.  Requires the rational field.  With A = M / d for the cleared
+    integer matrix M, det(xI - A) = d^-n det((d x) I - M)."""
     if a.field != RATIONAL:
         raise FieldError("char_poly is exact-backend only")
     if not a.is_square:
@@ -770,6 +751,19 @@ def _polish_root(coeffs_float: list[float], z: complex, steps: int = 3) -> compl
     return best
 
 
+def _exact_spectrum(p: list[Fraction]) -> tuple[Eigenvalue, ...]:
+    """Eigenvalues with multiplicities from an exact characteristic polynomial."""
+    out: list[Eigenvalue] = []
+    for factor, m in rp.squarefree_decomposition(p):
+        cf = [float(c) for c in factor]
+        roots = np.roots(list(reversed(cf))) if rp.degree(factor) >= 1 else []
+        for z in roots:
+            z = _polish_root(cf, complex(z))
+            out.append(Eigenvalue(value=complex(z), multiplicity=m))
+    out.sort(key=lambda e: (e.value.real, e.value.imag))
+    return tuple(out)
+
+
 def complex_spectrum(a: Matrix, tol: Optional[float] = None) -> tuple[Eigenvalue, ...]:
     """Eigenvalues with algebraic multiplicities.
 
@@ -783,16 +777,7 @@ def complex_spectrum(a: Matrix, tol: Optional[float] = None) -> tuple[Eigenvalue
     if a.n_rows == 0:
         return ()
     if a.field == RATIONAL:
-        p = char_poly(a)
-        out: list[Eigenvalue] = []
-        for factor, m in rp.squarefree_decomposition(p):
-            cf = [float(c) for c in factor]
-            roots = np.roots(list(reversed(cf))) if rp.degree(factor) >= 1 else []
-            for z in roots:
-                z = _polish_root(cf, complex(z))
-                out.append(Eigenvalue(value=complex(z), multiplicity=m))
-        out.sort(key=lambda e: (e.value.real, e.value.imag))
-        return tuple(out)
+        return _exact_spectrum(char_poly(a))
     t = default_tolerance(a.max_abs()) if tol is None else tol
     w = sorted(np.linalg.eigvals(a.to_numpy()), key=lambda z: (z.real, z.imag))
     clusters: list[list[complex]] = []

@@ -6,10 +6,16 @@ algebra layer: characteristic and minimal polynomials, Yun square-free
 decomposition, Sturm chains for real root counting, and bisection isolation
 of real roots.  All decisions made here are exact; floats only appear when a
 caller asks for a numeric approximation of an isolated root.
+
+The hot loops run on integers.  Division is pseudo-division of the cleared
+coefficients.  A sign at a rational point u / v (v > 0) is the sign of the
+homogeneous form sum c_i u^i v^(deg - i) of a positive integer multiple c of
+the polynomial, so Sturm counts and bisection never evaluate on ``Fraction``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -111,23 +117,34 @@ def derivative(p: Poly) -> Poly:
 
 
 def divmod_exact(p: Poly, d: Poly) -> tuple[Poly, Poly]:
-    """Polynomial long division, exact over the rationals."""
+    """Polynomial long division, exact over the rationals.
+
+    Runs as pseudo-division on integers: with p = P / dp and d = D / dd
+    cleared by ``_cleared``, lc(D)^e P = Q D + R for e = deg p - deg d + 1,
+    so the quotient is dd Q / (lc(D)^e dp) and the remainder R / (lc(D)^e dp).
+    """
     if not d:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
-    q = [Fraction(0)] * max(len(p) - len(d) + 1, 0)
-    lead = d[-1]
-    while len(r) >= len(d) and trim(r):
-        r = trim(r)
-        if len(r) < len(d):
-            break
-        k = len(r) - len(d)
-        c = r[-1] / lead
+    p = trim(p)
+    if len(p) < len(d):
+        return [], p
+    (r, dp), (big_d, dd) = _cleared(p), _cleared(d)
+    lead = big_d[-1]
+    n = len(d) - 1
+    q = [0] * (len(p) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[n + k]
+        q = [lead * x for x in q]
         q[k] = c
-        for i, a in enumerate(d):
-            r[k + i] -= c * a
+        r = [lead * x for x in r]
+        for j, y in enumerate(big_d):
+            r[j + k] -= c * y
+    den = lead ** len(q) * dp
+    r = r[:n]
+    while r and r[-1] == 0:
         r.pop()
-    return trim(q), trim(r)
+    # q leads with lc(P) lc(D)^(e-1) != 0, so only r needs trimming
+    return [Fraction(x * dd, den) for x in q], [Fraction(x, den) for x in r]
 
 
 def monic(p: Poly) -> Poly:
@@ -203,11 +220,7 @@ def sturm_chain(p: Poly) -> list[Poly]:
 
 
 def _sign(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+    return (x > 0) - (x < 0)
 
 
 def _variations(signs: list[int]) -> int:
@@ -215,21 +228,39 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
 
 
-def _variations_at(chain: list[Poly], x) -> int:
+def _cleared(p: Poly) -> tuple[list[int], int]:
+    """Integer coefficients P and the least common denominator d > 0 with
+    p = P / d; P has the sign of p at every point."""
+    d = math.lcm(*(a.denominator for a in p))
+    return [a.numerator * (d // a.denominator) for a in p], d
+
+
+def _sign_at(c: list[int], u: int, v: int) -> int:
+    """Sign of the integer polynomial c at u / v, v > 0: the sign of the
+    homogeneous form sum c_i u^i v^(deg - i), taken by integer Horner."""
+    h = 0
+    w = 1
+    for a in reversed(c):
+        h = h * u + a * w
+        w *= v
+    return _sign(h)
+
+
+def _variations_at(chain: list[list[int]], x) -> int:
     if x == "-inf":
         return _variations([_sign(s[-1]) * (-1) ** degree(s) if s else 0 for s in chain])
     if x == "+inf":
         return _variations([_sign(s[-1]) if s else 0 for s in chain])
-    return _variations([_sign(eval_at(s, x)) for s in chain])
+    return _variations([_sign_at(s, x.numerator, x.denominator) for s in chain])
 
 
 def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:
     """Number of distinct real roots of p in (lo, hi], with None meaning an
     infinite endpoint.  Multiple roots are counted once (canonical Sturm
-    chain)."""
+    chain, signs by ``_sign_at``)."""
     if degree(p) <= 0:
         return 0
-    chain = sturm_chain(p)
+    chain = [_cleared(s)[0] for s in sturm_chain(p)]
     va = _variations_at(chain, "-inf" if lo is None else Fraction(lo))
     vb = _variations_at(chain, "+inf" if hi is None else Fraction(hi))
     return va - vb
@@ -259,7 +290,7 @@ def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
     """
     if degree(p) <= 0:
         return []
-    chain = sturm_chain(p)
+    chain = [_cleared(s)[0] for s in sturm_chain(p)]
 
     def vcount(a: Fraction, b: Fraction) -> int:
         return _variations_at(chain, a) - _variations_at(chain, b)
@@ -287,44 +318,54 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction,
     """Shrink an isolating interval (lo, hi] of a square-free p by bisection.
 
     Returns (float approximation, exact rational root or None).  The interval
-    must contain exactly one root of square-free p.
+    must contain exactly one root of square-free p.  The endpoints are
+    integer numerators a, b over one shared denominator that doubles at each
+    halving, and every sign is ``_sign_at`` of p cleared to integers, so the
+    intervals, the float and the rational candidate are those of plain
+    ``Fraction`` bisection without building a ``Fraction`` per step.
     """
-    flo = eval_at(p, lo)
-    fhi = eval_at(p, hi)
+    c = _cleared(p)[0]
+    lo, hi = Fraction(lo), Fraction(hi)
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    flo = _sign_at(c, a, den)
+    fhi = _sign_at(c, b, den)
     if fhi == 0:
         return float(hi), hi
     while flo == 0:
         # lo is a different root of p sitting just outside the half-open
         # interval; walk the left endpoint inward until the sign is usable
-        mid = (lo + hi) / 2
-        fmid = eval_at(p, mid)
+        m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        fmid = _sign_at(c, m, den)
         if fmid == 0:
-            return float(mid), mid
-        if _sign(fmid) == _sign(fhi):
+            return float(Fraction(m, den)), Fraction(m, den)
+        if fmid == fhi:
             # a simple root strictly between mid and hi would flip the sign,
             # so the root lies in (lo, mid]
-            hi, fhi = mid, fmid
+            b, fhi = m, fmid
         else:
-            lo, flo = mid, fmid
-    if _sign(flo) == _sign(fhi):
+            a, flo = m, fmid
+    if flo == fhi:
         raise ValueError("no sign change over the isolating interval")
     for _ in range(max_steps):
-        width = hi - lo
-        mid = (lo + hi) / 2
-        if width < abs(mid) * Fraction(1, 10**17) + Fraction(1, 10**20):
+        # stop once hi - lo < |mid| 1e-17 + 1e-20, with mid = (a + b) / (2 den)
+        if 2 * 10**20 * (b - a) < 10**3 * abs(a + b) + 2 * den:
             break
-        fmid = eval_at(p, mid)
+        m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        fmid = _sign_at(c, m, den)
         if fmid == 0:
-            return float(mid), mid
-        if _sign(fmid) == _sign(flo):
-            lo, flo = mid, fmid
+            return float(Fraction(m, den)), Fraction(m, den)
+        if fmid == flo:
+            a = m
         else:
-            hi, fhi = mid, fmid
-    approx = (lo + hi) / 2
+            b = m
+    approx = Fraction(a + b, 2 * den)
     # bisection midpoints are dyadic and miss rational roots like 1/3, so
     # test the best small-denominator candidate before settling for a float
     guess = approx.limit_denominator(10**12)
-    if lo < guess <= hi and eval_at(p, guess) == 0:
+    u, v = guess.numerator, guess.denominator
+    if a * v < u * den <= b * v and _sign_at(c, u, v) == 0:
         return float(guess), guess
     return float(approx), None
 

@@ -21,6 +21,7 @@ extracted in floating point at exactly isolated positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -36,7 +37,9 @@ from .matrix_core import (
     Matrix,
     ShapeError,
     Subspace,
-    _exact_rank,
+    _cleared,
+    _exact_div,
+    _int_det,
     char_poly,
     default_tolerance,
     determinant,
@@ -222,28 +225,33 @@ class KreinSignatureReport:
 # determinant polynomials
 
 
-def _lagrange_interpolate(nodes: list[Fraction], values: list[Fraction]) -> list[Fraction]:
-    total: list[Fraction] = []
-    for j, vj in enumerate(values):
-        if vj == 0:
-            continue
-        term = [vj]
-        for i, xi in enumerate(nodes):
-            if i == j:
-                continue
-            term = rp.mul(term, [-xi, Fraction(1)])
-            term = rp.scale(term, Fraction(1) / (nodes[j] - xi))
-        total = rp.add(total, term)
-    return total
-
-
 def _det_poly_exact(path: LinearPath) -> list[Fraction]:
+    """det A(t) as an exact polynomial in t, lowest degree first.
+
+    The endpoints are cleared together, start = S / d and end = E / d, so
+    A(u / m) = ((m - u) S + u E) / (m d) for the dimension m.  The integer
+    polynomial q(u) = det((m - u) S + u E) of degree <= m is sampled at
+    u = 0..m by Bareiss and rebuilt from its forward differences: in
+    q(u) = sum_k c_k u (u - 1) ... (u - k + 1) each c_k = Delta^k q(0) / k!
+    is an integer.  Then det A(t) = q(m t) / (m d)^m.
+    """
     m = path.dim
     if m == 0:
         return [Fraction(1)]
-    nodes = [Fraction(j, m) for j in range(m + 1)]
-    values = [determinant(path.value(t)) for t in nodes]
-    return _lagrange_interpolate(nodes, values)
+    ints, d = _cleared(path.start.rows() + path.end.rows())
+    s, e = ints[:m], ints[m:]
+    values = [_int_det([[(m - u) * x + u * y for x, y in zip(rs, re)] for rs, re in zip(s, e)])
+              for u in range(m + 1)]
+    newton = []
+    for k in range(m + 1):
+        newton.append(_exact_div(values[0], math.factorial(k)))
+        values = [y - x for x, y in zip(values, values[1:])]
+    q = [newton[m]]
+    for k in range(m - 1, -1, -1):  # q <- q (u - k) + c_k
+        q = [a - k * b for a, b in zip([0] + q, q + [0])]
+        q[0] += newton[k]
+    scale = (m * d) ** m
+    return rp.trim(Fraction(c * m ** i, scale) for i, c in enumerate(q))
 
 
 def _det_poly_float(path: LinearPath) -> np.ndarray:
@@ -336,11 +344,6 @@ def _crossing_numeric(arr: np.ndarray, deriv: np.ndarray, location: float,
     )
 
 
-def _strict_counts_exact(form: Matrix) -> tuple[int, int]:
-    ir = inertia(form)
-    return ir.coindex, ir.morse_index
-
-
 def _strict_counts_float(form: np.ndarray, tol: float) -> tuple[int, int]:
     if form.size == 0:
         return 0, 0
@@ -377,16 +380,8 @@ def _flow_linear_exact(path: LinearPath) -> SpectralFlowResult:
                     arr.to_numpy(), path.derivative.to_numpy(), approx,
                     None, mult, interior=True, tol=0.0))
     crossings.sort(key=lambda c: c.location)
-    start_corr = 0
-    ker0 = kernel(path.start)
-    if ker0.dimension:
-        _, neg = _strict_counts_exact(restrict_form(path.derivative, ker0))
-        start_corr = neg
-    end_corr = 0
-    ker1 = kernel(path.end)
-    if ker1.dimension:
-        pos, _ = _strict_counts_exact(restrict_form(path.derivative, ker1))
-        end_corr = pos
+    start_corr = inertia(restrict_form(path.derivative, kernel(path.start))).morse_index
+    end_corr = inertia(restrict_form(path.derivative, kernel(path.end))).coindex
     total = sum(c.signature for c in crossings) - start_corr + end_corr
     return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, RATIONAL)
 
@@ -446,10 +441,7 @@ def _flow_linear_float(path: LinearPath, tol: float) -> SpectralFlowResult:
 
 def _krein_interior_locations_exact(b: Matrix) -> list[tuple[float, Optional[Fraction], int]]:
     """All s > 0 with singular B + s*G, as (float, exact or None, multiplicity)."""
-    n = b.n_rows // 2
-    jb = standard_symplectic(n) @ b
-    p = char_poly(jb)
-    r, is_even = rp.even_part(p)
+    r, is_even = rp.even_part(char_poly(standard_symplectic(b.n_rows // 2) @ b))
     if not is_even:
         raise AssertionError("characteristic polynomial of J B must be even")
     out = []
@@ -499,13 +491,8 @@ def _krein_start_correction(b: Matrix, tol: float) -> int:
         ker0 = kernel(b)
         if ker0.dimension == 0:
             return 0
-        n = b.n_rows // 2
-        j = standard_symplectic(n)
-        cols = [list(v) for v in ker0.basis]
-        jz = [j.matvec(v) for v in cols]
-        s = [[sum(cols[a][i] * jz[c][i] for i in range(b.n_rows))
-              for c in range(ker0.dimension)] for a in range(ker0.dimension)]
-        rk = _exact_rank(s)
+        z = Matrix([list(row) for row in zip(*ker0.basis)], RATIONAL)
+        rk = rank(z.T @ standard_symplectic(b.n_rows // 2) @ z)
         if rk % 2 != 0:
             raise AssertionError("skew form with odd rank")
         return rk // 2
@@ -633,19 +620,13 @@ def kappa_identity_check(b: Matrix, tol: Optional[float] = None) -> KappaIdentit
     n = b.n_rows // 2
     cls = classify(b, tol=tol)
     if b.field == RATIONAL:
-        jb = standard_symplectic(n) @ b
-        p = char_poly(jb)
-        r, is_even = rp.even_part(p)
+        r, is_even = rp.even_part(char_poly(standard_symplectic(n) @ b))
         if not is_even:
             raise AssertionError("characteristic polynomial of J B must be even")
-        kappa = 0
-        for factor, mult in rp.squarefree_decomposition(r):
-            if rp.degree(factor) < 1:
-                continue
-            negative = rp.count_distinct_real_roots(factor, None, Fraction(0))
-            if rp.eval_at(factor, Fraction(0)) == 0:
-                negative -= 1
-            kappa += mult * negative
+        # roots of each Yun factor in (-inf, 0], less a root at 0
+        kappa = sum(mult * (rp.count_distinct_real_roots(factor, None, Fraction(0))
+                            - (factor[0] == 0))
+                    for factor, mult in rp.squarefree_decomposition(r))
         nullity = inertia(b).nullity
         return KappaIdentity(n, kappa, nullity, n == kappa + Fraction(nullity, 2), cls)
     t = default_tolerance(b.max_abs()) if tol is None else tol

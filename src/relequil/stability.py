@@ -22,8 +22,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from . import rational_poly as rp
 from .matrix_core import (
     FLOAT64,
@@ -35,7 +33,9 @@ from .matrix_core import (
     ShapeError,
     SingularMatrixError,
     Subspace,
-    SymmetryError,
+    _exact_spectrum,
+    _kernel_exact,
+    _require_symmetric,
     char_poly,
     complex_spectrum,
     default_tolerance,
@@ -190,17 +190,12 @@ def _reduce_omega(b: Matrix, omega: Optional[Matrix], tol: Optional[float]) -> M
 def _require_even_symmetric(b: Matrix, tol: Optional[float]) -> Matrix:
     if not b.is_square or b.n_rows % 2 != 0:
         raise ShapeError("Hamiltonian stability needs an even-dimensional symmetric matrix")
-    if b.field == RATIONAL:
-        if not b.is_symmetric():
-            raise SymmetryError("matrix is not exactly symmetric")
-        return b
-    if not b.is_symmetric(tol):
-        raise SymmetryError("matrix is not symmetric within tolerance")
-    return b.symmetrized()
+    return _require_symmetric(b, tol)
 
 
-def _on_axis_exact(jb: Matrix) -> bool:
-    p = char_poly(jb)
+def _on_axis_exact(p: list[Fraction]) -> bool:
+    """Whether the characteristic polynomial p of J B has all roots on the
+    imaginary axis."""
     r, is_even = rp.even_part(p)
     if not is_even:
         raise AssertionError("characteristic polynomial of J B must be even")
@@ -235,9 +230,9 @@ def classify(b: Matrix, omega: Optional[Matrix] = None,
     j = standard_symplectic(n, b.field)
     jb = j @ b
     if b.field == RATIONAL:
-        on_axis = _on_axis_exact(jb)
-        if not on_axis:
-            witness = _off_axis_witness(complex_spectrum(jb), 0.0)
+        p = char_poly(jb)
+        if not _on_axis_exact(p):
+            witness = _off_axis_witness(_exact_spectrum(p), 0.0)
             return StabilityClassification(
                 Verdict.SPECTRALLY_UNSTABLE, False, None, witness, None, RATIONAL, 0.0)
         ss = is_semisimple(jb)
@@ -376,7 +371,7 @@ def invariant_split(b: Matrix) -> InvariantSplit:
         comp = Subspace(two_n, tuple(tuple(row) for row in ident.rows()))
         return InvariantSplit(v, comp, restrict_form(b, comp))
     rows = [[Fraction(x) for x in vec] for vec in v.basis]
-    comp_basis = tuple(tuple(w) for w in _kernel_rows(rows, two_n))
+    comp_basis = tuple(tuple(w) for w in _kernel_exact(rows, two_n))
     comp = Subspace(two_n, comp_basis)
     n = two_n // 2
     j = standard_symplectic(n)
@@ -390,12 +385,6 @@ def invariant_split(b: Matrix) -> InvariantSplit:
     if comp.dimension and rank(restricted) != comp.dimension:
         raise AssertionError("B must restrict to an isomorphism of the complement")
     return InvariantSplit(v, comp, restricted)
-
-
-def _kernel_rows(rows: list[list[Fraction]], n_cols: int) -> list[list[Fraction]]:
-    from .matrix_core import _kernel_exact
-
-    return _kernel_exact(rows, n_cols)
 
 
 def spectral_instability_certificate(b: Matrix,

@@ -248,3 +248,192 @@ def random_noncollision_config(rng: random.Random, n: int,
                  for i in range(n) for j in range(i + 1, n))
         if ok:
             return pts
+
+
+# ---------------------------------------------------------------------------
+# the package's own exact algorithms from before they moved onto modular and
+# integer arithmetic, written out on plain integers and Fractions as the
+# references for their replacements
+
+
+def char_poly_faddeev(m: Sequence[Sequence[int]]) -> List[int]:
+    """Monic characteristic polynomial of an integer matrix, lowest degree
+    first, by Faddeev-LeVerrier with exact integer division by k."""
+    n = len(m)
+    coeffs = [0] * n + [1]
+    work = [list(row) for row in m]
+    for k in range(1, n + 1):
+        tr = sum(work[i][i] for i in range(n))
+        q, r = divmod(tr, k)
+        assert r == 0
+        coeffs[n - k] = -q
+        if k == n:
+            break
+        for i in range(n):
+            work[i][i] -= q
+        work = [[sum(m[i][l] * work[l][j] for l in range(n)) for j in range(n)]
+                for i in range(n)]
+    return coeffs
+
+
+def _poly_trim(p: List[Fraction]) -> List[Fraction]:
+    p = [Fraction(x) for x in p]
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for a in reversed(p):
+        acc = acc * x + a
+    return acc
+
+
+def _poly_rem(p: List[Fraction], d: List[Fraction]) -> List[Fraction]:
+    r = _poly_trim(p)
+    while len(r) >= len(d):
+        c = r[-1] / d[-1]
+        k = len(r) - len(d)
+        for i, a in enumerate(d):
+            r[k + i] -= c * a
+        r = _poly_trim(r[:-1])
+    return r
+
+
+def _sign_variations(values) -> int:
+    seq = [v for v in values if v != 0]
+    return sum(1 for a, b in zip(seq, seq[1:]) if (a > 0) != (b > 0))
+
+
+def sturm_count_fraction(p: Sequence[Fraction], lo=None, hi=None) -> int:
+    """Distinct real roots of p in (lo, hi] (None: infinite end) from a
+    Sturm chain evaluated by Horner's rule on Fractions."""
+    p = _poly_trim(p)
+    if len(p) <= 1:
+        return 0
+    chain = [p, _poly_trim([i * a for i, a in enumerate(p)][1:])]
+    while True:
+        r = _poly_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-a for a in r])
+
+    def variations(x, at_infinity) -> int:
+        if x is None:
+            return _sign_variations(at_infinity)
+        return _sign_variations([_poly_eval(s, Fraction(x)) for s in chain])
+
+    return (variations(lo, [s[-1] * (-1) ** (len(s) - 1) for s in chain])
+            - variations(hi, [s[-1] for s in chain]))
+
+
+def isolate_fraction(p: Sequence[Fraction]) -> List[Tuple[Fraction, Fraction]]:
+    """Isolating intervals (lo, hi] of the real roots of a square-free p by
+    bisection of (-B, B] with B the Cauchy bound, left to right."""
+    p = _poly_trim(p)
+    if len(p) <= 1:
+        return []
+    bound = 1 + max(abs(a) for a in p[:-1]) / abs(p[-1])
+    out = []
+    stack = [(-bound, bound)]
+    while stack:
+        a, b = stack.pop()
+        cnt = sturm_count_fraction(p, a, b)
+        if cnt == 1:
+            out.append((a, b))
+        elif cnt > 1:
+            m = (a + b) / 2
+            stack += [(m, b), (a, m)]
+    return sorted(out)
+
+
+def refine_root_fraction(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
+                         max_steps: int = 200):
+    """(float, exact root or None) for the root of square-free p in (lo, hi]
+    by Fraction bisection to relative width 1e-17, then a test of the best
+    rational candidate with denominator at most 1e12."""
+    def sign(x: Fraction) -> int:
+        v = _poly_eval(p, x)
+        return (v > 0) - (v < 0)
+
+    flo, fhi = sign(lo), sign(hi)
+    if fhi == 0:
+        return float(hi), hi
+    while flo == 0:
+        mid = (lo + hi) / 2
+        fmid = sign(mid)
+        if fmid == 0:
+            return float(mid), mid
+        if fmid == fhi:
+            hi, fhi = mid, fmid
+        else:
+            lo, flo = mid, fmid
+    for _ in range(max_steps):
+        mid = (lo + hi) / 2
+        if hi - lo < abs(mid) * Fraction(1, 10**17) + Fraction(1, 10**20):
+            break
+        fmid = sign(mid)
+        if fmid == 0:
+            return float(mid), mid
+        if fmid == flo:
+            lo = mid
+        else:
+            hi = mid
+    approx = (lo + hi) / 2
+    guess = approx.limit_denominator(10**12)
+    if lo < guess <= hi and sign(guess) == 0:
+        return float(guess), guess
+    return float(approx), None
+
+
+def lagrange_interpolate(nodes: Sequence[Fraction],
+                         values: Sequence[Fraction]) -> List[Fraction]:
+    """The polynomial of degree < len(nodes) through the points, lowest
+    degree first and without trailing zeros."""
+    total = [Fraction(0)] * len(nodes)
+    for j, vj in enumerate(values):
+        term = [Fraction(vj)]
+        for i, xi in enumerate(nodes):
+            if i == j:
+                continue
+            scale = 1 / (nodes[j] - xi)
+            shifted = [Fraction(0)] + term
+            term = [(s - xi * t) * scale for s, t in zip(shifted, term + [Fraction(0)])]
+        total = [a + b for a, b in zip(total, term)]
+    return _poly_trim(total)
+
+
+def inertia_congruence(rows: Sequence[Sequence[Fraction]]) -> Tuple[int, int, int]:
+    """(negative, zero, positive) counts of a rational symmetric matrix by
+    congruence elimination with 1x1 pivots and, when every diagonal entry
+    vanishes, 2x2 pivots [[0, c], [c, 0]]."""
+    a = {i: {j: Fraction(x) for j, x in enumerate(row)} for i, row in enumerate(rows)}
+    active = list(range(len(rows)))
+    pos = neg = 0
+    while active:
+        p = next((i for i in active if a[i][i] != 0), None)
+        if p is not None:
+            d = a[p][p]
+            pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
+            rest = [i for i in active if i != p]
+            for i in rest:
+                f = a[i][p] / d
+                for j in rest:
+                    a[i][j] -= f * a[p][j]
+            active = rest
+            continue
+        pq = next(((i, j) for k, i in enumerate(active) for j in active[k + 1:]
+                   if a[i][j] != 0), None)
+        if pq is None:
+            return neg, len(active), pos
+        p, q = pq
+        c = a[p][q]
+        pos, neg = pos + 1, neg + 1
+        rest = [i for i in active if i not in (p, q)]
+        for i in rest:
+            ui, vi = a[i][p], a[i][q]
+            for j in rest:
+                a[i][j] -= (ui * a[q][j] + vi * a[p][j]) / c
+        active = rest
+    return neg, 0, pos

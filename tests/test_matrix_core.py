@@ -29,6 +29,7 @@ from relequil.matrix_core import (
     standard_symplectic,
     symplectic_reduction,
 )
+from relequil.matrix_core import _char_poly_int, _prime_bits
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,79 @@ def test_char_poly_matches_lagrange(rng):
     for dim in (2, 3, 4, 5):
         rows = H.random_symmetric(rng, dim)
         assert char_poly(Matrix(rows, RATIONAL)) == H.char_poly_lagrange(rows)
+
+
+def _big_int_matrix(rng, dim, bits):
+    """Integer entries of magnitude at least 2^bits, random signs."""
+    return [[rng.choice((-1, 1)) * rng.randint(2**bits, 2**(bits + 2)) for _ in range(dim)]
+            for _ in range(dim)]
+
+
+def test_char_poly_matches_faddeev_reference(rng):
+    # entries >= 2^40 need about 2 n 40 / 29 primes of 29-30 bits each
+    cases = [_big_int_matrix(rng, dim, 40) for dim in (1, 2, 3, 5, 8)]
+    cases += [
+        [[0] * 4 for _ in range(4)],
+        [[-7]],
+        [[0]],
+        # nilpotent: strictly upper triangular with large entries
+        [[rng.randint(-2**45, 2**45) if j > i else 0 for j in range(5)] for i in range(5)],
+        # scalar
+        [[-(3**30) if i == j else 0 for j in range(4)] for i in range(4)],
+    ]
+    for m in cases:
+        assert _char_poly_int(m) == H.char_poly_faddeev(m)
+    nilpotent, scalar = cases[-2], cases[-1]
+    assert _char_poly_int(nilpotent) == [0] * 5 + [1]
+    assert _char_poly_int(scalar) == [3**120, 4 * 3**90, 6 * 3**60, 4 * 3**30, 1]
+
+
+def test_char_poly_rational_big_entries_matches_lagrange(rng):
+    for dim in (1, 3, 4):
+        rows = [[Fraction(rng.choice((-1, 1)) * rng.randint(2**40, 2**41), rng.randint(1, 9))
+                 for _ in range(dim)] for _ in range(dim)]
+        assert char_poly(Matrix(rows, RATIONAL)) == H.char_poly_lagrange(rows)
+
+
+def test_char_poly_prime_size_shrinks_with_dimension(rng):
+    for n in (1, 2, 3, 4, 16, 20, 33, 1000):
+        assert n * (2 ** _prime_bits(n)) ** 2 <= 2**62
+    assert _prime_bits(20) < _prime_bits(2)
+    m = [[rng.randint(-2**30, 2**30) for _ in range(20)] for _ in range(20)]
+    assert _char_poly_int(m) == H.char_poly_faddeev(m)
+
+
+def test_inertia_matches_congruence_reference(rng):
+    cases = [
+        [[0, 1], [1, 0]],
+        [[0, 0, 1], [0, 0, 2], [1, 2, 0]],
+        [[0] * 3 for _ in range(3)],
+        [[Fraction(-3, 7)]],
+    ]
+    for dim in (2, 3, 4, 5, 6):
+        # zero diagonal
+        rows = H.random_symmetric(rng, dim, num=5, den=4)
+        for i in range(dim):
+            rows[i][i] = Fraction(0)
+        cases.append(rows)
+        # singular: R^T D R with a rank-deficient diagonal D of mixed signs
+        r = [[H.random_fraction(rng, 5, 3) for _ in range(dim)] for _ in range(dim)]
+        d = [rng.choice((-2, -1, 0, 0, 1, Fraction(3, 2))) for _ in range(dim)]
+        cases.append([[sum(r[k][i] * d[k] * r[k][j] for k in range(dim)) for j in range(dim)]
+                      for i in range(dim)])
+    for rows in cases:
+        report = inertia(Matrix(rows, RATIONAL))
+        expected = H.inertia_congruence(rows)
+        assert (report.morse_index, report.nullity, report.coindex) == expected
+        assert expected == H.eig_inertia(rows)
+
+
+def test_inertia_large_entries(rng):
+    # Descartes counts on a char poly lifted from many primes
+    rows = [[Fraction(x, 3) for x in row] for row in _big_int_matrix(rng, 6, 44)]
+    rows = [[rows[min(i, j)][max(i, j)] for j in range(6)] for i in range(6)]
+    report = inertia(Matrix(rows, RATIONAL))
+    assert (report.morse_index, report.nullity, report.coindex) == H.inertia_congruence(rows)
 
 
 def test_kernel_dimension_matches_gauss(rng):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers as H
 from relequil.rational_poly import (
     cauchy_root_bound,
     compose_negative_square,
@@ -120,3 +121,43 @@ def test_even_part_rejects_odd():
     p = poly(1, 1, 1)
     _, is_even = even_part(p)
     assert not is_even
+
+
+def test_sturm_and_refine_match_fraction_reference():
+    cases = [
+        # roots at 0, the first bisection midpoint of the symmetric Cauchy box
+        from_roots([-1, 0, 1]),
+        # rational roots that no dyadic midpoint hits
+        from_roots([Fraction(1, 3), Fraction(-2, 7), Fraction(5, 3)]),
+        mul(from_roots([Fraction(1, 3)]), poly(-2, 0, 1)),
+        # irrational roots only, and a single root
+        mul(poly(-2, 0, 1), poly(-3, 0, 1)),
+        from_roots([Fraction(-9, 4)]),
+        # large coefficients
+        mul(from_roots([Fraction(10**9 + 7, 3), Fraction(-1, 10**6)]), poly(-5, 0, 1)),
+    ]
+    ends = [None, Fraction(0), Fraction(1, 3), Fraction(-1), Fraction(5, 2)]
+    for p in cases:
+        assert isolate_real_roots(p) == H.isolate_fraction(p)
+        for lo in ends:
+            for hi in ends:
+                assert count_distinct_real_roots(p, lo, hi) == H.sturm_count_fraction(p, lo, hi)
+        for lo, hi in isolate_real_roots(p):
+            assert refine_root(p, lo, hi) == H.refine_root_fraction(p, lo, hi)
+
+
+def test_refine_root_left_endpoint_root():
+    # lo = 0 is itself a root outside the half-open interval (0, 1]
+    for p in (from_roots([0, Fraction(3, 4)]), mul(poly(0, 1), poly(-2, 0, 4)),
+              from_roots([0, Fraction(1, 3)]), from_roots([Fraction(1, 2), 0, 1])):
+        hi = Fraction(1)
+        if eval_at(p, hi) == 0:
+            hi = Fraction(7, 8)
+        assert refine_root(p, Fraction(0), hi) == H.refine_root_fraction(p, Fraction(0), hi)
+    # the walk from a root at lo lands exactly on the root (the midpoint 1/2)
+    assert refine_root(from_roots([0, Fraction(1, 2)]), Fraction(0), Fraction(1)) == \
+        (0.5, Fraction(1, 2))
+    assert refine_root(from_roots([0, Fraction(3, 4)]), Fraction(0), Fraction(1))[1] == \
+        Fraction(3, 4)
+    assert refine_root(from_roots([0, Fraction(1, 3)]), Fraction(0), Fraction(1))[1] == \
+        Fraction(1, 3)

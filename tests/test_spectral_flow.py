@@ -15,6 +15,7 @@ from relequil.spectral_flow import (
     relative_morse_index,
     spectral_flow,
 )
+from relequil.spectral_flow import _det_poly_exact
 from relequil.stability import Verdict
 
 
@@ -24,6 +25,57 @@ def diag(*entries) -> Matrix:
 
 # ---------------------------------------------------------------------------
 # straight-line paths, exact backend
+
+
+def _lagrange_det_poly(start, end):
+    m = len(start)
+    nodes = [Fraction(j, m) for j in range(m + 1)]
+    values = [H.det_gauss([[(1 - t) * x + t * y for x, y in zip(rs, re)]
+                           for rs, re in zip(start, end)]) for t in nodes]
+    return H.lagrange_interpolate(nodes, values)
+
+
+def _congruent(r, diagonal):
+    """R^T D R for the square rational R and the diagonal D."""
+    dim = len(diagonal)
+    return [[sum(r[k][i] * Fraction(diagonal[k]) * r[k][j] for k in range(dim))
+             for j in range(dim)] for i in range(dim)]
+
+
+def _random_square(rng, dim):
+    return [[H.random_fraction(rng, 4, 3) for _ in range(dim)] for _ in range(dim)]
+
+
+def test_det_poly_matches_lagrange_reference(rng):
+    cases = [(H.random_symmetric(rng, dim, num=6, den=5), H.random_symmetric(rng, dim, 6, 5))
+             for dim in (1, 2, 3, 4, 5, 6)]
+    # roots at t = 0 and t = 1: both endpoints singular
+    cases.append((_congruent(_random_square(rng, 3), [0, 1, -2]),
+                  _congruent(_random_square(rng, 3), [3, 0, 1])))
+    cases.append(([[Fraction(0)]], [[Fraction(5, 3)]]))
+    cases.append((H.pair_diagonal([(0, 1), (2, 0)]), H.pair_diagonal([(1, 0), (0, 3)])))
+    # large entries
+    big = [[Fraction(2**50 + 3, 7), Fraction(-2**45, 3)], [Fraction(-2**45, 3), Fraction(1, 2**40)]]
+    cases.append((big, H.random_symmetric(rng, 2)))
+    for start, end in cases:
+        path = LinearPath(Matrix(start, RATIONAL), Matrix(end, RATIONAL))
+        d = _det_poly_exact(path)
+        assert d == _lagrange_det_poly(start, end)
+        assert d and d[-1] != 0
+    d = _det_poly_exact(LinearPath(Matrix(cases[6][0], RATIONAL), Matrix(cases[6][1], RATIONAL)))
+    assert d[0] == 0 and sum(d) == 0  # det vanishes at t = 0 and t = 1
+
+
+def test_det_poly_identically_singular_path(rng):
+    # a common kernel vector keeps every A(t) singular
+    r = _random_square(rng, 3)
+    while H.det_gauss(r) == 0:
+        r = _random_square(rng, 3)
+    start, end = _congruent(r, [0, 1, -1]), _congruent(r, [0, 2, 5])
+    path = LinearPath(Matrix(start, RATIONAL), Matrix(end, RATIONAL))
+    assert _det_poly_exact(path) == [] == _lagrange_det_poly(start, end)
+    with pytest.raises(IrregularCrossingError):
+        spectral_flow(path)
 
 
 def test_single_regular_crossing():

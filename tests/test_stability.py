@@ -58,6 +58,23 @@ def test_classify_spectrally_unstable():
     assert cls.offending_eigenvalue.real != 0
 
 
+def test_classify_factors_char_poly_once(monkeypatch):
+    from relequil import matrix_core, stability
+
+    calls = []
+    for mod in (matrix_core, stability):
+        def counted(a, _original=mod.char_poly):
+            calls.append(a)
+            return _original(a)
+
+        monkeypatch.setattr(mod, "char_poly", counted)
+    # J B has the real pair -1, 1 and the imaginary pair +-2i
+    cls = classify(Matrix.diagonal([1, 4, -1, 1]))
+    assert cls.verdict == Verdict.SPECTRALLY_UNSTABLE
+    assert abs(cls.offending_eigenvalue.real) == pytest.approx(1.0)
+    assert len(calls) == 1
+
+
 def test_classify_linearly_stable():
     cls = classify(Matrix.identity(2))
     assert cls.verdict == Verdict.LINEARLY_STABLE
