@@ -91,10 +91,6 @@ def _coerce_rational(x) -> Fraction:
     return Fraction(x)
 
 
-def _coerce_float(x) -> float:
-    return float(x)
-
-
 class Matrix:
     """Immutable dense matrix over the rational or float64 field."""
 
@@ -103,8 +99,8 @@ class Matrix:
     def __init__(self, rows: Sequence[Sequence], field: str):
         if field not in (RATIONAL, FLOAT64):
             raise FieldError(f"unknown field {field!r}")
-        coerce = _coerce_rational if field == RATIONAL else _coerce_float
-        data = tuple(tuple(coerce(x) for x in row) for row in rows)
+        coerce = _coerce_rational if field == RATIONAL else float
+        data = tuple(tuple(map(coerce, row)) for row in rows)
         if data and any(len(r) != len(data[0]) for r in data):
             raise ShapeError("ragged rows")
         object.__setattr__(self, "_rows", data)
@@ -214,7 +210,7 @@ class Matrix:
         return Matrix([[-x for x in row] for row in self._rows], self.field)
 
     def __mul__(self, c) -> "Matrix":
-        coerce = _coerce_rational if self.field == RATIONAL else _coerce_float
+        coerce = _coerce_rational if self.field == RATIONAL else float
         c = coerce(c)
         return Matrix([[c * x for x in row] for row in self._rows], self.field)
 
@@ -239,7 +235,7 @@ class Matrix:
         return Matrix([[Fraction(x, d) for x in row] for row in _int_matmul(a, b)], RATIONAL)
 
     def matvec(self, v: Sequence) -> list:
-        coerce = _coerce_rational if self.field == RATIONAL else _coerce_float
+        coerce = _coerce_rational if self.field == RATIONAL else float
         vec = [coerce(x) for x in v]
         if len(vec) != self.n_cols:
             raise ShapeError("vector length mismatch")
@@ -280,13 +276,6 @@ class Matrix:
         t = default_tolerance(self.max_abs()) if tol is None else tol
         a = self.to_numpy()
         return bool(np.max(np.abs(a + a.T), initial=0.0) <= t)
-
-    def symmetrized(self) -> "Matrix":
-        return Matrix(
-            [[(self._rows[i][j] + self._rows[j][i]) / 2 for j in range(self.n_cols)]
-             for i in range(self.n_rows)],
-            self.field,
-        )
 
 
 def standard_symplectic(n: int, field: str = RATIONAL) -> Matrix:
@@ -512,15 +501,25 @@ def in_span(columns: list[list[Fraction]], vector: list[Fraction]) -> bool:
 
 
 def _require_symmetric(b: Matrix, tol: Optional[float]) -> Matrix:
+    if b.field == FLOAT64:
+        return Matrix.from_numpy(_symmetric_part(b, tol))
     if not b.is_square:
         raise ShapeError("symmetric operations need a square matrix")
-    if b.field == RATIONAL:
-        if not b.is_symmetric():
-            raise SymmetryError("matrix is not exactly symmetric")
-        return b
-    if not b.is_symmetric(tol):
+    if not b.is_symmetric():
+        raise SymmetryError("matrix is not exactly symmetric")
+    return b
+
+
+def _symmetric_part(b: Matrix, tol: Optional[float]) -> np.ndarray:
+    """(A + A^T) / 2 of a float matrix A, which must satisfy |A - A^T| <= tol
+    entrywise (default: 1e-8 (1 + max |A_ij|))."""
+    if not b.is_square:
+        raise ShapeError("symmetric operations need a square matrix")
+    a = b.to_numpy()
+    t = default_tolerance(np.max(np.abs(a), initial=0.0)) if tol is None else tol
+    if not np.max(np.abs(a - a.T), initial=0.0) <= t:
         raise SymmetryError("matrix is not symmetric within tolerance")
-    return b.symmetrized()
+    return (a + a.T) / 2
 
 
 def inertia(b: Matrix, tol: Optional[float] = None) -> IndexReport:
@@ -534,20 +533,23 @@ def inertia(b: Matrix, tol: Optional[float] = None) -> IndexReport:
     matrix, whose eigenvalues are those of b times a positive denominator.
     Eigenvalue counting with the default tolerance over floats.
     """
+    if b.field == FLOAT64:
+        s = _symmetric_part(b, tol)
+        if s.size == 0:
+            return IndexReport(0, 0, 0)
+        t = default_tolerance(np.max(np.abs(s))) if tol is None else tol
+        w = np.linalg.eigvalsh(s)
+        neg = int(np.sum(w < -t))
+        zero = int(np.sum(np.abs(w) <= t))
+        return IndexReport(morse_index=neg, nullity=zero, coindex=len(w) - neg - zero)
     b = _require_symmetric(b, tol)
     if b.n_rows == 0:
         return IndexReport(0, 0, 0)
-    if b.field == RATIONAL:
-        p = _char_poly_int(_cleared(b.rows())[0])
-        z = next(k for k, c in enumerate(p) if c)
-        pos = rp._variations(p[z:])
-        neg = rp._variations([-c if k % 2 else c for k, c in enumerate(p[z:])])
-        return IndexReport(morse_index=neg, nullity=z, coindex=pos)
-    t = default_tolerance(b.max_abs()) if tol is None else tol
-    w = np.linalg.eigvalsh(b.to_numpy())
-    neg = int(np.sum(w < -t))
-    zero = int(np.sum(np.abs(w) <= t))
-    return IndexReport(morse_index=neg, nullity=zero, coindex=len(w) - neg - zero)
+    p = _char_poly_int(_cleared(b.rows())[0])
+    z = next(k for k, c in enumerate(p) if c)
+    pos = rp._variations(p[z:])
+    neg = rp._variations([-c if k % 2 else c for k, c in enumerate(p[z:])])
+    return IndexReport(morse_index=neg, nullity=z, coindex=pos)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,14 @@ U, which ties the instability parity test to the Morse data of the central
 configuration.
 
 Everything here is float-backend: central configurations have irrational
-coordinates in general.
+coordinates in general.  U and its derivatives are numpy sums over the
+pairs i < j that round exactly as a scalar loop over the pairs does: the
+squared distance is the BLAS dot of a stacked matmul (as ``d @ d``), the
+powers are CPython's ``pow`` (``np.power`` differs in the last bit), and
+every sum keeps the loop's order (a sequential accumulate for U, ``np.add.at``
+in pair order for the gradient and the Hessian blocks).  The CC search tests
+an absolute residual close to its rounding floor, so another rounding of
+these sums changes the configurations it converges to, or whether it does.
 """
 
 from __future__ import annotations
@@ -78,6 +85,12 @@ class CCSettings:
     armijo_factor: float = 0.5
 
 
+def _require_finite(masses, alpha, positions) -> None:
+    for name, values in (("masses", masses), ("alpha", (alpha,)), ("positions", positions)):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class NBodySystem:
     """Planar bodies: positive masses, exponent alpha > 0, flat positions
@@ -90,6 +103,7 @@ class NBodySystem:
     def __post_init__(self):
         if len(self.masses) < 2:
             raise ValueError("need at least two bodies")
+        _require_finite(self.masses, self.alpha, self.positions)
         if any(not (m > 0) for m in self.masses):
             raise ValueError("masses must be positive")
         if not self.alpha > 0:
@@ -101,7 +115,7 @@ class NBodySystem:
         com = _weighted_com(np.asarray(self.masses, dtype=float), q)
         if float(np.max(np.abs(com))) > 1e-8 * scale:
             raise ValueError("center of mass must sit at the origin; use assemble()")
-        _min_pair_distance(q, guard=COLLISION_GUARD)
+        _min_pair_distance(_pairs(q)[2], guard=COLLISION_GUARD)
 
     @classmethod
     def assemble(cls, masses, alpha, positions) -> "NBodySystem":
@@ -117,6 +131,7 @@ class NBodySystem:
         q = np.asarray(flat, dtype=float)
         if q.size != 2 * m.size:
             raise ShapeError("positions must hold two coordinates per body")
+        _require_finite(m, float(alpha), q)
         if np.any(m <= 0):
             raise ValueError("masses must be positive")
         com = _weighted_com(m, q)
@@ -203,16 +218,17 @@ def _weighted_com(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (m[:, None] * pts).sum(axis=0) / m.sum()
 
 
-def _min_pair_distance(q: np.ndarray, guard: float) -> float:
+def _pairs(q: np.ndarray):
+    """The pairs i < j in lexicographic order and d = q_i - q_j per pair."""
     pts = q.reshape(-1, 2)
-    n = pts.shape[0]
-    dmin = math.inf
-    dmax = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.hypot(*(pts[i] - pts[j])))
-            dmin = min(dmin, d)
-            dmax = max(dmax, d)
+    i, j = np.triu_indices(pts.shape[0], 1)
+    return i, j, pts[i] - pts[j]
+
+
+def _min_pair_distance(d: np.ndarray, guard: float) -> float:
+    dist = np.hypot(d[:, 0], d[:, 1])
+    dmin = float(np.min(dist, initial=math.inf))
+    dmax = float(np.max(dist, initial=0.0))
     if dmin <= guard * dmax or dmax == 0.0:
         raise CollisionError(
             f"minimum pairwise distance {dmin:.3e} under the guard "
@@ -226,30 +242,42 @@ def mass_matrix(sys: NBodySystem) -> np.ndarray:
 
 def _potential_parts(m: np.ndarray, q: np.ndarray, alpha: float,
                      guard: float = COLLISION_GUARD):
-    _min_pair_distance(q, guard)
-    pts = q.reshape(-1, 2)
-    n = pts.shape[0]
-    u = 0.0
-    grad = np.zeros_like(q)
-    hess = np.zeros((q.size, q.size))
-    eye = np.eye(2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = pts[i] - pts[j]
-            r2 = float(d @ d)
-            r = math.sqrt(r2)
-            mm = m[i] * m[j]
-            u += mm * r ** (-alpha)
-            g = -alpha * mm * r ** (-alpha - 2) * d
-            grad[2 * i:2 * i + 2] += g
-            grad[2 * j:2 * j + 2] -= g
-            k = -alpha * mm * r ** (-alpha - 2) * (
-                eye - (alpha + 2) * np.outer(d, d) / r2)
-            for (a, b), blk in (((i, i), k), ((j, j), k), ((i, j), -k)):
-                hess[2 * a:2 * a + 2, 2 * b:2 * b + 2] += blk
-                if a != b:
-                    hess[2 * b:2 * b + 2, 2 * a:2 * a + 2] += blk
-    return u, grad, hess
+    """U, DU and D^2U at q, summed over the pairs i < j.
+
+    Each pair contributes m_i m_j r^-alpha to U, g = -alpha m_i m_j
+    r^(-alpha-2) d to the gradient of body i and -g to that of body j, and
+    the 2x2 block k = -alpha m_i m_j r^(-alpha-2) (I - (alpha+2) d d^T / r^2)
+    to the Hessian, +k on the blocks (i, i) and (j, j), -k on (i, j) and
+    (j, i).  The result is bit for bit that of the scalar loop over pairs:
+    r^2 is the BLAS dot of the stacked matmul, as ``d @ d`` is (x*x + y*y
+    rounds differently where the dot fuses the multiply-add); the powers are
+    CPython's ``pow``, since ``np.power`` differs from it in the last bit;
+    U is a sequential sum in pair order, not numpy's pairwise ``sum``; the
+    gradient and the diagonal blocks take their terms by ``np.add.at`` in
+    pair order, i before j; and each off-diagonal block is a zero block
+    plus -k, so its zeros are unsigned.
+    """
+    i, j, d = _pairs(q)
+    _min_pair_distance(d, guard)
+    n = q.size // 2
+    r2 = np.matmul(d[:, None, :], d[:, :, None]).reshape(-1)
+    r = np.sqrt(r2).tolist()
+    mm = m[i] * m[j]
+    u = np.add.accumulate(mm * [x ** (-alpha) for x in r])[-1]
+    c = -alpha * mm * [x ** (-alpha - 2) for x in r]
+    g = c[:, None] * d
+    k = c[:, None, None] * (
+        np.eye(2) - (alpha + 2) * (d[:, :, None] * d[:, None, :]) / r2[:, None, None])
+    ends = np.column_stack([i, j]).reshape(-1)
+    grad = np.zeros((n, 2))
+    np.add.at(grad, ends, np.stack([g, -g], axis=1).reshape(-1, 2))
+    diag = np.zeros((n, 2, 2))
+    np.add.at(diag, ends, np.repeat(k, 2, axis=0))
+    hess = np.zeros((n, 2, n, 2))
+    body = np.arange(n)
+    hess[body, :, body, :] = diag
+    hess[i, :, j, :] = hess[j, :, i, :] = 0.0 - k  # zero block plus -k: no -0.0
+    return u, grad.reshape(-1), hess.reshape(2 * n, 2 * n)
 
 
 def potential_U(sys: NBodySystem) -> float:
@@ -445,11 +473,13 @@ def amended_hessian(cc: CentralConfiguration) -> AmendedHessianReport:
     op_scale = float(np.linalg.norm(op, 2)) or 1.0
     sign_res = float(np.max(np.abs(z_shat.T @ form @ z_shat + on_shat))) \
         if z_shat.shape[1] else 0.0
+    matrix_on_v = Matrix.from_numpy(on_v)
+    hess_u_on_shat = Matrix.from_numpy(on_shat)
     return AmendedHessianReport(
-        matrix_on_v=Matrix.from_numpy(on_v),
-        inertia_v=inertia(Matrix.from_numpy(on_v)),
-        hess_u_on_shat=Matrix.from_numpy(on_shat),
-        inertia_shat=inertia(Matrix.from_numpy(on_shat)),
+        matrix_on_v=matrix_on_v,
+        inertia_v=inertia(matrix_on_v),
+        hess_u_on_shat=hess_u_on_shat,
+        inertia_shat=inertia(hess_u_on_shat),
         radial_eigenvalue=lam,
         radial_residual=radial_res / op_scale,
         sign_identity_residual=sign_res,

@@ -82,7 +82,7 @@ class Verdict(str, Enum):
 
 class KernelNotInvariantError(ValueError):
     """Raised when a construction needs a J-invariant kernel and the kernel
-    is not J-invariant (instability is then already certified)."""
+    is not J-invariant."""
 
 
 class HypothesisFailure(ValueError):
@@ -136,7 +136,8 @@ class TheoremVerdict:
 class KernelInvarianceResult:
     j_invariant: bool
     kernel: Subspace
-    # when not J-invariant: w with J B w != 0 and (J B)^2 w = 0
+    # w with J B w != 0 and (J B)^2 w = 0 when J B is not semisimple at 0,
+    # else None; a kernel that is not J-invariant can still have none
     witness: Optional[tuple]
 
     @property
@@ -277,56 +278,40 @@ def theorem_predict(b: Matrix, tol: Optional[float] = None) -> TheoremVerdict:
 
 
 def kernel_invariance_test(b: Matrix) -> KernelInvarianceResult:
-    """Exact test whether ker(B) is J-invariant.
+    """Exact test whether ker(B) is J-invariant, with a Jordan chain of J B
+    at 0 when one exists.
 
-    When it is not, J B cannot be semisimple, and the returned witness w
-    satisfies J B w != 0 and (J B)^2 w = 0 (a genuine Jordan chain).  When it
-    is, the kernel dimension is necessarily even, which is asserted.
+    Write V = ker(B) = ker(J B).  A chain w -> x = J B w -> 0 needs x != 0 in
+    V and in range(J B) = J V^perp, and x lies in J V^perp exactly when
+    x^T J v = 0 for every v in V.  So J B is semisimple at 0 exactly when
+    the form omega(x, y) = x^T J y is nondegenerate on V.  A J-invariant V
+    is nondegenerate (x^T J (J x) = -|x|^2) and of even dimension, which is
+    asserted; a V that is not J-invariant can be nondegenerate too, and then
+    the witness is None.  Otherwise x is taken from the radical of omega on
+    V, the null space of the Gram matrix V^T J V, and the witness w solves
+    B w = -J x, so that J B w = x != 0 and (J B)^2 w = 0.
     """
     if b.field != RATIONAL:
         raise FieldError("kernel_invariance_test is exact-backend only")
     b = _require_even_symmetric(b, None)
-    two_n = b.n_rows
-    n = two_n // 2
-    j = standard_symplectic(n)
+    j = standard_symplectic(b.n_rows // 2)
     v = kernel(b)
     if v.dimension == 0:
         return KernelInvarianceResult(True, v, None)
     v_cols = [[Fraction(x) for x in vec] for vec in v.basis]
-    invariant = all(
-        in_span(v_cols, j.matvec(vec)) for vec in v_cols
-    )
-    if invariant:
+    if all(in_span(v_cols, j.matvec(vec)) for vec in v_cols):
         if v.dimension % 2 != 0:
             raise AssertionError("J-invariant kernel with odd dimension")
         return KernelInvarianceResult(True, v, None)
-    # Split J V = V_1 + W_1 with W_1 inside the Euclidean complement W of V.
-    # Pick the first nonzero W-component of J applied to a kernel basis
-    # vector, then pull it back through B inside W.
-    gram = [[sum((a * c for a, c in zip(v_cols[i], v_cols[k])), Fraction(0))
-             for k in range(v.dimension)] for i in range(v.dimension)]
-    target = None
-    for vec in v_cols:
-        jv = j.matvec(vec)
-        rhs = [sum((v_cols[k][i] * jv[i] for i in range(two_n)), Fraction(0))
-               for k in range(v.dimension)]
-        coeffs = solve_exact(gram, rhs)
-        proj = [sum((coeffs[k] * v_cols[k][i] for k in range(v.dimension)), Fraction(0))
-                for i in range(two_n)]
-        w_part = [a - p for a, p in zip(jv, proj)]
-        if any(x != 0 for x in w_part):
-            target = w_part
-            break
-    if target is None:
-        raise AssertionError("kernel flagged non-invariant but J V lies in V")
-    # solve B w = target; target lies in range(B) because range(B) is the
-    # Euclidean complement of ker(B) for symmetric B
-    w = solve_exact(b.to_lists(), target)
-    if w is None:
-        raise AssertionError("pullback through B failed on range(B)")
+    basis = Matrix(list(zip(*v_cols)), RATIONAL)
+    radical = _kernel_exact((basis.T @ j @ basis).to_lists(), v.dimension)
+    if not radical:
+        return KernelInvarianceResult(False, v, None)
+    x = basis.matvec(radical[0])
+    # (-J x)^T v = x^T J v = 0 on V: -J x lies in V^perp = range(B)
+    w = solve_exact(b.to_lists(), [-c for c in j.matvec(x)])
     jbw = j.matvec(b.matvec(w))
-    jb2w = j.matvec(b.matvec(jbw))
-    if all(x == 0 for x in jbw) or any(x != 0 for x in jb2w):
+    if jbw != x or any(j.matvec(b.matvec(jbw))):
         raise AssertionError("constructed witness violates the Jordan relations")
     return KernelInvarianceResult(False, v, tuple(w))
 
@@ -363,7 +348,7 @@ def invariant_split(b: Matrix) -> InvariantSplit:
     result = kernel_invariance_test(b)
     if not result.j_invariant:
         raise KernelNotInvariantError(
-            "kernel is not J-invariant; instability is already certified")
+            "kernel is not J-invariant, so neither is its Euclidean complement")
     two_n = b.n_rows
     v = result.kernel
     if v.dimension == 0:

@@ -437,3 +437,79 @@ def inertia_congruence(rows: Sequence[Sequence[Fraction]]) -> Tuple[int, int, in
                 a[i][j] -= (ui * a[q][j] + vi * a[p][j]) / c
         active = rest
     return neg, 0, pos
+
+
+# ---------------------------------------------------------------------------
+# the n-body pair loops and the float symmetric boundary as they were before
+# numpy took them over, the bitwise references for their replacements
+
+
+def min_pair_distance_loop(q: np.ndarray, guard: float, error=ValueError) -> float:
+    """Smallest pair distance, raising ``error`` when it is at most ``guard``
+    times the largest one."""
+    pts = q.reshape(-1, 2)
+    n = pts.shape[0]
+    dmin = math.inf
+    dmax = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = float(np.hypot(*(pts[i] - pts[j])))
+            dmin = min(dmin, d)
+            dmax = max(dmax, d)
+    if dmin <= guard * dmax or dmax == 0.0:
+        raise error(
+            f"minimum pairwise distance {dmin:.3e} under the guard "
+            f"{guard:.1e} x diameter {dmax:.3e}")
+    return dmin
+
+
+def potential_parts_loop(m: np.ndarray, q: np.ndarray, alpha: float,
+                         guard: float = 1e-6, error=ValueError):
+    """U, its gradient and its Hessian for the pair potential m_i m_j / r^alpha,
+    one pair at a time."""
+    min_pair_distance_loop(q, guard, error)
+    pts = q.reshape(-1, 2)
+    n = pts.shape[0]
+    u = 0.0
+    grad = np.zeros_like(q)
+    hess = np.zeros((q.size, q.size))
+    eye = np.eye(2)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = pts[i] - pts[j]
+            r2 = float(d @ d)
+            r = math.sqrt(r2)
+            mm = m[i] * m[j]
+            u += mm * r ** (-alpha)
+            g = -alpha * mm * r ** (-alpha - 2) * d
+            grad[2 * i:2 * i + 2] += g
+            grad[2 * j:2 * j + 2] -= g
+            k = -alpha * mm * r ** (-alpha - 2) * (
+                eye - (alpha + 2) * np.outer(d, d) / r2)
+            for (a, b), blk in (((i, i), k), ((j, j), k), ((i, j), -k)):
+                hess[2 * a:2 * a + 2, 2 * b:2 * b + 2] += blk
+                if a != b:
+                    hess[2 * b:2 * b + 2, 2 * a:2 * a + 2] += blk
+    return u, grad, hess
+
+
+def symmetric_inertia_loop(rows: Sequence[Sequence[float]], tol=None):
+    """The float path of ``inertia`` entry by entry: check |A - A^T| <= tol
+    (default 1e-8 (1 + max |A_ij|)), symmetrize to (A + A^T) / 2 and count the
+    eigenvalues below -t, within t and above t, with t from the symmetrized
+    matrix.  Returns the symmetrized rows and (negative, zero, positive), or
+    raises ValueError."""
+    n = len(rows)
+    flat = [abs(float(x)) for row in rows for x in row]
+    t = 1e-8 * (1.0 + (max(flat) if flat else 0.0)) if tol is None else tol
+    a = np.array([[float(x) for x in row] for row in rows], dtype=float)
+    if not np.max(np.abs(a - a.T), initial=0.0) <= t:
+        raise ValueError("matrix is not symmetric within tolerance")
+    sym = [[(rows[i][j] + rows[j][i]) / 2 for j in range(n)] for i in range(n)]
+    if n == 0:
+        return sym, (0, 0, 0)
+    t = 1e-8 * (1.0 + max(abs(x) for row in sym for x in row)) if tol is None else tol
+    w = np.linalg.eigvalsh(np.array(sym, dtype=float))
+    neg = int(np.sum(w < -t))
+    zero = int(np.sum(np.abs(w) <= t))
+    return sym, (neg, zero, n - neg - zero)

@@ -193,6 +193,22 @@ def test_nbody_rejects_unknown_settings(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field", ["masses", "alpha", "positions"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_nbody_rejects_nonfinite_input(tmp_path, capsys, field, value):
+    data = {"masses": [1.0, 2.0], "alpha": 1.0, "positions": [[-1.0, 0.0], [0.5, 0.0]]}
+    if field == "alpha":
+        data["alpha"] = value
+    elif field == "masses":
+        data["masses"][1] = value
+    else:
+        data["positions"][0][1] = value
+    problem = write_json(tmp_path / "p.json", data)
+    for command in ("nbody-find-cc", "nbody-stability"):
+        assert main([command, problem]) == 1
+        assert capsys.readouterr().err == f"error: {field} must be finite\n"
+
+
 def test_nbody_convergence_exit_code(tmp_path, capsys):
     problem = write_json(tmp_path / "p.json", {
         "masses": [1.0, 1.0, 1.0],

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from relequil.matrix_core import (
     RATIONAL,
     FieldError,
     IndeterminateError,
+    IndexReport,
     Matrix,
     ShapeError,
     SingularMatrixError,
@@ -29,7 +31,7 @@ from relequil.matrix_core import (
     standard_symplectic,
     symplectic_reduction,
 )
-from relequil.matrix_core import _char_poly_int, _prime_bits
+from relequil.matrix_core import _char_poly_int, _prime_bits, _require_symmetric
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +375,39 @@ def test_subspace_contains():
 def test_default_tolerance_scales():
     assert default_tolerance(0.0) == pytest.approx(1e-8)
     assert default_tolerance(100.0) == pytest.approx(1.01e-6)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_float_inertia_matches_entrywise_path():
+    # the numpy symmetric boundary against the per-entry one it replaced:
+    # same report, same symmetrized rows bit for bit, same refusals
+    gen = np.random.default_rng(11)
+    cases = [[]]
+    for dim in range(1, 9):
+        for scale in (1e-3, 1.0, 1e6):
+            a = gen.standard_normal((dim, dim)) * scale
+            a = a + a.T + gen.standard_normal((dim, dim)) * scale * 1e-10
+            a[0, 0] = 0.0 if dim % 2 else -0.0
+            cases.append(a.tolist())
+    cases.append([[1.0, 2.0], [2.0 + 1e-3, -1.0]])
+    cases.append([[0.0, 1e-9], [0.0, -1e-9]])
+    for value in (math.nan, math.inf, -math.inf):
+        cases += [[[value, 0.0], [0.0, 1.0]], [[1.0, value], [value, 1.0]],
+                  [[1.0, value], [0.0, 1.0]]]
+    for rows in cases:
+        for tol in (None, 1e-12, 1e-2):
+            m = Matrix(rows, FLOAT64)
+            try:
+                sym, counts = H.symmetric_inertia_loop(rows, tol)
+            except ValueError as e:
+                for call in (inertia, _require_symmetric):
+                    with pytest.raises(SymmetryError) as got:
+                        call(m, tol=tol)
+                    assert str(got.value) == str(e)
+                continue
+            assert inertia(m, tol=tol) == IndexReport(*counts)
+            got = np.array(_require_symmetric(m, tol).rows(), dtype=float)
+            assert got.tobytes() == np.array(sym, dtype=float).tobytes()
 
 
 def test_float_kernel_and_inertia():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import helpers as H
+from relequil import nbody
 from relequil.nbody import (
     CCSettings,
     CollisionError,
@@ -48,6 +49,13 @@ def test_validation_errors():
         system([1.0, 1.0], 0.0, [(0.0, 0.0), (1.0, 0.0)])
     with pytest.raises(CollisionError):
         system([1.0, 1.0], 1.0, [(0.0, 0.0), (0.0, 0.0)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="masses must be finite"):
+            NBodySystem((1.0, bad), 1.0, (0.0, 0.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            NBodySystem((1.0, 1.0), bad, (-0.5, 0.0, 0.5, 0.0))
+        with pytest.raises(ValueError, match="positions must be finite"):
+            NBodySystem((1.0, 1.0), 1.0, (-0.5, bad, 0.5, 0.0))
 
 
 def test_potential_closed_form():
@@ -90,6 +98,65 @@ def test_euler_homogeneity():
         s = system([1.0, 2.0, 3.0], alpha, [(0.0, 0.1), (1.0, 0.0), (-0.3, 0.9)])
         lhs = float(s.q() @ grad_U(s))
         assert lhs == pytest.approx(-alpha * potential_U(s), rel=1e-12)
+
+
+def _bits(parts) -> list:
+    return [np.asarray(x).tobytes() for x in parts]
+
+
+def test_potential_parts_bitwise_match_pair_loop():
+    # random, x-collinear and y-collinear configurations (zero components of
+    # q_i - q_j) with unequal masses, against the scalar loop bit for bit
+    rng = random.Random("pair-loop")
+    alphas = (0.5, 1.0, 1.5, 2.0, 3.0)
+    for n in range(2, 41):
+        m = np.array([rng.uniform(0.5, 2.0) for _ in range(n)])
+        line = [k + rng.uniform(-0.3, 0.3) for k in range(n)]
+        configs = (
+            np.array(H.random_noncollision_config(rng, n, min_gap=0.01), dtype=float).reshape(-1),
+            np.array([(x, 0.0) for x in line]).reshape(-1),
+            np.array([(0.0, -x) for x in line]).reshape(-1),
+        )
+        for kind, q in enumerate(configs):
+            alpha = alphas[(n + kind) % len(alphas)]
+            expected = H.potential_parts_loop(m, q, alpha)
+            assert _bits(nbody._potential_parts(m, q, alpha)) == _bits(expected), (n, kind)
+
+
+def test_collision_guard_matches_pair_loop():
+    m = np.array([1.0, 2.0, 0.5])
+    guard = nbody.COLLISION_GUARD
+    for gap in (0.999 * guard, guard, 1.001 * guard, 0.0):
+        q = np.array([0.0, 0.0, 1.0, 0.0, 1.0 + gap, 0.0])
+        try:
+            expected = H.potential_parts_loop(m, q, 1.0, guard, CollisionError)
+        except CollisionError as e:
+            with pytest.raises(CollisionError) as got:
+                nbody._potential_parts(m, q, 1.0, guard)
+            assert str(got.value) == str(e)
+        else:
+            assert _bits(nbody._potential_parts(m, q, 1.0, guard)) == _bits(expected)
+    with pytest.raises(CollisionError, match="diameter 0.000e"):
+        nbody._potential_parts(m, np.zeros(6), 1.0)
+
+
+def test_cc_search_bitwise_matches_pair_loop(monkeypatch):
+    seeds = []
+    for seed in (2, 14, 18):
+        rng = random.Random(f"probe:16:3.0:{seed}")
+        pts = [(math.cos(2 * math.pi * k / 16) + rng.uniform(-0.02, 0.02),
+                math.sin(2 * math.pi * k / 16) + rng.uniform(-0.02, 0.02))
+               for k in range(16)]
+        seeds.append(system([1.0] * 16, 3.0, pts))
+    fast = [find_central_configuration(s) for s in seeds]
+    monkeypatch.setattr(
+        nbody, "_potential_parts",
+        lambda m, q, alpha, guard=nbody.COLLISION_GUARD:
+            H.potential_parts_loop(m, q, alpha, guard, CollisionError))
+    for s, cc in zip(seeds, fast):
+        ref = find_central_configuration(s)
+        assert _bits([cc.system.q(), cc.residual, cc.xi_squared]) == \
+            _bits([ref.system.q(), ref.residual, ref.xi_squared])
 
 
 # ---------------------------------------------------------------------------

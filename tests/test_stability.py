@@ -10,6 +10,8 @@ from relequil.matrix_core import (
     Matrix,
     SingularMatrixError,
     inertia,
+    is_semisimple,
+    rank,
     standard_symplectic,
 )
 from relequil.stability import (
@@ -133,6 +135,42 @@ def test_kernel_invariance_positive_case():
     res = kernel_invariance_test(Matrix.diagonal([0, 1, 0, -1]))
     assert res.j_invariant is True
     assert res.witness is None
+
+
+def test_kernel_invariance_symplectic_kernel_without_chain():
+    # ker(B) is not J-invariant, yet omega = x^T J y is nondegenerate on it,
+    # so J B is semisimple at 0 and no Jordan-chain witness exists
+    f = Fraction
+    b = Matrix([[f(-4, 27), f(-4, 9), f(-13, 18), f(4, 9)],
+                [f(-4, 9), f(-4, 3), f(-13, 6), f(4, 3)],
+                [f(-13, 18), f(-13, 6), f(-11, 24), f(-3, 4)],
+                [f(4, 9), f(4, 3), f(-3, 4), f(13, 9)]], "rational")
+    res = kernel_invariance_test(b)
+    assert (res.j_invariant, res.witness, res.kernel_dimension) == (False, None, 2)
+    assert is_semisimple(standard_symplectic(2) @ b).semisimple is True
+    with pytest.raises(KernelNotInvariantError):
+        invariant_split(b)
+
+
+def test_kernel_invariance_witness_exactly_for_jordan_chains(rng):
+    # rank-deficient B = R^T D R: a witness exactly when rank(J B) differs
+    # from rank((J B)^2), and every witness is a Jordan chain at 0
+    seen = set()
+    for _ in range(120):
+        dim = rng.choice((2, 4, 6))
+        r = Matrix([[H.random_fraction(rng, 3, 3) for _ in range(dim)]
+                    for _ in range(dim)], "rational")
+        d = Matrix.diagonal([H.random_fraction(rng, 3, 3) if rng.random() < 0.6 else 0
+                             for _ in range(dim)])
+        b = r.T @ d @ r
+        jb = standard_symplectic(dim // 2) @ b
+        res = kernel_invariance_test(b)
+        assert (res.witness is not None) == (rank(jb) != rank(jb @ jb))
+        if res.witness is not None:
+            assert any(jb.matvec(res.witness))
+            assert not any((jb @ jb).matvec(res.witness))
+        seen.add((res.j_invariant, res.witness is not None))
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 def test_invariant_split_restricts():
