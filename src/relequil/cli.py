@@ -108,8 +108,6 @@ def _run_classify(args) -> int:
     cls = classify(b, omega=omega, tol=args.tol)
     ir = inertia(b, tol=args.tol)
     pred = parity_verdict(ir.morse_index, ir.nullity)
-    gen = omega if omega is not None else standard_symplectic(b.n_rows // 2, field)
-    spectrum = complex_spectrum(gen @ b, tol=args.tol)
     report = {
         "backend": args.backend,
         "defective_eigenvalue": _complex_or_none(cls.defective_eigenvalue),
@@ -119,7 +117,7 @@ def _run_classify(args) -> int:
         "semisimple": cls.semisimple,
         "spectrum": [
             {"im": ev.value.imag, "multiplicity": ev.multiplicity, "re": ev.value.real}
-            for ev in spectrum
+            for ev in cls.spectrum
         ],
         "spectrum_on_axis": cls.spectrum_on_axis,
         "tol": cls.tol,

@@ -82,7 +82,8 @@ def dumps(obj) -> str:
 
 def scalar_from_data(value, field: str):
     """One scalar from parsed JSON: ints and "p/q" strings are exact,
-    floats only live in the float backend."""
+    floats only live in the float backend, which refuses NaN, infinities
+    and numbers beyond the float range."""
     if isinstance(value, bool):
         raise ValueError("booleans are not scalars")
     if field == RATIONAL:
@@ -92,11 +93,16 @@ def scalar_from_data(value, field: str):
             return Fraction(value)
         raise ValueError(
             f"the exact backend needs integer or \"p/q\" entries, got {value!r}")
-    if isinstance(value, (int, float, Fraction)):
-        return float(value)
-    if isinstance(value, str):
-        return float(Fraction(value))
-    raise ValueError(f"not a scalar: {value!r}")
+    if not isinstance(value, (int, float, Fraction, str)):
+        raise ValueError(f"not a scalar: {value!r}")
+    try:
+        x = float(Fraction(value) if isinstance(value, str) else value)
+    except OverflowError:
+        raise ValueError("the float backend needs finite numbers, got one beyond "
+                         "the float range") from None
+    if not math.isfinite(x):
+        raise ValueError(f"the float backend needs finite numbers, got {value!r}")
+    return x
 
 
 def matrix_to_data(m: Matrix) -> dict:

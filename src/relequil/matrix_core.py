@@ -170,7 +170,8 @@ class Matrix:
         return [list(r) for r in self._rows]
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self._rows], dtype=float)
+        arr = np.array([[float(x) for x in row] for row in self._rows], dtype=float)
+        return arr.reshape(self.shape)
 
     def to_float(self) -> "Matrix":
         if self.field == FLOAT64:

@@ -349,8 +349,11 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction,
     if flo == fhi:
         raise ValueError("no sign change over the isolating interval")
     for _ in range(max_steps):
-        # stop once hi - lo < |mid| 1e-17 + 1e-20, with mid = (a + b) / (2 den)
-        if 2 * 10**20 * (b - a) < 10**3 * abs(a + b) + 2 * den:
+        # stop once hi - lo < |mid| 1e-17 + min(1e-20, |mid| 1e-17), with
+        # mid = (a + b) / (2 den): relative below |mid| = 1e-3, so that
+        # roots of small magnitude keep their leading digits
+        rel = 10**3 * abs(a + b)
+        if 2 * 10**20 * (b - a) < rel + min(2 * den, rel):
             break
         m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
         fmid = _sign_at(c, m, den)

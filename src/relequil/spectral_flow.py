@@ -49,7 +49,7 @@ from .matrix_core import (
     restrict_form,
     standard_symplectic,
 )
-from .stability import _fraction_sqrt, classify
+from .stability import _axis_factors, _classify, _fraction_sqrt
 
 __all__ = [
     "IrregularCrossingError",
@@ -274,8 +274,8 @@ def _det_poly_float(path: LinearPath) -> np.ndarray:
 # crossing construction
 
 
-def _crossing_exact(path: LinearPath, theta: Fraction, multiplicity: int,
-                    interior: bool) -> Crossing:
+def _crossing_exact(path: LinearPath, theta: Fraction, multiplicity: int) -> Crossing:
+    """The interior crossing at a rational location; irregular ones raise."""
     a = path.value(theta)
     ker = kernel(a)
     k = ker.dimension
@@ -283,10 +283,9 @@ def _crossing_exact(path: LinearPath, theta: Fraction, multiplicity: int,
         raise AssertionError("exact crossing location with trivial kernel")
     form = restrict_form(path.derivative, ker)
     ir = inertia(form)
-    regular = ir.nullity == 0
-    if interior and not regular:
+    if ir.nullity:
         raise IrregularCrossingError(float(theta), "degenerate crossing form")
-    if regular and k != multiplicity:
+    if k != multiplicity:
         raise AssertionError("regular crossing with mismatched determinant multiplicity")
     return Crossing(
         location=float(theta),
@@ -296,7 +295,7 @@ def _crossing_exact(path: LinearPath, theta: Fraction, multiplicity: int,
         form=tuple(tuple(row) for row in form.rows()),
         positive=ir.coindex,
         negative=ir.morse_index,
-        regular=regular,
+        regular=True,
     )
 
 
@@ -345,10 +344,35 @@ def _crossing_numeric(arr: np.ndarray, deriv: np.ndarray, location: float,
 
 
 def _strict_counts_float(form: np.ndarray, tol: float) -> tuple[int, int]:
-    if form.size == 0:
-        return 0, 0
     w = np.linalg.eigvalsh((form + form.conj().T) / 2)
     return int(np.sum(w > tol)), int(np.sum(w < -tol))
+
+
+def _kernel_counts_float(a: Matrix, form: np.ndarray, tol: float) -> tuple[int, int]:
+    """Strict positive and negative counts of the Hermitian ``form``
+    restricted to the float kernel of ``a``."""
+    ker = kernel(a, tol=tol)
+    if ker.dimension == 0:
+        return 0, 0
+    z = ker.basis_numpy()
+    return _strict_counts_float(z.conj().T @ form @ z, tol)
+
+
+def _real_roots(factors, lo, hi) -> list[tuple[float, Optional[Fraction], int]]:
+    """The real roots in the open interval (lo, hi) of square-free factors
+    given as (factor, multiplicity), None meaning an infinite end, each as
+    (float, exact rational or None, multiplicity).  Isolating intervals
+    outside (lo, hi) are skipped before refinement."""
+    out = []
+    for factor, mult in factors:
+        for a, b in rp.isolate_real_roots(factor):
+            if (lo is not None and b <= lo) or (hi is not None and a >= hi):
+                continue
+            approx, exact = rp.refine_root(factor, a, b)
+            x = approx if exact is None else exact
+            if (lo is None or x > lo) and (hi is None or x < hi):
+                out.append((approx, exact, mult))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +385,14 @@ def _flow_linear_exact(path: LinearPath) -> SpectralFlowResult:
         raise IrregularCrossingError(
             float("nan"), "the path is singular at every parameter")
     crossings = []
-    for factor, mult in rp.squarefree_decomposition(d):
-        if rp.degree(factor) < 1:
-            continue
-        for lo, hi in rp.isolate_real_roots(factor):
-            if hi <= 0 or lo >= 1:
-                continue
-            approx, exact = rp.refine_root(factor, lo, hi)
-            if exact is not None:
-                if exact <= 0 or exact >= 1:
-                    continue
-                crossings.append(_crossing_exact(path, exact, mult, interior=True))
-            else:
-                if not (0 < approx < 1):
-                    continue
-                arr = path.value(Fraction(approx))
-                crossings.append(_crossing_numeric(
-                    arr.to_numpy(), path.derivative.to_numpy(), approx,
-                    None, mult, interior=True, tol=0.0))
+    for approx, exact, mult in _real_roots(rp.squarefree_decomposition(d), 0, 1):
+        if exact is not None:
+            crossings.append(_crossing_exact(path, exact, mult))
+        else:
+            arr = path.value(Fraction(approx))
+            crossings.append(_crossing_numeric(
+                arr.to_numpy(), path.derivative.to_numpy(), approx,
+                None, mult, interior=True, tol=0.0))
     crossings.sort(key=lambda c: c.location)
     start_corr = inertia(restrict_form(path.derivative, kernel(path.start))).morse_index
     end_corr = inertia(restrict_form(path.derivative, kernel(path.end))).coindex
@@ -386,11 +400,11 @@ def _flow_linear_exact(path: LinearPath) -> SpectralFlowResult:
     return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, RATIONAL)
 
 
-def _cluster_real_roots(roots: np.ndarray, im_tol: float,
-                        gap: float) -> list[tuple[float, int]]:
-    real = sorted(r.real for r in roots if abs(r.imag) <= im_tol)
+def _cluster(values: list[float], gap: float) -> list[tuple[float, int]]:
+    """Group sorted values, each joining the previous group when within
+    gap (1 + |x|) of its running mean, as (mean, count) per group."""
     out: list[tuple[float, int]] = []
-    for x in real:
+    for x in values:
         if out and x - out[-1][0] <= gap * (1 + abs(x)):
             loc, cnt = out[-1]
             out[-1] = ((loc * cnt + x) / (cnt + 1), cnt + 1)
@@ -409,7 +423,8 @@ def _flow_linear_float(path: LinearPath, tol: float) -> SpectralFlowResult:
     if coeffs.size > 1:
         roots = np.polynomial.polynomial.polyroots(coeffs)
         edge = 1e-9
-        for loc, mult in _cluster_real_roots(roots, im_tol=1e-4, gap=1e-4):
+        real = sorted(r.real for r in roots if abs(r.imag) <= 1e-4)
+        for loc, mult in _cluster(real, gap=1e-4):
             if loc <= edge or loc >= 1 - edge:
                 continue
             arr = path.value(loc).to_numpy()
@@ -417,20 +432,9 @@ def _flow_linear_float(path: LinearPath, tol: float) -> SpectralFlowResult:
                 arr, path.derivative.to_numpy(), loc, None, mult,
                 interior=True, tol=tol))
     crossings.sort(key=lambda c: c.location)
-    start_corr = 0
-    ker0 = kernel(path.start, tol=tol)
-    if ker0.dimension:
-        z = ker0.basis_numpy()
-        f = z.conj().T @ path.derivative.to_numpy().astype(complex) @ z
-        _, neg = _strict_counts_float(f, tol)
-        start_corr = neg
-    end_corr = 0
-    ker1 = kernel(path.end, tol=tol)
-    if ker1.dimension:
-        z = ker1.basis_numpy()
-        f = z.conj().T @ path.derivative.to_numpy().astype(complex) @ z
-        pos, _ = _strict_counts_float(f, tol)
-        end_corr = pos
+    deriv = path.derivative.to_numpy().astype(complex)
+    start_corr = _kernel_counts_float(path.start, deriv, tol)[1]
+    end_corr = _kernel_counts_float(path.end, deriv, tol)[0]
     total = sum(c.signature for c in crossings) - start_corr + end_corr
     return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, FLOAT64)
 
@@ -440,45 +444,24 @@ def _flow_linear_float(path: LinearPath, tol: float) -> SpectralFlowResult:
 
 
 def _krein_interior_locations_exact(b: Matrix) -> list[tuple[float, Optional[Fraction], int]]:
-    """All s > 0 with singular B + s*G, as (float, exact or None, multiplicity)."""
-    r, is_even = rp.even_part(char_poly(standard_symplectic(b.n_rows // 2) @ b))
-    if not is_even:
-        raise AssertionError("characteristic polynomial of J B must be even")
+    """All s > 0 with singular B + s*G, as (float, exact or None, multiplicity):
+    s^2 = -x for the negative roots x of the even part of char_poly(J B).
+    Factors without such roots are not isolated."""
+    p = char_poly(standard_symplectic(b.n_rows // 2) @ b)
+    factors = [(g, m) for g, m, c in _axis_factors(p) if c > (g[0] == 0)]
     out = []
-    for factor, mult in rp.squarefree_decomposition(r):
-        if rp.degree(factor) < 1:
-            continue
-        for lo, hi in rp.isolate_real_roots(factor):
-            if lo >= 0:
-                continue
-            approx, exact = rp.refine_root(factor, lo, hi)
-            if exact is not None:
-                if exact >= 0:
-                    continue
-                s_exact = _fraction_sqrt(-exact)
-                s_float = float(s_exact) if s_exact is not None else float(-exact) ** 0.5
-                out.append((s_float, s_exact, mult))
-            else:
-                if approx >= 0:
-                    continue
-                out.append(((-approx) ** 0.5, None, mult))
-    out.sort(key=lambda t: t[0])
-    return out
+    for x, exact, mult in _real_roots(factors, None, 0):
+        s_exact = None if exact is None else _fraction_sqrt(-exact)
+        out.append((float(s_exact) if s_exact is not None else (-x) ** 0.5, s_exact, mult))
+    return sorted(out, key=lambda t: t[0])
 
 
 def _krein_interior_locations_float(b: Matrix, tol: float) -> list[tuple[float, None, int]]:
     n = b.n_rows // 2
     jb = standard_symplectic(n, FLOAT64).to_numpy() @ b.to_numpy()
     evals = np.linalg.eigvals(jb)
-    onaxis = [e.imag for e in evals if abs(e.real) <= tol and e.imag > tol]
-    out: list[tuple[float, None, int]] = []
-    for s in sorted(onaxis):
-        if out and s - out[-1][0] <= tol * (1 + abs(s)):
-            loc, _, cnt = out[-1]
-            out[-1] = ((loc * cnt + s) / (cnt + 1), None, cnt + 1)
-        else:
-            out.append((s, None, 1))
-    return out
+    onaxis = sorted(e.imag for e in evals if abs(e.real) <= tol and e.imag > tol)
+    return [(s, None, cnt) for s, cnt in _cluster(onaxis, tol)]
 
 
 def _krein_start_correction(b: Matrix, tol: float) -> int:
@@ -496,43 +479,41 @@ def _krein_start_correction(b: Matrix, tol: float) -> int:
         if rk % 2 != 0:
             raise AssertionError("skew form with odd rank")
         return rk // 2
-    ker0 = kernel(b, tol=tol)
-    if ker0.dimension == 0:
-        return 0
-    z = ker0.basis_numpy()
-    g = krein_form(b.n_rows // 2)
-    _, neg = _strict_counts_float(z.conj().T @ g @ z, tol)
-    return neg
+    return _kernel_counts_float(b, krein_form(b.n_rows // 2), tol)[1]
 
 
-def _flow_krein(path: KreinPath, tol: float) -> SpectralFlowResult:
+def _krein_crossings(path: KreinPath, tol: float):
+    """The crossings of B + s*G for 0 < s <= s_max in order of s, each with
+    whether it sits at s_max.  Irregular crossings are yielded, not raised."""
     b = path.b
     g = krein_form(b.n_rows // 2)
-    exact = b.field == RATIONAL
-    if exact:
+    base = b.to_numpy().astype(complex)
+    if b.field == RATIONAL:
         locations = _krein_interior_locations_exact(b)
     else:
         locations = _krein_interior_locations_float(b, tol)
     s_hi = float(path.s_max)
+    for s_float, s_exact, mult in locations:
+        # an exact location equal to s_max has s_float == s_hi
+        at_end = abs(s_float - s_hi) <= 1e-12 * (1 + s_hi)
+        if at_end or s_float < s_hi:
+            yield _crossing_numeric(base + s_float * g, g, s_float, s_exact, mult,
+                                    interior=False, tol=tol), at_end
+
+
+def _flow_krein(path: KreinPath, tol: float) -> SpectralFlowResult:
     crossings = []
     end_corr = 0
-    end_is_exact = exact and isinstance(path.s_max, (Fraction, int))
-    for s_float, s_exact, mult in locations:
-        at_end = (s_exact is not None and end_is_exact and s_exact == Fraction(path.s_max)) \
-            or abs(s_float - s_hi) <= 1e-12 * (1 + s_hi)
-        if not at_end and s_float >= s_hi:
-            continue
-        arr = b.to_numpy().astype(complex) + s_float * g
-        cr = _crossing_numeric(arr, g, s_float, s_exact, mult,
-                               interior=not at_end, tol=tol)
+    for cr, at_end in _krein_crossings(path, tol):
         if at_end:
             end_corr += cr.positive
+        elif not cr.regular:
+            raise IrregularCrossingError(cr.location, "degenerate crossing form")
         else:
             crossings.append(cr)
-    start_corr = _krein_start_correction(b, tol)
+    start_corr = _krein_start_correction(path.b, tol)
     total = sum(c.signature for c in crossings) - start_corr + end_corr
-    return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr,
-                              RATIONAL if exact else FLOAT64)
+    return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, path.field)
 
 
 def spectral_flow(path: Path, tol: Optional[float] = None) -> SpectralFlowResult:
@@ -586,17 +567,7 @@ def crossing_set(b: Matrix, s_max, tol: Optional[float] = None) -> tuple:
             negative=neg,
             regular=pos + neg == ker0.dimension,
         ))
-    if exact:
-        locations = _krein_interior_locations_exact(b)
-    else:
-        locations = _krein_interior_locations_float(b, t)
-    s_hi = float(s_max)
-    for s_float, s_exact, mult in locations:
-        if s_float > s_hi * (1 + 1e-12):
-            continue
-        arr = b.to_numpy().astype(complex) + s_float * g
-        out.append(_crossing_numeric(arr, g, s_float, s_exact, mult,
-                                     interior=False, tol=t))
+    out.extend(cr for cr, _ in _krein_crossings(path, t))
     return tuple(out)
 
 
@@ -610,23 +581,17 @@ def kappa_identity_check(b: Matrix, tol: Optional[float] = None) -> KappaIdentit
 
     The identity is the content of the counting argument behind the parity
     criterion and holds whenever J B is linearly stable.  The exact backend
-    reads kappa off the even part r of the characteristic polynomial as the
-    root count of r on the open negative axis; the float backend needs the
-    nonzero frequencies separated from zero by the tolerance and raises
+    reads kappa off the classification's own factors of the even part r of
+    the characteristic polynomial: each Yun factor g of r with multiplicity
+    m and c distinct roots in (-inf, 0] adds m (c - [g(0) = 0]), its roots
+    on the open negative axis.  The float backend needs the nonzero
+    frequencies separated from zero by the tolerance and raises
     IndeterminateError when they are not.
     """
-    if not b.is_square or b.n_rows % 2 != 0:
-        raise ShapeError("expected an even-dimensional symmetric matrix")
+    cls, factors = _classify(b, None, tol)
     n = b.n_rows // 2
-    cls = classify(b, tol=tol)
     if b.field == RATIONAL:
-        r, is_even = rp.even_part(char_poly(standard_symplectic(n) @ b))
-        if not is_even:
-            raise AssertionError("characteristic polynomial of J B must be even")
-        # roots of each Yun factor in (-inf, 0], less a root at 0
-        kappa = sum(mult * (rp.count_distinct_real_roots(factor, None, Fraction(0))
-                            - (factor[0] == 0))
-                    for factor, mult in rp.squarefree_decomposition(r))
+        kappa = sum(m * (c - (g[0] == 0)) for g, m, c in factors)
         nullity = inertia(b).nullity
         return KappaIdentity(n, kappa, nullity, n == kappa + Fraction(nullity, 2), cls)
     t = default_tolerance(b.max_abs()) if tol is None else tol

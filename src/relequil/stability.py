@@ -8,10 +8,13 @@ invertible skew form Omega is reduced to the standard J through a congruence
 Omega = Q J Q^T, under which Omega B is similar to J (Q^T B Q).
 
 The exact backend decides the imaginary-axis condition through the
-characteristic polynomial of J B, which is always even in this setting
-(the spectrum is symmetric under negation): writing p(x) = r(x^2), the
-spectrum is on the axis iff r has only real, nonpositive roots, which Sturm
-counts decide exactly.
+characteristic polynomial of J B, computed once per classification.  It is
+always even in this setting (the spectrum is symmetric under negation):
+writing p(x) = r(x^2), the spectrum is on the axis iff r has only real,
+nonpositive roots.  One Sturm count per Yun factor g of r, with
+multiplicity m, gives the number c of distinct roots of g in (-inf, 0]: the
+spectrum is on the axis iff c = deg g for every factor, and the eigenvalue
+pairs on the punctured imaginary axis number kappa = sum m (c - [g(0) = 0]).
 """
 
 from __future__ import annotations
@@ -95,11 +98,16 @@ class HypothesisFailure(ValueError):
 
 @dataclass(frozen=True)
 class StabilityClassification:
+    """A verdict with ``spectrum``, the eigenvalues and multiplicities of
+    the matrix it was decided on, as ``complex_spectrum`` lists them; an
+    unstable verdict names the entry farthest off the imaginary axis."""
+
     verdict: Verdict
     spectrum_on_axis: bool
     semisimple: Optional[bool]
     offending_eigenvalue: Optional[complex]
     defective_eigenvalue: Optional[complex]
+    spectrum: tuple[Eigenvalue, ...]
     backend: str
     tol: float
 
@@ -194,18 +202,15 @@ def _require_even_symmetric(b: Matrix, tol: Optional[float]) -> Matrix:
     return _require_symmetric(b, tol)
 
 
-def _on_axis_exact(p: list[Fraction]) -> bool:
-    """Whether the characteristic polynomial p of J B has all roots on the
-    imaginary axis."""
+def _axis_factors(p: list[Fraction]) -> list[tuple[list[Fraction], int, int]]:
+    """The Yun factors g of r, where p(x) = r(x^2) is the characteristic
+    polynomial of J B, each as (g, multiplicity, distinct roots of g in
+    (-inf, 0])."""
     r, is_even = rp.even_part(p)
     if not is_even:
         raise AssertionError("characteristic polynomial of J B must be even")
-    rstar = rp.squarefree_part(r)
-    if rp.degree(rstar) <= 0:
-        return True
-    all_real = rp.count_distinct_real_roots(rstar) == rp.degree(rstar)
-    none_positive = rp.count_distinct_real_roots(rstar, Fraction(0), None) == 0
-    return all_real and none_positive
+    return [(g, m, rp.count_distinct_real_roots(g, None, 0))
+            for g, m in rp.squarefree_decomposition(r)]
 
 
 def _off_axis_witness(spectrum: tuple[Eigenvalue, ...], tol: float) -> Optional[complex]:
@@ -217,48 +222,50 @@ def _off_axis_witness(spectrum: tuple[Eigenvalue, ...], tol: float) -> Optional[
     return worst
 
 
+def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float]):
+    """``classify``, returning also the ``_axis_factors`` of the exact
+    characteristic polynomial of J B (None on the float backend)."""
+    b = _require_even_symmetric(b, tol)
+    b = _reduce_omega(b, omega, tol)
+    jb = standard_symplectic(b.n_rows // 2, b.field) @ b
+    if b.field == RATIONAL:
+        t = 0.0
+        p = char_poly(jb)
+        factors = _axis_factors(p)
+        spectrum = _exact_spectrum(p)
+        on_axis = all(c == rp.degree(g) for g, _, c in factors)
+    else:
+        t = default_tolerance(jb.max_abs()) if tol is None else tol
+        factors = None
+        spectrum = complex_spectrum(jb, tol=t)
+        on_axis = _off_axis_witness(spectrum, t) is None
+    if not on_axis:
+        witness = _off_axis_witness(spectrum, t)
+        return StabilityClassification(Verdict.SPECTRALLY_UNSTABLE, False, None, witness,
+                                       None, spectrum, b.field, t), factors
+    ss = is_semisimple(jb, tol=t)
+    if ss.semisimple is None:
+        verdict = Verdict.INDETERMINATE
+    elif ss.semisimple:
+        verdict = Verdict.LINEARLY_STABLE
+    else:
+        verdict = Verdict.SPECTRALLY_STABLE_NOT_LINEAR
+    defect = ss.defective_eigenvalues[0] if ss.defective_eigenvalues else None
+    return StabilityClassification(verdict, True, ss.semisimple, None, defect, spectrum,
+                                   b.field, t), factors
+
+
 def classify(b: Matrix, omega: Optional[Matrix] = None,
              tol: Optional[float] = None) -> StabilityClassification:
     """Spectral and linear stability of Omega B (Omega defaults to J).
 
-    Exact backend: zero-tolerance decisions through polynomial arithmetic.
-    Float backend: eigenvalues of J B against a tolerance; an undecidable
-    semisimplicity test yields the indeterminate verdict rather than a guess.
+    The verdict and the returned ``spectrum`` both come from J (Q^T B Q),
+    which is similar to Omega B.  Exact backend: zero-tolerance decisions
+    through the per-factor counts of the module docstring.  Float backend:
+    eigenvalues of J B against a tolerance; an undecidable semisimplicity
+    test yields the indeterminate verdict rather than a guess.
     """
-    b = _require_even_symmetric(b, tol)
-    b = _reduce_omega(b, omega, tol)
-    n = b.n_rows // 2
-    j = standard_symplectic(n, b.field)
-    jb = j @ b
-    if b.field == RATIONAL:
-        p = char_poly(jb)
-        if not _on_axis_exact(p):
-            witness = _off_axis_witness(_exact_spectrum(p), 0.0)
-            return StabilityClassification(
-                Verdict.SPECTRALLY_UNSTABLE, False, None, witness, None, RATIONAL, 0.0)
-        ss = is_semisimple(jb)
-        if ss.semisimple:
-            return StabilityClassification(
-                Verdict.LINEARLY_STABLE, True, True, None, None, RATIONAL, 0.0)
-        defect = ss.defective_eigenvalues[0] if ss.defective_eigenvalues else None
-        return StabilityClassification(
-            Verdict.SPECTRALLY_STABLE_NOT_LINEAR, True, False, None, defect, RATIONAL, 0.0)
-    t = default_tolerance(jb.max_abs()) if tol is None else tol
-    spectrum = complex_spectrum(jb, tol=t)
-    witness = _off_axis_witness(spectrum, t)
-    if witness is not None:
-        return StabilityClassification(
-            Verdict.SPECTRALLY_UNSTABLE, False, None, witness, None, FLOAT64, t)
-    ss = is_semisimple(jb, tol=t)
-    if ss.semisimple is None:
-        return StabilityClassification(
-            Verdict.INDETERMINATE, True, None, None, None, FLOAT64, t)
-    if ss.semisimple:
-        return StabilityClassification(
-            Verdict.LINEARLY_STABLE, True, True, None, None, FLOAT64, t)
-    defect = ss.defective_eigenvalues[0] if ss.defective_eigenvalues else None
-    return StabilityClassification(
-        Verdict.SPECTRALLY_STABLE_NOT_LINEAR, True, False, None, defect, FLOAT64, t)
+    return _classify(b, omega, tol)[0]
 
 
 def parity_verdict(morse_index: int, nullity: int) -> TheoremVerdict:

@@ -513,3 +513,50 @@ def symmetric_inertia_loop(rows: Sequence[Sequence[float]], tol=None):
     neg = int(np.sum(w < -t))
     zero = int(np.sum(np.abs(w) <= t))
     return sym, (neg, zero, n - neg - zero)
+
+
+def _poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction]:
+    """Monic gcd by the Euclidean algorithm on Fractions."""
+    a, b = _poly_trim(p), _poly_trim(q)
+    while b:
+        a, b = b, _poly_rem(a, b)
+    return [x / a[-1] for x in a] if a else []
+
+
+def _even_part_nonzero_roots(p: Sequence[Fraction]) -> List[Fraction]:
+    """r with p(x) = r(x^2) and r(0) != 0 after dividing out the roots at 0,
+    so that no Sturm count below is taken at a root."""
+    p = _poly_trim(p)
+    if any(a != 0 for a in p[1::2]):
+        raise AssertionError("characteristic polynomial of J B must be even")
+    r = _poly_trim(p[0::2])
+    while r and r[0] == 0:
+        r = r[1:]
+    return r
+
+
+def _derivative(p: Sequence[Fraction]) -> List[Fraction]:
+    return _poly_trim([i * a for i, a in enumerate(p)][1:])
+
+
+def on_axis_even_part(p: Sequence[Fraction]) -> bool:
+    """The exact imaginary-axis test of ``classify`` before its per-factor
+    counts: with p(x) = r(x^2), every root of r is real and nonpositive.  A
+    root at 0 is divided out, and the distinct roots of the rest (as many as
+    deg r - deg gcd(r, r')) must all lie on (-inf, 0), by Sturm counts."""
+    r = _even_part_nonzero_roots(p)
+    distinct = len(r) - len(_poly_gcd(r, _derivative(r))) if len(r) > 1 else 0
+    return (sturm_count_fraction(r) == distinct
+            and sturm_count_fraction(r, Fraction(0), None) == 0)
+
+
+def kappa_even_part(p: Sequence[Fraction]) -> int:
+    """The old kappa sum: roots of r, p(x) = r(x^2), on the open negative
+    axis counted with multiplicity.  A root of multiplicity m is a distinct
+    root of each of r_0 = r, r_1 = gcd(r_0, r_0'), ..., r_(m-1)."""
+    r = _even_part_nonzero_roots(p)
+    kappa = 0
+    while len(r) > 1:
+        kappa += sturm_count_fraction(r, None, Fraction(0))
+        r = _poly_gcd(r, _derivative(r))
+    return kappa

@@ -1,8 +1,13 @@
+import contextlib
 import importlib
 import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relequil.cli import main, run_examples
 
@@ -53,6 +58,24 @@ def test_classify_computes_inertia_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+# every module that imports char_poly, and matrix_core for its own callers
+CHAR_POLY_SITES = ("matrix_core", "stability", "spectral_flow")
+
+
+def test_classify_computes_char_poly_once(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "char_poly", CHAR_POLY_SITES)
+    stable_not_linear = write_json(tmp_path / "b.json", COUNTEREXAMPLE_ROWS)
+    unstable = write_json(tmp_path / "u.json", [[1, 0], [0, -1]])
+    identity = write_json(tmp_path / "i.json", [[1, 0], [0, 1]])
+    omega = write_json(tmp_path / "omega.json", [[0, -2], [2, 0]])
+    for argv in (["classify", stable_not_linear], ["classify", unstable],
+                 ["classify", identity, "--omega", omega]):
+        calls.clear()
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["spectrum"]
+        assert len(calls) == 1
+
+
 def test_classify_sorted_keys(tmp_path, capsys):
     matrix = write_json(tmp_path / "b.json", [[1, 0], [0, 1]])
     main(["classify", matrix])
@@ -74,6 +97,48 @@ def test_classify_float_indeterminate(tmp_path, capsys):
                         {"field": "float64", "rows": [[0.0, 0.0], [0.0, -1e-8]]})
     assert main(["classify", matrix, "--backend", "float"]) == 2
     assert json.loads(capsys.readouterr().out)["verdict"] == "indeterminate"
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400",
+                                  pytest.param("1" + "0" * 400, id="10^400")])
+def test_classify_rejects_nonfinite_entries(tmp_path, capsys, text):
+    matrix = tmp_path / "b.json"
+    matrix.write_text(f"[[1.0, {text}], [0.0, 1.0]]")
+    assert main(["classify", str(matrix), "--backend", "float"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the float backend needs finite numbers")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_float_matrix_file_with_nonfinite_entry_exits_1(data):
+    n = data.draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = data.draw(st.lists(st.lists(finite, min_size=n, max_size=n), min_size=n, max_size=n))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    rows[i][j] = data.draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "b.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(rows, fh)
+        with contextlib.redirect_stderr(err):
+            assert main(["classify", path, "--backend", "float"]) == 1
+    assert "finite" in err.getvalue()
+
+
+def test_empty_matrix_same_answers_on_both_backends(tmp_path, capsys):
+    matrix = write_json(tmp_path / "b.json", [])
+    path = write_json(tmp_path / "path.json", {"type": "krein", "b": [], "s_max": 1})
+    answers = []
+    for backend in ("exact", "float"):
+        assert main(["classify", matrix, "--backend", backend]) == 0
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert main(["flow", path, "--backend", backend]) == 0
+        report = json.loads(capsys.readouterr().out)
+        answers.append((verdict, report["flow"], report["kappa_identity"]["kappa"]))
+    assert answers[0] == answers[1] == ("linearly_stable", 0, 0)
 
 
 def test_classify_input_errors(tmp_path, capsys):
@@ -112,6 +177,40 @@ def test_flow_krein_report(tmp_path, capsys):
     assert report["flow"] == -1
     assert report["kappa_identity"]["holds"] is True
     assert report["kappa_identity"]["kappa"] == 1
+
+
+def test_flow_krein_computes_char_poly_at_most_twice(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "char_poly", CHAR_POLY_SITES)
+    for b in ([[1, 0], [0, 1]], [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]):
+        calls.clear()
+        path = write_json(tmp_path / "path.json", {"type": "krein", "b": b, "s_max": 2})
+        assert main(["flow", path]) == 0
+        assert "kappa_identity" in json.loads(capsys.readouterr().out)
+        assert len(calls) <= 2
+
+
+def test_flow_rejects_nonfinite_s_max(tmp_path, capsys):
+    path = tmp_path / "path.json"
+    path.write_text('{"type": "krein", "b": [[1.0, 0.0], [0.0, 1.0]], "s_max": Infinity}')
+    assert main(["flow", str(path), "--backend", "float"]) == 1
+    assert capsys.readouterr().err == \
+        "error: the float backend needs finite numbers, got inf\n"
+
+
+def test_flow_linear_tiny_crossing(tmp_path, capsys):
+    # one regular crossing at t = 10^-24, far below the old absolute
+    # stopping floor of root refinement
+    path = write_json(tmp_path / "path.json", {
+        "type": "linear",
+        "start": [[-1, 0], [0, 1]],
+        "end": [[10**24 - 1, 0], [0, 1]],
+    })
+    assert main(["flow", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["flow"] == 1
+    (crossing,) = report["crossings"]
+    assert crossing["location"] == pytest.approx(1e-24, rel=1e-15)
+    assert crossing["regular"] is True
 
 
 def test_flow_s_max_override(tmp_path, capsys):

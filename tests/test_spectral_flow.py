@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers as H
-from relequil.matrix_core import RATIONAL, Matrix, inertia
+from relequil.matrix_core import FLOAT64, RATIONAL, Matrix, inertia
 from relequil.spectral_flow import (
     IrregularCrossingError,
     KreinPath,
@@ -188,6 +188,32 @@ def test_crossing_set_is_descriptive():
     c = crossings[0]
     assert c.location == 0.0
     assert c.multiplicity == 2
+
+
+def test_crossing_set_tiny_frequencies():
+    # J B has eigenvalues +-i sqrt(b_2); the crossing sits at s = sqrt(b_2)
+    (c,) = crossing_set(diag(1, Fraction(1, 10**24)), Fraction(1))
+    assert c.location == pytest.approx(1e-12, rel=1e-15)
+    (c,) = crossing_set(diag(1, Fraction(1, 10**10)), Fraction(1))
+    assert c.exact_location == Fraction(1, 10**5)
+
+
+def test_crossing_set_agrees_with_spectral_flow(rng):
+    # frequencies 1, 2 (twice), 3 with the other Krein sign, a nilpotent
+    # block and a real pair; no s_max sits on a crossing
+    pairs = [(1, 1), (1, 4), (2, 2), (-1, -9), (0, 3), (1, -1)]
+    found = 0
+    for backend in (RATIONAL, FLOAT64):
+        for _ in range(8):
+            b = Matrix(H.pair_diagonal(rng.choices(pairs, k=rng.choice([1, 2, 3]))), RATIONAL)
+            if backend == FLOAT64:
+                b = b.to_float()
+            for s_max in (Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)):
+                s_max = s_max if backend == RATIONAL else float(s_max)
+                inner = [c for c in crossing_set(b, s_max) if c.location > 0]
+                assert inner == list(spectral_flow(KreinPath(b, s_max)).crossings)
+                found += len(inner)
+    assert found > 0
 
 
 def test_crossing_set_never_raises_on_irregular():

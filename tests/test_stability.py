@@ -9,6 +9,7 @@ from relequil.matrix_core import (
     RATIONAL,
     Matrix,
     SingularMatrixError,
+    complex_spectrum,
     inertia,
     is_semisimple,
     rank,
@@ -27,6 +28,7 @@ from relequil.stability import (
     spectral_instability_certificate,
     theorem_predict,
 )
+from relequil.spectral_flow import kappa_identity_check
 
 COUNTEREXAMPLE = Matrix.diagonal([-2, -1, 1, -1, 0, 0])
 
@@ -75,6 +77,51 @@ def test_classify_factors_char_poly_once(monkeypatch):
     assert cls.verdict == Verdict.SPECTRALLY_UNSTABLE
     assert abs(cls.offending_eigenvalue.real) == pytest.approx(1.0)
     assert len(calls) == 1
+
+
+def _sheared(rng, rows):
+    """S^T B S for the symplectic shear S = [[I, X], [0, I]], X symmetric:
+    J S^T B S is similar to J B."""
+    n = len(rows) // 2
+    x = H.random_symmetric(rng, n, num=2, den=2)
+    s = [[Fraction(int(i == j)) for j in range(2 * n)] for i in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            s[i][n + j] = x[i][j]
+    m = Matrix(s, RATIONAL)
+    return m.T @ Matrix(rows, RATIONAL) @ m
+
+
+def test_axis_test_and_kappa_match_frozen_oracles(rng):
+    # structured B: zero, nilpotent, repeated frequencies, unstable, and the
+    # counterexample; then seeded random B, mostly unstable, and sheared pair
+    # diagonals with zero, imaginary, real and repeated pairs
+    cases = [Matrix.zeros(4, 4), Matrix.diagonal([2, 0]), Matrix.diagonal([0, 2, 0, 0]),
+             Matrix(H.pair_diagonal([(1, 4), (2, 2), (-1, -4)]), RATIONAL),
+             Matrix.diagonal([1, 4, -1, 1]), COUNTEREXAMPLE]
+    cases += [Matrix(H.random_symmetric(rng, 2 * rng.choice([1, 2, 3])), RATIONAL)
+              for _ in range(20)]
+    products = [(1, 1), (1, 4), (2, 2), (-1, -1), (0, 3), (0, 0), (1, -1)]
+    cases += [_sheared(rng, H.pair_diagonal(rng.choices(products, k=rng.choice([1, 2, 3]))))
+              for _ in range(20)]
+    seen = set()
+    for b in cases:
+        p = H.char_poly_lagrange((standard_symplectic(b.n_rows // 2) @ b).to_lists())
+        cls = classify(b)
+        assert cls.spectrum_on_axis == H.on_axis_even_part(p)
+        assert kappa_identity_check(b).kappa == H.kappa_even_part(p)
+        seen.add(cls.verdict)
+    assert len(seen) == 3
+
+
+def test_classify_spectrum_is_that_of_omega_b(rng):
+    for _ in range(12):
+        n = rng.choice([1, 2])
+        b = Matrix(H.random_symmetric(rng, 2 * n), RATIONAL)
+        q = Matrix(H.random_invertible_symmetric(rng, 2 * n), RATIONAL)
+        omega = q @ standard_symplectic(n) @ q.T
+        assert classify(b, omega=omega).spectrum == complex_spectrum(omega @ b)
+        assert classify(b).spectrum == complex_spectrum(standard_symplectic(n) @ b)
 
 
 def test_classify_linearly_stable():
