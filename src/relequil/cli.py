@@ -46,7 +46,7 @@ from .spectral_flow import (
     IrregularCrossingError,
     KreinPath,
     LinearPath,
-    kappa_identity_check,
+    _krein_flow_and_kappa,
     spectral_flow,
 )
 from .stability import Verdict, block_normal_form, classify, parity_verdict
@@ -158,7 +158,10 @@ def _run_flow(args) -> int:
         path = KreinPath(b, s_max)
     else:
         raise ValueError(f"unknown path type {kind!r}")
-    result = spectral_flow(path, tol=args.tol)
+    if kind == "linear":
+        result = spectral_flow(path, tol=args.tol)
+    else:
+        result, k = _krein_flow_and_kappa(path, args.tol)
     report = {
         "backend": args.backend,
         "crossings": [
@@ -181,7 +184,6 @@ def _run_flow(args) -> int:
     if kind == "linear":
         report["relative_morse_index"] = -result.flow
     else:
-        k = kappa_identity_check(path.b, tol=args.tol)
         report["kappa_identity"] = {
             "holds": bool(k.holds),
             "kappa": k.kappa,
@@ -415,6 +417,17 @@ def _run_examples_cmd(args) -> int:
 # argument parsing and dispatch
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite number >= 0."""
+    try:
+        t = float(text)
+    except ValueError:
+        t = math.nan
+    if not 0 <= t < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return t
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relequil",
@@ -427,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if backend:
             p.add_argument("--backend", choices=("exact", "float"),
                            default="exact")
-            p.add_argument("--tol", type=float, default=None,
+            p.add_argument("--tol", type=_tolerance, default=None,
                            help="float-backend tolerance (default scales "
                                 "with the matrix)")
         p.add_argument("--out", default=None, help="write the report here "

@@ -512,11 +512,13 @@ def _require_symmetric(b: Matrix, tol: Optional[float]) -> Matrix:
 
 
 def _symmetric_part(b: Matrix, tol: Optional[float]) -> np.ndarray:
-    """(A + A^T) / 2 of a float matrix A, which must satisfy |A - A^T| <= tol
-    entrywise (default: 1e-8 (1 + max |A_ij|))."""
+    """(A + A^T) / 2 of a float matrix A, which must be finite and satisfy
+    |A - A^T| <= tol entrywise (default: 1e-8 (1 + max |A_ij|))."""
     if not b.is_square:
         raise ShapeError("symmetric operations need a square matrix")
     a = b.to_numpy()
+    if not np.isfinite(a).all():
+        raise SymmetryError("matrix has a non-finite entry")
     t = default_tolerance(np.max(np.abs(a), initial=0.0)) if tol is None else tol
     if not np.max(np.abs(a - a.T), initial=0.0) <= t:
         raise SymmetryError("matrix is not symmetric within tolerance")
@@ -627,6 +629,52 @@ def _primes(bits: int):
             yield c
 
 
+def _crt_primes(n: int, bound: int) -> list[int]:
+    """The primes of ``_primes(_prime_bits(n))``, largest first, taken until
+    their product exceeds 2 * bound: an integer of absolute value at most
+    ``bound`` is then determined by its residues modulo them, and is zero
+    when they all are."""
+    primes, modulus = [], 1
+    for p in _primes(_prime_bits(n)):
+        primes.append(p)
+        modulus *= p
+        if modulus > 2 * bound:
+            break
+    return primes
+
+
+def _residues(m: list[list[int]], primes: list[int]) -> np.ndarray:
+    """The stack of int64 matrices m mod p, one per prime."""
+    return np.array([[[x % p for x in row] for row in m] for p in primes], dtype=np.int64)
+
+
+def _int_poly_at_matrix_is_zero(c: list[int], m: list[list[int]]) -> bool:
+    """Whether sum c_k M^k = 0 for an integer polynomial c (lowest degree
+    first, nonempty) and a nonempty square integer matrix M.
+
+    Every entry of M^k is at most (n max|M_ij|)^k in absolute value, so
+    every entry of the sum is at most sum |c_k| (n max|M_ij|)^k; primes are
+    taken until their product exceeds twice that bound, and the sum is zero
+    exactly when it is zero modulo every one of them (the CRT argument of
+    ``_char_poly_int``).  Horner's scheme runs modulo a stack of primes at
+    once in int64: first the largest prime alone, which already shows a
+    nonzero sum in all but rare cases, then the others."""
+    n = len(m)
+    big = n * max(abs(x) for row in m for x in row)
+    primes = _crt_primes(n, sum(abs(ck) * big ** k for k, ck in enumerate(c)))
+    for batch in filter(None, (primes[:1], primes[1:])):
+        pv = np.array(batch, dtype=np.int64)[:, None, None]
+        mods = _residues(m, batch)
+        work = np.zeros_like(mods)
+        for coeff in np.array([[ck % p for p in batch] for ck in reversed(c)], dtype=np.int64):
+            # entries below 2p after the shift keep each dot product under 2 n p^2
+            work = mods @ work % pv
+            work.reshape(len(batch), n * n)[:, :: n + 1] += coeff[:, None]
+        if (work % pv).any():
+            return False
+    return True
+
+
 def _char_poly_int(m: list[list[int]]) -> list[int]:
     """Monic characteristic polynomial of a nonempty square integer matrix,
     lowest degree first.
@@ -639,14 +687,9 @@ def _char_poly_int(m: list[list[int]]) -> list[int]:
     n = len(m)
     big = max(abs(x) for row in m for x in row)
     bound = max(math.comb(n, k) * (math.isqrt(k ** k) + 1) * big ** k for k in range(n + 1))
-    primes, modulus = [], 1
-    for p in _primes(_prime_bits(n)):
-        primes.append(p)
-        modulus *= p
-        if modulus > 2 * bound:
-            break
+    primes = _crt_primes(n, bound)
     pv = np.array(primes, dtype=np.int64)
-    mods = np.array([[[x % p for x in row] for row in m] for p in primes], dtype=np.int64)
+    mods = _residues(m, primes)
     work = mods.copy()  # M_1 = A
     res = np.zeros((len(primes), n + 1), dtype=np.int64)
     res[:, n] = 1
@@ -754,10 +797,11 @@ def _polish_root(coeffs_float: list[float], z: complex, steps: int = 3) -> compl
     return best
 
 
-def _exact_spectrum(p: list[Fraction]) -> tuple[Eigenvalue, ...]:
-    """Eigenvalues with multiplicities from an exact characteristic polynomial."""
+def _exact_spectrum(yun: list[tuple[list[Fraction], int]]) -> tuple[Eigenvalue, ...]:
+    """Eigenvalues with multiplicities from the Yun factors of an exact
+    characteristic polynomial, as ``rp.squarefree_decomposition`` gives them."""
     out: list[Eigenvalue] = []
-    for factor, m in rp.squarefree_decomposition(p):
+    for factor, m in yun:
         cf = [float(c) for c in factor]
         roots = np.roots(list(reversed(cf))) if rp.degree(factor) >= 1 else []
         for z in roots:
@@ -780,7 +824,7 @@ def complex_spectrum(a: Matrix, tol: Optional[float] = None) -> tuple[Eigenvalue
     if a.n_rows == 0:
         return ()
     if a.field == RATIONAL:
-        return _exact_spectrum(char_poly(a))
+        return _exact_spectrum(rp.squarefree_decomposition(char_poly(a)))
     t = default_tolerance(a.max_abs()) if tol is None else tol
     w = sorted(np.linalg.eigvals(a.to_numpy()), key=lambda z: (z.real, z.imag))
     clusters: list[list[complex]] = []
@@ -800,28 +844,54 @@ def complex_spectrum(a: Matrix, tol: Optional[float] = None) -> tuple[Eigenvalue
     return tuple(out)
 
 
+def _semisimple_exact(a: Matrix, s: list[Fraction]) -> SemisimplicityReport:
+    """Exact semisimplicity of a rational square matrix A, given the monic
+    square-free part s of its characteristic polynomial p.
+
+    A is semisimple iff s(A) = 0.  When deg s = n, p itself is square-free
+    and that needs no matrix work.  Otherwise, with A = M / d for the
+    cleared integer matrix M, s(A) = 0 iff sum_k L s_k d^(deg s - k) M^k = 0
+    for the common denominator L of those coefficients, which
+    ``_int_poly_at_matrix_is_zero`` decides modulo primes.  Only a defective
+    A runs ``minimal_poly``: the roots of gcd(m, m') for its minimal
+    polynomial m name the defective eigenvalues."""
+    k = rp.degree(s)
+    if k == a.n_rows:
+        return SemisimplicityReport(True, (), RATIONAL, 0.0)
+    ints, d = _cleared(a.rows())
+    coeffs = rp._cleared([x * d ** (k - i) for i, x in enumerate(s)])[0]
+    if _int_poly_at_matrix_is_zero(coeffs, ints):
+        return SemisimplicityReport(True, (), RATIONAL, 0.0)
+    m = minimal_poly(a)
+    g = rp.gcd(m, rp.derivative(m))
+    if rp.degree(g) <= 0:
+        raise AssertionError("square-free minimal polynomial although s(A) != 0")
+    cf = [float(c) for c in g]
+    roots = tuple(
+        complex(_polish_root(cf, complex(z))) for z in np.roots(list(reversed(cf)))
+    )
+    roots = tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
+    return SemisimplicityReport(False, roots, RATIONAL, 0.0)
+
+
 def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityReport:
     """Diagonalizability over the complex numbers.
 
-    Exact backend: the minimal polynomial m is square-free iff gcd(m, m') is
-    constant; the roots of the gcd name the defective eigenvalues.  Float
-    backend: rank(A - zI) versus rank((A - zI)^2) per eigenvalue cluster,
-    with an indeterminate outcome when a singular value lands inside the
-    band [tol/10, 10*tol].
+    Exact backend: A is semisimple iff s(A) = 0 for the square-free part s
+    of its characteristic polynomial p.  A square-free p decides at once;
+    otherwise s(A) = 0 is proved or refuted modulo word-size primes whose
+    product exceeds 2 sum |c_k| (n max|M_ij|)^k, for s cleared to integer
+    coefficients c on the cleared integer matrix M (``_semisimple_exact``).
+    A defective A then has its minimal polynomial m computed, and the roots
+    of gcd(m, m') name the defective eigenvalues.  Float backend:
+    rank(A - zI) versus rank((A - zI)^2) per eigenvalue cluster, with an
+    indeterminate outcome when a singular value lands inside the band
+    [tol/10, 10*tol].
     """
     if not a.is_square:
         raise ShapeError("semisimplicity of a non-square matrix")
     if a.field == RATIONAL:
-        m = minimal_poly(a)
-        g = rp.gcd(m, rp.derivative(m))
-        if rp.degree(g) <= 0:
-            return SemisimplicityReport(True, (), RATIONAL, 0.0)
-        cf = [float(c) for c in g]
-        roots = tuple(
-            complex(_polish_root(cf, complex(z))) for z in np.roots(list(reversed(cf)))
-        )
-        roots = tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
-        return SemisimplicityReport(False, roots, RATIONAL, 0.0)
+        return _semisimple_exact(a, rp.squarefree_part(char_poly(a)))
     t = default_tolerance(a.max_abs()) if tol is None else tol
     arr = a.to_numpy()
     n = arr.shape[0]

@@ -443,12 +443,12 @@ def _flow_linear_float(path: LinearPath, tol: float) -> SpectralFlowResult:
 # spectral flow: Krein deformations
 
 
-def _krein_interior_locations_exact(b: Matrix) -> list[tuple[float, Optional[Fraction], int]]:
+def _krein_interior_locations_exact(factors) -> list[tuple[float, Optional[Fraction], int]]:
     """All s > 0 with singular B + s*G, as (float, exact or None, multiplicity):
-    s^2 = -x for the negative roots x of the even part of char_poly(J B).
-    Factors without such roots are not isolated."""
-    p = char_poly(standard_symplectic(b.n_rows // 2) @ b)
-    factors = [(g, m) for g, m, c in _axis_factors(p) if c > (g[0] == 0)]
+    s^2 = -x for the negative roots x of the even part of char_poly(J B),
+    given by its ``_axis_factors``.  Factors without such roots are not
+    isolated."""
+    factors = [(g, m) for g, m, c in factors if c > (g[0] == 0)]
     out = []
     for x, exact, mult in _real_roots(factors, None, 0):
         s_exact = None if exact is None else _fraction_sqrt(-exact)
@@ -482,14 +482,18 @@ def _krein_start_correction(b: Matrix, tol: float) -> int:
     return _kernel_counts_float(b, krein_form(b.n_rows // 2), tol)[1]
 
 
-def _krein_crossings(path: KreinPath, tol: float):
+def _krein_crossings(path: KreinPath, tol: float, factors=None):
     """The crossings of B + s*G for 0 < s <= s_max in order of s, each with
-    whether it sits at s_max.  Irregular crossings are yielded, not raised."""
+    whether it sits at s_max.  Irregular crossings are yielded, not raised.
+    A rational B takes the ``_axis_factors`` of char_poly(J B) when given
+    and computes them otherwise."""
     b = path.b
     g = krein_form(b.n_rows // 2)
     base = b.to_numpy().astype(complex)
     if b.field == RATIONAL:
-        locations = _krein_interior_locations_exact(b)
+        if factors is None:
+            factors = _axis_factors(char_poly(standard_symplectic(b.n_rows // 2) @ b))
+        locations = _krein_interior_locations_exact(factors)
     else:
         locations = _krein_interior_locations_float(b, tol)
     s_hi = float(path.s_max)
@@ -501,10 +505,12 @@ def _krein_crossings(path: KreinPath, tol: float):
                                     interior=False, tol=tol), at_end
 
 
-def _flow_krein(path: KreinPath, tol: float) -> SpectralFlowResult:
+def _flow_krein(path: KreinPath, tol: Optional[float], factors=None) -> SpectralFlowResult:
+    if tol is None:
+        tol = default_tolerance(path.b.max_abs() + float(path.s_max))
     crossings = []
     end_corr = 0
-    for cr, at_end in _krein_crossings(path, tol):
+    for cr, at_end in _krein_crossings(path, tol, factors):
         if at_end:
             end_corr += cr.positive
         elif not cr.regular:
@@ -530,8 +536,7 @@ def spectral_flow(path: Path, tol: Optional[float] = None) -> SpectralFlowResult
             if tol is None else tol
         return _flow_linear_float(path, t)
     if isinstance(path, KreinPath):
-        t = default_tolerance(path.b.max_abs() + float(path.s_max)) if tol is None else tol
-        return _flow_krein(path, t)
+        return _flow_krein(path, tol)
     raise TypeError("unsupported path type")
 
 
@@ -589,11 +594,9 @@ def kappa_identity_check(b: Matrix, tol: Optional[float] = None) -> KappaIdentit
     IndeterminateError when they are not.
     """
     cls, factors = _classify(b, None, tol)
-    n = b.n_rows // 2
     if b.field == RATIONAL:
-        kappa = sum(m * (c - (g[0] == 0)) for g, m, c in factors)
-        nullity = inertia(b).nullity
-        return KappaIdentity(n, kappa, nullity, n == kappa + Fraction(nullity, 2), cls)
+        return _kappa_identity_exact(b, cls, factors)
+    n = b.n_rows // 2
     t = default_tolerance(b.max_abs()) if tol is None else tol
     jb = standard_symplectic(n, FLOAT64).to_numpy() @ b.to_numpy()
     evals = np.linalg.eigvals(jb)
@@ -605,6 +608,25 @@ def kappa_identity_check(b: Matrix, tol: Optional[float] = None) -> KappaIdentit
     nullity = b.n_rows - rank(b, tol=t)
     holds = n == kappa + nullity / 2
     return KappaIdentity(n, kappa, nullity, holds, cls)
+
+
+def _kappa_identity_exact(b: Matrix, cls, factors) -> KappaIdentity:
+    n = b.n_rows // 2
+    kappa = sum(m * (c - (g[0] == 0)) for g, m, c in factors)
+    nullity = inertia(b).nullity
+    return KappaIdentity(n, kappa, nullity, n == kappa + Fraction(nullity, 2), cls)
+
+
+def _krein_flow_and_kappa(path: KreinPath,
+                          tol: Optional[float]) -> tuple[SpectralFlowResult, KappaIdentity]:
+    """``spectral_flow(path, tol)`` and ``kappa_identity_check(path.b, tol)``.
+    A rational B is classified first, which cannot fail on a Krein path, and
+    the flow's crossing locations come from that classification's factors,
+    so char_poly(J B) is computed once."""
+    if path.field != RATIONAL:
+        return spectral_flow(path, tol), kappa_identity_check(path.b, tol)
+    cls, factors = _classify(path.b, None, tol)
+    return _flow_krein(path, tol, factors), _kappa_identity_exact(path.b, cls, factors)
 
 
 def krein_signature(subspace: Subspace, tol: Optional[float] = None) -> KreinSignatureReport:

@@ -15,6 +15,9 @@ nonpositive roots.  One Sturm count per Yun factor g of r, with
 multiplicity m, gives the number c of distinct roots of g in (-inf, 0]: the
 spectrum is on the axis iff c = deg g for every factor, and the eigenvalue
 pairs on the punctured imaginary axis number kappa = sum m (c - [g(0) = 0]).
+The same factors give the Yun factors of p and its square-free part s, and
+J B is semisimple iff s(J B) = 0: at once when p is square-free, else by a
+modular test, with the minimal polynomial computed only for a defective J B.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 from . import rational_poly as rp
@@ -39,6 +43,7 @@ from .matrix_core import (
     _exact_spectrum,
     _kernel_exact,
     _require_symmetric,
+    _semisimple_exact,
     char_poly,
     complex_spectrum,
     default_tolerance,
@@ -213,6 +218,28 @@ def _axis_factors(p: list[Fraction]) -> list[tuple[list[Fraction], int, int]]:
             for g, m in rp.squarefree_decomposition(r)]
 
 
+def _even_yun(factors: list[tuple[list[Fraction], int, int]]) -> list[tuple[list[Fraction], int]]:
+    """The Yun factors of p(x) = r(x^2), as ``rp.squarefree_decomposition(p)``
+    lists them, from the ``_axis_factors`` of r.
+
+    A Yun factor g of r with multiplicity m gives g(x^2), square-free when
+    g(0) != 0, to the factor of p of multiplicity m.  When g(0) = 0, g = x h
+    gives h(x^2) to multiplicity m and x to multiplicity 2m.  Distinct g are
+    coprime, so each Yun factor of p is the product of what it is given, and
+    Yun factors are unique monic polynomials: these are the same exact
+    coefficients."""
+    parts: dict[int, list[Fraction]] = {}
+    for g, m, _ in factors:
+        g_sq = [Fraction(0)] * (2 * len(g) - 1)
+        g_sq[::2] = g
+        if g[0] == 0:
+            parts[2 * m] = rp.mul(parts.get(2 * m, [Fraction(1)]), [Fraction(0), Fraction(1)])
+            g_sq = g_sq[2:]
+        if len(g_sq) > 1:
+            parts[m] = rp.mul(parts.get(m, [Fraction(1)]), g_sq)
+    return [(parts[i], i) for i in sorted(parts)]
+
+
 def _off_axis_witness(spectrum: tuple[Eigenvalue, ...], tol: float) -> Optional[complex]:
     worst = None
     for ev in spectrum:
@@ -224,15 +251,22 @@ def _off_axis_witness(spectrum: tuple[Eigenvalue, ...], tol: float) -> Optional[
 
 def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float]):
     """``classify``, returning also the ``_axis_factors`` of the exact
-    characteristic polynomial of J B (None on the float backend)."""
+    characteristic polynomial p of J B (None on the float backend).
+
+    p is computed and decomposed once per call: the Yun factors of p, for
+    the spectrum, come from those of r (``_even_yun``), and so does the
+    square-free part s of p, their product.  Exact semisimplicity needs no
+    matrix work when p is square-free (deg s = deg p); otherwise it is
+    s(J B) = 0, decided modulo primes (``_semisimple_exact``), and
+    ``minimal_poly`` runs only on a defective J B."""
     b = _require_even_symmetric(b, tol)
     b = _reduce_omega(b, omega, tol)
     jb = standard_symplectic(b.n_rows // 2, b.field) @ b
     if b.field == RATIONAL:
         t = 0.0
-        p = char_poly(jb)
-        factors = _axis_factors(p)
-        spectrum = _exact_spectrum(p)
+        factors = _axis_factors(char_poly(jb))
+        yun = _even_yun(factors)
+        spectrum = _exact_spectrum(yun)
         on_axis = all(c == rp.degree(g) for g, _, c in factors)
     else:
         t = default_tolerance(jb.max_abs()) if tol is None else tol
@@ -243,7 +277,11 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float]):
         witness = _off_axis_witness(spectrum, t)
         return StabilityClassification(Verdict.SPECTRALLY_UNSTABLE, False, None, witness,
                                        None, spectrum, b.field, t), factors
-    ss = is_semisimple(jb, tol=t)
+    if factors is None:
+        ss = is_semisimple(jb, tol=t)
+    else:
+        # the square-free part of p is the product of its Yun factors
+        ss = _semisimple_exact(jb, reduce(rp.mul, (f for f, _ in yun), [Fraction(1)]))
     if ss.semisimple is None:
         verdict = Verdict.INDETERMINATE
     elif ss.semisimple:

@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -74,6 +75,31 @@ def test_classify_computes_char_poly_once(tmp_path, capsys, monkeypatch):
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["spectrum"]
         assert len(calls) == 1
+
+
+def test_classify_square_free_stable_needs_no_minimal_poly(tmp_path, capsys, monkeypatch):
+    # count at every relequil module that holds minimal_poly
+    calls = []
+    original = importlib.import_module("relequil.matrix_core").minimal_poly
+    for name, mod in list(sys.modules.items()):
+        if (name == "relequil" or name.startswith("relequil.")) \
+                and getattr(mod, "minimal_poly", None) is original:
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(mod, "minimal_poly", counted)
+    # char poly of J B: x^4 + 7 x^2 + 3, square free with roots on the axis
+    stable = write_json(tmp_path / "b.json", [[1, 0, 0, 0], [0, 2, 1, 0],
+                                              [0, 1, 1, 0], [0, 0, 0, 3]])
+    assert main(["classify", stable]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "linearly_stable"
+    assert calls == []
+    # a defective J B still names its eigenvalue through minimal_poly
+    nilpotent = write_json(tmp_path / "n.json", COUNTEREXAMPLE_ROWS)
+    assert main(["classify", nilpotent]) == 0
+    assert json.loads(capsys.readouterr().out)["semisimple"] is False
+    assert len(calls) == 1
 
 
 def test_classify_sorted_keys(tmp_path, capsys):
@@ -179,14 +205,32 @@ def test_flow_krein_report(tmp_path, capsys):
     assert report["kappa_identity"]["kappa"] == 1
 
 
-def test_flow_krein_computes_char_poly_at_most_twice(tmp_path, capsys, monkeypatch):
+def test_flow_krein_computes_char_poly_once(tmp_path, capsys, monkeypatch):
     calls = count_calls(monkeypatch, "char_poly", CHAR_POLY_SITES)
     for b in ([[1, 0], [0, 1]], [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]):
         calls.clear()
         path = write_json(tmp_path / "path.json", {"type": "krein", "b": b, "s_max": 2})
         assert main(["flow", path]) == 0
         assert "kappa_identity" in json.loads(capsys.readouterr().out)
-        assert len(calls) <= 2
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command", ["classify", "flow"])
+def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys, command, value):
+    if command == "classify":
+        target = write_json(tmp_path / "b.json", [[1.0, 0.0], [0.0, -1.0]])
+    else:
+        target = write_json(tmp_path / "path.json",
+                            {"type": "krein", "b": [[1.0, 0.0], [0.0, 1.0]], "s_max": 2})
+    for backend in ("exact", "float"):
+        assert main([command, target, "--backend", backend, f"--tol={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --tol: must be a finite number >= 0, got " \
+            f"{value!r}" in captured.err
+    assert main([command, target, "--backend", "float", "--tol=0"]) == 0
+    capsys.readouterr()
 
 
 def test_flow_rejects_nonfinite_s_max(tmp_path, capsys):

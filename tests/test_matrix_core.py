@@ -31,7 +31,13 @@ from relequil.matrix_core import (
     standard_symplectic,
     symplectic_reduction,
 )
-from relequil.matrix_core import _char_poly_int, _prime_bits, _require_symmetric
+from relequil.matrix_core import (
+    _char_poly_int,
+    _int_poly_at_matrix_is_zero,
+    _prime_bits,
+    _primes,
+    _require_symmetric,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +307,147 @@ def test_semisimple_exact():
     assert len(report.defective_eigenvalues) > 0
 
 
+def _semisimple_reference(rows) -> bool:
+    """A is semisimple iff gcd(m, m') is constant for the minimal polynomial
+    m of the frozen Fraction elimination."""
+    m = H.minimal_poly_fraction(rows)
+    return len(H._poly_gcd(m, H._derivative(m))) <= 1
+
+
+def _companion(coeffs):
+    """Companion matrix of the monic polynomial with the given coefficients,
+    lowest degree first, leading 1 omitted."""
+    n = len(coeffs)
+    return [[Fraction(int(i == j + 1)) if j < n - 1 else Fraction(-coeffs[i])
+             for j in range(n)] for i in range(n)]
+
+
+def _block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    i = 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            rows[i + r][i:i + len(b)] = [Fraction(x) for x in row]
+        i += len(b)
+    return rows
+
+
+def _big_similar(rows, big):
+    """S A S^-1 for S = I + N, N strictly upper triangular with entries near
+    ``big``; S^-1 = I - N + N^2 - ... since N is nilpotent."""
+    n = len(rows)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    nil = [[Fraction(big + i - j) if j > i else Fraction(0) for j in range(n)]
+           for i in range(n)]
+    s = [[x + y for x, y in zip(r, q)] for r, q in zip(ident, nil)]
+    s_inv, term = ident, ident
+    for _ in range(n - 1):
+        term = [[-x for x in row] for row in _fraction_product(term, nil)]
+        s_inv = [[x + y for x, y in zip(r, q)] for r, q in zip(s_inv, term)]
+    return _fraction_product(_fraction_product(s, rows), s_inv)
+
+
+def _hamiltonian(pairs):
+    """J D for the pair diagonal D: a 2x2 block [[0, -b_{n+k}], [b_k, 0]] per
+    pair, nilpotent when exactly one of the pair is zero."""
+    return (standard_symplectic(len(pairs)) @ Matrix(H.pair_diagonal(pairs), RATIONAL)).to_lists()
+
+
+def test_semisimple_exact_matches_minimal_poly_reference(rng):
+    big = 2 ** 40 + 15
+    x2_plus_2 = [2, 0]
+    cases = [
+        # repeated semisimple eigenvalues: S diag(lam, lam, mu) S^-1
+        _similar(_jordan([(Fraction(3, 2), 1), (Fraction(3, 2), 1), (-1, 1)]), rng),
+        _similar(_jordan([(0, 1), (0, 1), (0, 1), (Fraction(2, 7), 1)]), rng),
+        # Jordan blocks of size 2 and 3 at rational eigenvalues
+        _similar(_jordan([(2, 2), (5, 1)]), rng),
+        _similar(_jordan([(Fraction(-1, 3), 3), (Fraction(-1, 3), 1)]), rng),
+        _similar(_jordan([(0, 2), (0, 1), (1, 1)]), rng),
+        # Yun factor (x - 1)(x - 2) of multiplicity 2: 1 defective, 2 not
+        _similar(_jordan([(1, 2), (2, 1), (2, 1)]), rng),
+        # irrational eigenvalues: (x^2 + 2)^2 and (x^2 + 2)^3 as one
+        # companion (Jordan blocks of size 2 and 3 at +-i sqrt 2) against
+        # copies of the companion of x^2 + 2 (semisimple, same p)
+        _companion([4, 0, 4, 0]),
+        _block_diagonal(_companion(x2_plus_2), _companion(x2_plus_2)),
+        _similar(_companion([8, 0, 12, 0, 6, 0]), rng),
+        _similar(_block_diagonal(*[_companion(x2_plus_2)] * 3), rng),
+        _block_diagonal(_companion([4, 0, 4, 0]), _companion(x2_plus_2)),
+        # golden ratio: (x^2 - x - 1)^2 nonderogatory against two copies
+        _companion([1, 2, -1, -2]),
+        _block_diagonal(_companion([-1, -1]), _companion([-1, -1])),
+        # Hamiltonian J D: equal frequencies, a J-invariant kernel (zero
+        # pair), a nilpotent pair
+        _hamiltonian([(1, 4), (2, 2), (4, 1)]),
+        _hamiltonian([(0, 0), (1, 1)]),
+        _hamiltonian([(0, 0), (0, 0), (3, 3)]),
+        _hamiltonian([(1, 0), (2, 2)]),
+        _hamiltonian([(0, 5), (0, 0)]),
+        # entries near 2^40 and near 2^80, and denominators near 2^40
+        _big_similar(_jordan([(3, 1), (3, 1), (5, 1)]), big),
+        _big_similar(_jordan([(3, 2), (5, 1)]), big),
+        _big_similar(_jordan([(big, 1), (big, 1), (-big, 1), (1, 1)]), big),
+        _big_similar(_jordan([(big, 2), (-big, 1), (1, 1)]), big),
+        [[x / big for x in row] for row in _big_similar(_jordan([(7, 1), (7, 1), (1, 1)]), big)],
+        [[x / big for x in row] for row in _big_similar(_jordan([(7, 3), (1, 1)]), big)],
+        # empty, 1 x 1 and zero matrices
+        [], [[Fraction(-5, 7)]], [[Fraction(0)]], [[Fraction(0)] * 4 for _ in range(4)],
+    ]
+    outcomes = set()
+    for rows in cases:
+        a = Matrix(rows, RATIONAL) if rows else Matrix.zeros(0, 0)
+        expected = _semisimple_reference(rows)
+        report = is_semisimple(a)
+        assert report.semisimple is expected
+        outcomes.add(expected)
+        if expected:
+            assert report.defective_eigenvalues == ()
+            continue
+        m = H.minimal_poly_fraction(rows)
+        g = H._poly_gcd(m, H._derivative(m))
+        roots = sorted(np.roots([float(c) for c in reversed(g)]),
+                       key=lambda z: (z.real, z.imag))
+        assert len(report.defective_eigenvalues) == len(roots)
+        for got, want in zip(report.defective_eigenvalues, roots):
+            assert abs(got - want) <= 1e-6 * (1 + abs(want))
+    assert outcomes == {True, False}
+
+
+def test_poly_at_matrix_kernel():
+    rng = np.random.default_rng(5)
+    big = 2 ** 40 + 15
+    for n in (1, 2, 5, 16):
+        for scale in (1, 2 ** 9, big):
+            m = (rng.integers(-scale, scale, (n, n), endpoint=True)).tolist()
+            # Cayley-Hamilton: p(M) = 0, and p(M) + k I != 0
+            p = _char_poly_int(m)
+            assert _int_poly_at_matrix_is_zero(p, m)
+            assert not _int_poly_at_matrix_is_zero([p[0] + 1] + p[1:], m)
+            assert not _int_poly_at_matrix_is_zero([p[0] + 2 ** 200] + p[1:], m)
+    jordan = [[big, 1], [0, big]]
+    assert not _int_poly_at_matrix_is_zero([-big, 1], jordan)
+    assert _int_poly_at_matrix_is_zero([big * big, -2 * big, 1], jordan)
+    assert _int_poly_at_matrix_is_zero([0], [[0, 0], [0, 0]])
+    assert _int_poly_at_matrix_is_zero([0, 1], [[0, 0], [0, 0]])
+    assert not _int_poly_at_matrix_is_zero([1, 1], [[0, 0], [0, 0]])
+
+
+def test_poly_at_matrix_prime_bound():
+    # c = [P] gives P I, zero modulo each of the first k primes the kernel
+    # uses but not zero: the kernel must take a prime beyond them
+    for n in (1, 2, 16):
+        primes = _primes(_prime_bits(n))
+        product = 1
+        for _ in range(6):
+            product *= next(primes)
+            for m in ([[0] * n for _ in range(n)], [[int(i == j) for j in range(n)]
+                                                    for i in range(n)]):
+                assert not _int_poly_at_matrix_is_zero([product], m)
+                assert not _int_poly_at_matrix_is_zero([-product], m)
+
+
 def test_semisimple_float_band():
     arr = np.array([[1.0, 1.0], [0.0, 1.0]])
     report = is_semisimple(Matrix.from_numpy(arr))
@@ -377,10 +524,10 @@ def test_default_tolerance_scales():
     assert default_tolerance(100.0) == pytest.approx(1.01e-6)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_float_inertia_matches_entrywise_path():
     # the numpy symmetric boundary against the per-entry one it replaced:
-    # same report, same symmetrized rows bit for bit, same refusals
+    # same report, same symmetrized rows bit for bit, same refusals on
+    # finite input (non-finite input is refused before, see below)
     gen = np.random.default_rng(11)
     cases = [[]]
     for dim in range(1, 9):
@@ -391,9 +538,6 @@ def test_float_inertia_matches_entrywise_path():
             cases.append(a.tolist())
     cases.append([[1.0, 2.0], [2.0 + 1e-3, -1.0]])
     cases.append([[0.0, 1e-9], [0.0, -1e-9]])
-    for value in (math.nan, math.inf, -math.inf):
-        cases += [[[value, 0.0], [0.0, 1.0]], [[1.0, value], [value, 1.0]],
-                  [[1.0, value], [0.0, 1.0]]]
     for rows in cases:
         for tol in (None, 1e-12, 1e-2):
             m = Matrix(rows, FLOAT64)
@@ -408,6 +552,21 @@ def test_float_inertia_matches_entrywise_path():
             assert inertia(m, tol=tol) == IndexReport(*counts)
             got = np.array(_require_symmetric(m, tol).rows(), dtype=float)
             assert got.tobytes() == np.array(sym, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_float_symmetric_part_rejects_nonfinite(value):
+    # one non-finite entry, its mirror alone, both, and a diagonal one; the
+    # entrywise path let [[1, inf], [0, 1]] through with an infinite default
+    # tolerance and counted IndexReport(0, 0, 2)
+    for rows in ([[1.0, value], [0.0, 1.0]], [[1.0, 0.0], [value, 1.0]],
+                 [[1.0, value], [value, 1.0]], [[value, 0.0], [0.0, 1.0]],
+                 [[1.0, 0.0, 0.0], [0.0, -2.0, value], [0.0, 0.0, 3.0]]):
+        m = Matrix(rows, FLOAT64)
+        for tol in (None, 0.0, 1e-12, 1e-2, 1e300):
+            for call in (inertia, _require_symmetric):
+                with pytest.raises(SymmetryError, match="^matrix has a non-finite entry$"):
+                    call(m, tol=tol)
 
 
 def test_float_kernel_and_inertia():

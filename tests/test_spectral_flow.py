@@ -15,7 +15,7 @@ from relequil.spectral_flow import (
     relative_morse_index,
     spectral_flow,
 )
-from relequil.spectral_flow import _det_poly_exact
+from relequil.spectral_flow import _det_poly_exact, _krein_flow_and_kappa
 from relequil.stability import Verdict
 
 
@@ -214,6 +214,26 @@ def test_crossing_set_agrees_with_spectral_flow(rng):
                 assert inner == list(spectral_flow(KreinPath(b, s_max)).crossings)
                 found += len(inner)
     assert found > 0
+
+
+def test_krein_flow_and_kappa_match_the_public_pair(rng):
+    # the shared classification gives the flow and the kappa check of the
+    # two public calls, on both backends, with and without a tolerance
+    pairs = [(1, 1), (1, 4), (2, 2), (-1, -9), (0, 3), (0, 0), (1, -1)]
+    for backend in (RATIONAL, FLOAT64):
+        for _ in range(8):
+            rows = H.pair_diagonal(rng.choices(pairs, k=rng.choice([1, 2, 3])))
+            b = Matrix(rows, RATIONAL)
+            b = b if backend == RATIONAL else b.to_float()
+            for s_max, tol in ((Fraction(5, 2), None), (Fraction(7, 2), 1e-6)):
+                path = KreinPath(b, s_max if backend == RATIONAL else float(s_max))
+                try:
+                    expected = (spectral_flow(path, tol), kappa_identity_check(b, tol))
+                except (RuntimeError, ValueError) as e:
+                    with pytest.raises(type(e)):
+                        _krein_flow_and_kappa(path, tol)
+                    continue
+                assert _krein_flow_and_kappa(path, tol) == expected
 
 
 def test_crossing_set_never_raises_on_irregular():

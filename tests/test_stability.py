@@ -9,6 +9,7 @@ from relequil.matrix_core import (
     RATIONAL,
     Matrix,
     SingularMatrixError,
+    char_poly,
     complex_spectrum,
     inertia,
     is_semisimple,
@@ -28,7 +29,9 @@ from relequil.stability import (
     spectral_instability_certificate,
     theorem_predict,
 )
+from relequil.rational_poly import squarefree_decomposition
 from relequil.spectral_flow import kappa_identity_check
+from relequil.stability import _axis_factors, _even_yun
 
 COUNTEREXAMPLE = Matrix.diagonal([-2, -1, 1, -1, 0, 0])
 
@@ -112,6 +115,54 @@ def test_axis_test_and_kappa_match_frozen_oracles(rng):
         assert kappa_identity_check(b).kappa == H.kappa_even_part(p)
         seen.add(cls.verdict)
     assert len(seen) == 3
+
+
+def test_even_yun_is_the_yun_decomposition_of_p(rng):
+    # the Yun factors of p(x) = r(x^2) built from those of r are the ones
+    # Yun's algorithm finds on p, coefficient for coefficient
+    products = [(1, 1), (1, 4), (2, 2), (-1, -1), (0, 3), (0, 0), (1, -1)]
+    cases = [Matrix.zeros(4, 4), Matrix.diagonal([2, 0]), COUNTEREXAMPLE,
+             Matrix(H.pair_diagonal([(0, 0), (0, 2), (0, 0), (1, 1)]), RATIONAL)]
+    cases += [Matrix(H.random_symmetric(rng, 2 * rng.choice([1, 2, 3])), RATIONAL)
+              for _ in range(20)]
+    cases += [_sheared(rng, H.pair_diagonal(rng.choices(products, k=rng.choice([1, 2, 3, 4]))))
+              for _ in range(40)]
+    for b in cases:
+        p = char_poly(standard_symplectic(b.n_rows // 2) @ b)
+        assert _even_yun(_axis_factors(p)) == squarefree_decomposition(p)
+
+
+def _semisimple_reference(rows) -> bool:
+    m = H.minimal_poly_fraction(rows)
+    return len(H._poly_gcd(m, H._derivative(m))) <= 1
+
+
+def test_classify_semisimple_matches_minimal_poly_reference(rng):
+    # sheared pair diagonals with equal frequencies, nilpotent pairs, zero
+    # pairs and real pairs, plus a Krein collision: J B with a Jordan block
+    # at each of +-i sqrt 3
+    collision = Matrix([[0, 2, -1, 0], [2, -1, -1, -1], [-1, -1, -2, 2], [0, -1, 2, 0]],
+                       RATIONAL)
+    products = [(1, 4), (2, 2), (4, 1), (1, 1), (0, 3), (2, 0), (0, 0), (1, -1)]
+    cases = [collision] + [
+        _sheared(rng, H.pair_diagonal(rng.choices(products, k=rng.choice([1, 2, 3]))))
+        for _ in range(80)]
+    seen = set()
+    for b in cases:
+        jb = standard_symplectic(b.n_rows // 2) @ b
+        cls = classify(b)
+        seen.add(cls.verdict)
+        if not cls.spectrum_on_axis:
+            continue
+        assert cls.semisimple is _semisimple_reference(jb.to_lists())
+        report = is_semisimple(jb)
+        assert cls.semisimple is report.semisimple
+        assert cls.defective_eigenvalue == (report.defective_eigenvalues or (None,))[0]
+    assert seen == {Verdict.LINEARLY_STABLE, Verdict.SPECTRALLY_STABLE_NOT_LINEAR,
+                    Verdict.SPECTRALLY_UNSTABLE}
+    cls = classify(collision)
+    assert cls.verdict == Verdict.SPECTRALLY_STABLE_NOT_LINEAR
+    assert abs(cls.defective_eigenvalue) == pytest.approx(3 ** 0.5)
 
 
 def test_classify_spectrum_is_that_of_omega_b(rng):
