@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import jsonio
@@ -131,12 +130,6 @@ def _run_classify(args) -> int:
 # flow
 
 
-def _parse_scalar_arg(text: str, field: str):
-    if field == RATIONAL:
-        return Fraction(text)
-    return float(Fraction(text))
-
-
 def _run_flow(args) -> int:
     field = _field_of(args.backend)
     data = jsonio.load_json(args.path)
@@ -150,7 +143,7 @@ def _run_flow(args) -> int:
     elif kind == "krein":
         b = jsonio.matrix_from_data(data["b"], field)
         if args.s_max is not None:
-            s_max = _parse_scalar_arg(args.s_max, field)
+            s_max = jsonio.scalar_from_data(args.s_max, field)
         elif "s_max" in data:
             s_max = jsonio.scalar_from_data(data["s_max"], field)
         else:

@@ -81,22 +81,23 @@ def dumps(obj) -> str:
 
 
 def scalar_from_data(value, field: str):
-    """One scalar from parsed JSON: ints and "p/q" strings are exact,
-    floats only live in the float backend, which refuses NaN, infinities
-    and numbers beyond the float range."""
+    """One scalar from parsed JSON or a command-line string: ints and "p/q"
+    strings are exact, floats only live in the float backend, which refuses
+    NaN, infinities and numbers beyond the float range.  A zero denominator
+    is refused on both backends."""
     if isinstance(value, bool):
         raise ValueError("booleans are not scalars")
-    if field == RATIONAL:
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
+    if field == RATIONAL and not isinstance(value, (int, Fraction, str)):
         raise ValueError(
             f"the exact backend needs integer or \"p/q\" entries, got {value!r}")
     if not isinstance(value, (int, float, Fraction, str)):
         raise ValueError(f"not a scalar: {value!r}")
     try:
+        if field == RATIONAL:
+            return Fraction(value)
         x = float(Fraction(value) if isinstance(value, str) else value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
     except OverflowError:
         raise ValueError("the float backend needs finite numbers, got one beyond "
                          "the float range") from None

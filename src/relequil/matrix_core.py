@@ -4,7 +4,8 @@ The exact backend keeps every entry a ``fractions.Fraction`` and never
 degrades to floats, so inertia, kernels, characteristic polynomials and
 semisimplicity tests are decision procedures.  The float backend wraps numpy
 with a single tolerance convention: rank and eigenvalue-cluster decisions
-default to ``tol = 1e-8 * (1 + max_abs(A))`` and are overridable per call.
+default to ``tol = 1e-8 * (1 + max_abs(A))`` and are overridable per call by
+a finite tol >= 0.
 
 Conventions used throughout the package:
 
@@ -17,10 +18,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -83,6 +85,16 @@ class IndeterminateError(RuntimeError):
 
 def default_tolerance(max_abs: float) -> float:
     return 1e-8 * (1.0 + float(max_abs))
+
+
+def _resolve_tol(tol: Optional[float], max_abs: Callable[[], float]) -> float:
+    """The tolerance of a float decision: ``tol`` when the caller gives one,
+    which must be a finite number >= 0, else ``default_tolerance(max_abs())``."""
+    if tol is None:
+        return default_tolerance(max_abs())
+    if not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def _coerce_rational(x) -> Fraction:
@@ -265,7 +277,7 @@ class Matrix:
             return False
         if self.field == RATIONAL:
             return self._rows == self.T._rows
-        t = default_tolerance(self.max_abs()) if tol is None else tol
+        t = _resolve_tol(tol, self.max_abs)
         a = self.to_numpy()
         return bool(np.max(np.abs(a - a.T), initial=0.0) <= t)
 
@@ -274,7 +286,7 @@ class Matrix:
             return False
         if self.field == RATIONAL:
             return self._rows == (-self.T)._rows
-        t = default_tolerance(self.max_abs()) if tol is None else tol
+        t = _resolve_tol(tol, self.max_abs)
         a = self.to_numpy()
         return bool(np.max(np.abs(a + a.T), initial=0.0) <= t)
 
@@ -335,15 +347,6 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, ())
 
-    @classmethod
-    def from_columns(cls, cols, ambient_dim: Optional[int] = None) -> "Subspace":
-        cols = [tuple(c) for c in cols]
-        if ambient_dim is None:
-            if not cols:
-                raise ValueError("ambient dimension required for an empty basis")
-            ambient_dim = len(cols[0])
-        return cls(ambient_dim, tuple(cols))
-
     def basis_numpy(self) -> np.ndarray:
         if not self.basis:
             return np.zeros((self.ambient_dim, 0), dtype=complex)
@@ -356,14 +359,14 @@ class Subspace:
             raise ShapeError("vector has wrong length")
         if self.is_exact and all(isinstance(x, (Fraction, int)) for x in vec):
             return in_span([list(col) for col in self.basis], vec)
-        if self.dimension == 0:
-            return bool(np.linalg.norm(np.array(vec, dtype=complex)) <= (tol or 1e-12))
-        arr = self.basis_numpy()
         v = np.array(vec, dtype=complex)
+        scale = max(1.0, float(np.max(np.abs(v), initial=0.0)))
+        t = _resolve_tol(tol, lambda: scale)
+        if self.dimension == 0:
+            return bool(np.linalg.norm(v) <= (tol or 1e-12))
+        arr = self.basis_numpy()
         c, *_ = np.linalg.lstsq(arr, v, rcond=None)
         resid = np.linalg.norm(arr @ c - v)
-        scale = max(1.0, float(np.max(np.abs(v), initial=0.0)))
-        t = default_tolerance(scale) if tol is None else tol
         return bool(resid <= t * scale)
 
 
@@ -384,10 +387,6 @@ class IndexReport:
         for v in (self.morse_index, self.nullity, self.coindex):
             if v < 0:
                 raise ValueError("negative count in an inertia triple")
-
-    @property
-    def subspace_dim(self) -> int:
-        return self.morse_index + self.nullity + self.coindex
 
 
 @dataclass(frozen=True)
@@ -519,7 +518,7 @@ def _symmetric_part(b: Matrix, tol: Optional[float]) -> np.ndarray:
     a = b.to_numpy()
     if not np.isfinite(a).all():
         raise SymmetryError("matrix has a non-finite entry")
-    t = default_tolerance(np.max(np.abs(a), initial=0.0)) if tol is None else tol
+    t = _resolve_tol(tol, lambda: np.max(np.abs(a), initial=0.0))
     if not np.max(np.abs(a - a.T), initial=0.0) <= t:
         raise SymmetryError("matrix is not symmetric within tolerance")
     return (a + a.T) / 2
@@ -540,7 +539,7 @@ def inertia(b: Matrix, tol: Optional[float] = None) -> IndexReport:
         s = _symmetric_part(b, tol)
         if s.size == 0:
             return IndexReport(0, 0, 0)
-        t = default_tolerance(np.max(np.abs(s))) if tol is None else tol
+        t = _resolve_tol(tol, lambda: np.max(np.abs(s)))
         w = np.linalg.eigvalsh(s)
         neg = int(np.sum(w < -t))
         zero = int(np.sum(np.abs(w) <= t))
@@ -565,10 +564,10 @@ def kernel(a: Matrix, tol: Optional[float] = None) -> Subspace:
     if a.field == RATIONAL:
         basis = _kernel_exact(a.to_lists(), a.n_cols)
         return Subspace(a.n_cols, tuple(tuple(v) for v in basis))
+    t = _resolve_tol(tol, a.max_abs)
     arr = a.to_numpy()
     if arr.size == 0:
         return Subspace(a.n_cols, tuple(tuple(row) for row in np.eye(a.n_cols)))
-    t = default_tolerance(a.max_abs()) if tol is None else tol
     _, s, vh = np.linalg.svd(arr)
     r = int(np.sum(s > t))
     basis = vh[r:].conj()
@@ -578,10 +577,10 @@ def kernel(a: Matrix, tol: Optional[float] = None) -> Subspace:
 def rank(a: Matrix, tol: Optional[float] = None) -> int:
     if a.field == RATIONAL:
         return _exact_rank(a.to_lists())
+    t = _resolve_tol(tol, a.max_abs)
     arr = a.to_numpy()
     if arr.size == 0:
         return 0
-    t = default_tolerance(a.max_abs()) if tol is None else tol
     s = np.linalg.svd(arr, compute_uv=False)
     return int(np.sum(s > t))
 
@@ -825,7 +824,7 @@ def complex_spectrum(a: Matrix, tol: Optional[float] = None) -> tuple[Eigenvalue
         return ()
     if a.field == RATIONAL:
         return _exact_spectrum(rp.squarefree_decomposition(char_poly(a)))
-    t = default_tolerance(a.max_abs()) if tol is None else tol
+    t = _resolve_tol(tol, a.max_abs)
     w = sorted(np.linalg.eigvals(a.to_numpy()), key=lambda z: (z.real, z.imag))
     clusters: list[list[complex]] = []
     for z in w:
@@ -866,11 +865,7 @@ def _semisimple_exact(a: Matrix, s: list[Fraction]) -> SemisimplicityReport:
     g = rp.gcd(m, rp.derivative(m))
     if rp.degree(g) <= 0:
         raise AssertionError("square-free minimal polynomial although s(A) != 0")
-    cf = [float(c) for c in g]
-    roots = tuple(
-        complex(_polish_root(cf, complex(z))) for z in np.roots(list(reversed(cf)))
-    )
-    roots = tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
+    roots = tuple(e.value for e in _exact_spectrum([(g, 1)]))
     return SemisimplicityReport(False, roots, RATIONAL, 0.0)
 
 
@@ -892,7 +887,7 @@ def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityRepor
         raise ShapeError("semisimplicity of a non-square matrix")
     if a.field == RATIONAL:
         return _semisimple_exact(a, rp.squarefree_part(char_poly(a)))
-    t = default_tolerance(a.max_abs()) if tol is None else tol
+    t = _resolve_tol(tol, a.max_abs)
     arr = a.to_numpy()
     n = arr.shape[0]
 
@@ -984,9 +979,9 @@ def symplectic_reduction(omega: Matrix, tol: Optional[float] = None) -> Matrix:
         if (q @ j @ q.T) != omega:
             raise AssertionError("symplectic reduction failed to reproduce the form")
         return q
-    t = default_tolerance(omega.max_abs()) if tol is None else tol
-    if not omega.is_skew_symmetric(t):
+    if not omega.is_skew_symmetric(tol):
         raise SymmetryError("matrix is not skew-symmetric within tolerance")
+    t = _resolve_tol(tol, omega.max_abs)
     arr = omega.to_numpy()
     arr = (arr - arr.T) / 2
     seeds = [np.eye(two_n)[:, k].copy() for k in range(two_n)]
@@ -1029,11 +1024,8 @@ def restrict_form(b: Matrix, w: Subspace) -> Matrix:
     if b.field == RATIONAL:
         if not w.is_exact:
             raise FieldError("rational form restricted to a non-exact basis")
-        cols = [[Fraction(x) for x in v] for v in w.basis]
-        bw = [b.matvec(v) for v in cols]
-        gram = [[sum((x * y for x, y in zip(cols[i], bw[j])), Fraction(0))
-                 for j in range(w.dimension)] for i in range(w.dimension)]
-        return Matrix(gram, RATIONAL)
+        z = Matrix(list(zip(*w.basis)), RATIONAL)
+        return z.T @ b @ z
     z = np.real_if_close(w.basis_numpy())
     if np.iscomplexobj(z):
         raise FieldError("restrict_form expects a real basis")

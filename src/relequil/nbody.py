@@ -49,13 +49,11 @@ __all__ = [
     "AmendedHessianReport",
     "E1Report",
     "RelativeEquilibriumVerdict",
-    "mass_matrix",
     "potential_U",
     "grad_U",
     "hess_U",
     "locked_inertia",
     "inertia_gradient",
-    "rotation_direction",
     "find_central_configuration",
     "amended_hessian",
     "e1_linearization",
@@ -200,14 +198,6 @@ class RelativeEquilibriumVerdict:
     reduced: Optional[TheoremVerdict]  # emitted only for 0 < alpha < 2
     e2: TheoremVerdict
 
-    @property
-    def unstable_reduced(self) -> Optional[bool]:
-        return None if self.reduced is None else self.reduced.predicts_instability
-
-    @property
-    def unstable_on_e2(self) -> bool:
-        return self.e2.predicts_instability
-
 
 # ---------------------------------------------------------------------------
 # potential and derivatives
@@ -234,10 +224,6 @@ def _min_pair_distance(d: np.ndarray, guard: float) -> float:
             f"minimum pairwise distance {dmin:.3e} under the guard "
             f"{guard:.1e} x diameter {dmax:.3e}")
     return dmin
-
-
-def mass_matrix(sys: NBodySystem) -> np.ndarray:
-    return np.diag(np.repeat(sys.mass_vector(), 2))
 
 
 def _potential_parts(m: np.ndarray, q: np.ndarray, alpha: float,
@@ -305,11 +291,6 @@ def locked_inertia(sys: NBodySystem) -> float:
 def inertia_gradient(sys: NBodySystem) -> np.ndarray:
     """dI(q) = 2 M q."""
     return 2.0 * np.repeat(sys.mass_vector(), 2) * sys.q()
-
-
-def rotation_direction(sys: NBodySystem) -> np.ndarray:
-    """The infinitesimal rotation q-perp = (-y1, x1, -y2, x2, ...)."""
-    return _perp(sys.q())
 
 
 def _perp(q: np.ndarray) -> np.ndarray:

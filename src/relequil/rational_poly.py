@@ -29,7 +29,6 @@ __all__ = [
     "mul",
     "scale",
     "eval_at",
-    "eval_float",
     "derivative",
     "divmod_exact",
     "monic",
@@ -102,13 +101,6 @@ def eval_at(p: Poly, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for a in reversed(p):
         acc = acc * x + a
-    return acc
-
-
-def eval_float(p: Poly, x: float) -> float:
-    acc = 0.0
-    for a in reversed(p):
-        acc = acc * x + float(a)
     return acc
 
 

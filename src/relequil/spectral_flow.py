@@ -16,7 +16,10 @@ symmetric matrices, and the Krein deformation B + s*G with G = i*J, whose
 crossings at s >= 0 sit exactly where J B has eigenvalue i*s.  For rational
 input both use exact determinant polynomials, so crossing locations and
 multiplicities carry proofs; kernels at irrational locations are then
-extracted in floating point at exactly isolated positions.
+extracted in floating point at exactly isolated positions.  The Krein
+crossing at s = 0, G on ker B, is built once: it is the first entry of
+``crossing_set`` and gives the flow's start correction, with the exact counts
+rank(Z^T J Z) / 2 for rational B.  Float forms share one eigenvalue count.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ from .matrix_core import (
     _cleared,
     _exact_div,
     _int_det,
+    _require_symmetric,
+    _resolve_tol,
     char_poly,
     default_tolerance,
-    determinant,
     inertia,
     kernel,
     rank,
@@ -81,11 +85,7 @@ def krein_form(n: int) -> np.ndarray:
     """The Hermitian form G = i*J on C^2n; G^2 = I and G has signature 0."""
     if n < 0:
         raise ShapeError("n must be nonnegative")
-    g = np.zeros((2 * n, 2 * n), dtype=complex)
-    for i in range(n):
-        g[i, n + i] = -1j
-        g[n + i, i] = 1j
-    return g
+    return 1j * standard_symplectic(n, FLOAT64).to_numpy()
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,7 @@ class LinearPath:
         if self.start.field != self.end.field:
             raise FieldError("path endpoints must share a backend field")
         for m in (self.start, self.end):
-            if not m.is_symmetric():
-                raise ValueError("path endpoints must be symmetric")
+            _require_symmetric(m, None)
 
     @property
     def dim(self) -> int:
@@ -131,15 +130,18 @@ class KreinPath:
     """
 
     b: Matrix
-    s_max: object  # Fraction or float, > 0
+    s_max: object  # Fraction or float, finite and > 0
 
     def __post_init__(self):
         if not self.b.is_square or self.b.n_rows % 2 != 0:
             raise ShapeError("Krein path needs an even-dimensional symmetric matrix")
-        if not self.b.is_symmetric():
-            raise ValueError("Krein path needs a symmetric matrix")
-        if not float(self.s_max) > 0:
-            raise ValueError("s_max must be positive")
+        _require_symmetric(self.b, None)
+        try:
+            s = float(self.s_max)
+        except OverflowError:
+            s = math.inf
+        if not 0 < s < math.inf:
+            raise ValueError(f"s_max must be a finite number > 0, got {s!r}")
 
     @property
     def dim(self) -> int:
@@ -319,10 +321,7 @@ def _crossing_numeric(arr: np.ndarray, deriv: np.ndarray, location: float,
     z = evecs[:, order[:k]]
     f = z.conj().T @ deriv @ z
     f = (f + f.conj().T) / 2
-    w = np.linalg.eigvalsh(f)
-    ftol = default_tolerance(float(np.max(np.abs(f))) if f.size else 0.0)
-    pos = int(np.sum(w > ftol))
-    neg = int(np.sum(w < -ftol))
+    pos, neg = _strict_counts_float(f, default_tolerance(np.max(np.abs(f))))
     regular = pos + neg == k and k == multiplicity
     if interior and not regular:
         raise IrregularCrossingError(location, "degenerate crossing form")
@@ -464,22 +463,34 @@ def _krein_interior_locations_float(b: Matrix, tol: float) -> list[tuple[float, 
     return [(s, None, cnt) for s, cnt in _cluster(onaxis, tol)]
 
 
-def _krein_start_correction(b: Matrix, tol: float) -> int:
-    """dim E_-(G restricted to ker B); exact when B is rational.
+def _krein_zero_crossing(b: Matrix, tol: float) -> Optional[Crossing]:
+    """The crossing of B + s*G at s = 0, or None when ker B = 0.
 
-    The restriction of i*J to a real subspace has spectrum symmetric about
-    zero, so the dimension is rank(Z^T J Z) / 2.
-    """
-    if b.field == RATIONAL:
-        ker0 = kernel(b)
-        if ker0.dimension == 0:
-            return 0
-        z = Matrix([list(row) for row in zip(*ker0.basis)], RATIONAL)
-        rk = rank(z.T @ standard_symplectic(b.n_rows // 2) @ z)
-        if rk % 2 != 0:
-            raise AssertionError("skew form with odd rank")
-        return rk // 2
-    return _kernel_counts_float(b, krein_form(b.n_rows // 2), tol)[1]
+    The restriction of G = i*J to a real subspace has spectrum symmetric
+    about zero, so for rational B each count is rank(Z^T J Z) / 2 on the
+    exact kernel basis Z; float B counts the eigenvalues of the form
+    outside [-tol, tol]."""
+    exact = b.field == RATIONAL
+    ker = kernel(b, tol=None if exact else tol)
+    if ker.dimension == 0:
+        return None
+    z = ker.basis_numpy()
+    f = z.conj().T @ krein_form(b.n_rows // 2) @ z
+    if exact:
+        zm = Matrix(list(zip(*ker.basis)), RATIONAL)
+        pos = neg = rank(zm.T @ standard_symplectic(b.n_rows // 2) @ zm) // 2
+    else:
+        pos, neg = _strict_counts_float(f, tol)
+    return Crossing(
+        location=0.0,
+        exact_location=Fraction(0) if exact else None,
+        multiplicity=ker.dimension,
+        kernel=ker,
+        form=tuple(tuple(complex(x) for x in row) for row in f),
+        positive=pos,
+        negative=neg,
+        regular=pos + neg == ker.dimension,
+    )
 
 
 def _krein_crossings(path: KreinPath, tol: float, factors=None):
@@ -506,8 +517,7 @@ def _krein_crossings(path: KreinPath, tol: float, factors=None):
 
 
 def _flow_krein(path: KreinPath, tol: Optional[float], factors=None) -> SpectralFlowResult:
-    if tol is None:
-        tol = default_tolerance(path.b.max_abs() + float(path.s_max))
+    tol = _resolve_tol(tol, lambda: path.b.max_abs() + float(path.s_max))
     crossings = []
     end_corr = 0
     for cr, at_end in _krein_crossings(path, tol, factors):
@@ -517,7 +527,8 @@ def _flow_krein(path: KreinPath, tol: Optional[float], factors=None) -> Spectral
             raise IrregularCrossingError(cr.location, "degenerate crossing form")
         else:
             crossings.append(cr)
-    start_corr = _krein_start_correction(path.b, tol)
+    zero = _krein_zero_crossing(path.b, tol)
+    start_corr = zero.negative if zero else 0
     total = sum(c.signature for c in crossings) - start_corr + end_corr
     return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, path.field)
 
@@ -532,8 +543,7 @@ def spectral_flow(path: Path, tol: Optional[float] = None) -> SpectralFlowResult
     if isinstance(path, LinearPath):
         if path.field == RATIONAL:
             return _flow_linear_exact(path)
-        t = default_tolerance(max(path.start.max_abs(), path.end.max_abs())) \
-            if tol is None else tol
+        t = _resolve_tol(tol, lambda: max(path.start.max_abs(), path.end.max_abs()))
         return _flow_linear_float(path, t)
     if isinstance(path, KreinPath):
         return _flow_krein(path, tol)
@@ -552,28 +562,9 @@ def crossing_set(b: Matrix, s_max, tol: Optional[float] = None) -> tuple:
     endpoint values included.  Purely descriptive: irregular crossings are
     reported with ``regular=False`` rather than raised."""
     path = KreinPath(b, s_max)
-    t = default_tolerance(b.max_abs() + float(s_max)) if tol is None else tol
-    g = krein_form(b.n_rows // 2)
-    exact = b.field == RATIONAL
-    singular_at_zero = (determinant(b) == 0) if exact else (rank(b, tol=t) < b.n_rows)
-    out = []
-    if singular_at_zero:
-        ker0 = kernel(b, tol=None if exact else t)
-        z = ker0.basis_numpy()
-        f = z.conj().T @ g @ z
-        pos, neg = _strict_counts_float(f, t)
-        out.append(Crossing(
-            location=0.0,
-            exact_location=Fraction(0) if exact else None,
-            multiplicity=ker0.dimension,
-            kernel=ker0,
-            form=tuple(tuple(complex(x) for x in row) for row in f),
-            positive=pos,
-            negative=neg,
-            regular=pos + neg == ker0.dimension,
-        ))
-    out.extend(cr for cr, _ in _krein_crossings(path, t))
-    return tuple(out)
+    t = _resolve_tol(tol, lambda: b.max_abs() + float(s_max))
+    zero = _krein_zero_crossing(b, t)
+    return (() if zero is None else (zero,)) + tuple(cr for cr, _ in _krein_crossings(path, t))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +588,7 @@ def kappa_identity_check(b: Matrix, tol: Optional[float] = None) -> KappaIdentit
     if b.field == RATIONAL:
         return _kappa_identity_exact(b, cls, factors)
     n = b.n_rows // 2
-    t = default_tolerance(b.max_abs()) if tol is None else tol
+    t = _resolve_tol(tol, b.max_abs)
     jb = standard_symplectic(n, FLOAT64).to_numpy() @ b.to_numpy()
     evals = np.linalg.eigvals(jb)
     nonzero = [e for e in evals if abs(e) > t]
@@ -639,11 +630,8 @@ def krein_signature(subspace: Subspace, tol: Optional[float] = None) -> KreinSig
     if subspace.dimension == 0:
         return KreinSignatureReport(0, 0, 0)
     z = subspace.basis_numpy()
-    g = krein_form(subspace.ambient_dim // 2)
-    f = z.conj().T @ g @ z
+    f = z.conj().T @ krein_form(subspace.ambient_dim // 2) @ z
     f = (f + f.conj().T) / 2
-    w = np.linalg.eigvalsh(f)
-    t = default_tolerance(float(np.max(np.abs(f)))) if tol is None else tol
-    pos = int(np.sum(w > t))
-    neg = int(np.sum(w < -t))
+    t = _resolve_tol(tol, lambda: np.max(np.abs(f)))
+    pos, neg = _strict_counts_float(f, t)
     return KreinSignatureReport(pos, neg, subspace.dimension - pos - neg)

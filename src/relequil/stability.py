@@ -43,10 +43,10 @@ from .matrix_core import (
     _exact_spectrum,
     _kernel_exact,
     _require_symmetric,
+    _resolve_tol,
     _semisimple_exact,
     char_poly,
     complex_spectrum,
-    default_tolerance,
     determinant,
     in_span,
     inertia,
@@ -269,7 +269,7 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float]):
         spectrum = _exact_spectrum(yun)
         on_axis = all(c == rp.degree(g) for g, _, c in factors)
     else:
-        t = default_tolerance(jb.max_abs()) if tol is None else tol
+        t = _resolve_tol(tol, jb.max_abs)
         factors = None
         spectrum = complex_spectrum(jb, tol=t)
         on_axis = _off_axis_witness(spectrum, t) is None

@@ -560,3 +560,26 @@ def kappa_even_part(p: Sequence[Fraction]) -> int:
         kappa += sturm_count_fraction(r, None, Fraction(0))
         r = _poly_gcd(r, _derivative(r))
     return kappa
+
+
+# ---------------------------------------------------------------------------
+# Hermitian forms, entry by entry
+
+
+def krein_form_loop(n: int) -> np.ndarray:
+    """G = i*J on C^2n, J = [[0, -I], [I, 0]], written entry by entry."""
+    g = np.zeros((2 * n, 2 * n), dtype=complex)
+    for i in range(n):
+        g[i, n + i] = -1j
+        g[n + i, i] = 1j
+    return g
+
+
+def gram_fraction(b_rows: Sequence[Sequence[Fraction]],
+                  basis: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+    """The Gram matrix (v_i^T B v_j) of the form B on the basis vectors v_i,
+    by Fraction sums of products."""
+    cols = [[Fraction(x) for x in v] for v in basis]
+    bv = [[sum((Fraction(a) * x for a, x in zip(row, v)), Fraction(0)) for row in b_rows]
+          for v in cols]
+    return [[sum((x * y for x, y in zip(u, w)), Fraction(0)) for w in bv] for u in cols]

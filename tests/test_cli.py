@@ -241,6 +241,37 @@ def test_flow_rejects_nonfinite_s_max(tmp_path, capsys):
         "error: the float backend needs finite numbers, got inf\n"
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_s_max_beyond_float_range_exits_1(tmp_path, capsys, backend):
+    # --s-max goes through the same scalar parser as the file's s_max
+    path = write_json(tmp_path / "path.json",
+                      {"type": "krein", "b": [[1, 0], [0, 1]], "s_max": 2})
+    assert main(["flow", path, "--backend", backend, "--s-max", "1e400"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == {
+        "exact": "error: s_max must be a finite number > 0, got inf\n",
+        "float": "error: the float backend needs finite numbers, got one beyond "
+                 "the float range\n"}[backend]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_zero_denominator_exits_1(tmp_path, capsys, backend):
+    bad = [["1/0", 0], [0, 1]]
+    good = [[1, 0], [0, 1]]
+    matrix = write_json(tmp_path / "b.json", bad)
+    bad_b = write_json(tmp_path / "k1.json", {"type": "krein", "b": bad, "s_max": 2})
+    bad_s = write_json(tmp_path / "k2.json", {"type": "krein", "b": good, "s_max": "1/0"})
+    linear = write_json(tmp_path / "l.json", {"type": "linear", "start": good, "end": bad})
+    ok = write_json(tmp_path / "k3.json", {"type": "krein", "b": good, "s_max": 2})
+    for argv in (["classify", matrix], ["flow", bad_b], ["flow", bad_s], ["flow", linear],
+                 ["flow", ok, "--s-max", "1/0"]):
+        assert main(argv + ["--backend", backend]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: zero denominator in '1/0'\n"
+
+
 def test_flow_linear_tiny_crossing(tmp_path, capsys):
     # one regular crossing at t = 10^-24, far below the old absolute
     # stopping floor of root refinement

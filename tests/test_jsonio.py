@@ -67,6 +67,9 @@ def test_scalar_parsing():
     assert jsonio.scalar_from_data("3/2", FLOAT64) == 1.5
     with pytest.raises(ValueError):
         jsonio.scalar_from_data(True, RATIONAL)
+    for field in (RATIONAL, FLOAT64):
+        with pytest.raises(ValueError, match="^zero denominator in '3/0'$"):
+            jsonio.scalar_from_data("3/0", field)
 
 
 def test_subspace_serialization():

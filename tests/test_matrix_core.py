@@ -505,6 +505,22 @@ def test_restrict_form():
     assert r.rows() == Matrix.diagonal([1, -1]).rows()
 
 
+def test_restrict_form_matches_fraction_gram(rng):
+    # bases with int and Fraction entries, the empty basis included
+    for dim in (1, 2, 3, 5):
+        for k in range(dim + 1):
+            b = H.random_symmetric(rng, dim, num=5, den=4)
+            basis = []
+            while len(basis) < k:
+                v = tuple(rng.randint(-3, 3) if rng.random() < 0.5 else H.random_fraction(rng)
+                          for _ in range(dim))
+                if H.kernel_dim_gauss([list(c) for c in zip(*basis, v)]) == 0:
+                    basis.append(v)
+            r = restrict_form(Matrix(b, RATIONAL), Subspace(dim, tuple(basis)))
+            assert r.shape == (k, k)
+            assert [list(row) for row in r.rows()] == H.gram_fraction(b, basis)
+
+
 def test_solve_and_span():
     rows = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]]
     x = solve_exact(rows, [Fraction(4), Fraction(9)])

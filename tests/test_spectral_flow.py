@@ -1,22 +1,24 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import helpers as H
-from relequil.matrix_core import FLOAT64, RATIONAL, Matrix, inertia
+from relequil.matrix_core import FLOAT64, RATIONAL, Matrix, inertia, kernel, rank
 from relequil.spectral_flow import (
     IrregularCrossingError,
     KreinPath,
     LinearPath,
     crossing_set,
     kappa_identity_check,
+    krein_form,
     krein_signature,
     relative_morse_index,
     spectral_flow,
 )
 from relequil.spectral_flow import _det_poly_exact, _krein_flow_and_kappa
-from relequil.stability import Verdict
+from relequil.stability import Verdict, classify
 
 
 def diag(*entries) -> Matrix:
@@ -159,6 +161,38 @@ def test_path_validation():
                    Matrix.from_numpy(np.eye(2)))
 
 
+def test_paths_refuse_nonfinite_input():
+    # a non-finite entry used to pass the symmetry test with an infinite
+    # default tolerance and fail later inside numpy; s_max = inf gave flow 0
+    for value in (math.inf, -math.inf, math.nan):
+        bad = Matrix([[1.0, value], [0.0, 1.0]], FLOAT64)
+        for make in (lambda: KreinPath(bad, 1.0),
+                     lambda: LinearPath(bad, Matrix.identity(2, FLOAT64)),
+                     lambda: LinearPath(Matrix.identity(2, FLOAT64), bad)):
+            with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+                make()
+    one = Matrix.identity(2, FLOAT64)
+    for b, s_max in ((one, math.inf), (one, math.nan), (one, -math.inf), (one, 0.0),
+                     (Matrix.identity(2), Fraction(-1)), (Matrix.identity(2), Fraction(10**400))):
+        with pytest.raises(ValueError, match="^s_max must be a finite number > 0, got "):
+            KreinPath(b, s_max)
+    assert spectral_flow(KreinPath(one, 3.0)).flow == -1
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf, -1.0])
+def test_library_tol_must_be_finite_and_nonnegative(tol):
+    # tol = inf used to count diag(1, -1) as IndexReport(0, 2, 0), and
+    # tol = nan gave rank 0
+    b = Matrix([[1.0, 0.0], [0.0, -1.0]], FLOAT64)
+    calls = (inertia, kernel, rank, classify,
+             lambda m, tol: spectral_flow(KreinPath(m, 3.0), tol=tol),
+             lambda m, tol: spectral_flow(LinearPath(m, -m), tol=tol))
+    for call in calls:
+        with pytest.raises(ValueError, match="^tol must be a finite number >= 0, got "):
+            call(b, tol=tol)
+        call(b, tol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Krein deformation paths
 
@@ -180,6 +214,46 @@ def test_krein_start_correction_with_kernel():
     (c,) = result.crossings
     assert c.exact_location == Fraction(1) and c.signature == -1
     assert result.flow == -1 - result.start_correction
+
+
+def test_krein_form_matches_entrywise_loop():
+    for n in range(12):
+        g, ref = krein_form(n), H.krein_form_loop(n)
+        assert (g.dtype, g.shape) == (ref.dtype, ref.shape)
+        assert g.tobytes() == ref.tobytes()
+
+
+def test_zero_crossing_gives_the_start_correction(rng):
+    # singular pair-diagonal B, plain and sheared to R^T B R by a unit upper
+    # triangular R, on both backends: the s = 0 entry of crossing_set is the
+    # Krein start correction, and over the rationals each of its counts is
+    # rank(Z^T J Z) / 2 on its kernel basis Z
+    pairs = [(0, 0), (0, 1), (0, 3), (2, 0), (1, 1), (2, 2), (-1, -9), (1, -1)]
+    checked = 0
+    for _ in range(20):
+        rows = H.pair_diagonal(rng.choices(pairs, k=rng.choice([1, 2, 3])))
+        dim = len(rows)
+        if H.kernel_dim_gauss(rows) == 0:
+            continue
+        r = [[int(i == j) if i >= j else rng.randint(-2, 2) for j in range(dim)]
+             for i in range(dim)]
+        j_rows = [[int(x) for x in row] for row in H.standard_j(dim // 2)]
+        for b_rows in (rows, _congruent(r, [rows[i][i] for i in range(dim)])):
+            for backend in (RATIONAL, FLOAT64):
+                b = Matrix(b_rows, RATIONAL)
+                s_max = Fraction(5, 2)
+                if backend == FLOAT64:
+                    b, s_max = b.to_float(), float(s_max)
+                zero = crossing_set(b, s_max)[0]
+                assert zero.location == 0.0
+                assert zero.multiplicity == H.kernel_dim_gauss(b_rows)
+                assert zero.negative == spectral_flow(KreinPath(b, s_max)).start_correction
+                if backend == RATIONAL:
+                    basis = zero.kernel.basis
+                    skew_rank = len(basis) - H.kernel_dim_gauss(H.gram_fraction(j_rows, basis))
+                    assert zero.positive == zero.negative == skew_rank // 2
+                checked += 1
+    assert checked > 20
 
 
 def test_crossing_set_is_descriptive():
