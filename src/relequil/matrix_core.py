@@ -98,13 +98,21 @@ def _resolve_tol(tol: Optional[float], max_abs: Callable[[], float]) -> float:
 
 
 def _coerce_rational(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise FieldError("float entry in a rational matrix; use the float64 field")
     return Fraction(x)
 
 
 class Matrix:
-    """Immutable dense matrix over the rational or float64 field."""
+    """Immutable dense matrix over the rational or float64 field.
+
+    Entries are coerced to the field once, on construction: ints, strings
+    and other rationals become ``Fraction``, a float in a rational matrix
+    raises ``FieldError``.  An entry already in the field (a ``Fraction``
+    in a rational matrix) is kept as it is, not coerced again.
+    """
 
     __slots__ = ("_rows", "field")
 
@@ -182,8 +190,7 @@ class Matrix:
         return [list(r) for r in self._rows]
 
     def to_numpy(self) -> np.ndarray:
-        arr = np.array([[float(x) for x in row] for row in self._rows], dtype=float)
-        return arr.reshape(self.shape)
+        return np.array(self._rows, dtype=float).reshape(self.shape)
 
     def to_float(self) -> "Matrix":
         if self.field == FLOAT64:
@@ -273,22 +280,26 @@ class Matrix:
         return f"Matrix({self.n_rows}x{self.n_cols}, {self.field})"
 
     def is_symmetric(self, tol: Optional[float] = None) -> bool:
+        """A = A^T: exact over the rationals; over floats every entry finite
+        and |A - A^T| <= tol entrywise (default: 1e-8 (1 + max |A_ij|))."""
         if not self.is_square:
             return False
         if self.field == RATIONAL:
-            return self._rows == self.T._rows
+            return self._rows == tuple(zip(*self._rows))
         t = _resolve_tol(tol, self.max_abs)
         a = self.to_numpy()
-        return bool(np.max(np.abs(a - a.T), initial=0.0) <= t)
+        return bool(np.isfinite(a).all() and np.max(np.abs(a - a.T), initial=0.0) <= t)
 
     def is_skew_symmetric(self, tol: Optional[float] = None) -> bool:
+        """A = -A^T, with the tolerance and finiteness of ``is_symmetric``."""
         if not self.is_square:
             return False
         if self.field == RATIONAL:
-            return self._rows == (-self.T)._rows
+            return all(x == -y for row, col in zip(self._rows, zip(*self._rows))
+                       for x, y in zip(row, col))
         t = _resolve_tol(tol, self.max_abs)
         a = self.to_numpy()
-        return bool(np.max(np.abs(a + a.T), initial=0.0) <= t)
+        return bool(np.isfinite(a).all() and np.max(np.abs(a + a.T), initial=0.0) <= t)
 
 
 def standard_symplectic(n: int, field: str = RATIONAL) -> Matrix:
@@ -363,7 +374,7 @@ class Subspace:
         scale = max(1.0, float(np.max(np.abs(v), initial=0.0)))
         t = _resolve_tol(tol, lambda: scale)
         if self.dimension == 0:
-            return bool(np.linalg.norm(v) <= (tol or 1e-12))
+            return bool(np.linalg.norm(v) <= (1e-12 if tol is None else tol))
         arr = self.basis_numpy()
         c, *_ = np.linalg.lstsq(arr, v, rcond=None)
         resid = np.linalg.norm(arr @ c - v)
@@ -510,14 +521,20 @@ def _require_symmetric(b: Matrix, tol: Optional[float]) -> Matrix:
     return b
 
 
+def _finite_array(b: Matrix) -> np.ndarray:
+    """The float array of b, refused with ``SymmetryError`` unless finite."""
+    a = b.to_numpy()
+    if not np.isfinite(a).all():
+        raise SymmetryError("matrix has a non-finite entry")
+    return a
+
+
 def _symmetric_part(b: Matrix, tol: Optional[float]) -> np.ndarray:
     """(A + A^T) / 2 of a float matrix A, which must be finite and satisfy
     |A - A^T| <= tol entrywise (default: 1e-8 (1 + max |A_ij|))."""
     if not b.is_square:
         raise ShapeError("symmetric operations need a square matrix")
-    a = b.to_numpy()
-    if not np.isfinite(a).all():
-        raise SymmetryError("matrix has a non-finite entry")
+    a = _finite_array(b)
     t = _resolve_tol(tol, lambda: np.max(np.abs(a), initial=0.0))
     if not np.max(np.abs(a - a.T), initial=0.0) <= t:
         raise SymmetryError("matrix is not symmetric within tolerance")
@@ -979,10 +996,10 @@ def symplectic_reduction(omega: Matrix, tol: Optional[float] = None) -> Matrix:
         if (q @ j @ q.T) != omega:
             raise AssertionError("symplectic reduction failed to reproduce the form")
         return q
+    arr = _finite_array(omega)
     if not omega.is_skew_symmetric(tol):
         raise SymmetryError("matrix is not skew-symmetric within tolerance")
     t = _resolve_tol(tol, omega.max_abs)
-    arr = omega.to_numpy()
     arr = (arr - arr.T) / 2
     seeds = [np.eye(two_n)[:, k].copy() for k in range(two_n)]
     us, vs = [], []

@@ -583,3 +583,24 @@ def gram_fraction(b_rows: Sequence[Sequence[Fraction]],
     bv = [[sum((Fraction(a) * x for a, x in zip(row, v)), Fraction(0)) for row in b_rows]
           for v in cols]
     return [[sum((x * y for x, y in zip(u, w)), Fraction(0)) for w in bv] for u in cols]
+
+
+# ---------------------------------------------------------------------------
+# Matrix boundaries, entry by entry
+
+
+def to_numpy_entrywise(rows, shape: Tuple[int, int]) -> np.ndarray:
+    """The float array of a matrix given by its rows, one ``float(x)`` per
+    entry, reshaped so that empty rows keep their shape."""
+    arr = np.array([[float(x) for x in row] for row in rows], dtype=float)
+    return arr.reshape(shape)
+
+
+def is_symmetric_transpose(rows) -> bool:
+    """A == A^T for square rows, by building the transposed rows."""
+    return [list(r) for r in rows] == [list(c) for c in zip(*rows)]
+
+
+def is_skew_symmetric_transpose(rows) -> bool:
+    """A == -A^T for square rows, by building the negated transposed rows."""
+    return [list(r) for r in rows] == [[-x for x in c] for c in zip(*rows)]

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import importlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relequil import cli
 from relequil.cli import main, run_examples
 
 COUNTEREXAMPLE_ROWS = [[-2, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0],
@@ -419,3 +422,67 @@ def test_help_and_bad_subcommand(capsys):
     assert main(["--help"]) == 0
     assert main(["not-a-command"]) == 1
     capsys.readouterr()
+
+
+def _call(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _reentrancy_calls(tmp_path) -> list:
+    b = write_json(tmp_path / "b.json", [[1, 0], [0, 1]])
+    omega = write_json(tmp_path / "omega.json", [[0, -2], [2, 0]])
+    fb = write_json(tmp_path / "fb.json", [[2.0, 1e-7], [1e-7, 3.0]])
+    krein = write_json(tmp_path / "krein.json",
+                       {"type": "krein", "b": [[1, 0], [0, 1]], "s_max": "1/2"})
+    return [
+        ["classify", b, "--omega", omega], ["classify", b],
+        ["classify", fb, "--backend", "float", "--tol", "1e-6"],
+        ["classify", fb, "--backend", "float"],
+        ["flow", krein, "--s-max", "2"], ["flow", krein],
+        ["--help"], ["classify", b, "--tol", "-1"], ["classify", b],
+    ]
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in _reentrancy_calls(tmp_path):
+        _call(argv)
+    assert built == []
+    cli._build_parser()
+    assert built  # the counter sees a construction
+
+
+def _call_alone(argv) -> tuple:
+    """The same call in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "relequil.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_main_is_reentrant(tmp_path, monkeypatch):
+    # one process, one parser: each call gives the bytes and exit code of the
+    # same call made alone
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = _reentrancy_calls(tmp_path)
+    in_sequence = [_call(argv) for argv in calls]
+    assert in_sequence == [_call_alone(argv) for argv in calls]
+    assert [rc for rc, _, _ in in_sequence] == [0, 0, 0, 0, 0, 0, 0, 1, 0]
+    reports = [json.loads(out) for _, out, _ in in_sequence[:6]]
+    assert reports[0]["verdict"] == reports[1]["verdict"] == "linearly_stable"
+    assert (reports[2]["tol"], reports[3]["tol"]) == (1e-6, pytest.approx(4e-8))
+    assert (reports[4]["flow"], reports[5]["flow"]) == (-1, 0)
+    assert in_sequence[6][1].startswith("usage: relequil")
+    assert "must be a finite number >= 0" in in_sequence[7][2]

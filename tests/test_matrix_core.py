@@ -38,6 +38,7 @@ from relequil.matrix_core import (
     _primes,
     _require_symmetric,
 )
+from relequil.stability import classify
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +75,79 @@ def test_identity_diagonal_zeros():
 def test_scalar_multiplication():
     m = Matrix([[1, 2], [3, 4]], RATIONAL)
     assert (m * Fraction(1, 2))[1, 1] == 2
+
+
+def test_rational_entries_coerced_once():
+    # a Fraction is kept as it is; ints and strings become Fractions; a float
+    # is refused, in the constructor and as a scalar factor
+    f = Fraction(-7, 3)
+    m = Matrix([[f, 2], ["1/3", True]], RATIONAL)
+    assert m[0, 0] is f
+    assert [type(x) for row in m.rows() for x in row] == [Fraction] * 4
+    assert m.rows() == ((f, Fraction(2)), (Fraction(1, 3), Fraction(1)))
+    assert (m * Fraction(1, 2)).rows() == ((f / 2, Fraction(1)), (Fraction(1, 6), Fraction(1, 2)))
+    for make in (lambda: Matrix([[1, 1.5]], RATIONAL), lambda: Matrix([[1]], RATIONAL) * 1.5,
+                 lambda: 1.5 * Matrix([[1]], RATIONAL), lambda: Matrix([[0.0]], RATIONAL)):
+        with pytest.raises(FieldError, match="float entry in a rational matrix"):
+            make()
+
+
+def _to_numpy_cases(rng):
+    yield Matrix([], RATIONAL)
+    yield Matrix([], FLOAT64)
+    yield Matrix([[], [], []], RATIONAL)
+    yield Matrix([[], [], []], FLOAT64)
+    for bits in (1, 8, 30, 53, 54, 60):
+        for shape in ((1, 1), (2, 3), (4, 4), (5, 1)):
+            yield Matrix([[Fraction(rng.randint(-2 ** 62, 2 ** 62), rng.randint(1, 2 ** bits))
+                           for _ in range(shape[1])] for _ in range(shape[0])], RATIONAL)
+    yield Matrix([[Fraction(1, 3), Fraction(-2, 2 ** 60 - 1)],
+                  [Fraction(2 ** 60 + 1, 2 ** 60), Fraction(10 ** 300, 7)]], RATIONAL)
+    gen = np.random.default_rng(5)
+    for scale in (1e-300, 1.0, 1e300):
+        yield Matrix((gen.standard_normal((3, 4)) * scale).tolist(), FLOAT64)
+    yield Matrix([[-0.0, 5e-324, math.inf], [-math.inf, math.nan, 1.7976931348623157e308]],
+                 FLOAT64)
+
+
+def test_to_numpy_matches_entrywise(rng):
+    for m in _to_numpy_cases(rng):
+        got = m.to_numpy()
+        want = H.to_numpy_entrywise(m.rows(), m.shape)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape == m.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("entry", [10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)])
+def test_to_numpy_overflow_like_entrywise(entry):
+    m = Matrix([[1, 0], [0, entry]], RATIONAL)
+    with pytest.raises(OverflowError):
+        H.to_numpy_entrywise(m.rows(), m.shape)
+    with pytest.raises(OverflowError):
+        m.to_numpy()
+
+
+def test_exact_symmetry_predicates_match_transpose(rng):
+    for dim in range(7):
+        for _ in range(12):
+            rows = [[H.random_fraction(rng) for _ in range(dim)] for _ in range(dim)]
+            sym = H.random_symmetric(rng, dim)
+            skew = [[rows[i][j] - rows[j][i] for j in range(dim)] for i in range(dim)]
+            cases = [rows, sym, skew, [[0] * dim for _ in range(dim)]]
+            if dim:
+                i, j = rng.randrange(dim), rng.randrange(dim)
+                for base in (sym, skew):
+                    nudged = [list(r) for r in base]
+                    nudged[i][j] += Fraction(1, rng.randint(1, 9))
+                    cases.append(nudged)
+            for case in cases:
+                m = Matrix(case, RATIONAL)
+                assert m.is_symmetric() == H.is_symmetric_transpose(m.rows())
+                assert m.is_skew_symmetric() == H.is_skew_symmetric_transpose(m.rows())
+    assert Matrix(H.random_symmetric(rng, 3), RATIONAL).is_symmetric()
+    assert not Matrix([[0, 1, 2]], RATIONAL).is_symmetric()
+    assert not Matrix([[0], [0]], RATIONAL).is_skew_symmetric()
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +609,17 @@ def test_subspace_contains():
     assert not s.contains((Fraction(1), Fraction(0)))
 
 
+def test_zero_subspace_contains_honours_explicit_tol():
+    zero = Subspace.zero(2)
+    assert not zero.contains((1e-13, 0.0), tol=0.0)
+    assert zero.contains((0.0, 0.0), tol=0.0)
+    assert zero.contains((1e-13, 0.0), tol=1e-12)
+    assert not zero.contains((1e-13, 0.0), tol=1e-14)
+    # the default keeps its absolute 1e-12
+    assert zero.contains((1e-13, 0.0))
+    assert not zero.contains((1e-11, 0.0))
+
+
 def test_default_tolerance_scales():
     assert default_tolerance(0.0) == pytest.approx(1e-8)
     assert default_tolerance(100.0) == pytest.approx(1.01e-6)
@@ -583,6 +668,29 @@ def test_float_symmetric_part_rejects_nonfinite(value):
             for call in (inertia, _require_symmetric):
                 with pytest.raises(SymmetryError, match="^matrix has a non-finite entry$"):
                     call(m, tol=tol)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_float_skew_forms_reject_nonfinite(value):
+    # the default tolerance 1e-8 (1 + max |A_ij|) is infinite for an infinite
+    # entry; both predicates answered True for these and the reduction then
+    # called the form degenerate
+    sym = Matrix([[1.0, value], [0.0, 1.0]], FLOAT64)
+    skew = Matrix([[0.0, value], [-1.0, 0.0]], FLOAT64)
+    both = Matrix([[0.0, value], [-value, 0.0]], FLOAT64)
+    for tol in (None, 0.0, 1e-2, 1e300):
+        for m in (sym, skew, both, Matrix([[value]], FLOAT64)):
+            assert not m.is_symmetric(tol)
+            assert not m.is_skew_symmetric(tol)
+        for omega in (skew, both):
+            with pytest.raises(SymmetryError, match="^matrix has a non-finite entry$"):
+                symplectic_reduction(omega, tol)
+            with pytest.raises(SymmetryError, match="^matrix has a non-finite entry$"):
+                classify(Matrix.identity(2, FLOAT64), omega=omega, tol=tol)
+    # finite forms keep their answers
+    assert Matrix([[1.0, 2.0], [2.0, 1.0]], FLOAT64).is_symmetric()
+    assert Matrix([[0.0, 2.0], [-2.0, 0.0]], FLOAT64).is_skew_symmetric()
+    assert not Matrix([[0.0, 2.0], [-1.0, 0.0]], FLOAT64).is_skew_symmetric()
 
 
 def test_float_kernel_and_inertia():
