@@ -251,8 +251,9 @@ class Matrix:
             return Matrix.from_numpy(self.to_numpy() @ other.to_numpy())
         a, da = _cleared(self._rows)
         b, db = _cleared(other._rows)
-        d = da * db
-        return Matrix([[Fraction(x, d) for x in row] for row in _int_matmul(a, b)], RATIONAL)
+        cols, d = list(zip(*b)), da * db
+        return Matrix([[Fraction(sum(map(mul, row, col)), d) for col in cols] for row in a],
+                      RATIONAL)
 
     def matvec(self, v: Sequence) -> list:
         coerce = _coerce_rational if self.field == RATIONAL else float
@@ -430,11 +431,6 @@ def _cleared(rows) -> tuple[list[list[int]], int]:
     """Integer rows M and the least common denominator d with rows = M / d."""
     d = math.lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
-
-
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -741,30 +737,17 @@ def char_poly(a: Matrix) -> list[Fraction]:
     return rp.trim([Fraction(c[k], d ** (n - k)) for k in range(n + 1)])
 
 
-def minimal_poly(a: Matrix) -> list[Fraction]:
-    """Monic minimal polynomial, exact, lowest degree first.
-
-    With A = M / d for an integer matrix M, the first linear dependence among
-    the flattened integer powers I, M, M^2, ... is found by fraction-free
-    elimination: each new power is reduced against the earlier reduced rows
-    by cross-multiplication, and each stored row is divided, together with
-    its combination of powers, by their content gcd.  The dependence gives
-    the monic minimal polynomial mu of M, of degree k, and
-    m(x) = mu(d x) / d^k is that of A.
-    """
-    if a.field != RATIONAL:
-        raise FieldError("minimal_poly is exact-backend only")
-    if not a.is_square:
-        raise ShapeError("minimal polynomial of a non-square matrix")
-    n = a.n_rows
-    if n == 0:
-        return [Fraction(1)]
-    m, d = _cleared(a.rows())
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
+def _vector_min_poly(m: list[list[int]], v: list[int]) -> list[int]:
+    """Integer coefficients, lowest degree first, of the minimal polynomial
+    of a nonzero integer vector v under a square integer matrix M: the first
+    linear dependence among v, M v, M^2 v, ...  Each new vector is reduced
+    against the earlier rows by cross-multiplication, and each stored row is
+    divided, with its combination of powers, by their content gcd."""
+    n = len(m)
     # reduced rows: (vector, pivot index, combination over the powers 0..n)
     reduced: list[tuple[list[int], int, list[int]]] = []
     for k in range(n + 1):
-        vec = [x for row in power for x in row]
+        vec = v
         combo = [int(i == k) for i in range(n + 1)]
         for rvec, piv, rcombo in reduced:
             f = vec[piv]
@@ -776,13 +759,43 @@ def minimal_poly(a: Matrix) -> list[Fraction]:
                 combo = [p * x - f * y for x, y in zip(combo, rcombo)]
         piv = next((i for i, x in enumerate(vec) if x), None)
         if piv is None:
-            # sum_i combo[i] M^i = 0 with combo[k] != 0
-            lead = combo[k] * d ** k
-            return [Fraction(c * d ** i, lead) for i, c in enumerate(combo[:k + 1])]
+            # sum_i combo[i] M^i v = 0 with combo[k] != 0
+            g = math.gcd(*combo)
+            return [c // g for c in combo[:k + 1]]
         g = math.gcd(*vec, *combo)
         reduced.append(([x // g for x in vec], piv, [c // g for c in combo]))
-        power = _int_matmul(power, m)
-    raise AssertionError("power dependence not found by degree n")
+        v = [sum(map(mul, row, v)) for row in m]
+    raise AssertionError("Krylov dependence not found by degree n")
+
+
+def minimal_poly(a: Matrix) -> list[Fraction]:
+    """Monic minimal polynomial, exact, lowest degree first.
+
+    With A = M / d for an integer matrix M, the minimal polynomial mu of M
+    is the lcm of those of the start vectors (1, ..., n), e_1, ..., e_n
+    (Wiedemann).  With the running lcm L, lcm(L, mu_v) = L mu_w for
+    w = L(M) v (``_vector_min_poly``).  L divides mu, so L = mu once
+    deg L = n or once ``_int_poly_at_matrix_is_zero`` proves L(M) = 0, at
+    the latest after e_n.  m(x) = mu(d x) / d^k is that of A, k = deg mu.
+    """
+    if a.field != RATIONAL:
+        raise FieldError("minimal_poly is exact-backend only")
+    if not a.is_square:
+        raise ShapeError("minimal polynomial of a non-square matrix")
+    n = a.n_rows
+    if n == 0:
+        return [Fraction(1)]
+    m, d = _cleared(a.rows())
+    mu = [1]  # an integer multiple of the running lcm, lowest degree first
+    for v in [list(range(1, n + 1))] + [[int(i == j) for i in range(n)] for j in range(n)]:
+        w = [mu[-1] * x for x in v]
+        for c in reversed(mu[:-1]):  # w = mu(M) v by Horner
+            w = [sum(map(mul, row, w)) + c * x for row, x in zip(m, v)]
+        if any(w):
+            mu = rp._cleared(rp.mul(mu, _vector_min_poly(m, w)))[0]
+            if len(mu) == n + 1 or _int_poly_at_matrix_is_zero(mu, m):
+                break
+    return [Fraction(c * d ** i, mu[-1] * d ** (len(mu) - 1)) for i, c in enumerate(mu)]
 
 
 # ---------------------------------------------------------------------------
@@ -860,6 +873,13 @@ def complex_spectrum(a: Matrix, tol: Optional[float] = None) -> tuple[Eigenvalue
     return tuple(out)
 
 
+def _defect_report(g: list[Fraction]) -> SemisimplicityReport:
+    """Semisimple iff g = gcd(m, m') of the minimal polynomial m is constant;
+    the roots of g are the defective eigenvalues."""
+    roots = tuple(e.value for e in _exact_spectrum([(g, 1)]))
+    return SemisimplicityReport(not roots, roots, RATIONAL, 0.0)
+
+
 def _semisimple_exact(a: Matrix, s: list[Fraction]) -> SemisimplicityReport:
     """Exact semisimplicity of a rational square matrix A, given the monic
     square-free part s of its characteristic polynomial p.
@@ -869,8 +889,9 @@ def _semisimple_exact(a: Matrix, s: list[Fraction]) -> SemisimplicityReport:
     cleared integer matrix M, s(A) = 0 iff sum_k L s_k d^(deg s - k) M^k = 0
     for the common denominator L of those coefficients, which
     ``_int_poly_at_matrix_is_zero`` decides modulo primes.  Only a defective
-    A runs ``minimal_poly``: the roots of gcd(m, m') for its minimal
-    polynomial m name the defective eigenvalues."""
+    A runs ``minimal_poly``: its minimal polynomial m has the roots of p, so
+    gcd(m, m') = m / s, one exact division, and its roots name the
+    defective eigenvalues."""
     k = rp.degree(s)
     if k == a.n_rows:
         return SemisimplicityReport(True, (), RATIONAL, 0.0)
@@ -878,32 +899,29 @@ def _semisimple_exact(a: Matrix, s: list[Fraction]) -> SemisimplicityReport:
     coeffs = rp._cleared([x * d ** (k - i) for i, x in enumerate(s)])[0]
     if _int_poly_at_matrix_is_zero(coeffs, ints):
         return SemisimplicityReport(True, (), RATIONAL, 0.0)
-    m = minimal_poly(a)
-    g = rp.gcd(m, rp.derivative(m))
-    if rp.degree(g) <= 0:
-        raise AssertionError("square-free minimal polynomial although s(A) != 0")
-    roots = tuple(e.value for e in _exact_spectrum([(g, 1)]))
-    return SemisimplicityReport(False, roots, RATIONAL, 0.0)
+    g, r = rp.divmod_exact(minimal_poly(a), s)
+    if r or rp.degree(g) <= 0:
+        raise AssertionError("s does not properly divide m although s(A) != 0")
+    return _defect_report(g)
 
 
 def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityReport:
     """Diagonalizability over the complex numbers.
 
-    Exact backend: A is semisimple iff s(A) = 0 for the square-free part s
-    of its characteristic polynomial p.  A square-free p decides at once;
-    otherwise s(A) = 0 is proved or refuted modulo word-size primes whose
-    product exceeds 2 sum |c_k| (n max|M_ij|)^k, for s cleared to integer
-    coefficients c on the cleared integer matrix M (``_semisimple_exact``).
-    A defective A then has its minimal polynomial m computed, and the roots
-    of gcd(m, m') name the defective eigenvalues.  Float backend:
-    rank(A - zI) versus rank((A - zI)^2) per eigenvalue cluster, with an
-    indeterminate outcome when a singular value lands inside the band
-    [tol/10, 10*tol].
+    Exact backend: A is semisimple iff its minimal polynomial m
+    (``minimal_poly``, integer Krylov sequences checked modulo primes) is
+    square-free, i.e. gcd(m, m') = 1; otherwise the roots of gcd(m, m')
+    name the defective eigenvalues.  ``classify``, which has the square-free
+    part of the characteristic polynomial at hand, decides by
+    ``_semisimple_exact`` instead.  Float backend: rank(A - zI) versus
+    rank((A - zI)^2) per eigenvalue cluster, with an indeterminate outcome
+    when a singular value lands inside the band [tol/10, 10*tol].
     """
     if not a.is_square:
         raise ShapeError("semisimplicity of a non-square matrix")
     if a.field == RATIONAL:
-        return _semisimple_exact(a, rp.squarefree_part(char_poly(a)))
+        m = minimal_poly(a)
+        return _defect_report(rp.gcd(m, rp.derivative(m)))
     t = _resolve_tol(tol, a.max_abs)
     arr = a.to_numpy()
     n = arr.shape[0]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -115,7 +116,7 @@ class LinearPath:
         one = Fraction(1) if self.field == RATIONAL else 1.0
         return self.start * (one - t) + self.end * t
 
-    @property
+    @cached_property
     def derivative(self) -> Matrix:
         return self.end - self.start
 
@@ -225,6 +226,16 @@ class KreinSignatureReport:
 
 # ---------------------------------------------------------------------------
 # determinant polynomials
+
+
+def _float_value(path: LinearPath, t: float) -> np.ndarray:
+    """A(t) of a rational path at a float t = p / q, each entry the correctly
+    rounded ((q - p) S + p E) / (q d) for start = S / d and end = E / d, by
+    int / int true division: the bits of ``path.value(Fraction(t)).to_numpy()``."""
+    ints, d = _cleared(path.start.rows() + path.end.rows())
+    p, q = t.as_integer_ratio()
+    return np.array([[((q - p) * x + p * y) / (q * d) for x, y in zip(rs, re)]
+                     for rs, re in zip(ints, ints[path.dim:])], dtype=float)
 
 
 def _det_poly_exact(path: LinearPath) -> list[Fraction]:
@@ -388,9 +399,8 @@ def _flow_linear_exact(path: LinearPath) -> SpectralFlowResult:
         if exact is not None:
             crossings.append(_crossing_exact(path, exact, mult))
         else:
-            arr = path.value(Fraction(approx))
             crossings.append(_crossing_numeric(
-                arr.to_numpy(), path.derivative.to_numpy(), approx,
+                _float_value(path, approx), path.derivative.to_numpy(), approx,
                 None, mult, interior=True, tol=0.0))
     crossings.sort(key=lambda c: c.location)
     start_corr = inertia(restrict_form(path.derivative, kernel(path.start))).morse_index

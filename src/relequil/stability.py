@@ -257,8 +257,9 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float]):
     the spectrum, come from those of r (``_even_yun``), and so does the
     square-free part s of p, their product.  Exact semisimplicity needs no
     matrix work when p is square-free (deg s = deg p); otherwise it is
-    s(J B) = 0, decided modulo primes (``_semisimple_exact``), and
-    ``minimal_poly`` runs only on a defective J B."""
+    s(J B) = 0, decided modulo primes (``_semisimple_exact``).  Only a
+    defective J B runs ``minimal_poly`` (integer Krylov sequences), and its
+    defective eigenvalues are the roots of m / s = gcd(m, m')."""
     b = _require_even_symmetric(b, tol)
     b = _reduce_omega(b, omega, tol)
     jb = standard_symplectic(b.n_rows // 2, b.field) @ b

@@ -1,10 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers as H
+from relequil import matrix_core
+from relequil import rational_poly as rp
 from relequil.matrix_core import (
     FLOAT64,
     RATIONAL,
@@ -37,6 +42,7 @@ from relequil.matrix_core import (
     _prime_bits,
     _primes,
     _require_symmetric,
+    _semisimple_exact,
 )
 from relequil.stability import classify
 
@@ -318,9 +324,68 @@ def test_minimal_poly_matches_fraction_reference(rng):
         (Matrix.identity(4) * Fraction(3, 4)).to_lists(),
         [[Fraction(-5, 7)]],
         [[Fraction(0)]],
+        # derogatory: no vector is cyclic
+        (Matrix.identity(3) * Fraction(-2, 5)).to_lists(),
+        Matrix.diagonal([1, 1, 2]).to_lists(),
+        _similar(_jordan([(Fraction(2, 3), 2), (Fraction(2, 3), 2)]), rng),
+        _similar(_jordan([(-1, 2), (-1, 2), (3, 1), (3, 1)]), rng),
+        # non-integral entries: m(x) = mu(d x) / d^k for the cleared M = d A
+        [[x / 7 for x in row] for row in _similar(_jordan([(Fraction(1, 3), 2), (-2, 1)]), rng)],
+        [[x / 2 ** 40 for x in row] for row in _similar(_jordan([(5, 1), (5, 1), (1, 1)]), rng)],
     ]
     for rows in cases:
         assert minimal_poly(Matrix(rows, RATIONAL)) == H.minimal_poly_fraction(rows)
+    assert minimal_poly(Matrix.zeros(0, 0)) == [Fraction(1)] == H.minimal_poly_fraction([])
+
+
+def _conjugate(columns, eigenvalues):
+    """P diag(eigenvalues) P^-1 for the invertible P with the given columns."""
+    n = len(columns)
+    p = [[Fraction(columns[j][i]) for j in range(n)] for i in range(n)]
+    p_inv_cols = [solve_exact(p, [Fraction(int(i == k)) for i in range(n)]) for k in range(n)]
+    return [[sum(p[i][j] * eigenvalues[j] * p_inv_cols[k][j] for j in range(n))
+             for k in range(n)] for i in range(n)]
+
+
+def test_minimal_poly_lcm_over_start_vectors(monkeypatch):
+    # the dense start vector (1, ..., n) is an eigenvector, so its minimal
+    # polynomial is linear and the lcm needs e_1 (and e_2) as well
+    calls = []
+    original = matrix_core._vector_min_poly
+
+    def counted(m, v):
+        calls.append(v)
+        return original(m, v)
+
+    monkeypatch.setattr(matrix_core, "_vector_min_poly", counted)
+    two = _conjugate([(1, 2), (0, 1)], [3, 0])
+    # e_1 is an eigenvector too, and the eigenvalue 2 needs e_2
+    three = _conjugate([(1, 2, 3, 4), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [5, 1, 2, 2])
+    for rows, used, degree in ((two, 2, 2), (three, 3, 3)):
+        calls.clear()
+        m = minimal_poly(Matrix(rows, RATIONAL))
+        assert m == H.minimal_poly_fraction(rows)
+        assert len(m) - 1 == degree
+        assert len(calls) == used
+        ints = matrix_core._cleared(rows)[0]
+        assert len(original(ints, list(range(1, len(rows) + 1)))) == 2
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from([1, 2, 3]), st.integers(1, 2)),
+                max_size=3),
+       st.integers(2, 3), st.integers(0, 2 ** 32))
+def test_m_over_s_is_gcd_of_m_and_derivative(blocks, defect, seed):
+    # a defective matrix: at least one Jordan block of size >= 2
+    jordan = [(Fraction(a, b), size) for a, b, size in blocks]
+    jordan.append((jordan[0][0] if jordan else Fraction(1, 2), defect))
+    a = Matrix(_similar(_jordan(jordan), random.Random(seed)), RATIONAL)
+    m = minimal_poly(a)
+    s = rp.squarefree_part(char_poly(a))
+    g, r = rp.divmod_exact(m, s)
+    assert r == [] and rp.degree(g) > 0
+    assert g == rp.gcd(m, rp.derivative(m))
+    assert is_semisimple(a) == _semisimple_exact(a, s)
 
 
 def test_minimal_poly_structured_cases(rng):

@@ -17,7 +17,7 @@ from relequil.spectral_flow import (
     relative_morse_index,
     spectral_flow,
 )
-from relequil.spectral_flow import _det_poly_exact, _krein_flow_and_kappa
+from relequil.spectral_flow import _det_poly_exact, _float_value, _krein_flow_and_kappa
 from relequil.stability import Verdict, classify
 
 
@@ -66,6 +66,31 @@ def test_det_poly_matches_lagrange_reference(rng):
         assert d and d[-1] != 0
     d = _det_poly_exact(LinearPath(Matrix(cases[6][0], RATIONAL), Matrix(cases[6][1], RATIONAL)))
     assert d[0] == 0 and sum(d) == 0  # det vanishes at t = 0 and t = 1
+
+
+def test_float_value_matches_fraction_value(rng):
+    # the float matrix at an irrational crossing, bit for bit as
+    # path.value(Fraction(t)).to_numpy() builds it
+    ts = [0.5, 1 / 3, 2.0 ** -52, 1 - 2.0 ** -53, 0.1, 5e-324, math.nextafter(1.0, 0.0)]
+    for dim in range(1, 7):
+        for num, den in ((4, 3), (10 ** 20, 10 ** 6), (2 ** 70, 3 ** 40)):
+            start = H.random_symmetric(rng, dim, num, den)
+            end = H.random_symmetric(rng, dim, num, den)
+            path = LinearPath(Matrix(start, RATIONAL), Matrix(end, RATIONAL))
+            for t in ts + [rng.random() for _ in range(5)]:
+                want = path.value(Fraction(t)).to_numpy()
+                got = _float_value(path, t)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+
+
+def test_linear_path_derivative_built_once(rng):
+    start, end = H.random_symmetric(rng, 3), H.random_symmetric(rng, 3)
+    path = LinearPath(Matrix(start, RATIONAL), Matrix(end, RATIONAL))
+    assert path.derivative is path.derivative
+    assert path.derivative == Matrix(end, RATIONAL) - Matrix(start, RATIONAL)
+    twin = LinearPath(Matrix(start, RATIONAL), Matrix(end, RATIONAL))
+    assert path == twin and hash(path) == hash(twin)
 
 
 def test_det_poly_identically_singular_path(rng):
