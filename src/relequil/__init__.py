@@ -1,161 +1,19 @@
 """Exact and floating-point linear stability analysis of Hamiltonian
-equilibria, with spectral-flow and relative-equilibrium tooling."""
+equilibria, with spectral-flow and relative-equilibrium tooling.
+
+The package exports exactly the ``__all__`` of its four layer modules.
+``relequil.spectral_flow`` names the function of that name, which the star
+import binds over the submodule; take the module's other helpers with
+``from relequil.spectral_flow import ...``.
+"""
 
 __version__ = "0.1.0"
 
-from .matrix_core import (
-    FLOAT64,
-    RATIONAL,
-    Eigenvalue,
-    FieldError,
-    IndeterminateError,
-    IndexReport,
-    Matrix,
-    SemisimplicityReport,
-    ShapeError,
-    SingularMatrixError,
-    Subspace,
-    SymmetryError,
-    char_poly,
-    complex_spectrum,
-    default_tolerance,
-    determinant,
-    inertia,
-    is_semisimple,
-    kernel,
-    minimal_poly,
-    rank,
-    restrict_form,
-    standard_symplectic,
-    symplectic_reduction,
-)
-from .stability import (
-    BlockNormalForm,
-    EvenIndexConsistency,
-    HypothesisFailure,
-    InstabilityCertificate,
-    InvariantSplit,
-    KernelInvarianceResult,
-    KernelNotInvariantError,
-    StabilityClassification,
-    TheoremVerdict,
-    Verdict,
-    block_normal_form,
-    classify,
-    invariant_split,
-    invertible_even_index_check,
-    kernel_invariance_test,
-    parity_verdict,
-    spectral_instability_certificate,
-    theorem_predict,
-)
-from .spectral_flow import (
-    Crossing,
-    IrregularCrossingError,
-    KappaIdentity,
-    KreinPath,
-    KreinSignatureReport,
-    LinearPath,
-    SpectralFlowResult,
-    crossing_set,
-    kappa_identity_check,
-    krein_form,
-    krein_signature,
-    relative_morse_index,
-    spectral_flow,
-)
-from .nbody import (
-    AmendedHessianReport,
-    CCSettings,
-    CentralConfiguration,
-    CollisionError,
-    ConvergenceError,
-    E1Report,
-    NBodySystem,
-    RelativeEquilibriumVerdict,
-    amended_hessian,
-    e1_linearization,
-    find_central_configuration,
-    grad_U,
-    hess_U,
-    inertia_gradient,
-    locked_inertia,
-    potential_U,
-    stability_verdict,
-)
+from . import matrix_core, nbody, spectral_flow as _flow_module, stability
+from .matrix_core import *  # noqa: F401,F403
+from .stability import *  # noqa: F401,F403
+from .spectral_flow import *  # noqa: F401,F403
+from .nbody import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "FLOAT64",
-    "RATIONAL",
-    "Eigenvalue",
-    "FieldError",
-    "IndeterminateError",
-    "IndexReport",
-    "Matrix",
-    "SemisimplicityReport",
-    "ShapeError",
-    "SingularMatrixError",
-    "Subspace",
-    "SymmetryError",
-    "char_poly",
-    "complex_spectrum",
-    "default_tolerance",
-    "determinant",
-    "inertia",
-    "is_semisimple",
-    "kernel",
-    "minimal_poly",
-    "rank",
-    "restrict_form",
-    "standard_symplectic",
-    "symplectic_reduction",
-    "BlockNormalForm",
-    "EvenIndexConsistency",
-    "HypothesisFailure",
-    "InstabilityCertificate",
-    "InvariantSplit",
-    "KernelInvarianceResult",
-    "KernelNotInvariantError",
-    "StabilityClassification",
-    "TheoremVerdict",
-    "Verdict",
-    "block_normal_form",
-    "classify",
-    "invariant_split",
-    "invertible_even_index_check",
-    "kernel_invariance_test",
-    "parity_verdict",
-    "spectral_instability_certificate",
-    "theorem_predict",
-    "Crossing",
-    "IrregularCrossingError",
-    "KappaIdentity",
-    "KreinPath",
-    "KreinSignatureReport",
-    "LinearPath",
-    "SpectralFlowResult",
-    "crossing_set",
-    "kappa_identity_check",
-    "krein_form",
-    "krein_signature",
-    "relative_morse_index",
-    "spectral_flow",
-    "AmendedHessianReport",
-    "CCSettings",
-    "CentralConfiguration",
-    "CollisionError",
-    "ConvergenceError",
-    "E1Report",
-    "NBodySystem",
-    "RelativeEquilibriumVerdict",
-    "amended_hessian",
-    "e1_linearization",
-    "find_central_configuration",
-    "grad_U",
-    "hess_U",
-    "inertia_gradient",
-    "locked_inertia",
-    "potential_U",
-    "stability_verdict",
-]
+__all__ = ["__version__", *matrix_core.__all__, *stability.__all__,
+           *_flow_module.__all__, *nbody.__all__]

@@ -34,12 +34,12 @@ from .nbody import (
     CollisionError,
     ConvergenceError,
     NBodySystem,
-    _parity_verdicts,
     amended_hessian,
     e1_linearization,
     find_central_configuration,
     locked_inertia,
     potential_U,
+    stability_verdict,
 )
 from .spectral_flow import (
     IrregularCrossingError,
@@ -136,11 +136,16 @@ def _run_flow(args) -> int:
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("path file needs a \"type\" of \"linear\" or \"krein\"")
     kind = data["type"]
+    if kind not in ("linear", "krein"):
+        raise ValueError(f"unknown path type {kind!r}")
+    for key in ("start", "end") if kind == "linear" else ("b",):
+        if key not in data:
+            raise ValueError(f"path file is missing {key!r}")
     if kind == "linear":
         start = jsonio.matrix_from_data(data["start"], field)
         end = jsonio.matrix_from_data(data["end"], field)
-        path = LinearPath(start, end)
-    elif kind == "krein":
+        result = spectral_flow(LinearPath(start, end), tol=args.tol)
+    else:
         b = jsonio.matrix_from_data(data["b"], field)
         if args.s_max is not None:
             s_max = jsonio.scalar_from_data(args.s_max, field)
@@ -148,13 +153,7 @@ def _run_flow(args) -> int:
             s_max = jsonio.scalar_from_data(data["s_max"], field)
         else:
             raise ValueError("Krein path needs s_max (file field or --s-max)")
-        path = KreinPath(b, s_max)
-    else:
-        raise ValueError(f"unknown path type {kind!r}")
-    if kind == "linear":
-        result = spectral_flow(path, tol=args.tol)
-    else:
-        result, k = _krein_flow_and_kappa(path, args.tol)
+        result, k = _krein_flow_and_kappa(KreinPath(b, s_max), args.tol)
     report = {
         "backend": args.backend,
         "crossings": [
@@ -234,8 +233,8 @@ def _run_find_cc(args) -> int:
 def _run_nbody_stability(args) -> int:
     system, settings = _load_problem(args.problem)
     cc = find_central_configuration(system, settings)
-    rep = amended_hessian(cc)
-    verdict = _parity_verdicts(cc.system.alpha, rep)
+    verdict = stability_verdict(cc)
+    rep = verdict.hessian
     report = {
         "cc": _cc_data(cc),
         "hessian": {

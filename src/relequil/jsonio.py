@@ -15,14 +15,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .matrix_core import FLOAT64, RATIONAL, Matrix, Subspace
+from .matrix_core import FLOAT64, RATIONAL, Matrix
 
 __all__ = [
     "dumps",
     "scalar_from_data",
-    "matrix_to_data",
     "matrix_from_data",
-    "subspace_to_data",
     "load_json",
 ]
 
@@ -106,14 +104,6 @@ def scalar_from_data(value, field: str):
     return x
 
 
-def matrix_to_data(m: Matrix) -> dict:
-    if m.field == RATIONAL:
-        rows = [[Fraction(x) for x in row] for row in m.rows()]
-    else:
-        rows = [[float(x) for x in row] for row in m.rows()]
-    return {"field": m.field, "rows": rows}
-
-
 def matrix_from_data(data, field: str) -> Matrix:
     """Matrix from a parsed JSON value: either {"rows": [[...]]} or a bare
     list of rows.  ``field`` selects the backend; exact input must be
@@ -133,21 +123,6 @@ def matrix_from_data(data, field: str) -> Matrix:
         raise ValueError("matrix rows must be a list of lists")
     parsed = [[scalar_from_data(x, field) for x in row] for row in rows]
     return Matrix(parsed, field)
-
-
-def subspace_to_data(s: Subspace) -> dict:
-    basis = []
-    for vec in s.basis:
-        col = []
-        for x in vec:
-            if isinstance(x, complex):
-                col.append({"im": x.imag, "re": x.real})
-            elif isinstance(x, Fraction):
-                col.append(x)
-            else:
-                col.append(float(x))
-        basis.append(col)
-    return {"ambient": s.ambient_dim, "basis": basis}
 
 
 def load_json(path: str):

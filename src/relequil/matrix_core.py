@@ -132,14 +132,6 @@ class Matrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def rational(cls, rows) -> "Matrix":
-        return cls(rows, RATIONAL)
-
-    @classmethod
-    def float64(cls, rows) -> "Matrix":
-        return cls(rows, FLOAT64)
-
-    @classmethod
     def from_numpy(cls, arr) -> "Matrix":
         return cls(np.asarray(arr, dtype=float).tolist(), FLOAT64)
 
@@ -192,21 +184,10 @@ class Matrix:
     def to_numpy(self) -> np.ndarray:
         return np.array(self._rows, dtype=float).reshape(self.shape)
 
-    def to_float(self) -> "Matrix":
-        if self.field == FLOAT64:
-            return self
-        return Matrix([[float(x) for x in row] for row in self._rows], FLOAT64)
-
     def max_abs(self) -> float:
         if not self._rows or not self._rows[0]:
             return 0.0
         return max(abs(float(x)) for row in self._rows for x in row)
-
-    def trace(self) -> Scalar:
-        if not self.is_square:
-            raise ShapeError("trace of a non-square matrix")
-        zero = Fraction(0) if self.field == RATIONAL else 0.0
-        return sum((self._rows[i][i] for i in range(self.n_rows)), zero)
 
     # -- algebra ------------------------------------------------------
 

@@ -30,6 +30,7 @@ these sums changes the configurations it converges to, or whether it does.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -81,6 +82,20 @@ class CCSettings:
     max_iter: int = 200
     collision_guard: float = COLLISION_GUARD
     armijo_factor: float = 0.5
+
+    def __post_init__(self):
+        # an armijo_factor >= 1 never shrinks the backtracking step, so the
+        # search would loop forever; every field is checked at the boundary
+        rules = (
+            ("cc_tol", numbers.Real, "a finite number > 0", lambda x: 0 < x < math.inf),
+            ("max_iter", numbers.Integral, "an integer >= 0", lambda x: x >= 0),
+            ("collision_guard", numbers.Real, "a number in [0, 1)", lambda x: 0 <= x < 1),
+            ("armijo_factor", numbers.Real, "a number in (0, 1)", lambda x: 0 < x < 1),
+        )
+        for name, kind, text, ok in rules:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+                raise ValueError(f"{name} must be {text}, got {value!r}")
 
 
 def _require_finite(masses, alpha, positions) -> None:
@@ -192,9 +207,11 @@ class E1Report:
 
 @dataclass(frozen=True)
 class RelativeEquilibriumVerdict:
-    alpha: float
-    inertia_v: Optional[IndexReport]
-    inertia_shat: IndexReport
+    """The parity verdicts of a relative equilibrium with the amended Hessian
+    report they were read from: ``e2`` from ``hessian.inertia_shat``,
+    ``reduced`` from ``hessian.inertia_v``."""
+
+    hessian: AmendedHessianReport
     reduced: Optional[TheoremVerdict]  # emitted only for 0 < alpha < 2
     e2: TheoremVerdict
 
@@ -529,15 +546,12 @@ def stability_verdict(cc: CentralConfiguration) -> RelativeEquilibriumVerdict:
     rule to the amended form on V; for every alpha > 0 the verdict on the
     symplectic complement of the symmetry block applies it to the Morse data
     of the central configuration itself.  Both verdicts are reported; odd
-    index or odd nullity anywhere means linear instability there.
+    index or odd nullity anywhere means linear instability there.  The
+    amended Hessian is built once and returned as ``hessian``.
     """
-    return _parity_verdicts(cc.system.alpha, amended_hessian(cc))
-
-
-def _parity_verdicts(alpha: float, rep: AmendedHessianReport) -> RelativeEquilibriumVerdict:
-    """The verdicts of ``stability_verdict`` from an amended Hessian report."""
+    rep = amended_hessian(cc)
     e2 = parity_verdict(rep.inertia_shat.morse_index, rep.inertia_shat.nullity)
     reduced = None
-    if 0 < alpha < 2:
+    if 0 < rep.alpha < 2:
         reduced = parity_verdict(rep.inertia_v.morse_index, rep.inertia_v.nullity)
-    return RelativeEquilibriumVerdict(alpha, rep.inertia_v, rep.inertia_shat, reduced, e2)
+    return RelativeEquilibriumVerdict(rep, reduced, e2)

@@ -23,26 +23,19 @@ __all__ = [
     "trim",
     "degree",
     "poly",
-    "add",
     "sub",
-    "neg",
     "mul",
-    "scale",
-    "eval_at",
     "derivative",
     "divmod_exact",
     "monic",
     "gcd",
-    "squarefree_part",
     "squarefree_decomposition",
     "sturm_chain",
-    "count_real_roots",
     "count_distinct_real_roots",
     "cauchy_root_bound",
     "isolate_real_roots",
     "refine_root",
     "even_part",
-    "compose_negative_square",
 ]
 
 Poly = list  # list[Fraction], index = power
@@ -64,18 +57,9 @@ def degree(p: Poly) -> int:
     return len(p) - 1  # zero polynomial has degree -1
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
 def sub(p: Poly, q: Poly) -> Poly:
     n = max(len(p), len(q))
     return trim([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def neg(p: Poly) -> Poly:
-    return [-a for a in p]
 
 
 def mul(p: Poly, q: Poly) -> Poly:
@@ -88,20 +72,6 @@ def mul(p: Poly, q: Poly) -> Poly:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return trim(out)
-
-
-def scale(p: Poly, c) -> Poly:
-    c = Fraction(c)
-    if c == 0:
-        return []
-    return [a * c for a in p]
-
-
-def eval_at(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for a in reversed(p):
-        acc = acc * x + a
-    return acc
 
 
 def derivative(p: Poly) -> Poly:
@@ -158,13 +128,6 @@ def gcd(p: Poly, q: Poly) -> Poly:
     return monic(a)
 
 
-def squarefree_part(p: Poly) -> Poly:
-    g = gcd(p, derivative(p))
-    if degree(g) <= 0:
-        return monic(p)
-    return monic(divmod_exact(p, g)[0])
-
-
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun decomposition: return [(g_i, i)] with p = lc * prod g_i^i.
 
@@ -203,9 +166,8 @@ def sturm_chain(p: Poly) -> list[Poly]:
         r = divmod_exact(chain[-2], chain[-1])[1]
         if not r:
             break
-        r = neg(r)
         m = max(abs(x) for x in r)
-        chain.append([x / m for x in r])
+        chain.append([-x / m for x in r])
         if degree(chain[-1]) == 0:
             break
     return chain
@@ -256,14 +218,6 @@ def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:
     va = _variations_at(chain, "-inf" if lo is None else Fraction(lo))
     vb = _variations_at(chain, "+inf" if hi is None else Fraction(hi))
     return va - vb
-
-
-def count_real_roots(p: Poly, lo=None, hi=None) -> int:
-    """Number of real roots of p in (lo, hi] counted with multiplicity."""
-    total = 0
-    for g, m in squarefree_decomposition(p):
-        total += m * count_distinct_real_roots(g, lo, hi)
-    return total
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
@@ -375,10 +329,3 @@ def even_part(p: Poly) -> tuple[Poly, bool]:
     is_even = all(a == 0 for a in p[1::2])
     return r, is_even
 
-
-def compose_negative_square(r: Poly) -> Poly:
-    """Return w with w(s) = r(-s^2)."""
-    out = [Fraction(0)] * (2 * len(r) - 1 if r else 0)
-    for k, a in enumerate(r):
-        out[2 * k] = a if k % 2 == 0 else -a
-    return trim(out)

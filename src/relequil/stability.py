@@ -153,10 +153,6 @@ class KernelInvarianceResult:
     # else None; a kernel that is not J-invariant can still have none
     witness: Optional[tuple]
 
-    @property
-    def kernel_dimension(self) -> int:
-        return self.kernel.dimension
-
 
 @dataclass(frozen=True)
 class EvenIndexConsistency:

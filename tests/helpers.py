@@ -539,6 +539,18 @@ def _derivative(p: Sequence[Fraction]) -> List[Fraction]:
     return _poly_trim([i * a for i, a in enumerate(p)][1:])
 
 
+def squarefree_part(p: Sequence[Fraction]) -> List[Fraction]:
+    """Monic p / gcd(p, p') of a nonzero p, by long division on Fractions."""
+    p = _poly_trim(p)
+    g = _poly_gcd(p, _derivative(p))
+    q = [Fraction(0)] * (len(p) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = p[k + len(g) - 1] / g[-1]
+        for i, a in enumerate(g):
+            p[k + i] -= q[k] * a
+    return [x / q[-1] for x in q]
+
+
 def on_axis_even_part(p: Sequence[Fraction]) -> bool:
     """The exact imaginary-axis test of ``classify`` before its per-factor
     counts: with p(x) = r(x^2), every root of r is real and nonpositive.  A

@@ -316,6 +316,17 @@ def test_flow_bad_type(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("payload, missing", [
+    ({"type": "linear", "end": [[1]]}, "start"),
+    ({"type": "linear", "start": [[1]]}, "end"),
+    ({"type": "krein", "s_max": 1}, "b"),
+])
+def test_flow_path_missing_key(tmp_path, capsys, payload, missing):
+    path = write_json(tmp_path / "path.json", payload)
+    assert main(["flow", path]) == 1
+    assert capsys.readouterr().err == f"error: path file is missing '{missing}'\n"
+
+
 # ---------------------------------------------------------------------------
 # n-body commands
 
@@ -368,6 +379,30 @@ def test_nbody_rejects_unknown_settings(tmp_path, capsys):
     })
     assert main(["nbody-find-cc", problem]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, value", [
+    *(("cc_tol", v) for v in (0.0, -1e-10, float("inf"), float("nan"), "1e-10", True)),
+    *(("max_iter", v) for v in (-1, 2.5, 10.0, True, None)),
+    *(("collision_guard", v) for v in (-0.1, 1.0, float("inf"), float("nan"))),
+    *(("armijo_factor", v) for v in (0.0, 1.0, 1.5, -0.5, float("nan"))),
+])
+def test_nbody_rejects_bad_settings(tmp_path, capsys, monkeypatch, name, value):
+    # refused before the search: an armijo_factor of 1.0 never shrinks the
+    # backtracking step, and the search would not return
+    def search(*args):
+        raise AssertionError("the search ran on bad settings")
+
+    monkeypatch.setattr(cli, "find_central_configuration", search)
+    problem = write_json(tmp_path / "p.json", {
+        "masses": [1.0, 1.0, 1.0],
+        "alpha": 1.0,
+        "positions": [[0.02, -0.01], [1.03, 0.05], [0.48, 0.9]],
+        "settings": {"cc_tol": 1e-300, name: value},
+    })
+    for command in ("nbody-find-cc", "nbody-stability"):
+        assert main([command, problem]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must be ")
 
 
 @pytest.mark.parametrize("field", ["masses", "alpha", "positions"])

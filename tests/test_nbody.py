@@ -6,6 +6,7 @@ import pytest
 
 import helpers as H
 from relequil import nbody
+from relequil.stability import parity_verdict
 from relequil.nbody import (
     CCSettings,
     CollisionError,
@@ -211,6 +212,15 @@ def test_returned_residual_within_tolerance():
         assert float(np.linalg.norm(f)) == cc.residual
 
 
+def test_cc_settings_ranges():
+    assert CCSettings() == CCSettings(1e-10, 200, nbody.COLLISION_GUARD, 0.5)
+    CCSettings(cc_tol=1e-300, max_iter=0, collision_guard=0.0, armijo_factor=0.999)
+    for name, value in (("cc_tol", 0.0), ("max_iter", 1.0), ("max_iter", False),
+                        ("collision_guard", 1.0), ("armijo_factor", 1.0)):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            CCSettings(**{name: value})
+
+
 def test_convergence_error_on_tiny_budget():
     seed = [(0.3, -0.4), (1.3, 0.2), (-0.7, 0.9)]
     with pytest.raises(ConvergenceError):
@@ -275,6 +285,19 @@ def test_stability_verdict_alpha_range():
     verdict = stability_verdict(cc)
     assert verdict.reduced is None  # index relations need 0 < alpha < 2
     assert verdict.e2 is not None
+
+
+def test_stability_verdict_reads_its_hessian():
+    collinear = [(-1.0, 0.0), (0.05, 0.0), (1.1, 0.0)]
+    for alpha, seed in ((1.0, collinear), (1.0, EQUILATERAL), (3.0, EQUILATERAL)):
+        cc = find_central_configuration(system([1.0] * 3, alpha, seed))
+        verdict = stability_verdict(cc)
+        rep = verdict.hessian
+        assert rep == amended_hessian(cc)
+        shat, v = rep.inertia_shat, rep.inertia_v
+        assert verdict.e2 == parity_verdict(shat.morse_index, shat.nullity)
+        assert verdict.reduced == (
+            parity_verdict(v.morse_index, v.nullity) if alpha < 2 else None)
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,7 @@ def test_zero_crossing_gives_the_start_correction(rng):
                 b = Matrix(b_rows, RATIONAL)
                 s_max = Fraction(5, 2)
                 if backend == FLOAT64:
-                    b, s_max = b.to_float(), float(s_max)
+                    b, s_max = Matrix.from_numpy(b.to_numpy()), float(s_max)
                 zero = crossing_set(b, s_max)[0]
                 assert zero.location == 0.0
                 assert zero.multiplicity == H.kernel_dim_gauss(b_rows)
@@ -306,7 +306,7 @@ def test_crossing_set_agrees_with_spectral_flow(rng):
         for _ in range(8):
             b = Matrix(H.pair_diagonal(rng.choices(pairs, k=rng.choice([1, 2, 3]))), RATIONAL)
             if backend == FLOAT64:
-                b = b.to_float()
+                b = Matrix.from_numpy(b.to_numpy())
             for s_max in (Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)):
                 s_max = s_max if backend == RATIONAL else float(s_max)
                 inner = [c for c in crossing_set(b, s_max) if c.location > 0]
@@ -323,7 +323,7 @@ def test_krein_flow_and_kappa_match_the_public_pair(rng):
         for _ in range(8):
             rows = H.pair_diagonal(rng.choices(pairs, k=rng.choice([1, 2, 3])))
             b = Matrix(rows, RATIONAL)
-            b = b if backend == RATIONAL else b.to_float()
+            b = b if backend == RATIONAL else Matrix.from_numpy(b.to_numpy())
             for s_max, tol in ((Fraction(5, 2), None), (Fraction(7, 2), 1e-6)):
                 path = KreinPath(b, s_max if backend == RATIONAL else float(s_max))
                 try:

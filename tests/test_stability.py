@@ -244,7 +244,7 @@ def test_kernel_invariance_symplectic_kernel_without_chain():
                 [f(-13, 18), f(-13, 6), f(-11, 24), f(-3, 4)],
                 [f(4, 9), f(4, 3), f(-3, 4), f(13, 9)]], "rational")
     res = kernel_invariance_test(b)
-    assert (res.j_invariant, res.witness, res.kernel_dimension) == (False, None, 2)
+    assert (res.j_invariant, res.witness, res.kernel.dimension) == (False, None, 2)
     assert is_semisimple(standard_symplectic(2) @ b).semisimple is True
     with pytest.raises(KernelNotInvariantError):
         invariant_split(b)
