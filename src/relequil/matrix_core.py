@@ -50,7 +50,6 @@ __all__ = [
     "minimal_poly",
     "complex_spectrum",
     "is_semisimple",
-    "symplectic_reduction",
     "restrict_form",
     "standard_symplectic",
     "solve_exact",
@@ -896,7 +895,8 @@ def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityRepor
     part of the characteristic polynomial at hand, decides by
     ``_semisimple_exact`` instead.  Float backend: rank(A - zI) versus
     rank((A - zI)^2) per eigenvalue cluster, with an indeterminate outcome
-    when a singular value lands inside the band [tol/10, 10*tol].
+    when a singular value lands inside the band [tol/10, 10*tol] or two
+    clusters lie within 10*tol of each other, as a split Jordan block does.
     """
     if not a.is_square:
         raise ShapeError("semisimplicity of a non-square matrix")
@@ -913,9 +913,13 @@ def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityRepor
             return None
         return int(np.sum(s > cutoff))
 
+    spectrum = complex_spectrum(a, tol=t)
+    if any(abs(x.value - y.value) <= 10 * t
+           for i, x in enumerate(spectrum) for y in spectrum[i + 1:]):
+        return SemisimplicityReport(None, (), FLOAT64, t)
     defective: list[complex] = []
     indeterminate = False
-    for ev in complex_spectrum(a, tol=t):
+    for ev in spectrum:
         if ev.multiplicity == 1:
             continue
         e = arr - ev.value * np.eye(n)
@@ -931,99 +935,6 @@ def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityRepor
     if defective:
         return SemisimplicityReport(False, tuple(defective), FLOAT64, t)
     return SemisimplicityReport(True, (), FLOAT64, t)
-
-
-# ---------------------------------------------------------------------------
-# symplectic reduction
-
-
-def symplectic_reduction(omega: Matrix, tol: Optional[float] = None) -> Matrix:
-    """Invertible Q with Q J Q^T = Omega for an invertible skew Omega.
-
-    Built from a symplectic (Darboux) basis u_1..u_n, v_1..v_n of the
-    bilinear form w(x, y) = x^T Omega y via skew Gram-Schmidt on the
-    standard basis: u is the first nonzero seed, v = -s / w(u, s) for the
-    first seed s with w(u, s) != 0, and every seed loses its w-components
-    along u and v.  With P = [u | v], P^T Omega P = J, so
-    Q = P^-T = Omega P J^-1 has the columns -Omega v_k and Omega u_k.
-
-    Over the rationals the seeds are one integer matrix over a common
-    denominator; each step takes Omega times the seeds as one integer
-    product, reads the needed values of w off it, and updates the seeds
-    fraction-free.  The columns of Q come from the same product, so nothing
-    is inverted.  Over floats the result is validated against ``tol``.
-    """
-    if not omega.is_square or omega.n_rows % 2 != 0:
-        raise ShapeError("an invertible skew form needs even dimension")
-    two_n = omega.n_rows
-    n = two_n // 2
-    if omega.field == RATIONAL:
-        if not omega.is_skew_symmetric():
-            raise SymmetryError("matrix is not exactly skew-symmetric")
-        w_int, dw = _cleared(omega.rows())
-        seeds = [[int(i == k) for i in range(two_n)] for k in range(two_n)]
-        den = 1  # the seeds are seeds[k] / den
-        q_cols: list[list[Fraction]] = [[] for _ in range(two_n)]
-        for step in range(n):
-            iu = next((k for k, s in enumerate(seeds) if any(s)), None)
-            if iu is None:
-                raise SingularMatrixError("skew form is degenerate")
-            u = seeds[iu]
-            # Omega s_k = w_seeds[k] / (dw den), w(u, s_k) = wu[k] / (dw den^2)
-            w_seeds = [[sum(map(mul, row, s)) for row in w_int] for s in seeds]
-            wu = [sum(map(mul, u, ws)) for ws in w_seeds]
-            ip = next((k for k, x in enumerate(wu) if x), None)
-            if ip is None:
-                raise SingularMatrixError("skew form is degenerate")
-            p = seeds[ip]
-            wp = [sum(map(mul, p, ws)) for ws in w_seeds]
-            c = wu[ip]
-            # -Omega v = Omega p / w(u, p) and Omega u
-            q_cols[step] = [Fraction(x * den, c) for x in w_seeds[ip]]
-            q_cols[n + step] = [Fraction(x, dw * den) for x in w_seeds[iu]]
-            # s <- s - w(v, s) u + w(u, s) v = s + (wp[k] u - wu[k] p) / c
-            seeds = [[c * si + a * ui - b * pi for si, ui, pi in zip(s, u, p)]
-                     for s, a, b in zip(seeds, wp, wu)]
-            den *= c
-            g = math.gcd(den, *(x for s in seeds for x in s))
-            if den < 0:
-                g = -g
-            seeds = [[x // g for x in s] for s in seeds]
-            den //= g
-        q = Matrix([list(row) for row in zip(*q_cols)], RATIONAL)
-        j = standard_symplectic(n)
-        if (q @ j @ q.T) != omega:
-            raise AssertionError("symplectic reduction failed to reproduce the form")
-        return q
-    arr = _finite_array(omega)
-    if not omega.is_skew_symmetric(tol):
-        raise SymmetryError("matrix is not skew-symmetric within tolerance")
-    t = _resolve_tol(tol, omega.max_abs)
-    arr = (arr - arr.T) / 2
-    seeds = [np.eye(two_n)[:, k].copy() for k in range(two_n)]
-    us, vs = [], []
-    for _ in range(n):
-        norms = [float(np.linalg.norm(s)) for s in seeds]
-        iu = int(np.argmax(norms))
-        if norms[iu] <= t:
-            raise SingularMatrixError("skew form is numerically degenerate")
-        u = seeds[iu]
-        vals = [float(abs(u @ arr @ s)) for s in seeds]
-        iv = int(np.argmax(vals))
-        c = u @ arr @ seeds[iv]
-        if abs(c) <= t:
-            raise SingularMatrixError("skew form is numerically degenerate")
-        v = seeds[iv] * (-1.0 / c)
-        seeds = [s - (v @ arr @ s) * u + (u @ arr @ s) * v for s in seeds]
-        us.append(u)
-        vs.append(v)
-    p = np.column_stack(us + vs)
-    q_arr = np.linalg.inv(p).T
-    j = standard_symplectic(n, FLOAT64).to_numpy()
-    resid = float(np.max(np.abs(q_arr @ j @ q_arr.T - omega.to_numpy())))
-    if resid > max(t, default_tolerance(omega.max_abs())) * 100:
-        raise SingularMatrixError(f"reduction residual {resid:.3e} exceeds tolerance")
-    return Matrix.from_numpy(q_arr)
 
 
 # ---------------------------------------------------------------------------

@@ -614,7 +614,7 @@ def kappa_identity_check(b: Matrix, tol: Optional[float] = None) -> KappaIdentit
 def _kappa_identity_exact(b: Matrix, cls, factors) -> KappaIdentity:
     n = b.n_rows // 2
     kappa = sum(m * (c - (g[0] == 0)) for g, m, c in factors)
-    nullity = inertia(b).nullity
+    nullity = b.n_rows - rank(b)
     return KappaIdentity(n, kappa, nullity, n == kappa + Fraction(nullity, 2), cls)
 
 

@@ -4,8 +4,8 @@ A linearized Hamiltonian system is spectrally stable when the whole spectrum
 of J B lies on the imaginary axis, and linearly stable when J B is in
 addition semisimple.  The central criterion implemented here: if the Morse
 index or the nullity of B is odd, J B is linearly unstable.  A general
-invertible skew form Omega is reduced to the standard J through a congruence
-Omega = Q J Q^T, under which Omega B is similar to J (Q^T B Q).
+invertible skew form Omega takes the place of J: Omega = Q J Q^T for some Q,
+so Omega B is similar to J (Q^T B Q), and it is Omega B that is classified.
 
 The exact backend decides the imaginary-axis condition through the
 characteristic polynomial of J B, computed once per classification.  It is
@@ -40,7 +40,9 @@ from .matrix_core import (
     ShapeError,
     SingularMatrixError,
     Subspace,
+    SymmetryError,
     _exact_spectrum,
+    _finite_array,
     _kernel_exact,
     _require_symmetric,
     _resolve_tol,
@@ -56,7 +58,6 @@ from .matrix_core import (
     restrict_form,
     solve_exact,
     standard_symplectic,
-    symplectic_reduction,
 )
 
 __all__ = [
@@ -187,14 +188,23 @@ class BlockNormalForm:
     matrix: Matrix
 
 
-def _reduce_omega(b: Matrix, omega: Optional[Matrix], tol: Optional[float]) -> Matrix:
-    """Replace (B, Omega) by the congruent standard-form data Q^T B Q."""
+def _omega_b(b: Matrix, omega: Optional[Matrix], tol: Optional[float]) -> Matrix:
+    """Omega B (J B by default) for an invertible skew Omega of the shape of
+    B; a float Omega must be finite and enters as (Omega - Omega^T) / 2."""
     if omega is None:
-        return b
+        return standard_symplectic(b.n_rows // 2, b.field) @ b
     if omega.shape != b.shape:
         raise ShapeError("B and Omega must have the same shape")
-    q = symplectic_reduction(omega, tol=tol)
-    return q.T @ b @ q
+    if omega.field == FLOAT64:
+        arr = _finite_array(omega)
+        if not omega.is_skew_symmetric(tol):
+            raise SymmetryError("matrix is not skew-symmetric within tolerance")
+        omega = Matrix.from_numpy((arr - arr.T) / 2)
+    elif not omega.is_skew_symmetric():
+        raise SymmetryError("matrix is not exactly skew-symmetric")
+    if rank(omega, tol) < b.n_rows:
+        raise SingularMatrixError("skew form is degenerate")
+    return omega @ b
 
 
 def _require_even_symmetric(b: Matrix, tol: Optional[float]) -> Matrix:
@@ -247,38 +257,37 @@ def _off_axis_witness(spectrum: tuple[Eigenvalue, ...], tol: float) -> Optional[
 
 def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float]):
     """``classify``, returning also the ``_axis_factors`` of the exact
-    characteristic polynomial p of J B (None on the float backend).
+    characteristic polynomial p of Omega B (None on the float backend).
 
     p is computed and decomposed once per call: the Yun factors of p, for
     the spectrum, come from those of r (``_even_yun``), and so does the
     square-free part s of p, their product.  Exact semisimplicity needs no
     matrix work when p is square-free (deg s = deg p); otherwise it is
-    s(J B) = 0, decided modulo primes (``_semisimple_exact``).  Only a
-    defective J B runs ``minimal_poly`` (integer Krylov sequences), and its
-    defective eigenvalues are the roots of m / s = gcd(m, m')."""
+    s(Omega B) = 0, decided modulo primes (``_semisimple_exact``).  Only a
+    defective Omega B runs ``minimal_poly`` (integer Krylov sequences), and
+    its defective eigenvalues are the roots of m / s = gcd(m, m')."""
     b = _require_even_symmetric(b, tol)
-    b = _reduce_omega(b, omega, tol)
-    jb = standard_symplectic(b.n_rows // 2, b.field) @ b
+    ob = _omega_b(b, omega, tol)
     if b.field == RATIONAL:
         t = 0.0
-        factors = _axis_factors(char_poly(jb))
+        factors = _axis_factors(char_poly(ob))
         yun = _even_yun(factors)
         spectrum = _exact_spectrum(yun)
         on_axis = all(c == rp.degree(g) for g, _, c in factors)
     else:
-        t = _resolve_tol(tol, jb.max_abs)
+        t = _resolve_tol(tol, ob.max_abs)
         factors = None
-        spectrum = complex_spectrum(jb, tol=t)
+        spectrum = complex_spectrum(ob, tol=t)
         on_axis = _off_axis_witness(spectrum, t) is None
     if not on_axis:
         witness = _off_axis_witness(spectrum, t)
         return StabilityClassification(Verdict.SPECTRALLY_UNSTABLE, False, None, witness,
                                        None, spectrum, b.field, t), factors
     if factors is None:
-        ss = is_semisimple(jb, tol=t)
+        ss = is_semisimple(ob, tol=t)
     else:
         # the square-free part of p is the product of its Yun factors
-        ss = _semisimple_exact(jb, reduce(rp.mul, (f for f, _ in yun), [Fraction(1)]))
+        ss = _semisimple_exact(ob, reduce(rp.mul, (f for f, _ in yun), [Fraction(1)]))
     if ss.semisimple is None:
         verdict = Verdict.INDETERMINATE
     elif ss.semisimple:
@@ -294,11 +303,11 @@ def classify(b: Matrix, omega: Optional[Matrix] = None,
              tol: Optional[float] = None) -> StabilityClassification:
     """Spectral and linear stability of Omega B (Omega defaults to J).
 
-    The verdict and the returned ``spectrum`` both come from J (Q^T B Q),
-    which is similar to Omega B.  Exact backend: zero-tolerance decisions
-    through the per-factor counts of the module docstring.  Float backend:
-    eigenvalues of J B against a tolerance; an undecidable semisimplicity
-    test yields the indeterminate verdict rather than a guess.
+    The verdict and the returned ``spectrum`` both come from Omega B itself.
+    Exact backend: zero-tolerance decisions through the per-factor counts
+    of the module docstring.  Float backend: eigenvalues of Omega B against
+    a tolerance; an undecidable semisimplicity test yields the
+    indeterminate verdict rather than a guess.
     """
     return _classify(b, omega, tol)[0]
 

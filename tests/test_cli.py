@@ -18,6 +18,14 @@ from relequil.cli import main, run_examples
 COUNTEREXAMPLE_ROWS = [[-2, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0],
                        [0, 0, 1, 0, 0, 0], [0, 0, 0, -1, 0, 0],
                        [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]
+# the zero form, a rank-2 form, a form that is not skew and one of 2 x 2
+BAD_OMEGA_ROWS = [[[0] * 4] * 4,
+                  [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                  [[0, -1, 0, 0], [2, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+                  [[0, -1], [1, 0]]]
+# J B with an elliptic pair and a nilpotent Jordan pair
+SPLIT_JORDAN_ROWS = [[-13, 7, -11, -4], [7, -7, 5, -2], [-11, 5, -11, -6],
+                     [-4, -2, -6, -8]]
 
 
 def write_json(path, payload) -> str:
@@ -119,6 +127,24 @@ def test_classify_with_omega(tmp_path, capsys):
     omega = write_json(tmp_path / "omega.json", [[0, -2], [2, 0]])
     assert main(["classify", matrix, "--omega", omega]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "linearly_stable"
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_classify_bad_omega_exits_1(tmp_path, capsys, backend):
+    b = write_json(tmp_path / "b.json", [[int(i == j) for j in range(4)] for i in range(4)])
+    for k, rows in enumerate(BAD_OMEGA_ROWS):
+        omega = write_json(tmp_path / f"omega{k}.json", rows)
+        assert main(["classify", b, "--omega", omega, "--backend", backend]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err
+
+
+def test_classify_float_split_jordan_block_exits_2(tmp_path, capsys):
+    b = write_json(tmp_path / "b.json", SPLIT_JORDAN_ROWS)
+    assert main(["classify", b, "--backend", "float"]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "indeterminate"
+    assert main(["classify", b]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "spectrally_stable_not_linear"
 
 
 def test_classify_float_indeterminate(tmp_path, capsys):

@@ -18,7 +18,6 @@ from relequil.matrix_core import (
     IndexReport,
     Matrix,
     ShapeError,
-    SingularMatrixError,
     Subspace,
     SymmetryError,
     char_poly,
@@ -34,7 +33,6 @@ from relequil.matrix_core import (
     restrict_form,
     solve_exact,
     standard_symplectic,
-    symplectic_reduction,
 )
 from relequil.matrix_core import (
     _char_poly_int,
@@ -595,47 +593,6 @@ def test_semisimple_float_band():
     assert is_semisimple(diag).semisimple is True
 
 
-def test_symplectic_reduction_exact():
-    omega = standard_symplectic(2) * Fraction(3)
-    q = symplectic_reduction(omega)
-    j = standard_symplectic(2)
-    assert (q @ j @ q.T).rows() == omega.rows()
-
-
-def test_symplectic_reduction_rational_form(rng):
-    # Omega = R J R^T for a random rational R: a non-standard skew form
-    # with denominators
-    for n in (1, 2, 3):
-        j = standard_symplectic(n).to_lists()
-        while True:
-            r = [[H.random_fraction(rng, 3, 4) for _ in range(2 * n)] for _ in range(2 * n)]
-            if H.det_gauss(r) != 0:
-                break
-        omega = _fraction_product(_fraction_product(r, j), [list(c) for c in zip(*r)])
-        q = symplectic_reduction(Matrix(omega, RATIONAL)).to_lists()
-        assert _fraction_product(_fraction_product(q, j), [list(c) for c in zip(*q)]) == omega
-
-
-def test_symplectic_reduction_float():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(4, 4))
-    skew = a - a.T
-    while abs(np.linalg.det(skew)) < 1e-6:
-        a = rng.normal(size=(4, 4))
-        skew = a - a.T
-    omega = Matrix.from_numpy(skew)
-    q = symplectic_reduction(omega)
-    j = standard_symplectic(2, FLOAT64)
-    recon = (q @ j @ q.T).to_numpy()
-    assert np.allclose(recon, skew, atol=1e-10)
-
-
-def test_symplectic_reduction_rejects_degenerate():
-    omega = Matrix.zeros(2, 2)
-    with pytest.raises((SingularMatrixError, ValueError)):
-        symplectic_reduction(omega)
-
-
 def test_restrict_form():
     b = Matrix.diagonal([1, -1, 5])
     w = Subspace(3, ((Fraction(1), Fraction(0), Fraction(0)),
@@ -738,7 +695,7 @@ def test_float_symmetric_part_rejects_nonfinite(value):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_float_skew_forms_reject_nonfinite(value):
     # the default tolerance 1e-8 (1 + max |A_ij|) is infinite for an infinite
-    # entry; both predicates answered True for these and the reduction then
+    # entry; both predicates answered True for these, and classify then
     # called the form degenerate
     sym = Matrix([[1.0, value], [0.0, 1.0]], FLOAT64)
     skew = Matrix([[0.0, value], [-1.0, 0.0]], FLOAT64)
@@ -748,8 +705,6 @@ def test_float_skew_forms_reject_nonfinite(value):
             assert not m.is_symmetric(tol)
             assert not m.is_skew_symmetric(tol)
         for omega in (skew, both):
-            with pytest.raises(SymmetryError, match="^matrix has a non-finite entry$"):
-                symplectic_reduction(omega, tol)
             with pytest.raises(SymmetryError, match="^matrix has a non-finite entry$"):
                 classify(Matrix.identity(2, FLOAT64), omega=omega, tol=tol)
     # finite forms keep their answers

@@ -8,12 +8,15 @@ from relequil.matrix_core import (
     FLOAT64,
     RATIONAL,
     Matrix,
+    ShapeError,
     SingularMatrixError,
+    SymmetryError,
     char_poly,
     complex_spectrum,
     inertia,
     is_semisimple,
     rank,
+    solve_exact,
     standard_symplectic,
 )
 from relequil.stability import (
@@ -190,6 +193,65 @@ def test_classify_general_skew_form():
     omega = standard_symplectic(1) * Fraction(2)
     cls = classify(Matrix.identity(2), omega=omega)
     assert cls.verdict == Verdict.LINEARLY_STABLE
+
+
+def test_classify_omega_b_matches_standard_form(rng):
+    # Omega = Q J Q^T and B' = Q^-T B Q^-1 give Omega B' = Q (J B) Q^-1, so
+    # classify(B', Omega) reports what classify(B) does, for B of each verdict
+    products = [(1, 4), (2, 2), (0, 3), (0, 0), (1, -1)]
+    cases = [COUNTEREXAMPLE, Matrix.diagonal([1, 4, 2, 3]), Matrix.diagonal([1, -1])]
+    cases += [_sheared(rng, H.pair_diagonal(rng.choices(products, k=rng.choice([1, 2]))))
+              for _ in range(10)]
+    seen = set()
+    for b in cases:
+        two_n = b.n_rows
+        while True:
+            rows = [[H.random_fraction(rng, 3, 4) for _ in range(two_n)] for _ in range(two_n)]
+            if H.det_gauss(rows) != 0:
+                break
+        # row k of Q^-T solves Q x = e_k
+        q_inv_t = Matrix([solve_exact(rows, e) for e in Matrix.identity(two_n).to_lists()],
+                         RATIONAL)
+        q = Matrix(rows, RATIONAL)
+        omega = q @ standard_symplectic(two_n // 2) @ q.T
+        got = classify(q_inv_t @ b @ q_inv_t.T, omega=omega)
+        expected = classify(b)
+        for name in ("verdict", "semisimple", "spectrum", "offending_eigenvalue",
+                     "defective_eigenvalue"):
+            assert getattr(got, name) == getattr(expected, name)
+        seen.add(got.verdict)
+    assert seen == {Verdict.LINEARLY_STABLE, Verdict.SPECTRALLY_STABLE_NOT_LINEAR,
+                    Verdict.SPECTRALLY_UNSTABLE}
+
+
+BAD_OMEGAS = [  # (rows, error) for a 4 x 4 B
+    ([[0] * 4] * 4, SingularMatrixError),
+    ([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], SingularMatrixError),
+    ([[0, -1, 0, 0], [2, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], SymmetryError),
+    ([[0, -1], [1, 0]], ShapeError),
+]
+
+
+@pytest.mark.parametrize("field", [RATIONAL, FLOAT64])
+def test_classify_refuses_bad_omega(field):
+    for rows, error in BAD_OMEGAS:
+        with pytest.raises(error):
+            classify(Matrix.identity(4, field), omega=Matrix(rows, field))
+
+
+SPLIT_JORDAN = [[-13, 7, -11, -4], [7, -7, 5, -2], [-11, 5, -11, -6], [-4, -2, -6, -8]]
+
+
+def test_classify_float_split_jordan_block_is_indeterminate():
+    # J B has an elliptic pair and a nilpotent Jordan pair, which eigvals
+    # splits into +-1.15e-7 i: on the axis within tol = 1.4e-7, yet two
+    # clusters of multiplicity 1 that the rank test alone would pass
+    assert classify(Matrix(SPLIT_JORDAN, RATIONAL)).verdict == \
+        Verdict.SPECTRALLY_STABLE_NOT_LINEAR
+    b = Matrix(SPLIT_JORDAN, FLOAT64)
+    cls = classify(b)
+    assert cls.verdict == Verdict.INDETERMINATE and cls.semisimple is None
+    assert is_semisimple(standard_symplectic(2, FLOAT64) @ b).semisimple is None
 
 
 def test_classify_float_three_valued():
