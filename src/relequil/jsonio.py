@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -78,14 +79,20 @@ def dumps(obj) -> str:
     return "".join(out) + "\n"
 
 
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")  # an integer or "p/q"
+
+
 def scalar_from_data(value, field: str):
     """One scalar from parsed JSON or a command-line string: ints and "p/q"
     strings are exact, floats only live in the float backend, which refuses
     NaN, infinities and numbers beyond the float range.  A zero denominator
-    is refused on both backends."""
+    is refused on both backends.  An exact string must be an integer or "p/q"
+    (``Fraction`` would build 10^e for an exponent e); a float string without
+    "/" goes through ``float``, which rounds as ``float(Fraction(s))`` does."""
     if isinstance(value, bool):
         raise ValueError("booleans are not scalars")
-    if field == RATIONAL and not isinstance(value, (int, Fraction, str)):
+    if field == RATIONAL and not (isinstance(value, (int, Fraction)) or (
+            isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value))):
         raise ValueError(
             f"the exact backend needs integer or \"p/q\" entries, got {value!r}")
     if not isinstance(value, (int, float, Fraction, str)):
@@ -93,7 +100,12 @@ def scalar_from_data(value, field: str):
     try:
         if field == RATIONAL:
             return Fraction(value)
-        x = float(Fraction(value) if isinstance(value, str) else value)
+        if isinstance(value, str) and "/" not in value:
+            x = float(value) + 0.0  # no -0.0: Fraction has no negative zero
+            if math.isinf(x) and "inf" not in value.lower():
+                raise OverflowError  # a finite literal beyond the float range
+        else:
+            x = float(Fraction(value) if isinstance(value, str) else value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
     except OverflowError:

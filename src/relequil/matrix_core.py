@@ -520,12 +520,11 @@ def _symmetric_part(b: Matrix, tol: Optional[float]) -> np.ndarray:
 def inertia(b: Matrix, tol: Optional[float] = None) -> IndexReport:
     """Counts of negative, zero and positive eigenvalues of a symmetric matrix.
 
-    Exact over the rationals, by Descartes' rule of signs: the
-    characteristic polynomial p of a real symmetric matrix has only real
-    roots, and for such a polynomial the sign variations of the coefficients
-    of p(x) / x^z and of p(-x) / x^z are exactly the counts of positive and
-    negative roots, with z the nullity.  p is taken of the cleared integer
-    matrix, whose eigenvalues are those of b times a positive denominator.
+    Exact over the rationals, by Descartes' rule of signs
+    (``rp.root_sign_counts``): the characteristic polynomial of a real
+    symmetric matrix has only real roots.  It is taken of the cleared
+    integer matrix, whose eigenvalues are those of b times a positive
+    denominator.
     Eigenvalue counting with the default tolerance over floats.
     """
     if b.field == FLOAT64:
@@ -540,11 +539,8 @@ def inertia(b: Matrix, tol: Optional[float] = None) -> IndexReport:
     b = _require_symmetric(b, tol)
     if b.n_rows == 0:
         return IndexReport(0, 0, 0)
-    p = _char_poly_int(_cleared(b.rows())[0])
-    z = next(k for k, c in enumerate(p) if c)
-    pos = rp._variations(p[z:])
-    neg = rp._variations([-c if k % 2 else c for k, c in enumerate(p[z:])])
-    return IndexReport(morse_index=neg, nullity=z, coindex=pos)
+    neg, zero, pos = rp.root_sign_counts(_char_poly_int(_cleared(b.rows())[0]))
+    return IndexReport(morse_index=neg, nullity=zero, coindex=pos)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +710,7 @@ def char_poly(a: Matrix) -> list[Fraction]:
     ints, d = _cleared(a.rows())
     c = _char_poly_int(ints)
     # det(xI - A) = d^-n * det((dx)I - dA)
-    return rp.trim([Fraction(c[k], d ** (n - k)) for k in range(n + 1)])
+    return [Fraction(c[k], d ** (n - k)) for k in range(n + 1)]
 
 
 def _vector_min_poly(m: list[list[int]], v: list[int]) -> list[int]:
@@ -772,7 +768,7 @@ def minimal_poly(a: Matrix) -> list[Fraction]:
         for c in reversed(mu[:-1]):  # w = mu(M) v by Horner
             w = [sum(map(mul, row, w)) + c * x for row, x in zip(m, v)]
         if any(w):
-            mu = rp._cleared(rp.mul(mu, _vector_min_poly(m, w)))[0]
+            mu = rp.mul(mu, _vector_min_poly(m, w))
             if len(mu) == n + 1 or _int_poly_at_matrix_is_zero(mu, m):
                 break
     return [Fraction(c * d ** i, mu[-1] * d ** (len(mu) - 1)) for i, c in enumerate(mu)]
@@ -806,12 +802,13 @@ def _polish_root(coeffs_float: list[float], z: complex, steps: int = 3) -> compl
     return best
 
 
-def _exact_spectrum(yun: list[tuple[list[Fraction], int]]) -> tuple[Eigenvalue, ...]:
+def _exact_spectrum(yun: list[tuple[list[int], int]]) -> tuple[Eigenvalue, ...]:
     """Eigenvalues with multiplicities from the Yun factors of an exact
-    characteristic polynomial, as ``rp.squarefree_decomposition`` gives them."""
+    characteristic polynomial, as ``rp.squarefree_decomposition`` gives them.
+    Each factor enters numpy as its monic coefficients, correctly rounded."""
     out: list[Eigenvalue] = []
     for factor, m in yun:
-        cf = [float(c) for c in factor]
+        cf = [float(Fraction(c, factor[-1])) for c in factor]
         roots = np.roots(list(reversed(cf))) if rp.degree(factor) >= 1 else []
         for z in roots:
             z = _polish_root(cf, complex(z))
@@ -833,7 +830,7 @@ def complex_spectrum(a: Matrix, tol: Optional[float] = None) -> tuple[Eigenvalue
     if a.n_rows == 0:
         return ()
     if a.field == RATIONAL:
-        return _exact_spectrum(rp.squarefree_decomposition(char_poly(a)))
+        return _exact_spectrum(rp.squarefree_decomposition(rp.cleared(char_poly(a))))
     t = _resolve_tol(tol, a.max_abs)
     w = sorted(np.linalg.eigvals(a.to_numpy()), key=lambda z: (z.real, z.imag))
     clusters: list[list[complex]] = []
@@ -853,34 +850,36 @@ def complex_spectrum(a: Matrix, tol: Optional[float] = None) -> tuple[Eigenvalue
     return tuple(out)
 
 
-def _defect_report(g: list[Fraction]) -> SemisimplicityReport:
+def _defect_report(g: list[int]) -> SemisimplicityReport:
     """Semisimple iff g = gcd(m, m') of the minimal polynomial m is constant;
     the roots of g are the defective eigenvalues."""
     roots = tuple(e.value for e in _exact_spectrum([(g, 1)]))
     return SemisimplicityReport(not roots, roots, RATIONAL, 0.0)
 
 
-def _semisimple_exact(a: Matrix, s: list[Fraction]) -> SemisimplicityReport:
-    """Exact semisimplicity of a rational square matrix A, given the monic
-    square-free part s of its characteristic polynomial p.
+def _semisimple_exact(a: Matrix, s: list[int]) -> SemisimplicityReport:
+    """Exact semisimplicity of a rational square matrix A, given the
+    square-free part s of its characteristic polynomial p in normal form
+    (``rational_poly``).
 
     A is semisimple iff s(A) = 0.  When deg s = n, p itself is square-free
     and that needs no matrix work.  Otherwise, with A = M / d for the
-    cleared integer matrix M, s(A) = 0 iff sum_k L s_k d^(deg s - k) M^k = 0
-    for the common denominator L of those coefficients, which
+    cleared integer matrix M, s(A) = 0 iff sum_k s_k d^(deg s - k) M^k = 0,
+    taken over the content of those coefficients, which
     ``_int_poly_at_matrix_is_zero`` decides modulo primes.  Only a defective
     A runs ``minimal_poly``: its minimal polynomial m has the roots of p, so
-    gcd(m, m') = m / s, one exact division, and its roots name the
+    gcd(m, m') = m / s, one exact ``quotient``, and its roots name the
     defective eigenvalues."""
     k = rp.degree(s)
     if k == a.n_rows:
         return SemisimplicityReport(True, (), RATIONAL, 0.0)
     ints, d = _cleared(a.rows())
-    coeffs = rp._cleared([x * d ** (k - i) for i, x in enumerate(s)])[0]
-    if _int_poly_at_matrix_is_zero(coeffs, ints):
+    coeffs = [x * d ** (k - i) for i, x in enumerate(s)]
+    content = math.gcd(*coeffs)
+    if _int_poly_at_matrix_is_zero([c // content for c in coeffs], ints):
         return SemisimplicityReport(True, (), RATIONAL, 0.0)
-    g, r = rp.divmod_exact(minimal_poly(a), s)
-    if r or rp.degree(g) <= 0:
+    g = rp.quotient(rp.cleared(minimal_poly(a)), s)
+    if rp.degree(g) <= 0:
         raise AssertionError("s does not properly divide m although s(A) != 0")
     return _defect_report(g)
 
@@ -901,7 +900,7 @@ def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityRepor
     if not a.is_square:
         raise ShapeError("semisimplicity of a non-square matrix")
     if a.field == RATIONAL:
-        m = minimal_poly(a)
+        m = rp.cleared(minimal_poly(a))
         return _defect_report(rp.gcd(m, rp.derivative(m)))
     t = _resolve_tol(tol, a.max_abs)
     arr = a.to_numpy()

@@ -238,20 +238,20 @@ def _float_value(path: LinearPath, t: float) -> np.ndarray:
                      for rs, re in zip(ints, ints[path.dim:])], dtype=float)
 
 
-def _det_poly_exact(path: LinearPath) -> list[Fraction]:
-    """det A(t) as an exact polynomial in t, lowest degree first.
+def _det_poly_exact(path: LinearPath) -> list[int]:
+    """A positive integer multiple of det A(t), lowest degree first.
 
     The endpoints are cleared together, start = S / d and end = E / d, so
     A(u / m) = ((m - u) S + u E) / (m d) for the dimension m.  The integer
     polynomial q(u) = det((m - u) S + u E) of degree <= m is sampled at
     u = 0..m by Bareiss and rebuilt from its forward differences: in
     q(u) = sum_k c_k u (u - 1) ... (u - k + 1) each c_k = Delta^k q(0) / k!
-    is an integer.  Then det A(t) = q(m t) / (m d)^m.
+    is an integer.  Then q(m t) = (m d)^m det A(t).
     """
     m = path.dim
     if m == 0:
-        return [Fraction(1)]
-    ints, d = _cleared(path.start.rows() + path.end.rows())
+        return [1]
+    ints = _cleared(path.start.rows() + path.end.rows())[0]
     s, e = ints[:m], ints[m:]
     values = [_int_det([[(m - u) * x + u * y for x, y in zip(rs, re)] for rs, re in zip(s, e)])
               for u in range(m + 1)]
@@ -259,12 +259,13 @@ def _det_poly_exact(path: LinearPath) -> list[Fraction]:
     for k in range(m + 1):
         newton.append(_exact_div(values[0], math.factorial(k)))
         values = [y - x for x, y in zip(values, values[1:])]
-    q = [newton[m]]
-    for k in range(m - 1, -1, -1):  # q <- q (u - k) + c_k
+    while newton and not newton[-1]:
+        newton.pop()
+    q = []
+    for k in range(len(newton) - 1, -1, -1):  # q <- q (u - k) + c_k
         q = [a - k * b for a, b in zip([0] + q, q + [0])]
         q[0] += newton[k]
-    scale = (m * d) ** m
-    return rp.trim(Fraction(c * m ** i, scale) for i, c in enumerate(q))
+    return [c * m ** i for i, c in enumerate(q)]
 
 
 def _det_poly_float(path: LinearPath) -> np.ndarray:

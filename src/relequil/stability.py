@@ -213,36 +213,37 @@ def _require_even_symmetric(b: Matrix, tol: Optional[float]) -> Matrix:
     return _require_symmetric(b, tol)
 
 
-def _axis_factors(p: list[Fraction]) -> list[tuple[list[Fraction], int, int]]:
+def _axis_factors(p: list[Fraction]) -> list[tuple[list[int], int, int]]:
     """The Yun factors g of r, where p(x) = r(x^2) is the characteristic
     polynomial of J B, each as (g, multiplicity, distinct roots of g in
-    (-inf, 0])."""
-    r, is_even = rp.even_part(p)
+    (-inf, 0]), with g in the normal form of ``rational_poly``."""
+    r, is_even = rp.even_part(rp.cleared(p))
     if not is_even:
         raise AssertionError("characteristic polynomial of J B must be even")
     return [(g, m, rp.count_distinct_real_roots(g, None, 0))
             for g, m in rp.squarefree_decomposition(r)]
 
 
-def _even_yun(factors: list[tuple[list[Fraction], int, int]]) -> list[tuple[list[Fraction], int]]:
+def _even_yun(factors: list[tuple[list[int], int, int]]) -> list[tuple[list[int], int]]:
     """The Yun factors of p(x) = r(x^2), as ``rp.squarefree_decomposition(p)``
     lists them, from the ``_axis_factors`` of r.
 
     A Yun factor g of r with multiplicity m gives g(x^2), square-free when
     g(0) != 0, to the factor of p of multiplicity m.  When g(0) = 0, g = x h
     gives h(x^2) to multiplicity m and x to multiplicity 2m.  Distinct g are
-    coprime, so each Yun factor of p is the product of what it is given, and
-    Yun factors are unique monic polynomials: these are the same exact
-    coefficients."""
-    parts: dict[int, list[Fraction]] = {}
+    coprime, so each Yun factor of p is the product of what it is given.
+    g(x^2), h(x^2) and x are in normal form when g is, and so are their
+    products (Gauss's lemma); Yun factors in normal form are unique, so
+    these are the same exact coefficients."""
+    parts: dict[int, list[int]] = {}
     for g, m, _ in factors:
-        g_sq = [Fraction(0)] * (2 * len(g) - 1)
+        g_sq = [0] * (2 * len(g) - 1)
         g_sq[::2] = g
         if g[0] == 0:
-            parts[2 * m] = rp.mul(parts.get(2 * m, [Fraction(1)]), [Fraction(0), Fraction(1)])
+            parts[2 * m] = rp.mul(parts.get(2 * m, [1]), [0, 1])
             g_sq = g_sq[2:]
         if len(g_sq) > 1:
-            parts[m] = rp.mul(parts.get(m, [Fraction(1)]), g_sq)
+            parts[m] = rp.mul(parts.get(m, [1]), g_sq)
     return [(parts[i], i) for i in sorted(parts)]
 
 
@@ -287,7 +288,7 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float]):
         ss = is_semisimple(ob, tol=t)
     else:
         # the square-free part of p is the product of its Yun factors
-        ss = _semisimple_exact(ob, reduce(rp.mul, (f for f, _ in yun), [Fraction(1)]))
+        ss = _semisimple_exact(ob, reduce(rp.mul, (f for f, _ in yun), [1]))
     if ss.semisimple is None:
         verdict = Verdict.INDETERMINATE
     elif ss.semisimple:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +235,23 @@ def test_flow_krein_report(tmp_path, capsys):
     assert report["kappa_identity"]["kappa"] == 1
 
 
+GOLDEN_FLOW = os.path.join(os.path.dirname(__file__), "golden_flow_reports.json")
+
+
+def test_exact_flow_reports_match_golden(tmp_path, capsys):
+    # exact reports pinned byte for byte: linear paths with rational and
+    # irrational crossings, Krein paths of all three verdicts; their floats
+    # come from exact root refinement, not from LAPACK
+    with open(GOLDEN_FLOW, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    assert {c["path"]["type"] for c in cases} == {"linear", "krein"}
+    for k, case in enumerate(cases):
+        path = write_json(tmp_path / f"{k}.json", case["path"])
+        assert main(["flow", path]) == 0, case["case"]
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (case["report"], ""), case["case"]
+
+
 def test_flow_krein_computes_char_poly_once(tmp_path, capsys, monkeypatch):
     calls = count_calls(monkeypatch, "char_poly", CHAR_POLY_SITES)
     for b in ([[1, 0], [0, 1]], [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]):
@@ -279,9 +297,30 @@ def test_s_max_beyond_float_range_exits_1(tmp_path, capsys, backend):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == {
-        "exact": "error: s_max must be a finite number > 0, got inf\n",
+        "exact": "error: the exact backend needs integer or \"p/q\" entries, "
+                 "got '1e400'\n",
         "float": "error: the float backend needs finite numbers, got one beyond "
                  "the float range\n"}[backend]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_huge_exponent_entry_exits_1_fast(tmp_path, capsys, backend):
+    # "1e100000000" would make Fraction build 10^100000000
+    huge = "1e100000000"
+    matrix = write_json(tmp_path / "b.json", [[huge, 0], [0, 1]])
+    krein = write_json(tmp_path / "k.json", {"type": "krein", "b": [[1, 0], [0, 1]],
+                                             "s_max": huge})
+    ok = write_json(tmp_path / "ok.json", {"type": "krein", "b": [[1, 0], [0, 1]], "s_max": 2})
+    for argv in (["classify", matrix], ["flow", krein], ["flow", ok, "--s-max", huge]):
+        start = time.perf_counter()
+        assert main(argv + ["--backend", backend]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == {
+            "exact": f"error: the exact backend needs integer or \"p/q\" entries, got {huge!r}\n",
+            "float": "error: the float backend needs finite numbers, got one beyond "
+                     "the float range\n"}[backend]
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])

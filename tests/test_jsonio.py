@@ -75,6 +75,35 @@ def test_scalar_parsing():
             jsonio.scalar_from_data("3/0", field)
 
 
+def test_exact_backend_string_grammar():
+    # an integer or "p/q", nothing else: no decimals, exponents or spaces
+    for text, want in (("7", 7), ("-7", -7), ("+3/4", Fraction(3, 4)), ("-10/4", Fraction(-5, 2))):
+        assert jsonio.scalar_from_data(text, RATIONAL) == want
+    for text in ("1e400", "1.5", "3/4 ", " 3", "1_000", "3/-4", "inf", "nan", "0x10", ""):
+        with pytest.raises(ValueError, match="^the exact backend needs integer or "
+                                             f"\"p/q\" entries, got {text!r}$"):
+            jsonio.scalar_from_data(text, RATIONAL)
+
+
+def test_float_backend_strings_round_as_fraction(rng):
+    # float() rounds correctly, so a string without "/" gets the bits of
+    # float(Fraction(s)), negative zero included
+    texts = ["0.1", "-0", "-0.0", "1e-400", "4.9e-324", "2.4703282292062328e-324",
+             "1.7976931348623157e308", " 1.5 ", "1_000.25", ".5", "5.", "-2.5E-3"]
+    texts += [f"{rng.randint(-10**20, 10**20)}e{rng.randint(-345, 285)}" for _ in range(200)]
+    texts += [f"{rng.randint(0, 10**6)}.{rng.randint(0, 10**30)}" for _ in range(200)]
+    for text in texts:
+        got = jsonio.scalar_from_data(text, FLOAT64)
+        assert got.hex() == float(Fraction(text)).hex(), text
+    for text in ("1e400", "-1e309", "1e100000000"):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            jsonio.scalar_from_data(text, FLOAT64)
+    for text in ("inf", "-Infinity", "nan"):
+        with pytest.raises(ValueError, match=f"^the float backend needs finite numbers, "
+                                             f"got {text!r}$"):
+            jsonio.scalar_from_data(text, FLOAT64)
+
+
 def test_subspace_serialization():
     # exact basis columns nested in lists are written as "p/q" strings
     data = {"ambient": 3, "basis": [[Fraction(1), Fraction(0), Fraction(-2, 3)]]}

@@ -378,11 +378,14 @@ def test_m_over_s_is_gcd_of_m_and_derivative(blocks, defect, seed):
     jordan = [(Fraction(a, b), size) for a, b, size in blocks]
     jordan.append((jordan[0][0] if jordan else Fraction(1, 2), defect))
     a = Matrix(_similar(_jordan(jordan), random.Random(seed)), RATIONAL)
-    m = minimal_poly(a)
-    s = H.squarefree_part(char_poly(a))
-    g, r = rp.divmod_exact(m, s)
-    assert r == [] and rp.degree(g) > 0
+    m = rp.cleared(minimal_poly(a))
+    s = rp.cleared(H.squarefree_part(char_poly(a)))
+    g = rp.quotient(m, s)
+    assert rp.degree(g) > 0 and rp.mul(g, s) == m
     assert g == rp.gcd(m, rp.derivative(m))
+    # s + 1 shares no root with s, so it cannot divide m
+    with pytest.raises(ArithmeticError):
+        rp.quotient(m, [s[0] + 1] + s[1:])
     assert is_semisimple(a) == _semisimple_exact(a, s)
 
 
@@ -416,11 +419,10 @@ def test_minimal_poly_divides_and_annihilates():
     m = Matrix.diagonal([1, 1, 2])
     mp = minimal_poly(m)
     assert len(mp) - 1 == 2
-    cp = char_poly(m)
-    from relequil.rational_poly import divmod_exact
-
-    _, rem = divmod_exact(cp, mp)
-    assert rem == []
+    cp, mp = rp.cleared(char_poly(m)), rp.cleared(mp)
+    assert rp.mul(rp.quotient(cp, mp), mp) == cp
+    with pytest.raises(ArithmeticError):
+        rp.quotient(mp, cp)
 
 
 def test_complex_spectrum_known():

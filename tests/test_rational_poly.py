@@ -1,46 +1,63 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers as H
 from relequil.rational_poly import (
     cauchy_root_bound,
+    cleared,
     count_distinct_real_roots,
     degree,
     derivative,
-    divmod_exact,
     even_part,
     gcd,
     isolate_real_roots,
     mul,
-    poly,
+    quotient,
     refine_root,
     squarefree_decomposition,
     sturm_chain,
 )
 
 
+def poly(*coeffs):
+    """The integer form of a rational polynomial, lowest degree first."""
+    return cleared(coeffs)
+
+
 def from_roots(roots):
-    p = poly(1)
+    p = [1]
     for r in roots:
-        p = mul(p, poly(-Fraction(r), 1))
+        r = Fraction(r)
+        p = mul(p, [-r.numerator, r.denominator])
     return p
 
 
 def test_arithmetic_round_trip():
-    p = poly(1, 0, -3, 2)
+    p = poly(1, 0, -3, 2)  # (x - 1)^2 (2x + 1)
     q = poly(-1, 1)
     prod = mul(p, q)
-    quo, rem = divmod_exact(prod, q)
-    assert quo == p
-    assert rem == []
+    assert quotient(prod, q) == p
+    assert quotient(p, poly(1, 2)) == poly(1, -2, 1)
     assert degree(prod) == degree(p) + 1
+    with pytest.raises(ArithmeticError):
+        quotient(prod, poly(-5, 1))
+    with pytest.raises(ArithmeticError):
+        quotient(p, poly(3, 0, 1))
+    # 2 (x - 1) divides p over the rationals, not in Z[x]
+    with pytest.raises(ArithmeticError):
+        quotient(p, poly(-2, 2))
 
 
 def test_eval_and_derivative():
-    p = poly(Fraction(1, 2), 0, 1)  # x^2 + 1/2
-    assert H._poly_eval(p, Fraction(2)) == Fraction(9, 2)
-    assert derivative(p) == poly(0, 2)
+    p = poly(Fraction(1, 2), 0, 1)  # x^2 + 1/2, cleared to 2 x^2 + 1
+    assert p == [1, 0, 2]
+    assert poly(Fraction(-2, 3), Fraction(5, 6), 0, 0) == [-4, 5]
+    assert H._poly_eval(p, Fraction(2)) == 9
+    assert derivative(p) == poly(0, 4)
 
 
 def test_gcd_and_squarefree():
@@ -116,7 +133,7 @@ def test_even_part_rejects_odd():
 
 
 def test_sturm_and_refine_match_fraction_reference():
-    cases = [
+    base = [
         # roots at 0, the first bisection midpoint of the symmetric Cauchy box
         from_roots([-1, 0, 1]),
         # rational roots that no dyadic midpoint hits
@@ -127,15 +144,23 @@ def test_sturm_and_refine_match_fraction_reference():
         from_roots([Fraction(-9, 4)]),
         # large coefficients
         mul(from_roots([Fraction(10**9 + 7, 3), Fraction(-1, 10**6)]), poly(-5, 0, 1)),
+        # remainder degrees that drop by 2, so that a pseudo-remainder's
+        # multiplier lc^e has an odd e and needs |lc| to keep its sign
+        poly(3, 2, 0, 0, 2), poly(0, 3, 0, 0, 0, 0, 1), poly(-1, 1, 2, 0, 0, -2),
     ]
+    # the references run on rational p, the module on its integer form:
+    # non-monic, and with a negative leading coefficient
+    cases = base + [[-c for c in p] for p in base] + \
+        [[Fraction(-7, 2) * c for c in p] for p in base]
     ends = [None, Fraction(0), Fraction(1, 3), Fraction(-1), Fraction(5, 2)]
-    for p in cases:
-        assert isolate_real_roots(p) == H.isolate_fraction(p)
+    for q in cases:
+        p = cleared(q)
         for lo in ends:
             for hi in ends:
-                assert count_distinct_real_roots(p, lo, hi) == H.sturm_count_fraction(p, lo, hi)
+                assert count_distinct_real_roots(p, lo, hi) == H.sturm_count_fraction(q, lo, hi)
+        assert isolate_real_roots(p) == H.isolate_fraction(q)
         for lo, hi in isolate_real_roots(p):
-            assert refine_root(p, lo, hi) == H.refine_root_fraction(p, lo, hi)
+            assert refine_root(p, lo, hi) == H.refine_root_fraction(q, lo, hi)
 
 
 def test_refine_root_left_endpoint_root():
@@ -153,3 +178,41 @@ def test_refine_root_left_endpoint_root():
         Fraction(3, 4)
     assert refine_root(from_roots([0, Fraction(1, 3)]), Fraction(0), Fraction(1))[1] == \
         Fraction(1, 3)
+
+
+_COEFF = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_FACTOR = st.lists(_COEFF, min_size=1, max_size=4).filter(lambda p: p[-1] != 0)
+
+
+def _fraction_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_FACTOR, st.integers(1, 3)), min_size=1, max_size=3), _FACTOR)
+def test_gcd_and_yun_match_fraction_reference(powers, other):
+    # p = prod f^e and q = other times the first factor of p, as rationals
+    p = [Fraction(1)]
+    for f, e in powers:
+        for _ in range(e):
+            p = _fraction_mul(p, f)
+    q = _fraction_mul(other, powers[0][0])
+    assert gcd(cleared(p), cleared(q)) == cleared(H._poly_gcd(p, q))
+    normal = cleared([c / p[-1] for c in p])
+    parts = squarefree_decomposition(cleared(p))
+    assert [i for _, i in parts] == sorted({i for _, i in parts})
+    rebuilt = [1]
+    for g, i in parts:
+        assert degree(g) > 0 and g[-1] > 0 and math.gcd(*g) == 1
+        for _ in range(i):
+            rebuilt = mul(rebuilt, g)
+    assert rebuilt == normal
+    if degree(p) > 0:
+        squarefree = [1]
+        for g, _ in parts:
+            squarefree = mul(squarefree, g)
+        assert squarefree == cleared(H.squarefree_part(p))
