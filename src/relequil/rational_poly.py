@@ -10,6 +10,23 @@ rational p that is ``cleared(p)``.  Remainders are pseudo-remainders with a
 positive multiplier |lc|^e, so Sturm chains keep their signs, divided by
 their content (primitive PRS; Collins 1967, Brown 1971).  ``Fraction``
 appears only in isolating intervals and in what ``refine_root`` returns.
+
+Real roots are isolated by bisecting the Cauchy box (-B, B], B = u / v, with
+Sturm counts.  A node (u c_a / (v 2^k), u c_b / (v 2^k)] carries the number
+N of roots <= each end, N(x) = V(-inf) - V(x) for the sign variations V of
+the chain, so a split evaluates the chain once, at its midpoint, and not at
+all where the midpoint lies outside (-2^e, 2^e) of ``_root_exponent``.
+``isolate_real_roots(p, lo, hi)`` descends only nodes that meet (lo, hi).
+``refine_root`` reaches the cell where plain bisection would stop by jumping
+s levels at once (quadratic interval refinement; Abbott 2006): an integer
+secant through the cell's ends picks the grid point nearest its root among
+the 2^s cells below, the signs there and at one or two neighbours find the
+root's cell, and s doubles, or halves when they miss.  A jump ends where
+the stop rule must hold, and only the levels where the cell's magnitude lets
+it hold are tested.  A rational root u / v in lowest terms has v | p_n: once
+the cell holds one point k / |p_n|, one sign decides it, and a root found so
+replaces p by its linear factor, which has p's signs on the cell.  Signs are
+those of the homogeneous form ``_sign_at`` at (numerator, denominator).
 """
 
 from __future__ import annotations
@@ -129,14 +146,18 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     if not p:
         raise ValueError("square-free decomposition of the zero polynomial")
     p = _normal(p)
-    if degree(p) == 0:
-        return []
-    dp = derivative(p)
-    g = gcd(p, dp)
-    if degree(g) == 0:
+    return _yun(p, sturm_chain(p)) if degree(p) > 0 else []
+
+
+def _yun(p: Poly, chain: list[Poly]) -> list[tuple[Poly, int]]:
+    """Yun's factors of p in normal form, deg p > 0, from its Sturm chain:
+    the chain's last member is gcd(p, p') up to a constant factor, so a
+    constant one means that p is square-free."""
+    if degree(chain[-1]) == 0:
         return [(p, 1)]
+    g = _normal(chain[-1])
     c = quotient(p, g)
-    d = _trim([x - y for x, y in zip(quotient(dp, g), derivative(c))])
+    d = _trim([x - y for x, y in zip(quotient(chain[1], g), derivative(c))])
     out: list[tuple[Poly, int]] = []
     i = 1
     while degree(c) > 0:
@@ -148,6 +169,17 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
         d = _trim([x - y for x, y in zip(quotient(d, a), derivative(c))])
         i += 1
     return out
+
+
+def _yun_chains(p: Poly) -> list[tuple[Poly, int, list[Poly]]]:
+    """``squarefree_decomposition(p)`` with the Sturm chain of each factor,
+    as (g, multiplicity, chain): a square-free p keeps the chain that showed
+    it square-free, so its remainder sequence runs once."""
+    p = _normal(p)
+    if degree(p) <= 0:
+        return []
+    chain = sturm_chain(p)
+    return [(g, m, chain if g is p else sturm_chain(g)) for g, m in _yun(p, chain)]
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
@@ -173,13 +205,13 @@ def _variations(values) -> int:
 
 
 def _sign_at(c: Poly, u: int, v: int) -> int:
-    """Sign of the integer polynomial c at u / v, v > 0: the sign of the
-    homogeneous form sum c_i u^i v^(deg - i), taken by integer Horner."""
+    """The homogeneous form sum c_i u^i v^(deg - i) = v^deg c(u / v) for
+    v > 0, by integer Horner: an integer with the sign of c at u / v."""
     h, w = 0, 1
     for a in reversed(c):
         h = h * u + a * w
         w *= v
-    return (h > 0) - (h < 0)
+    return h
 
 
 def _variations_at(chain: list[Poly], x) -> int:
@@ -196,7 +228,11 @@ def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:
     by ``_sign_at``)."""
     if degree(p) <= 0:
         return 0
-    chain = sturm_chain(p)
+    return _count(sturm_chain(p), lo, hi)
+
+
+def _count(chain: list[Poly], lo=None, hi=None) -> int:
+    """``count_distinct_real_roots`` of chain[0] from its Sturm chain."""
     va = _variations_at(chain, "-inf" if lo is None else Fraction(lo))
     vb = _variations_at(chain, "+inf" if hi is None else Fraction(hi))
     return va - vb
@@ -218,89 +254,207 @@ def cauchy_root_bound(p: Poly) -> Fraction:
     return 1 + Fraction(max(abs(a) for a in p[:-1]), abs(p[-1]))
 
 
-def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
+def _root_exponent(p: Poly) -> int:
+    """The least e with |p_n| 2^(e n) > sum_{k<n} |p_k| 2^(e k), n = deg p
+    >= 1: no complex root has modulus >= 2^e, where the sum would outweigh
+    |p_n z^n|.  The search starts at 1 + max ceil((bits p_k - bits p_n + 1)
+    / (n - k)), where it holds: a power-of-two Fujiwara bound."""
+    n, lead = degree(p), abs(p[-1])
+    low = [(k, abs(a)) for k, a in enumerate(p[:-1]) if a]
+    if not low:
+        return 0
+    e = 1 + max(-((lead.bit_length() - a.bit_length() - 1) // (n - k)) for k, a in low)
+    while True:  # both sides over 2^m, the least power, to shift on integers
+        m = min((e - 1) * n, (e - 1) * low[0][0])
+        if lead << ((e - 1) * n - m) <= sum(a << ((e - 1) * k - m) for k, a in low):
+            return e
+        e -= 1
+
+
+def isolate_real_roots(p: Poly, lo=None, hi=None) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals for the real roots of a square-free polynomial.
 
-    Returns disjoint half-open intervals (lo, hi], each containing exactly
-    one real root, ordered left to right.
+    Returns disjoint half-open intervals (a, b], each containing exactly
+    one real root, ordered left to right: those of the bisection of the
+    Cauchy box (-B, B] that meet (lo, hi), None meaning an infinite end.
+    ``ValueError`` when p is not square-free.
     """
     if degree(p) <= 0:
         return []
     chain = sturm_chain(p)
+    if degree(chain[-1]) > 0:
+        raise ValueError("isolate_real_roots needs a square-free polynomial; "
+                         "gcd(p, p') has degree %d" % degree(chain[-1]))
+    return _isolate(chain, lo, hi)
 
-    def vcount(a: Fraction, b: Fraction) -> int:
-        return _variations_at(chain, a) - _variations_at(chain, b)
 
+def _isolate(chain: list[Poly], lo=None, hi=None) -> list[tuple[Fraction, Fraction]]:
+    """``isolate_real_roots`` of chain[0] from its Sturm chain, which ends
+    in a constant: see the module docstring."""
+    p = chain[0]
     bound = cauchy_root_bound(p)
+    u, v = bound.numerator, bound.denominator
+    e = _root_exponent(p)
+    lo, hi = (None if x is None else Fraction(x) for x in (lo, hi))
+    v_neg = _variations_at(chain, "-inf")
+    total = v_neg - _variations_at(chain, "+inf")
+
+    def roots_to(c: int, k: int) -> int:
+        x, y = u * c, v << k
+        if (abs(x) << max(-e, 0)) >= (y << max(e, 0)):
+            return 0 if c < 0 else total
+        return v_neg - _variations([_sign_at(s, x, y) for s in chain])
+
+    def meets(ca: int, cb: int, k: int) -> bool:
+        y = v << k
+        return ((lo is None or u * cb * lo.denominator > lo.numerator * y)
+                and (hi is None or u * ca * hi.denominator < hi.numerator * y))
+
     out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-bound, bound, vcount(-bound, bound))]
+    stack = [(-1, 1, 0, 0, total)]
     while stack:
-        a, b, cnt = stack.pop()
-        if cnt == 1:
-            out.append((a, b))
-        elif cnt > 1:
-            m = (a + b) / 2
-            cl = vcount(a, m)
-            stack += [(m, b, cnt - cl), (a, m, cl)]
-    out.sort(key=lambda iv: iv[0])
+        ca, cb, k, na, nb = stack.pop()
+        if nb == na or not meets(ca, cb, k):
+            continue
+        if nb - na == 1:
+            out.append((Fraction(u * ca, v << k), Fraction(u * cb, v << k)))
+            continue
+        nm = roots_to(ca + cb, k + 1)
+        stack += [(ca + cb, 2 * cb, k + 1, nm, nb), (2 * ca, ca + cb, k + 1, na, nm)]
     return out
+
+
+def _stops(m2: int, w: int, den: int) -> bool:
+    """The stop rule of ``refine_root`` on a cell of width w / den with
+    midpoint m2 / (2 den): the width is below |mid| 1e-17 + min(1e-20,
+    |mid| 1e-17), relative below |mid| = 1e-3 so that roots of small
+    magnitude keep their leading digits."""
+    rel = 10**3 * abs(m2)
+    return 2 * 10**20 * w < rel + min(2 * den, rel)
+
+
+def _first_stop(a: int, w: int, den: int, i: int, s: int, first: int, last: int):
+    """(a_t, den_t) of the first t in [first, last) at which ``_stops``
+    holds on the t-th level cell over the i-th of the 2^s cells that split
+    the cell (a, a + w] / den; None when it holds at none."""
+    for t in range(first, last):
+        at = (a << t) + (i >> (s - t)) * w
+        if _stops(2 * at + w, w, den << t):
+            return at, den << t
+    return None
 
 
 def refine_root(p: Poly, lo: Fraction, hi: Fraction,
                 max_steps: int = 200) -> tuple[float, Optional[Fraction]]:
-    """Shrink an isolating interval (lo, hi] of a square-free p by bisection.
+    """Shrink an isolating interval (lo, hi] of a square-free p.
 
     Returns (float approximation, exact rational root or None).  The interval
-    must contain exactly one root of square-free p.  The endpoints are
-    integer numerators a, b over one shared denominator that doubles at each
-    halving, and every sign is ``_sign_at`` of p, so the intervals, the
-    float and the rational candidate are those of plain ``Fraction``
-    bisection without building a ``Fraction`` per step.
+    must contain exactly one root of square-free p.  The result is that of
+    plain bisection: halve the cell until ``_stops`` holds or ``max_steps``
+    halvings are done, returning a midpoint at which p vanishes, then test
+    the best candidate with denominator <= 1e12 (``limit_denominator``).
+    How the same cell is reached with few signs of p is in the module
+    docstring.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     den = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
     b = hi.numerator * (den // hi.denominator)
-    flo = _sign_at(p, a, den)
-    fhi = _sign_at(p, b, den)
-    if fhi == 0:
+    n = degree(p)
+    fa = _sign_at(p, a, den)
+    fb = _sign_at(p, b, den)
+    if fb == 0:
         return float(hi), hi
-    while flo == 0:
+    while fa == 0:
         # lo is a different root of p sitting just outside the half-open
         # interval; walk the left endpoint inward until the sign is usable
         m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
-        fmid = _sign_at(p, m, den)
-        if fmid == 0:
+        fm = _sign_at(p, m, den)
+        if fm == 0:
             return float(Fraction(m, den)), Fraction(m, den)
-        if fmid == fhi:
+        if (fm > 0) == (fb > 0):
             # a simple root strictly between mid and hi would flip the sign,
             # so the root lies in (lo, mid]
-            b, fhi = m, fmid
-        else:
-            a, flo = m, fmid
-    if flo == fhi:
+            b, fb = m, fm
+        else:  # the form at (2u, 2v) is 2^n times that at (u, v)
+            a, fa, fb = m, fm, fb << n
+    if (fa > 0) == (fb > 0):
         raise ValueError("no sign change over the isolating interval")
-    for _ in range(max_steps):
-        # stop once hi - lo < |mid| 1e-17 + min(1e-20, |mid| 1e-17), with
-        # mid = (a + b) / (2 den): relative below |mid| = 1e-3, so that
-        # roots of small magnitude keep their leading digits
-        rel = 10**3 * abs(a + b)
-        if 2 * 10**20 * (b - a) < rel + min(2 * den, rel):
+    w = b - a
+    wide, lead = 10**17 * w, abs(p[-1])
+    f, root, rational = p, None, True
+    level, jump = 0, 1
+    while level < max_steps:
+        # the rule cannot hold before t1 more levels
+        top, low = max(abs(a), abs(a + w)), min(abs(a), abs(a + w))
+        t1 = max(wide.bit_length() - top.bit_length() - 1, 0)
+        while top << (t1 + 1) <= wide:
+            t1 += 1
+        if t1 == 0 and _stops(2 * a + w, w, den):
             break
-        m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
-        fmid = _sign_at(p, m, den)
-        if fmid == 0:
-            return float(Fraction(m, den)), Fraction(m, den)
-        if fmid == flo:
-            a = m
-        else:
-            b = m
-    approx = Fraction(a + b, 2 * den)
+        if root is None and rational and (a + w) * lead // den - a * lead // den < 2:
+            r = Fraction((a + w) * lead // den, lead)
+            rational = a * r.denominator < r.numerator * den and \
+                (p[0] % r.numerator == 0 if r else p[0] == 0) and \
+                _sign_at(p, r.numerator, r.denominator) == 0
+            if rational:
+                sign = -1 if fa > 0 else 1
+                root, f, n, jump = r, [-sign * r.numerator, sign * r.denominator], 1, max_steps
+                fa, fb = (sign * (r.denominator * x - r.numerator * den) for x in (a, a + w))
+        s = min(jump, max_steps - level)
+        if a * (a + w) <= 0:  # a cell around zero cannot stop
+            s = min(s, max(t1, 1))
+        else:  # end the jump where the rule must hold
+            t2 = max(t1, 1)
+            while t2 < s and not _stops(low << (t2 + 1), w, den << t2):
+                t2 += 1
+            s = min(s, t2)
+        grid, big = den << s, a << s
+        seen = {0: fa << n * s, 1 << s: fb << n * s}
+
+        def at(i: int) -> int:  # f at grid point i of the 2^s cells
+            if i not in seen:
+                seen[i] = _sign_at(f, big + i * w, grid)
+            return seen[i]
+
+        # from the grid point nearest the secant's root, step toward the
+        # root as the signs say, until the sign changes or two steps are done
+        i = j = ((fa << (s + 1)) // (fa - fb) + 1) >> 1
+        step = 1 if (at(i) > 0) == (fa > 0) else -1
+        while at(j) and (at(j) > 0) == (at(i) > 0) and abs(j - i) < 2:
+            j += step
+        zero = next((k for k, v in seen.items() if v == 0), None)
+        if zero is None and (at(j) > 0) == (at(i) > 0):
+            jump = max(s // 2, 1)  # the guess missed; s = 1 cannot miss
+            continue
+        # the rule may stop a level the jump passes; an exact root at grid
+        # point k is the midpoint of its cell on the level where k / 2^s has
+        # an odd numerator, and bisection meets it there unless it stops
+        g = min(j, j - step) if zero is None else zero
+        last = s if zero is None else s - (zero & -zero).bit_length() + 1
+        hit = _first_stop(a, w, den, g, s, max(t1, 1), last)
+        if hit is not None:
+            a, den = hit
+            break
+        if zero is not None:
+            return float(Fraction(big + zero * w, grid)), Fraction(big + zero * w, grid)
+        a, den, fa, fb = big + g * w, grid, seen[g], seen[g + 1]
+        level, jump = level + s, 2 * s
+    if not rational:
+        return (2 * a + w) / (2 * den), None
+    if root is not None and root.denominator <= 10**12 and abs(
+            (2 * a + w) * root.denominator - 2 * den * root.numerator) * 10**12 < den:
+        # mid is within 1 / (2e12 v) of the root u / v, v <= 1e12, and any
+        # other fraction with denominator <= 1e12 is 1 / (1e12 v) from it,
+        # so limit_denominator gives the root
+        return float(root), root
+    approx = Fraction(2 * a + w, 2 * den)
     # bisection midpoints are dyadic and miss rational roots like 1/3, so
     # test the best small-denominator candidate before settling for a float
     guess = approx.limit_denominator(10**12)
     u, v = guess.numerator, guess.denominator
-    if a * v < u * den <= b * v and _sign_at(p, u, v) == 0:
+    if a * v < u * den <= (a + w) * v and (
+            guess == root if root is not None else _sign_at(p, u, v) == 0):
         return float(guess), guess
     return float(approx), None
 

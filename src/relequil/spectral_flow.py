@@ -54,7 +54,7 @@ from .matrix_core import (
     restrict_form,
     standard_symplectic,
 )
-from .stability import _axis_factors, _classify, _fraction_sqrt
+from .stability import _axis_factors, _classify, _fraction_sqrt, _omega_b
 
 __all__ = [
     "IrregularCrossingError",
@@ -369,17 +369,15 @@ def _kernel_counts_float(a: Matrix, form: np.ndarray, tol: float) -> tuple[int, 
     return _strict_counts_float(z.conj().T @ form @ z, tol)
 
 
-def _real_roots(factors, lo, hi) -> list[tuple[float, Optional[Fraction], int]]:
+def _real_roots(chains, lo, hi) -> list[tuple[float, Optional[Fraction], int]]:
     """The real roots in the open interval (lo, hi) of square-free factors
-    given as (factor, multiplicity), None meaning an infinite end, each as
-    (float, exact rational or None, multiplicity).  Isolating intervals
-    outside (lo, hi) are skipped before refinement."""
+    given as (Sturm chain, multiplicity), None meaning an infinite end, each
+    as (float, exact rational or None, multiplicity).  Only the isolating
+    intervals that meet (lo, hi) are found and refined."""
     out = []
-    for factor, mult in factors:
-        for a, b in rp.isolate_real_roots(factor):
-            if (lo is not None and b <= lo) or (hi is not None and a >= hi):
-                continue
-            approx, exact = rp.refine_root(factor, a, b)
+    for chain, mult in chains:
+        for a, b in rp._isolate(chain, lo, hi):
+            approx, exact = rp.refine_root(chain[0], a, b)
             x = approx if exact is None else exact
             if (lo is None or x > lo) and (hi is None or x < hi):
                 out.append((approx, exact, mult))
@@ -396,7 +394,7 @@ def _flow_linear_exact(path: LinearPath) -> SpectralFlowResult:
         raise IrregularCrossingError(
             float("nan"), "the path is singular at every parameter")
     crossings = []
-    for approx, exact, mult in _real_roots(rp.squarefree_decomposition(d), 0, 1):
+    for approx, exact, mult in _real_roots([(c, m) for _, m, c in rp._yun_chains(d)], 0, 1):
         if exact is not None:
             crossings.append(_crossing_exact(path, exact, mult))
         else:
@@ -404,8 +402,11 @@ def _flow_linear_exact(path: LinearPath) -> SpectralFlowResult:
                 _float_value(path, approx), path.derivative.to_numpy(), approx,
                 None, mult, interior=True, tol=0.0))
     crossings.sort(key=lambda c: c.location)
-    start_corr = inertia(restrict_form(path.derivative, kernel(path.start))).morse_index
-    end_corr = inertia(restrict_form(path.derivative, kernel(path.end))).coindex
+    # d(0) and d(1) are positive multiples of det A(0) and det A(1): an
+    # invertible end has no kernel to correct for
+    start_corr = 0 if d[0] else \
+        inertia(restrict_form(path.derivative, kernel(path.start))).morse_index
+    end_corr = 0 if sum(d) else inertia(restrict_form(path.derivative, kernel(path.end))).coindex
     total = sum(c.signature for c in crossings) - start_corr + end_corr
     return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, RATIONAL)
 
@@ -458,9 +459,9 @@ def _krein_interior_locations_exact(factors) -> list[tuple[float, Optional[Fract
     s^2 = -x for the negative roots x of the even part of char_poly(J B),
     given by its ``_axis_factors``.  Factors without such roots are not
     isolated."""
-    factors = [(g, m) for g, m, c in factors if c > (g[0] == 0)]
+    chains = [(chain, m) for g, m, c, chain in factors if c > (g[0] == 0)]
     out = []
-    for x, exact, mult in _real_roots(factors, None, 0):
+    for x, exact, mult in _real_roots(chains, None, 0):
         s_exact = None if exact is None else _fraction_sqrt(-exact)
         out.append((float(s_exact) if s_exact is not None else (-x) ** 0.5, s_exact, mult))
     return sorted(out, key=lambda t: t[0])
@@ -514,7 +515,7 @@ def _krein_crossings(path: KreinPath, tol: float, factors=None):
     base = b.to_numpy().astype(complex)
     if b.field == RATIONAL:
         if factors is None:
-            factors = _axis_factors(char_poly(standard_symplectic(b.n_rows // 2) @ b))
+            factors = _axis_factors(char_poly(_omega_b(b, None, None)))
         locations = _krein_interior_locations_exact(factors)
     else:
         locations = _krein_interior_locations_float(b, tol)
@@ -527,7 +528,15 @@ def _krein_crossings(path: KreinPath, tol: float, factors=None):
                                     interior=False, tol=tol), at_end
 
 
+def _invertible(factors) -> bool:
+    """Whether B is invertible, from the ``_axis_factors`` of char_poly(J B):
+    det B = r(0), so when no Yun factor of r vanishes at 0."""
+    return all(g[0] for g, _, _, _ in factors)
+
+
 def _flow_krein(path: KreinPath, tol: Optional[float], factors=None) -> SpectralFlowResult:
+    """The Krein flow; given the ``_axis_factors`` of a rational B, an
+    invertible B has no crossing at s = 0 and no kernel is computed."""
     tol = _resolve_tol(tol, lambda: path.b.max_abs() + float(path.s_max))
     crossings = []
     end_corr = 0
@@ -538,7 +547,7 @@ def _flow_krein(path: KreinPath, tol: Optional[float], factors=None) -> Spectral
             raise IrregularCrossingError(cr.location, "degenerate crossing form")
         else:
             crossings.append(cr)
-    zero = _krein_zero_crossing(path.b, tol)
+    zero = None if factors and _invertible(factors) else _krein_zero_crossing(path.b, tol)
     start_corr = zero.negative if zero else 0
     total = sum(c.signature for c in crossings) - start_corr + end_corr
     return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, path.field)
@@ -614,8 +623,8 @@ def kappa_identity_check(b: Matrix, tol: Optional[float] = None) -> KappaIdentit
 
 def _kappa_identity_exact(b: Matrix, cls, factors) -> KappaIdentity:
     n = b.n_rows // 2
-    kappa = sum(m * (c - (g[0] == 0)) for g, m, c in factors)
-    nullity = b.n_rows - rank(b)
+    kappa = sum(m * (c - (g[0] == 0)) for g, m, c, _ in factors)
+    nullity = 0 if _invertible(factors) else b.n_rows - rank(b)
     return KappaIdentity(n, kappa, nullity, n == kappa + Fraction(nullity, 2), cls)
 
 

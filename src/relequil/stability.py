@@ -192,7 +192,11 @@ def _omega_b(b: Matrix, omega: Optional[Matrix], tol: Optional[float]) -> Matrix
     """Omega B (J B by default) for an invertible skew Omega of the shape of
     B; a float Omega must be finite and enters as (Omega - Omega^T) / 2."""
     if omega is None:
-        return standard_symplectic(b.n_rows // 2, b.field) @ b
+        n = b.n_rows // 2
+        if b.field == RATIONAL:  # J B = [-B_lower; B_upper] by a row swap
+            rows = b.rows()
+            return Matrix(tuple(tuple(-x for x in r) for r in rows[n:]) + rows[:n], RATIONAL)
+        return standard_symplectic(n, FLOAT64) @ b
     if omega.shape != b.shape:
         raise ShapeError("B and Omega must have the same shape")
     if omega.field == FLOAT64:
@@ -213,18 +217,19 @@ def _require_even_symmetric(b: Matrix, tol: Optional[float]) -> Matrix:
     return _require_symmetric(b, tol)
 
 
-def _axis_factors(p: list[Fraction]) -> list[tuple[list[int], int, int]]:
+def _axis_factors(p: list[Fraction]) -> list[tuple[list[int], int, int, list]]:
     """The Yun factors g of r, where p(x) = r(x^2) is the characteristic
     polynomial of J B, each as (g, multiplicity, distinct roots of g in
-    (-inf, 0]), with g in the normal form of ``rational_poly``."""
+    (-inf, 0], Sturm chain of g), with g in the normal form of
+    ``rational_poly``.  The chain that counts the roots also isolates them
+    on a Krein path."""
     r, is_even = rp.even_part(rp.cleared(p))
     if not is_even:
         raise AssertionError("characteristic polynomial of J B must be even")
-    return [(g, m, rp.count_distinct_real_roots(g, None, 0))
-            for g, m in rp.squarefree_decomposition(r)]
+    return [(g, m, rp._count(chain, None, 0), chain) for g, m, chain in rp._yun_chains(r)]
 
 
-def _even_yun(factors: list[tuple[list[int], int, int]]) -> list[tuple[list[int], int]]:
+def _even_yun(factors: list[tuple[list[int], int, int, list]]) -> list[tuple[list[int], int]]:
     """The Yun factors of p(x) = r(x^2), as ``rp.squarefree_decomposition(p)``
     lists them, from the ``_axis_factors`` of r.
 
@@ -236,7 +241,7 @@ def _even_yun(factors: list[tuple[list[int], int, int]]) -> list[tuple[list[int]
     products (Gauss's lemma); Yun factors in normal form are unique, so
     these are the same exact coefficients."""
     parts: dict[int, list[int]] = {}
-    for g, m, _ in factors:
+    for g, m, _, _ in factors:
         g_sq = [0] * (2 * len(g) - 1)
         g_sq[::2] = g
         if g[0] == 0:
@@ -274,7 +279,7 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float]):
         factors = _axis_factors(char_poly(ob))
         yun = _even_yun(factors)
         spectrum = _exact_spectrum(yun)
-        on_axis = all(c == rp.degree(g) for g, _, c in factors)
+        on_axis = all(c == rp.degree(g) for g, _, c, _ in factors)
     else:
         t = _resolve_tol(tol, ob.max_abs)
         factors = None

@@ -262,6 +262,24 @@ def test_flow_krein_computes_char_poly_once(tmp_path, capsys, monkeypatch):
         assert len(calls) == 1
 
 
+def test_exact_flow_computes_no_kernel_of_an_invertible_matrix(tmp_path, capsys, monkeypatch):
+    # det B = r(0) for the even part r of char_poly(J B), and d(0), d(1) are
+    # multiples of det A(0), det A(1): an invertible B or end has no kernel,
+    # so no elimination runs on it
+    kernels = count_calls(monkeypatch, "kernel", ("spectral_flow",))
+    ranks = count_calls(monkeypatch, "rank", ("spectral_flow",))
+    for path, singular in (
+            ({"type": "krein", "b": [[1, 0], [0, 1]], "s_max": 2}, False),
+            ({"type": "krein", "b": COUNTEREXAMPLE_ROWS, "s_max": 2}, True),
+            ({"type": "linear", "start": [[1, 0], [0, 1]], "end": [[2, 0], [0, 3]]}, False),
+            ({"type": "linear", "start": [[0, 0], [0, 1]], "end": [[1, 0], [0, 1]]}, True)):
+        kernels.clear()
+        ranks.clear()
+        assert main(["flow", write_json(tmp_path / "path.json", path)]) == 0
+        capsys.readouterr()
+        assert bool(kernels) == singular and (bool(ranks) == singular or path["type"] == "linear")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
 @pytest.mark.parametrize("command", ["classify", "flow"])
 def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys, command, value):

@@ -1,11 +1,15 @@
 import math
+import time
 from fractions import Fraction
+from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import helpers as H
+import relequil.rational_poly as rp
+from conftest import SEED
 from relequil.rational_poly import (
     cauchy_root_bound,
     cleared,
@@ -216,3 +220,206 @@ def test_gcd_and_yun_match_fraction_reference(powers, other):
         for g, _ in parts:
             squarefree = mul(squarefree, g)
         assert squarefree == cleared(H.squarefree_part(p))
+
+
+def test_yun_chains_carry_each_factors_sturm_chain():
+    for p in (from_roots([1, Fraction(-2, 3), 5]), mul(from_roots([1, 1, 2]), poly(-2, 0, 1)),
+              mul(mul(from_roots([0, 0, 0]), poly(3, 0, 1)), poly(3, 0, 1))):
+        parts = rp._yun_chains(p)
+        assert [(g, m) for g, m, _ in parts] == squarefree_decomposition(p)
+        for g, _, chain in parts:
+            assert chain == sturm_chain(g)
+    # a square-free p keeps the one chain that showed it square-free
+    p = from_roots([1, Fraction(-2, 3), 5])
+    ((g, m, chain),) = rp._yun_chains(p)
+    assert (g, m) == (p, 1) and chain[0] is g
+
+
+def test_isolate_refuses_a_polynomial_that_is_not_square_free():
+    # x^3 (3 - x^3): a triple root at 0, the first bisection midpoint
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="square-free"):
+        isolate_real_roots([0, 0, 0, 3, 0, 0, -1])
+    with pytest.raises(ValueError, match="square-free"):
+        isolate_real_roots(from_roots([Fraction(1, 3), Fraction(1, 3), 2]), 0, 1)
+    assert time.perf_counter() - start < 1
+
+
+def test_refine_root_sign_evaluations(monkeypatch):
+    # the even part r of char_poly(J B) for a linearly stable 16 x 16 B, whose
+    # eight roots -w^2 on the negative axis give the Krein crossings; plain
+    # bisection takes about 60 signs per root
+    r = [391910400, 724818240, 418238016, 94732684, 9918652, 530713, 14767, 199, 1]
+    calls = []
+    sign_at = rp._sign_at
+    monkeypatch.setattr(rp, "_sign_at", lambda c, u, v: calls.append(c) or sign_at(c, u, v))
+    intervals = isolate_real_roots(r, None, 0)
+    assert len(intervals) == 8
+    for lo, hi in intervals:
+        calls.clear()
+        refine_root(r, lo, hi)
+        assert len(calls) <= 15
+
+
+# ---------------------------------------------------------------------------
+# The module walks the bisection tree with fewer evaluations.  Plain
+# bisection, the module's own code before that change kept verbatim below,
+# must give the same intervals, floats and exact roots.
+
+Poly = list
+
+
+def _plain_variations(values) -> int:
+    seq = [x > 0 for x in values if x]
+    return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
+
+
+def _plain_sign_at(c: Poly, u: int, v: int) -> int:
+    """Sign of the integer polynomial c at u / v, v > 0: the sign of the
+    homogeneous form sum c_i u^i v^(deg - i), taken by integer Horner."""
+    h, w = 0, 1
+    for a in reversed(c):
+        h = h * u + a * w
+        w *= v
+    return (h > 0) - (h < 0)
+
+
+def _plain_variations_at(chain: list[Poly], x) -> int:
+    if x == "-inf":
+        return _plain_variations([s[-1] * (-1) ** degree(s) if s else 0 for s in chain])
+    if x == "+inf":
+        return _plain_variations([s[-1] if s else 0 for s in chain])
+    return _plain_variations([_plain_sign_at(s, x.numerator, x.denominator) for s in chain])
+
+
+def _plain_isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals for the real roots of a square-free polynomial.
+
+    Returns disjoint half-open intervals (lo, hi], each containing exactly
+    one real root, ordered left to right.
+    """
+    if degree(p) <= 0:
+        return []
+    chain = sturm_chain(p)
+
+    def vcount(a: Fraction, b: Fraction) -> int:
+        return _plain_variations_at(chain, a) - _plain_variations_at(chain, b)
+
+    bound = cauchy_root_bound(p)
+    out: list[tuple[Fraction, Fraction]] = []
+    stack = [(-bound, bound, vcount(-bound, bound))]
+    while stack:
+        a, b, cnt = stack.pop()
+        if cnt == 1:
+            out.append((a, b))
+        elif cnt > 1:
+            m = (a + b) / 2
+            cl = vcount(a, m)
+            stack += [(m, b, cnt - cl), (a, m, cl)]
+    out.sort(key=lambda iv: iv[0])
+    return out
+
+
+def _plain_refine_root(p: Poly, lo: Fraction, hi: Fraction,
+                       max_steps: int = 200) -> tuple[float, Optional[Fraction]]:
+    """Shrink an isolating interval (lo, hi] of a square-free p by bisection.
+
+    Returns (float approximation, exact rational root or None).  The interval
+    must contain exactly one root of square-free p.  The endpoints are
+    integer numerators a, b over one shared denominator that doubles at each
+    halving, and every sign is ``_plain_sign_at`` of p, so the intervals, the
+    float and the rational candidate are those of plain ``Fraction``
+    bisection without building a ``Fraction`` per step.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    flo = _plain_sign_at(p, a, den)
+    fhi = _plain_sign_at(p, b, den)
+    if fhi == 0:
+        return float(hi), hi
+    while flo == 0:
+        # lo is a different root of p sitting just outside the half-open
+        # interval; walk the left endpoint inward until the sign is usable
+        m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        fmid = _plain_sign_at(p, m, den)
+        if fmid == 0:
+            return float(Fraction(m, den)), Fraction(m, den)
+        if fmid == fhi:
+            # a simple root strictly between mid and hi would flip the sign,
+            # so the root lies in (lo, mid]
+            b, fhi = m, fmid
+        else:
+            a, flo = m, fmid
+    if flo == fhi:
+        raise ValueError("no sign change over the isolating interval")
+    for _ in range(max_steps):
+        # stop once hi - lo < |mid| 1e-17 + min(1e-20, |mid| 1e-17), with
+        # mid = (a + b) / (2 den): relative below |mid| = 1e-3, so that
+        # roots of small magnitude keep their leading digits
+        rel = 10**3 * abs(a + b)
+        if 2 * 10**20 * (b - a) < rel + min(2 * den, rel):
+            break
+        m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        fmid = _plain_sign_at(p, m, den)
+        if fmid == 0:
+            return float(Fraction(m, den)), Fraction(m, den)
+        if fmid == flo:
+            a = m
+        else:
+            b = m
+    approx = Fraction(a + b, 2 * den)
+    # bisection midpoints are dyadic and miss rational roots like 1/3, so
+    # test the best small-denominator candidate before settling for a float
+    guess = approx.limit_denominator(10**12)
+    u, v = guess.numerator, guess.denominator
+    if a * v < u * den <= b * v and _plain_sign_at(p, u, v) == 0:
+        return float(guess), guess
+    return float(approx), None
+
+
+# dyadic roots, which bisection meets as midpoints; rational roots off the
+# dyadic grid; tiny roots, relative to the stop rule's 1e-20
+_DYADIC = st.builds(lambda j, k: Fraction(j, 2**k), st.integers(-40, 40), st.integers(0, 10))
+_RATIONAL = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+_TINY = st.builds(lambda j, k: Fraction(j, 10**k), st.integers(1, 9), st.integers(6, 14))
+# d x^2 - c: the pair +-sqrt(c / d), irrational unless c / d is a square
+_PAIR = st.builds(lambda c, d: [-c, 0, d], st.integers(2, 60), st.integers(1, 5))
+
+
+def _pair_at_rounding_boundary(x: float) -> list:
+    """d t^2 - c with sqrt(c / d) within 1e-40 of the midpoint between x and
+    the next double: there the float depends on the last bisection cell."""
+    m = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    c = (m * m).limit_denominator(10**40)
+    return [-c.numerator, 0, c.denominator]
+
+
+_BOUNDARY = st.builds(_pair_at_rounding_boundary, st.floats(1e-9, 1e6))
+_END = st.one_of(st.none(), _DYADIC, _RATIONAL)
+_CELLS = [(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)), (Fraction(-1, 2), Fraction(3, 4))]
+
+
+@seed(SEED)
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(_DYADIC, _RATIONAL, _TINY), max_size=5),
+       st.lists(st.one_of(_PAIR, _BOUNDARY), max_size=2), _END, _END, st.integers(0, 40))
+def test_isolate_and_refine_match_plain_bisection(roots, pairs, lo, hi, steps):
+    p = [1]
+    for r in roots:
+        p = mul(p, [-r.numerator, r.denominator])
+    for q in pairs:
+        p = mul(p, q)
+    for g, _ in squarefree_decomposition(p):
+        intervals = _plain_isolate_real_roots(g)
+        assert isolate_real_roots(g) == intervals
+        # the drawn ends, and ends on the intervals' own ends
+        ends = [(lo, hi)] + [(b, None) for _, b in intervals] + [(None, a) for a, _ in intervals]
+        for x, y in ends:
+            assert isolate_real_roots(g, x, y) == [
+                (a, b) for a, b in intervals if (x is None or b > x) and (y is None or a < y)]
+        cells = intervals + [(a, b) for a, b in _CELLS if count_distinct_real_roots(g, a, b) == 1]
+        for a, b in cells:
+            assert refine_root(g, a, b) == _plain_refine_root(g, a, b)
+            assert refine_root(g, a, b, steps) == _plain_refine_root(g, a, b, steps)

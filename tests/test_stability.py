@@ -34,7 +34,7 @@ from relequil.stability import (
 )
 from relequil.rational_poly import cleared, squarefree_decomposition
 from relequil.spectral_flow import kappa_identity_check
-from relequil.stability import _axis_factors, _even_yun
+from relequil.stability import _axis_factors, _even_yun, _omega_b
 
 COUNTEREXAMPLE = Matrix.diagonal([-2, -1, 1, -1, 0, 0])
 
@@ -423,3 +423,17 @@ def test_block_matrix_consistency(rng):
         want = sorted(f.eigenvalues, key=lambda z: (z.real, z.imag))
         for got, expect in zip(vals, want):
             assert abs(got - expect) < 1e-10
+
+
+def test_j_b_by_row_swap_is_the_product(rng):
+    # exact J B = [-B_lower; B_upper] is the exact product J @ B; the float
+    # backend keeps the numpy product
+    for n in (1, 2, 3, 5):
+        rows = H.random_symmetric(rng, 2 * n)
+        b = Matrix(rows, RATIONAL)
+        jb = _omega_b(b, None, None)
+        assert jb.field == RATIONAL
+        assert jb.rows() == (standard_symplectic(n) @ b).rows()
+        bf = Matrix(rows, FLOAT64)
+        expected = standard_symplectic(n, FLOAT64).to_numpy() @ bf.to_numpy()
+        assert np.array_equal(_omega_b(bf, None, None).to_numpy(), expected)
