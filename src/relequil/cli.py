@@ -142,6 +142,8 @@ def _run_flow(args) -> int:
         if key not in data:
             raise ValueError(f"path file is missing {key!r}")
     if kind == "linear":
+        if args.s_max is not None:
+            raise ValueError("--s-max applies only to a Krein path")
         start = jsonio.matrix_from_data(data["start"], field)
         end = jsonio.matrix_from_data(data["end"], field)
         result = spectral_flow(LinearPath(start, end), tol=args.tol)

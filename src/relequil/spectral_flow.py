@@ -13,13 +13,15 @@ degenerate crossing form carry no well-defined count and are refused.
 
 Two path types are supported: the straight segment between two real
 symmetric matrices, and the Krein deformation B + s*G with G = i*J, whose
-crossings at s >= 0 sit exactly where J B has eigenvalue i*s.  For rational
-input both use exact determinant polynomials, so crossing locations and
-multiplicities carry proofs; kernels at irrational locations are then
-extracted in floating point at exactly isolated positions.  The Krein
-crossing at s = 0, G on ker B, is built once: it is the first entry of
-``crossing_set`` and gives the flow's start correction, with the exact counts
-rank(Z^T J Z) / 2 for rational B.  Float forms share one eigenvalue count.
+crossings at s >= 0 sit exactly where J B has eigenvalue i*s.  A crossing
+keeps its location, multiplicity, regularity and crossing-form counts only.
+For rational input both use exact determinant polynomials, and exact signs
+decide which roots lie inside the parameter interval and whether a Krein
+crossing sits at s_max; crossing forms at irrational locations are counted
+in floating point.  The Krein crossing at s = 0, G on ker B, is built once:
+it is the first entry of ``crossing_set`` and gives the flow's start
+correction, with the exact counts rank(Z^T J Z) / 2 for rational B.  Float
+forms share one eigenvalue count.
 """
 
 from __future__ import annotations
@@ -152,31 +154,18 @@ class KreinPath:
     def field(self) -> str:
         return self.b.field
 
-    def value(self, s) -> np.ndarray:
-        n = self.dim // 2
-        return self.b.to_numpy().astype(complex) + float(s) * krein_form(n)
-
-    @property
-    def derivative(self) -> np.ndarray:
-        return krein_form(self.dim // 2)
-
 
 Path = Union[LinearPath, KreinPath]
 
 
 @dataclass(frozen=True)
 class Crossing:
-    """A parameter value where the path loses invertibility.
-
-    ``form`` is the crossing form on the kernel basis: exact Fractions for a
-    rational location on a rational segment, floats or complex otherwise.
-    """
+    """A parameter value where the path loses invertibility, with the
+    positive and negative counts of its crossing form."""
 
     location: float
     exact_location: Optional[Fraction]
     multiplicity: int
-    kernel: Subspace
-    form: tuple
     positive: int
     negative: int
     regular: bool
@@ -288,29 +277,20 @@ def _det_poly_float(path: LinearPath) -> np.ndarray:
 # crossing construction
 
 
+def _form_inertia(path: LinearPath, a: Matrix):
+    """The exact inertia of the crossing form: the derivative of ``path``
+    restricted to the kernel of a point a of it."""
+    return inertia(restrict_form(path.derivative, kernel(a)))
+
+
 def _crossing_exact(path: LinearPath, theta: Fraction, multiplicity: int) -> Crossing:
     """The interior crossing at a rational location; irregular ones raise."""
-    a = path.value(theta)
-    ker = kernel(a)
-    k = ker.dimension
-    if k == 0:
-        raise AssertionError("exact crossing location with trivial kernel")
-    form = restrict_form(path.derivative, ker)
-    ir = inertia(form)
+    ir = _form_inertia(path, path.value(theta))
     if ir.nullity:
         raise IrregularCrossingError(float(theta), "degenerate crossing form")
-    if k != multiplicity:
-        raise AssertionError("regular crossing with mismatched determinant multiplicity")
-    return Crossing(
-        location=float(theta),
-        exact_location=theta,
-        multiplicity=k,
-        kernel=ker,
-        form=tuple(tuple(row) for row in form.rows()),
-        positive=ir.coindex,
-        negative=ir.morse_index,
-        regular=True,
-    )
+    if ir.morse_index + ir.coindex != multiplicity:
+        raise AssertionError("crossing kernel dimension differs from the determinant multiplicity")
+    return Crossing(float(theta), theta, multiplicity, ir.coindex, ir.morse_index, True)
 
 
 def _crossing_numeric(arr: np.ndarray, deriv: np.ndarray, location: float,
@@ -337,21 +317,7 @@ def _crossing_numeric(arr: np.ndarray, deriv: np.ndarray, location: float,
     regular = pos + neg == k and k == multiplicity
     if interior and not regular:
         raise IrregularCrossingError(location, "degenerate crossing form")
-    if np.max(np.abs(z.imag)) <= 1e-300:
-        basis = tuple(tuple(float(x) for x in z[:, i].real) for i in range(k))
-    else:
-        basis = tuple(tuple(complex(x) for x in z[:, i]) for i in range(k))
-    return Crossing(
-        location=location,
-        exact_location=exact_location,
-        multiplicity=k,
-        kernel=Subspace(m, basis),
-        form=tuple(tuple(complex(x) if abs(x.imag) > 0 else float(x.real) for x in row)
-                   for row in f),
-        positive=pos,
-        negative=neg,
-        regular=regular,
-    )
+    return Crossing(location, exact_location, k, pos, neg, regular)
 
 
 def _strict_counts_float(form: np.ndarray, tol: float) -> tuple[int, int]:
@@ -373,14 +339,22 @@ def _real_roots(chains, lo, hi) -> list[tuple[float, Optional[Fraction], int]]:
     """The real roots in the open interval (lo, hi) of square-free factors
     given as (Sturm chain, multiplicity), None meaning an infinite end, each
     as (float, exact rational or None, multiplicity).  Only the isolating
-    intervals that meet (lo, hi) are found and refined."""
+    intervals that meet (lo, hi) are found, and only the roots inside them
+    refined: exact signs at lo or hi and b place a root whose (a, b] holds lo or hi."""
     out = []
     for chain, mult in chains:
+        p = chain[0]
         for a, b in rp._isolate(chain, lo, hi):
-            approx, exact = rp.refine_root(chain[0], a, b)
-            x = approx if exact is None else exact
-            if (lo is None or x > lo) and (hi is None or x < hi):
-                out.append((approx, exact, mult))
+            left, right = lo is not None and a < lo, hi is not None and b >= hi
+            if left or right:
+                fb = rp._sign_at(p, b.numerator, b.denominator)
+                # the root is in (lo, b] when p vanishes at b or changes sign from lo
+                if left and fb and rp._sign_at(p, lo.numerator, lo.denominator) * fb >= 0:
+                    continue
+                # and in (a, hi) when p has one nonzero sign on [hi, b]
+                if right and rp._sign_at(p, hi.numerator, hi.denominator) * fb <= 0:
+                    continue
+            out.append((*rp.refine_root(p, a, b), mult))
     return out
 
 
@@ -404,9 +378,8 @@ def _flow_linear_exact(path: LinearPath) -> SpectralFlowResult:
     crossings.sort(key=lambda c: c.location)
     # d(0) and d(1) are positive multiples of det A(0) and det A(1): an
     # invertible end has no kernel to correct for
-    start_corr = 0 if d[0] else \
-        inertia(restrict_form(path.derivative, kernel(path.start))).morse_index
-    end_corr = 0 if sum(d) else inertia(restrict_form(path.derivative, kernel(path.end))).coindex
+    start_corr = 0 if d[0] else _form_inertia(path, path.start).morse_index
+    end_corr = 0 if sum(d) else _form_inertia(path, path.end).coindex
     total = sum(c.signature for c in crossings) - start_corr + end_corr
     return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, RATIONAL)
 
@@ -454,25 +427,38 @@ def _flow_linear_float(path: LinearPath, tol: float) -> SpectralFlowResult:
 # spectral flow: Krein deformations
 
 
-def _krein_interior_locations_exact(factors) -> list[tuple[float, Optional[Fraction], int]]:
-    """All s > 0 with singular B + s*G, as (float, exact or None, multiplicity):
-    s^2 = -x for the negative roots x of the even part of char_poly(J B),
-    given by its ``_axis_factors``.  Factors without such roots are not
+def _krein_locations_exact(factors, s_max) -> list[tuple[float, Optional[Fraction], int, bool]]:
+    """The s in (0, s_max] with singular B + s*G, as (float, exact or None,
+    multiplicity, whether s = s_max), in order of s, from the
+    ``_axis_factors`` of the even part r of char_poly(J B): s^2 = -x for
+    the roots x of r in (-s_max^2, 0), then s_max itself when a Yun factor
+    of r vanishes at -s_max^2.  Factors without negative roots are not
     isolated."""
+    s_max = Fraction(s_max)
+    u, v = s_max.numerator ** 2, s_max.denominator ** 2
     chains = [(chain, m) for g, m, c, chain in factors if c > (g[0] == 0)]
     out = []
-    for x, exact, mult in _real_roots(chains, None, 0):
+    for x, exact, mult in _real_roots(chains, Fraction(-u, v), 0):
         s_exact = None if exact is None else _fraction_sqrt(-exact)
-        out.append((float(s_exact) if s_exact is not None else (-x) ** 0.5, s_exact, mult))
-    return sorted(out, key=lambda t: t[0])
+        out.append((float(s_exact) if s_exact is not None else (-x) ** 0.5, s_exact, mult, False))
+    out.sort(key=lambda t: t[0])
+    return out + [(float(s_max), s_max, m, True)
+                  for chain, m in chains if rp._sign_at(chain[0], -u, v) == 0]
 
 
-def _krein_interior_locations_float(b: Matrix, tol: float) -> list[tuple[float, None, int]]:
+def _krein_locations_float(b: Matrix, s_max: float, tol: float) -> list:
+    """``_krein_locations_exact`` from the eigenvalues of J B; a location
+    within 1e-12 (1 + s_max) of s_max sits at s_max."""
     n = b.n_rows // 2
     jb = standard_symplectic(n, FLOAT64).to_numpy() @ b.to_numpy()
     evals = np.linalg.eigvals(jb)
     onaxis = sorted(e.imag for e in evals if abs(e.real) <= tol and e.imag > tol)
-    return [(s, None, cnt) for s, cnt in _cluster(onaxis, tol)]
+    out = []
+    for s, cnt in _cluster(onaxis, tol):
+        at_end = abs(s - s_max) <= 1e-12 * (1 + s_max)
+        if at_end or s < s_max:
+            out.append((s, None, cnt, at_end))
+    return out
 
 
 def _krein_zero_crossing(b: Matrix, tol: float) -> Optional[Crossing]:
@@ -486,23 +472,14 @@ def _krein_zero_crossing(b: Matrix, tol: float) -> Optional[Crossing]:
     ker = kernel(b, tol=None if exact else tol)
     if ker.dimension == 0:
         return None
-    z = ker.basis_numpy()
-    f = z.conj().T @ krein_form(b.n_rows // 2) @ z
     if exact:
         zm = Matrix(list(zip(*ker.basis)), RATIONAL)
         pos = neg = rank(zm.T @ standard_symplectic(b.n_rows // 2) @ zm) // 2
     else:
-        pos, neg = _strict_counts_float(f, tol)
-    return Crossing(
-        location=0.0,
-        exact_location=Fraction(0) if exact else None,
-        multiplicity=ker.dimension,
-        kernel=ker,
-        form=tuple(tuple(complex(x) for x in row) for row in f),
-        positive=pos,
-        negative=neg,
-        regular=pos + neg == ker.dimension,
-    )
+        z = ker.basis_numpy()
+        pos, neg = _strict_counts_float(z.conj().T @ krein_form(b.n_rows // 2) @ z, tol)
+    return Crossing(0.0, Fraction(0) if exact else None, ker.dimension, pos, neg,
+                    pos + neg == ker.dimension)
 
 
 def _krein_crossings(path: KreinPath, tol: float, factors=None):
@@ -516,16 +493,12 @@ def _krein_crossings(path: KreinPath, tol: float, factors=None):
     if b.field == RATIONAL:
         if factors is None:
             factors = _axis_factors(char_poly(_omega_b(b, None, None)))
-        locations = _krein_interior_locations_exact(factors)
+        locations = _krein_locations_exact(factors, path.s_max)
     else:
-        locations = _krein_interior_locations_float(b, tol)
-    s_hi = float(path.s_max)
-    for s_float, s_exact, mult in locations:
-        # an exact location equal to s_max has s_float == s_hi
-        at_end = abs(s_float - s_hi) <= 1e-12 * (1 + s_hi)
-        if at_end or s_float < s_hi:
-            yield _crossing_numeric(base + s_float * g, g, s_float, s_exact, mult,
-                                    interior=False, tol=tol), at_end
+        locations = _krein_locations_float(b, float(path.s_max), tol)
+    for s, s_exact, mult, at_end in locations:
+        yield _crossing_numeric(base + s * g, g, s, s_exact, mult,
+                                interior=False, tol=tol), at_end
 
 
 def _invertible(factors) -> bool:

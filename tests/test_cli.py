@@ -322,6 +322,30 @@ def test_s_max_beyond_float_range_exits_1(tmp_path, capsys, backend):
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
+def test_s_max_on_a_linear_path_exits_1(tmp_path, capsys, backend):
+    path = write_json(tmp_path / "path.json",
+                      {"type": "linear", "start": [[1, 0], [0, 1]], "end": [[2, 0], [0, 3]]})
+    for value in ("banana", "2"):
+        assert main(["flow", path, "--backend", backend, "--s-max", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --s-max applies only to a Krein path\n"
+
+
+@pytest.mark.parametrize("rows, s_max, flow, crossings", [
+    # the crossing at s = 1 lies beyond s_max = 1 - 1e-13
+    ([[-1, 0], [0, -1]], "9999999999999/10000000000000", 0, 0),
+    # s_max lies just above the crossing at sqrt(2)
+    ([[2, 0], [0, 1]], "141421356237310/100000000000000", -1, 1)])
+def test_krein_end_is_decided_exactly(tmp_path, capsys, rows, s_max, flow, crossings):
+    path = write_json(tmp_path / "path.json", {"type": "krein", "b": rows, "s_max": s_max})
+    assert main(["flow", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["flow"], report["end_correction"]) == (flow, 0)
+    assert len(report["crossings"]) == crossings
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
 def test_huge_exponent_entry_exits_1_fast(tmp_path, capsys, backend):
     # "1e100000000" would make Fraction build 10^100000000
     huge = "1e100000000"

@@ -178,6 +178,21 @@ def test_relative_morse_index():
     assert relative_morse_index(Matrix.identity(2), Matrix.identity(2)) == 0
 
 
+def test_crossing_a_rounding_error_from_the_end_is_counted():
+    # det A(t) = t^2 + t - g^2 has a root at 1 - 4.6e-17, which rounds to
+    # 1.0, inside (0, 1); both ends are invertible, so the flow is
+    # morse(start) - morse(end) = 1
+    g = Fraction(1414213562373095, 10**15)
+    start = Matrix([[0, g], [g, 1]], RATIONAL)
+    end = Matrix([[1, g], [g, 2]], RATIONAL)
+    result = spectral_flow(LinearPath(start, end))
+    assert result.flow == 1
+    assert (result.start_correction, result.end_correction) == (0, 0)
+    (c,) = result.crossings
+    assert c.location == 1.0 and c.exact_location is None and c.signature == 1
+    assert relative_morse_index(start, end) == -1
+
+
 def test_float_backend_linear_path():
     a0 = Matrix.from_numpy(np.diag([-1.0, 1.0]))
     a1 = Matrix.from_numpy(np.diag([1.0, 1.0]))
@@ -251,6 +266,40 @@ def test_krein_start_correction_with_kernel():
     assert result.flow == -1 - result.start_correction
 
 
+def _krein_morse(rows, s) -> int:
+    """morse(B + s iJ) from the real form [[B, -s J], [s J, B]] of the
+    Hermitian matrix, which has each of its eigenvalues twice."""
+    dim = len(rows)
+    sj = [[s * int(x) for x in row] for row in H.standard_j(dim // 2)]
+    real = [list(rows[i]) + [-x for x in sj[i]] for i in range(dim)] + \
+        [sj[i] + list(rows[i]) for i in range(dim)]
+    neg, _, _ = H.inertia_congruence(real)
+    assert neg % 2 == 0
+    return neg // 2
+
+
+def test_krein_flow_matches_the_index_difference(rng):
+    # flow = morse(B) - morse(B + s_max iJ) on pair-diagonal B with repeated
+    # frequencies, both Krein signs, zero blocks and real pairs, with s_max
+    # on a crossing, 1e-13 below and above one, just above sqrt(2) and
+    # between crossings; the nilpotent (0, c) block is left out, its s = 0
+    # crossing is irregular
+    pairs = [(1, 1), (1, 4), (4, 1), (2, 2), (1, 2), (-1, -9), (-2, -2), (0, 0),
+             (1, -1), (2, -3)]
+    near = Fraction(1, 10**13)
+    ends = [Fraction(c) + d for c in (1, 2, 3) for d in (0, -near, near)] + \
+        [Fraction(141421356237310, 10**14), Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)]
+    for _ in range(30):
+        rows = H.pair_diagonal(rng.choices(pairs, k=rng.choice([1, 2, 3])))
+        b = Matrix(rows, RATIONAL)
+        morse_b = H.inertia_congruence(rows)[0]
+        for s_max in ends:
+            result = spectral_flow(KreinPath(b, s_max))
+            assert result.flow == morse_b - _krein_morse(rows, s_max), (rows, s_max)
+            assert all(0 < c.exact_location < s_max for c in result.crossings
+                       if c.exact_location is not None)
+
+
 def test_krein_form_matches_entrywise_loop():
     for n in range(12):
         g, ref = krein_form(n), H.krein_form_loop(n)
@@ -284,7 +333,7 @@ def test_zero_crossing_gives_the_start_correction(rng):
                 assert zero.multiplicity == H.kernel_dim_gauss(b_rows)
                 assert zero.negative == spectral_flow(KreinPath(b, s_max)).start_correction
                 if backend == RATIONAL:
-                    basis = zero.kernel.basis
+                    basis = kernel(b).basis
                     skew_rank = len(basis) - H.kernel_dim_gauss(H.gram_fraction(j_rows, basis))
                     assert zero.positive == zero.negative == skew_rank // 2
                 checked += 1
