@@ -219,7 +219,7 @@ def _cc_data(cc) -> dict:
         "locked_inertia": locked_inertia(cc.system),
         "masses": list(cc.system.masses),
         "positions": [[float(x), float(y)] for x, y in pts],
-        "potential": potential_U(cc.system),
+        "potential": cc.potential,
         "residual": cc.residual,
         "xi_squared": cc.xi_squared,
     }

@@ -517,6 +517,18 @@ def _symmetric_part(b: Matrix, tol: Optional[float]) -> np.ndarray:
     return (a + a.T) / 2
 
 
+def _inertia_float(s: np.ndarray, tol: Optional[float]) -> IndexReport:
+    """``inertia`` of a symmetric float array, counting its eigenvalues
+    against ``tol`` (default: 1e-8 (1 + max |s_ij|)); no symmetry check."""
+    if s.size == 0:
+        return IndexReport(0, 0, 0)
+    t = _resolve_tol(tol, lambda: np.max(np.abs(s)))
+    w = np.linalg.eigvalsh(s)
+    neg = int(np.sum(w < -t))
+    zero = int(np.sum(np.abs(w) <= t))
+    return IndexReport(morse_index=neg, nullity=zero, coindex=len(w) - neg - zero)
+
+
 def inertia(b: Matrix, tol: Optional[float] = None) -> IndexReport:
     """Counts of negative, zero and positive eigenvalues of a symmetric matrix.
 
@@ -528,14 +540,7 @@ def inertia(b: Matrix, tol: Optional[float] = None) -> IndexReport:
     Eigenvalue counting with the default tolerance over floats.
     """
     if b.field == FLOAT64:
-        s = _symmetric_part(b, tol)
-        if s.size == 0:
-            return IndexReport(0, 0, 0)
-        t = _resolve_tol(tol, lambda: np.max(np.abs(s)))
-        w = np.linalg.eigvalsh(s)
-        neg = int(np.sum(w < -t))
-        zero = int(np.sum(np.abs(w) <= t))
-        return IndexReport(morse_index=neg, nullity=zero, coindex=len(w) - neg - zero)
+        return _inertia_float(_symmetric_part(b, tol), tol)
     b = _require_symmetric(b, tol)
     if b.n_rows == 0:
         return IndexReport(0, 0, 0)
@@ -604,15 +609,26 @@ def _prime_bits(n: int) -> int:
     return (62 - n.bit_length()) // 2
 
 
+def _is_prime(c: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7, deterministic for odd c with
+    7 < c < 3,215,031,751, so for every candidate of ``_primes``."""
+    s = ((c - 1) & (1 - c)).bit_length() - 1  # c - 1 = d 2^s with d odd
+    for a in (2, 3, 5, 7):
+        x = pow(a, (c - 1) >> s, c)
+        if x != 1 and all(pow(x, 1 << r, c) != c - 1 for r in range(s)):
+            return False
+    return True
+
+
 def _primes(bits: int):
-    """The primes below 2**bits, largest first, by trial division (a
-    deterministic test at this size); cached per bit size, never capped."""
+    """The primes below 2**bits, largest first, for 16 <= bits <= 31 (the
+    range of ``_prime_bits``); cached per bit size, never capped."""
     cache = _PRIMES.setdefault(bits, [])
     yield from cache
     c = cache[-1] if cache else (1 << bits) + 1
     while True:
         c -= 2
-        if all(c % f for f in range(3, math.isqrt(c) + 1, 2)):
+        if _is_prime(c):
             cache.append(c)
             yield c
 

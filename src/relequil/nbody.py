@@ -21,23 +21,27 @@ coordinates in general.  U and its derivatives are numpy sums over the
 pairs i < j that round exactly as a scalar loop over the pairs does: the
 squared distance is the BLAS dot of a stacked matmul (as ``d @ d``), the
 powers are CPython's ``pow`` (``np.power`` differs in the last bit), and
-every sum keeps the loop's order (a sequential accumulate for U, ``np.add.at``
-in pair order for the gradient and the Hessian blocks).  The CC search tests
-an absolute residual close to its rounding floor, so another rounding of
-these sums changes the configurations it converges to, or whether it does.
+every sum keeps the loop's order (a sequential accumulate for U, a weighted
+``np.bincount`` in pair order for the gradient and the diagonal Hessian
+blocks).  The CC search tests an absolute residual close to its rounding
+floor, so another rounding of these sums changes the configurations it
+converges to, or whether it does.  The search returns U and D^2U at the
+configuration it stops at, and the report reads them from there instead of
+evaluating the pair sums again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .matrix_core import IndexReport, Matrix, ShapeError, inertia, rank
+from .matrix_core import IndexReport, Matrix, ShapeError, _inertia_float, rank
 from .stability import TheoremVerdict, _fraction_sqrt, parity_verdict
 
 __all__ = [
@@ -128,7 +132,7 @@ class NBodySystem:
         com = _weighted_com(np.asarray(self.masses, dtype=float), q)
         if float(np.max(np.abs(com))) > 1e-8 * scale:
             raise ValueError("center of mass must sit at the origin; use assemble()")
-        _min_pair_distance(_pairs(q)[2], guard=COLLISION_GUARD)
+        _min_pair_distance(_pairs(q)[-1], guard=COLLISION_GUARD)
 
     @classmethod
     def assemble(cls, masses, alpha, positions) -> "NBodySystem":
@@ -167,6 +171,8 @@ class CentralConfiguration:
     system: NBodySystem
     xi_squared: float
     residual: float
+    potential: float  # U and D^2U at the configuration, from the search
+    hess_u: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -225,11 +231,30 @@ def _weighted_com(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (m[:, None] * pts).sum(axis=0) / m.sum()
 
 
+@functools.lru_cache(maxsize=32)
+def _pair_index(n: int):
+    """For n bodies: the pairs i < j in lexicographic order; the flat indices
+    of the gradient entries, then of the 2x2 diagonal Hessian blocks, of both
+    ends of each pair, i before j; those of the Hessian blocks (i, j), then
+    (j, i).  Cached, so read-only."""
+    i, j = np.triu_indices(n, 1)
+    ends, two = np.column_stack([i, j]), np.arange(2)
+
+    def block(a, b):  # flat indices in the 2n x 2n Hessian of the blocks (a, b)
+        return (2 * a[..., None, None] + two[:, None]) * (2 * n) + 2 * b[..., None, None] + two
+
+    out = (i, j, (2 * ends[..., None] + two).reshape(-1), block(ends, ends).reshape(-1),
+           block(np.stack([i, j]), np.stack([j, i])))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _pairs(q: np.ndarray):
-    """The pairs i < j in lexicographic order and d = q_i - q_j per pair."""
+    """``_pair_index`` of the bodies of q, then d = q_i - q_j per pair."""
     pts = q.reshape(-1, 2)
-    i, j = np.triu_indices(pts.shape[0], 1)
-    return i, j, pts[i] - pts[j]
+    index = _pair_index(pts.shape[0])
+    return (*index, pts[index[0]] - pts[index[1]])
 
 
 def _min_pair_distance(d: np.ndarray, guard: float) -> float:
@@ -256,11 +281,12 @@ def _potential_parts(m: np.ndarray, q: np.ndarray, alpha: float,
     rounds differently where the dot fuses the multiply-add); the powers are
     CPython's ``pow``, since ``np.power`` differs from it in the last bit;
     U is a sequential sum in pair order, not numpy's pairwise ``sum``; the
-    gradient and the diagonal blocks take their terms by ``np.add.at`` in
-    pair order, i before j; and each off-diagonal block is a zero block
-    plus -k, so its zeros are unsigned.
+    gradient and the diagonal blocks take their terms from 0.0 in pair
+    order, i before j, by one weighted ``np.bincount`` each, which adds in
+    input order as ``np.add.at`` does; and each off-diagonal block is a zero
+    block plus -k, so its zeros are unsigned.
     """
-    i, j, d = _pairs(q)
+    i, j, grad_at, diag_at, off_at, d = _pairs(q)
     _min_pair_distance(d, guard)
     n = q.size // 2
     r2 = np.matmul(d[:, None, :], d[:, :, None]).reshape(-1)
@@ -271,16 +297,10 @@ def _potential_parts(m: np.ndarray, q: np.ndarray, alpha: float,
     g = c[:, None] * d
     k = c[:, None, None] * (
         np.eye(2) - (alpha + 2) * (d[:, :, None] * d[:, None, :]) / r2[:, None, None])
-    ends = np.column_stack([i, j]).reshape(-1)
-    grad = np.zeros((n, 2))
-    np.add.at(grad, ends, np.stack([g, -g], axis=1).reshape(-1, 2))
-    diag = np.zeros((n, 2, 2))
-    np.add.at(diag, ends, np.repeat(k, 2, axis=0))
-    hess = np.zeros((n, 2, n, 2))
-    body = np.arange(n)
-    hess[body, :, body, :] = diag
-    hess[i, :, j, :] = hess[j, :, i, :] = 0.0 - k  # zero block plus -k: no -0.0
-    return u, grad.reshape(-1), hess.reshape(2 * n, 2 * n)
+    grad = np.bincount(grad_at, np.stack([g, -g], axis=1).reshape(-1), 2 * n)
+    hess = np.bincount(diag_at, np.repeat(k, 2, axis=0).reshape(-1), 4 * n * n)
+    hess[off_at] = 0.0 - k  # zero block plus -k: no -0.0
+    return u, grad, hess.reshape(2 * n, 2 * n)
 
 
 def potential_U(sys: NBodySystem) -> float:
@@ -419,7 +439,7 @@ def find_central_configuration(sys: NBodySystem,
     # _gauge_normalize has centered q: recentering it again would move the
     # residual off the value tested against cc_tol
     system = NBodySystem(tuple(float(x) for x in m), float(alpha), tuple(float(x) for x in q))
-    return CentralConfiguration(system, xi2, res)
+    return CentralConfiguration(system, xi2, res, u, h)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +473,7 @@ def amended_hessian(cc: CentralConfiguration) -> AmendedHessianReport:
     if n < 2:
         raise ShapeError("need at least two bodies")
     xi2 = cc.xi_squared
-    _, _, h = _potential_parts(m, q, alpha)
+    h = cc.hess_u  # D^2U at q, as the search evaluated it
     mq = mm * q
     form = -h - xi2 * np.diag(mm) + 4.0 * xi2 * np.outer(mq, mq)
     z_shat = _m_orthonormalize(_slice_basis(m, q), mm)
@@ -471,13 +491,11 @@ def amended_hessian(cc: CentralConfiguration) -> AmendedHessianReport:
     op_scale = float(np.linalg.norm(op, 2)) or 1.0
     sign_res = float(np.max(np.abs(z_shat.T @ form @ z_shat + on_shat))) \
         if z_shat.shape[1] else 0.0
-    matrix_on_v = Matrix.from_numpy(on_v)
-    hess_u_on_shat = Matrix.from_numpy(on_shat)
     return AmendedHessianReport(
-        matrix_on_v=matrix_on_v,
-        inertia_v=inertia(matrix_on_v),
-        hess_u_on_shat=hess_u_on_shat,
-        inertia_shat=inertia(hess_u_on_shat),
+        matrix_on_v=Matrix.from_numpy(on_v),
+        inertia_v=_inertia_float(on_v, None),  # both forms are exactly symmetric
+        hess_u_on_shat=Matrix.from_numpy(on_shat),
+        inertia_shat=_inertia_float(on_shat, None),
         radial_eigenvalue=lam,
         radial_residual=radial_res / op_scale,
         sign_identity_residual=sign_res,

@@ -447,17 +447,20 @@ def _krein_locations_exact(factors, s_max) -> list[tuple[float, Optional[Fractio
 
 
 def _krein_locations_float(b: Matrix, s_max: float, tol: float) -> list:
-    """``_krein_locations_exact`` from the eigenvalues of J B; a location
-    within 1e-12 (1 + s_max) of s_max sits at s_max."""
+    """``_krein_locations_exact`` from the eigenvalues of J B, none of them
+    at s_max: a location within tol (1 + s_max) of s_max cannot be placed
+    before, at or after it, and raises IndeterminateError."""
     n = b.n_rows // 2
     jb = standard_symplectic(n, FLOAT64).to_numpy() @ b.to_numpy()
     evals = np.linalg.eigvals(jb)
     onaxis = sorted(e.imag for e in evals if abs(e.real) <= tol and e.imag > tol)
     out = []
     for s, cnt in _cluster(onaxis, tol):
-        at_end = abs(s - s_max) <= 1e-12 * (1 + s_max)
-        if at_end or s < s_max:
-            out.append((s, None, cnt, at_end))
+        if abs(s - s_max) <= tol * (1 + s_max):
+            raise IndeterminateError(
+                f"a crossing at s = {float(s)!r} lies within the tolerance band of s_max")
+        if s < s_max:
+            out.append((s, None, cnt, False))
     return out
 
 

@@ -345,6 +345,20 @@ def test_krein_end_is_decided_exactly(tmp_path, capsys, rows, s_max, flow, cross
     assert len(report["crossings"]) == crossings
 
 
+@pytest.mark.parametrize("s_max", [0.9999999999999, 1])
+def test_float_krein_crossing_at_s_max_exits_2(tmp_path, capsys, s_max):
+    # the crossing at s = 1 lies within the tolerance band of s_max, so
+    # floats cannot tell whether it lies before, at or after it; the exact
+    # backend decides 1 - 1e-13 in test_krein_end_is_decided_exactly
+    path = write_json(tmp_path / "path.json",
+                      {"type": "krein", "b": [[-1, 0], [0, -1]], "s_max": s_max})
+    assert main(["flow", path, "--backend", "float"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a crossing at s = ")
+    assert captured.err.endswith(" lies within the tolerance band of s_max\n")
+
+
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_huge_exponent_entry_exits_1_fast(tmp_path, capsys, backend):
     # "1e100000000" would make Fraction build 10^100000000

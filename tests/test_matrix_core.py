@@ -587,6 +587,22 @@ def test_poly_at_matrix_prime_bound():
                 assert not _int_poly_at_matrix_is_zero([-product], m)
 
 
+def test_primes_match_trial_division(monkeypatch):
+    # the first 200 primes of each bit size, from an empty cache, are those
+    # found by trial division of the odd numbers below 2^bits, largest first
+    monkeypatch.setattr(matrix_core, "_PRIMES", {})
+    small = np.array([p for p in range(3, 1 << 16, 2)
+                      if all(p % f for f in range(3, math.isqrt(p) + 1, 2))])
+    for bits in range(20, 31):
+        expected, c = [], (1 << bits) - 1
+        while len(expected) < 200:
+            if np.all(c % small[small <= math.isqrt(c)]):
+                expected.append(c)
+            c -= 2
+        primes = _primes(bits)
+        assert [next(primes) for _ in range(200)] == expected, bits
+
+
 def test_semisimple_float_band():
     arr = np.array([[1.0, 1.0], [0.0, 1.0]])
     report = is_semisimple(Matrix.from_numpy(arr))

@@ -1,11 +1,15 @@
+import json
 import math
+import os
 import random
 
 import numpy as np
 import pytest
 
 import helpers as H
-from relequil import nbody
+from relequil import cli, nbody
+from relequil.cli import main
+from relequil.matrix_core import Matrix, _inertia_float, inertia
 from relequil.stability import parity_verdict
 from relequil.nbody import (
     CCSettings,
@@ -158,6 +162,86 @@ def test_cc_search_bitwise_matches_pair_loop(monkeypatch):
         ref = find_central_configuration(s)
         assert _bits([cc.system.q(), cc.residual, cc.xi_squared]) == \
             _bits([ref.system.q(), ref.residual, ref.xi_squared])
+
+
+def _perturbed_polygon(n: int, alpha: float, label: str) -> NBodySystem:
+    rng = random.Random(label)
+    pts = [(math.cos(2 * math.pi * k / n) + rng.uniform(-0.02, 0.02),
+            math.sin(2 * math.pi * k / n) + rng.uniform(-0.02, 0.02))
+           for k in range(n)]
+    return system([1.0] * n, alpha, pts)
+
+
+def test_cc_carries_the_last_search_evaluation():
+    # U and D^2U of the returned configuration are those the search computed
+    # at it, bit for bit a fresh evaluation there
+    for seed in (2, 14, 18):
+        cc = find_central_configuration(_perturbed_polygon(16, 3.0, f"probe:16:3.0:{seed}"))
+        s = cc.system
+        u, _, h = nbody._potential_parts(s.mass_vector(), s.q(), s.alpha)
+        assert _bits([cc.potential, cc.hess_u]) == _bits([u, h])
+
+
+def test_inertia_float_matches_inertia(rng):
+    # on exactly symmetric arrays of every rank, the empty one included
+    for dim in range(9):
+        for r in sorted({0, dim // 2, dim}):
+            x = np.array([rng.uniform(-1, 1) for _ in range(dim * r)]).reshape(dim, r)
+            a = x @ np.diag([rng.choice((-1.0, 1.0)) for _ in range(r)]) @ x.T
+            a = (a + a.T) / 2
+            for tol in (None, 1e-6):
+                assert _inertia_float(a, tol) == inertia(Matrix.from_numpy(a), tol)
+
+
+def test_nbody_stability_evaluates_once_per_search_point(tmp_path, capsys, monkeypatch):
+    # one pair-kernel call per point the search visits and none after the
+    # search: the report reads U and D^2U off the search's last evaluation
+    events = []
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(nbody, "_potential_parts", logged("kernel", nbody._potential_parts))
+    monkeypatch.setattr(nbody, "_residual", logged("point", nbody._residual))
+    search = cli.find_central_configuration
+
+    def search_then_mark(*args):
+        cc = search(*args)
+        events.append("done")
+        return cc
+
+    monkeypatch.setattr(cli, "find_central_configuration", search_then_mark)
+    s = _perturbed_polygon(40, 1.0, "40-gon")
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"masses": list(s.masses), "alpha": s.alpha,
+                                   "positions": list(s.positions)}))
+    assert main(["nbody-stability", str(problem)]) == 0
+    assert json.loads(capsys.readouterr().out)["cc"]["residual"] <= 1e-10
+    points = events.count("point")
+    assert points > 1
+    assert events == ["point", "kernel"] * points + ["done"]
+
+
+GOLDEN_NBODY = os.path.join(os.path.dirname(__file__), "golden_nbody_reports.json")
+
+
+def test_nbody_stability_reports_match_golden(tmp_path, capsys):
+    # float reports pinned byte for byte on polygons and rings, alpha = 1, 2
+    # and 3, up to 40 bodies; captured on x86-64 with numpy 2.4.6 and its
+    # OpenBLAS 0.3.31, since another BLAS may round the search's linear
+    # algebra differently in the last bit
+    with open(GOLDEN_NBODY, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    assert {c["problem"]["alpha"] for c in cases} == {1.0, 2.0, 3.0}
+    for k, case in enumerate(cases):
+        problem = tmp_path / f"{k}.json"
+        problem.write_text(json.dumps(case["problem"]))
+        assert main(["nbody-stability", str(problem)]) == 0, case["case"]
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (case["report"], ""), case["case"]
 
 
 # ---------------------------------------------------------------------------
