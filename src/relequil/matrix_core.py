@@ -420,24 +420,19 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free row echelon form; returns (pivot rows, pivot columns,
-    sign of the row permutation).  The last pivot of a nonsingular square
-    matrix is its determinant times that sign."""
+def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form; returns (pivot rows, pivot columns)."""
     m = [row[:] for row in m]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     piv_cols: list[int] = []
-    sign = 1
     prev = 1
     r = 0
     for c in range(n_cols):
         pr = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
         if pr is None:
             continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-            sign = -sign
+        m[r], m[pr] = m[pr], m[r]
         for i in range(r + 1, n_rows):
             for j in range(c + 1, n_cols):
                 m[i][j] = _exact_div(m[r][c] * m[i][j] - m[i][c] * m[r][j], prev)
@@ -447,7 +442,7 @@ def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int], in
         r += 1
         if r == n_rows:
             break
-    return m[:r], piv_cols, sign
+    return m[:r], piv_cols
 
 
 def _back_substitute(echelon: list[list[int]], piv_cols: list[int],
@@ -460,7 +455,7 @@ def _back_substitute(echelon: list[list[int]], piv_cols: list[int],
 
 
 def _kernel_exact(rows: list[list[Fraction]], n_cols: int) -> list[list[Fraction]]:
-    echelon, piv_cols, _ = _bareiss_echelon(_cleared(rows)[0])
+    echelon, piv_cols = _bareiss_echelon(_cleared(rows)[0])
     return [_back_substitute(echelon, piv_cols, [Fraction(int(j == f)) for j in range(n_cols)])
             for f in range(n_cols) if f not in piv_cols]
 
@@ -470,7 +465,7 @@ def solve_exact(a_rows: list[list[Fraction]], b: list[Fraction]) -> Optional[lis
     inconsistent: the Bareiss echelon form of [A | b] with x extended by -1."""
     n_cols = len(a_rows[0]) if a_rows else 0
     aug = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a_rows, b)]
-    echelon, piv_cols, _ = _bareiss_echelon(_cleared(aug)[0])
+    echelon, piv_cols = _bareiss_echelon(_cleared(aug)[0])
     if n_cols in piv_cols:
         return None
     return _back_substitute(echelon, piv_cols, [Fraction(0)] * n_cols + [Fraction(-1)])[:n_cols]
@@ -542,9 +537,7 @@ def inertia(b: Matrix, tol: Optional[float] = None) -> IndexReport:
     if b.field == FLOAT64:
         return _inertia_float(_symmetric_part(b, tol), tol)
     b = _require_symmetric(b, tol)
-    if b.n_rows == 0:
-        return IndexReport(0, 0, 0)
-    neg, zero, pos = rp.root_sign_counts(_char_poly_int(_cleared(b.rows())[0]))
+    neg, zero, pos = rp.root_sign_counts(_char_poly_int([_cleared(b.rows())[0]])[0][0])
     return IndexReport(morse_index=neg, nullity=zero, coindex=pos)
 
 
@@ -587,13 +580,8 @@ def determinant(a: Matrix) -> Scalar:
     if a.field == FLOAT64:
         return float(np.linalg.det(a.to_numpy()))
     ints, d = _cleared(a.rows())
-    return Fraction(_int_det(ints), d ** a.n_rows)
-
-
-def _int_det(m: list[list[int]]) -> int:
-    """Determinant of a nonempty square integer matrix by Bareiss."""
-    echelon, piv_cols, sign = _bareiss_echelon(m)
-    return sign * echelon[-1][-1] if len(piv_cols) == len(m) else 0
+    # det A = (-1)^n p(0) for the characteristic polynomial p of A
+    return Fraction((-1) ** a.n_rows * _char_poly_int([ints])[0][0][0], d ** a.n_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -647,9 +635,14 @@ def _crt_primes(n: int, bound: int) -> list[int]:
     return primes
 
 
-def _residues(m: list[list[int]], primes: list[int]) -> np.ndarray:
-    """The stack of int64 matrices m mod p, one per prime."""
-    return np.array([[[x % p for x in row] for row in m] for p in primes], dtype=np.int64)
+def _residues(m: list, primes: list[int]) -> np.ndarray:
+    """The int64 residues of a nested list of integers m (one matrix or a
+    stack of them) modulo each prime, stacked along a new first axis."""
+    try:
+        a, pv = np.array(m, dtype=np.int64), np.array(primes, dtype=np.int64)
+    except OverflowError:  # entries beyond int64: reduce them as Python ints
+        a, pv = np.array(m, dtype=object), np.array(primes, dtype=object)
+    return (a % pv.reshape((-1,) + (1,) * a.ndim)).astype(np.int64)
 
 
 def _int_poly_at_matrix_is_zero(c: list[int], m: list[list[int]]) -> bool:
@@ -679,37 +672,58 @@ def _int_poly_at_matrix_is_zero(c: list[int], m: list[list[int]]) -> bool:
     return True
 
 
-def _char_poly_int(m: list[list[int]]) -> list[int]:
-    """Monic characteristic polynomial of a nonempty square integer matrix,
-    lowest degree first.
+def _char_poly_int(ms: list, x: Optional[list] = None,
+                   order: int = 0) -> list[list[list[int]]]:
+    """For a stack of square integer matrices M of one size n, out[s][j][k]
+    is the coefficient of mu^j lambda^k in F(mu) = det(lambda I - M_s +
+    mu X) for j <= order; X is an integer matrix, needed when order > 0.
 
-    The coefficient of x^(n-k) sums C(n, k) principal k x k minors, each at
-    most (sqrt(k) max|m_ij|)^k (Hadamard), so primes are taken until their
-    product exceeds twice the largest bound.  Faddeev-LeVerrier runs modulo
-    all of them at once in int64, dividing by k through k^-1 mod p, and the
-    residues are lifted by CRT to the symmetric range."""
-    n = len(m)
-    big = max(abs(x) for row in m for x in row)
+    Each coefficient of lambda^(n-k) sums C(n, k) principal minors whose
+    mu^j parts are sums of at most 2^k determinants, each at most (sqrt(k)
+    max|M_ij, X_ij|)^k (Hadamard).  Primes are taken until their product
+    exceeds twice the largest bound, and Faddeev-LeVerrier runs modulo all
+    of them and for the whole stack at once in int64, dividing by k through
+    k^-1 mod p; the residues are lifted by CRT to the symmetric range.  Its
+    N_k are the coefficients of adj(lambda I - M + mu X), and F'(mu) =
+    tr(adj X) (Jacobi), so F_order costs one trace per step.  The lower
+    orders run N <- (M - mu X) N over Z_p[mu] / (mu^order)."""
+    n, size, width = len(ms[0]), len(ms), max(order, 1)
+    if n == 0:
+        return [[[1]] + [[]] * order for _ in ms]
+    big = max(abs(v) for m in ms + [x or []] for row in m for v in row) * (2 if order else 1)
     bound = max(math.comb(n, k) * (math.isqrt(k ** k) + 1) * big ** k for k in range(n + 1))
     primes = _crt_primes(n, bound)
-    pv = np.array(primes, dtype=np.int64)
-    mods = _residues(m, primes)
-    work = mods.copy()  # M_1 = A
-    res = np.zeros((len(primes), n + 1), dtype=np.int64)
-    res[:, n] = 1
+    p3 = np.array(primes, dtype=np.int64).reshape(-1, 1, 1)
+    pv = p3[..., None, None]
+    mods = _residues(ms, primes)[:, :, None]  # (prime, sample, 1, n, n)
+    work = np.zeros((len(primes), size, width, n, n), dtype=np.int64)
+    work[:, :, 0] = np.eye(n, dtype=np.int64)  # N_0 = I
+    res = np.zeros((len(primes), size, order + 1, n + 1), dtype=np.int64)
+    res[:, :, 0, n] = 1
+    if order:
+        xs = _residues(x, primes)[:, None, None]
+        x_t = np.swapaxes(xs, 3, 4)[:, :, 0]
+        inv_order = np.array([pow(order, -1, p) for p in primes], dtype=np.int64)[:, None]
     for k in range(1, n + 1):
-        inv_k = np.array([pow(k, -1, p) for p in primes], dtype=np.int64)
-        res[:, n - k] = -np.trace(work, axis1=1, axis2=2) % pv * inv_k % pv
-        if k < n:
-            # entries below 2p after the shift keep each dot product under 2 n p^2
-            work.reshape(len(primes), n * n)[:, :: n + 1] += res[:, n - k, None]
-            work = mods @ work % pv[:, None, None]
-    coeffs, modulus = [0] * (n + 1), 1
-    for p, r in zip(primes, res.tolist()):
+        if order:  # tr(N_(k-1) X) by row sums, each under 2 n p^2
+            rows = (work[:, :, order - 1] * x_t).sum(axis=3) % p3
+            res[:, :, order, n - k] = rows.sum(axis=2) % p3[..., 0] * inv_order % p3[..., 0]
+        # entries below 2p after the shift keep each dot product under 2 n p^2
+        step = mods @ work % pv
+        if width > 1:
+            step[:, :, 1:] = (step[:, :, 1:] - xs @ work[:, :, :-1] % pv) % pv
+        work = step
+        inv_k = np.array([pow(k, -1, p) for p in primes], dtype=np.int64).reshape(-1, 1, 1)
+        res[..., :width, n - k] = -np.trace(work, axis1=3, axis2=4) % p3 * inv_k % p3
+        work.reshape(len(primes), size, width, n * n)[..., :: n + 1] += res[..., :width, n - k, None]
+    coeffs, modulus = [0] * res[0].size, 1
+    for p, r in zip(primes, res.reshape(len(primes), -1).tolist()):
         inv = pow(modulus, -1, p)
         coeffs = [c + modulus * ((ri - c) * inv % p) for c, ri in zip(coeffs, r)]
         modulus *= p
-    return [c - modulus if 2 * c > modulus else c for c in coeffs]
+    coeffs = [c - modulus if 2 * c > modulus else c for c in coeffs]
+    return [[coeffs[i:i + n + 1] for i in range(s, s + (order + 1) * (n + 1), n + 1)]
+            for s in range(0, len(coeffs), (order + 1) * (n + 1))]
 
 
 def char_poly(a: Matrix) -> list[Fraction]:
@@ -721,10 +735,8 @@ def char_poly(a: Matrix) -> list[Fraction]:
     if not a.is_square:
         raise ShapeError("characteristic polynomial of a non-square matrix")
     n = a.n_rows
-    if n == 0:
-        return [Fraction(1)]
     ints, d = _cleared(a.rows())
-    c = _char_poly_int(ints)
+    c = _char_poly_int([ints])[0][0]
     # det(xI - A) = d^-n * det((dx)I - dA)
     return [Fraction(c[k], d ** (n - k)) for k in range(n + 1)]
 

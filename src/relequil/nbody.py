@@ -106,6 +106,9 @@ def _require_finite(masses, alpha, positions) -> None:
     for name, values in (("masses", masses), ("alpha", (alpha,)), ("positions", positions)):
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{name} must be finite")
+    top = max(abs(float(x)) for x in masses) if len(masses) else 0.0
+    if not math.isfinite(top * top):  # the pair kernel multiplies m_i m_j
+        raise ValueError("masses must have finite pairwise products")
 
 
 @dataclass(frozen=True)

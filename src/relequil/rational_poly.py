@@ -182,10 +182,10 @@ def _yun_chains(p: Poly) -> list[tuple[Poly, int, list[Poly]]]:
     return [(g, m, chain if g is p else sturm_chain(g)) for g, m in _yun(p, chain)]
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """p, p' and the negated primitive pseudo-remainders: each member a
-    positive multiple of the canonical Sturm chain's."""
-    chain = [p, derivative(p)]
+def sturm_chain(p: Poly, q: Optional[Poly] = None) -> list[Poly]:
+    """p, q (default p') and the negated primitive pseudo-remainders: each
+    member a positive multiple of the canonical signed remainder sequence's."""
+    chain = [p, derivative(p) if q is None else q]
     if not chain[1]:
         return chain[:1]
     while True:
@@ -245,6 +245,22 @@ def root_sign_counts(p: Poly) -> tuple[int, int, int]:
     z = next(k for k, c in enumerate(p) if c)
     neg = _variations(-c if k % 2 else c for k, c in enumerate(p[z:]))
     return neg, z, _variations(p[z:])
+
+
+def _root_sign(g: Poly, h: Poly, lo: Fraction, hi: Fraction) -> int:
+    """The sign of h at the one root of the square-free g in (lo, hi], an
+    irrational root: the Tarski query V(lo) - V(hi) on the signed remainder
+    sequence seeded with (g, g' h mod g) (Sturm-Tarski; Basu, Pollack & Roy,
+    ch. 2).  It needs g(lo) != 0, so a root of g at lo, outside the
+    interval, is first left out by halving toward the root."""
+    while not _sign_at(g, lo.numerator, lo.denominator):
+        mid = (lo + hi) / 2
+        if _sign_at(g, mid.numerator, mid.denominator) * _sign_at(g, hi.numerator, hi.denominator) > 0:
+            hi = mid
+        else:
+            lo = mid
+    chain = sturm_chain(g, _prem(mul(derivative(g), h), g))
+    return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:

@@ -15,20 +15,20 @@ Two path types are supported: the straight segment between two real
 symmetric matrices, and the Krein deformation B + s*G with G = i*J, whose
 crossings at s >= 0 sit exactly where J B has eigenvalue i*s.  A crossing
 keeps its location, multiplicity, regularity and crossing-form counts only.
-For rational input both use exact determinant polynomials, and exact signs
-decide which roots lie inside the parameter interval and whether a Krein
-crossing sits at s_max; crossing forms at irrational locations are counted
-in floating point.  The Krein crossing at s = 0, G on ker B, is built once:
-it is the first entry of ``crossing_set`` and gives the flow's start
-correction, with the exact counts rank(Z^T J Z) / 2 for rational B.  Float
-forms share one eigenvalue count.
+Rational input takes no tolerance: every count is read off
+chi(mu, t) = det(mu I - A(t)) by the rule of ``_crossing_counts``, and exact
+signs decide which roots lie inside the parameter interval and whether a
+Krein crossing sits at s_max.  The Krein crossing at s = 0, G on ker B, is
+the first entry of ``crossing_set`` and gives the flow's start correction,
+with the exact counts rank(Z^T J Z) / 2 for rational B.  Float input counts
+eigenvalues against a tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -43,20 +43,17 @@ from .matrix_core import (
     Matrix,
     ShapeError,
     Subspace,
+    _char_poly_int,
     _cleared,
     _exact_div,
-    _int_det,
     _require_symmetric,
     _resolve_tol,
-    char_poly,
     default_tolerance,
-    inertia,
     kernel,
     rank,
-    restrict_form,
     standard_symplectic,
 )
-from .stability import _axis_factors, _classify, _fraction_sqrt, _omega_b
+from .stability import _axis_factors, _classify, _fraction_sqrt
 
 __all__ = [
     "IrregularCrossingError",
@@ -214,47 +211,137 @@ class KreinSignatureReport:
 
 
 # ---------------------------------------------------------------------------
-# determinant polynomials
+# chi(mu, t) = det(mu I - A(t)) and the crossing rule on it
 
 
-def _float_value(path: LinearPath, t: float) -> np.ndarray:
-    """A(t) of a rational path at a float t = p / q, each entry the correctly
-    rounded ((q - p) S + p E) / (q d) for start = S / d and end = E / d, by
-    int / int true division: the bits of ``path.value(Fraction(t)).to_numpy()``."""
-    ints, d = _cleared(path.start.rows() + path.end.rows())
-    p, q = t.as_integer_ratio()
-    return np.array([[((q - p) * x + p * y) / (q * d) for x, y in zip(rs, re)]
-                     for rs, re in zip(ints, ints[path.dim:])], dtype=float)
+def _path_chi(path: LinearPath) -> list[list[int]]:
+    """The integer c_j(t), j = 0..m, with sum_j c_j(t) mu^j =
+    det(mu I - m d A(t)) for the dimension m and start = S / d, end = E / d.
 
-
-def _det_poly_exact(path: LinearPath) -> list[int]:
-    """A positive integer multiple of det A(t), lowest degree first.
-
-    The endpoints are cleared together, start = S / d and end = E / d, so
-    A(u / m) = ((m - u) S + u E) / (m d) for the dimension m.  The integer
-    polynomial q(u) = det((m - u) S + u E) of degree <= m is sampled at
-    u = 0..m by Bareiss and rebuilt from its forward differences: in
-    q(u) = sum_k c_k u (u - 1) ... (u - k + 1) each c_k = Delta^k q(0) / k!
-    is an integer.  Then q(m t) = (m d)^m det A(t).
-    """
+    m d A(u / m) = (m - u) S + u E, so the characteristic polynomials of
+    these samples, u = 0..m, on one ``_char_poly_int`` stack give q_j(u) =
+    c_j(u / m), of degree <= m - j.  Each is rebuilt from its forward
+    differences: q_j(u) = sum_k a_k u (u - 1) ... (u - k + 1), each
+    a_k = Delta^k q_j(0) / k! an integer."""
     m = path.dim
-    if m == 0:
-        return [1]
     ints = _cleared(path.start.rows() + path.end.rows())[0]
-    s, e = ints[:m], ints[m:]
-    values = [_int_det([[(m - u) * x + u * y for x, y in zip(rs, re)] for rs, re in zip(s, e)])
-              for u in range(m + 1)]
-    newton = []
-    for k in range(m + 1):
-        newton.append(_exact_div(values[0], math.factorial(k)))
-        values = [y - x for x, y in zip(values, values[1:])]
-    while newton and not newton[-1]:
-        newton.pop()
-    q = []
-    for k in range(len(newton) - 1, -1, -1):  # q <- q (u - k) + c_k
-        q = [a - k * b for a, b in zip([0] + q, q + [0])]
-        q[0] += newton[k]
-    return [c * m ** i for i, c in enumerate(q)]
+    polys = [p[0] for p in _char_poly_int([
+        [[(m - u) * x + u * y for x, y in zip(rs, re)] for rs, re in zip(ints[:m], ints[m:])]
+        for u in range(m + 1)])]
+    out = []
+    for j in range(m + 1):
+        values, newton = [p[j] for p in polys], []
+        for k in range(m - j + 1):
+            newton.append(_exact_div(values[0], math.factorial(k)))
+            values = [y - x for x, y in zip(values, values[1:])]
+        q = []
+        for k in range(len(newton) - 1, -1, -1):  # q <- q (u - k) + a_k
+            q = [a - k * b for a, b in zip([0] + q, q + [0])]
+            q[0] += newton[k]
+        out.append(rp._trim([c * m ** i for i, c in enumerate(q)]))
+    return out
+
+
+def _krein_chi(b: Matrix, order: int) -> list[list[int]]:
+    """The q_j(lambda), j <= order, with sum_j q_j mu^j = d^2n det(lambda I -
+    J (B - mu I)) mod mu^(order + 1), for B = B' / d: J (B - mu I) is
+    (A - mu X) / d for the integers A = J B' and X = d J.  q_0 is d^2n
+    char_poly(J B), and since det(mu I - B - s G) = char_poly(J (B - mu I))
+    (i s), chi(mu, s) = d^-2n sum_j r_j(-s^2) mu^j for the even parts
+    q_j(lambda) = r_j(lambda^2)."""
+    ints, d = _cleared(b.rows())
+    n = len(ints) // 2
+    a = [[-x for x in row] for row in ints[n:]] + ints[:n]
+    x = [[d * int(v) for v in row] for row in standard_symplectic(n).rows()]
+    return [[c * d ** k for k, c in enumerate(q)] for q in _char_poly_int([a], x, order)[0]]
+
+
+def _at_point(x: Fraction):
+    """h -> an integer with the sign of h(x)."""
+    return lambda h: rp._sign_at(h, x.numerator, x.denominator)
+
+
+def _crossing_counts(cs: list[list[int]], sign, reverse: bool = False):
+    """(k, negative, zero, positive) at a point theta of a path A from the
+    c_j(t) of chi(mu, t) = det(mu I - A(t)) = sum_j c_j(t) mu^j, with
+    sign(h) the sign of h(theta); ``reverse`` when t falls as theta rises.
+
+    k = dim ker A(theta) is the least j with c_j(theta) != 0.  The
+    eigenvalue branches are analytic (Rellich), so the lowest homogeneous
+    part of chi at (0, theta) is a constant times prod_i (mu - phi_i (t -
+    theta)) over the eigenvalues phi_i of the crossing form; its
+    coefficients are c_j^(k-j)(theta) / (k - j)!, and Descartes' rule is
+    exact on it.  The crossing is regular iff k is the multiplicity of
+    theta as a root of c_0."""
+    k = next(j for j, c in enumerate(cs) if sign(c))
+    signs = [sign(reduce(lambda h, _: rp.derivative(h), range(k - j), cs[j]))
+             * (-1) ** ((k - j) * reverse) for j in range(k + 1)]
+    return (k, *rp.root_sign_counts(signs))
+
+
+def _real_roots(chains, lo, hi) -> list[tuple]:
+    """The real roots in the open interval (lo, hi) of square-free factors
+    given as (Sturm chain, multiplicity), None meaning an infinite end, each
+    as (float, exact rational or None, multiplicity, sign, a, b) with its
+    isolating interval (a, b] and sign(h) the sign of h at the root: at the
+    exact root, or by a Tarski query.  Only the isolating intervals that
+    meet (lo, hi) are found, and only the roots inside them refined: exact
+    signs at lo or hi and b place a root whose (a, b] holds lo or hi."""
+    out = []
+    for chain, mult in chains:
+        p = chain[0]
+        for a, b in rp._isolate(chain, lo, hi):
+            left, right = lo is not None and a < lo, hi is not None and b >= hi
+            if left or right:
+                fb = rp._sign_at(p, b.numerator, b.denominator)
+                # the root is in (lo, b] when p vanishes at b or changes sign from lo
+                if left and fb and rp._sign_at(p, lo.numerator, lo.denominator) * fb >= 0:
+                    continue
+                # and in (a, hi) when p has one nonzero sign on [hi, b]
+                if right and rp._sign_at(p, hi.numerator, hi.denominator) * fb <= 0:
+                    continue
+            approx, exact = rp.refine_root(p, a, b)
+            sign = partial(rp._root_sign, p, lo=a, hi=b) if exact is None else _at_point(exact)
+            out.append((approx, exact, mult, sign, a, b))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# spectral flow: straight segments
+
+
+def _flow_linear_exact(path: LinearPath) -> SpectralFlowResult:
+    """The rule of ``_crossing_counts`` at the roots of c_0 in (0, 1) and at
+    the ends.  An irrational simple root of a square-free c_0 that is the
+    only root in [a, b] for its isolating interval (a, b] needs no Tarski
+    query: the Morse index, the negative root count of sum_j c_j(x) mu^j,
+    drops from x = a to x = b by its signature."""
+    cs = _path_chi(path)
+    if not cs[0]:
+        raise IrregularCrossingError(
+            float("nan"), "the path is singular at every parameter")
+    chains = [(c, m) for _, m, c in rp._yun_chains(cs[0])]
+    crossings = []
+    for approx, exact, mult, sign, a, b in _real_roots(chains, 0, 1):
+        simple = exact is None and len(chains) == mult == 1
+        ends = [[_at_point(x)(c) for c in cs] for x in (a, b)] if simple else None
+        if ends and ends[0][0] and ends[1][0]:
+            step = rp.root_sign_counts(ends[0])[0] - rp.root_sign_counts(ends[1])[0]
+            k, neg, pos = 1, (1 - step) // 2, (1 + step) // 2
+        else:
+            k, neg, _, pos = _crossing_counts(cs, sign)
+        if k != mult:
+            raise IrregularCrossingError(approx, "degenerate crossing form")
+        crossings.append(Crossing(approx, exact, mult, pos, neg, True))
+    crossings.sort(key=lambda c: c.location)
+    start_corr = _crossing_counts(cs, _at_point(Fraction(0)))[1]
+    end_corr = _crossing_counts(cs, _at_point(Fraction(1)))[3]
+    total = sum(c.signature for c in crossings) - start_corr + end_corr
+    return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, RATIONAL)
+
+
+# ---------------------------------------------------------------------------
+# float crossings
 
 
 def _det_poly_float(path: LinearPath) -> np.ndarray:
@@ -271,26 +358,6 @@ def _det_poly_float(path: LinearPath) -> np.ndarray:
     while keep.size > 1 and abs(keep[-1]) <= 1e-12 * top:
         keep = keep[:-1]
     return keep
-
-
-# ---------------------------------------------------------------------------
-# crossing construction
-
-
-def _form_inertia(path: LinearPath, a: Matrix):
-    """The exact inertia of the crossing form: the derivative of ``path``
-    restricted to the kernel of a point a of it."""
-    return inertia(restrict_form(path.derivative, kernel(a)))
-
-
-def _crossing_exact(path: LinearPath, theta: Fraction, multiplicity: int) -> Crossing:
-    """The interior crossing at a rational location; irregular ones raise."""
-    ir = _form_inertia(path, path.value(theta))
-    if ir.nullity:
-        raise IrregularCrossingError(float(theta), "degenerate crossing form")
-    if ir.morse_index + ir.coindex != multiplicity:
-        raise AssertionError("crossing kernel dimension differs from the determinant multiplicity")
-    return Crossing(float(theta), theta, multiplicity, ir.coindex, ir.morse_index, True)
 
 
 def _crossing_numeric(arr: np.ndarray, deriv: np.ndarray, location: float,
@@ -333,55 +400,6 @@ def _kernel_counts_float(a: Matrix, form: np.ndarray, tol: float) -> tuple[int, 
         return 0, 0
     z = ker.basis_numpy()
     return _strict_counts_float(z.conj().T @ form @ z, tol)
-
-
-def _real_roots(chains, lo, hi) -> list[tuple[float, Optional[Fraction], int]]:
-    """The real roots in the open interval (lo, hi) of square-free factors
-    given as (Sturm chain, multiplicity), None meaning an infinite end, each
-    as (float, exact rational or None, multiplicity).  Only the isolating
-    intervals that meet (lo, hi) are found, and only the roots inside them
-    refined: exact signs at lo or hi and b place a root whose (a, b] holds lo or hi."""
-    out = []
-    for chain, mult in chains:
-        p = chain[0]
-        for a, b in rp._isolate(chain, lo, hi):
-            left, right = lo is not None and a < lo, hi is not None and b >= hi
-            if left or right:
-                fb = rp._sign_at(p, b.numerator, b.denominator)
-                # the root is in (lo, b] when p vanishes at b or changes sign from lo
-                if left and fb and rp._sign_at(p, lo.numerator, lo.denominator) * fb >= 0:
-                    continue
-                # and in (a, hi) when p has one nonzero sign on [hi, b]
-                if right and rp._sign_at(p, hi.numerator, hi.denominator) * fb <= 0:
-                    continue
-            out.append((*rp.refine_root(p, a, b), mult))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# spectral flow: straight segments
-
-
-def _flow_linear_exact(path: LinearPath) -> SpectralFlowResult:
-    d = _det_poly_exact(path)
-    if not d:
-        raise IrregularCrossingError(
-            float("nan"), "the path is singular at every parameter")
-    crossings = []
-    for approx, exact, mult in _real_roots([(c, m) for _, m, c in rp._yun_chains(d)], 0, 1):
-        if exact is not None:
-            crossings.append(_crossing_exact(path, exact, mult))
-        else:
-            crossings.append(_crossing_numeric(
-                _float_value(path, approx), path.derivative.to_numpy(), approx,
-                None, mult, interior=True, tol=0.0))
-    crossings.sort(key=lambda c: c.location)
-    # d(0) and d(1) are positive multiples of det A(0) and det A(1): an
-    # invertible end has no kernel to correct for
-    start_corr = 0 if d[0] else _form_inertia(path, path.start).morse_index
-    end_corr = 0 if sum(d) else _form_inertia(path, path.end).coindex
-    total = sum(c.signature for c in crossings) - start_corr + end_corr
-    return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, RATIONAL)
 
 
 def _cluster(values: list[float], gap: float) -> list[tuple[float, int]]:
@@ -427,28 +445,10 @@ def _flow_linear_float(path: LinearPath, tol: float) -> SpectralFlowResult:
 # spectral flow: Krein deformations
 
 
-def _krein_locations_exact(factors, s_max) -> list[tuple[float, Optional[Fraction], int, bool]]:
-    """The s in (0, s_max] with singular B + s*G, as (float, exact or None,
-    multiplicity, whether s = s_max), in order of s, from the
-    ``_axis_factors`` of the even part r of char_poly(J B): s^2 = -x for
-    the roots x of r in (-s_max^2, 0), then s_max itself when a Yun factor
-    of r vanishes at -s_max^2.  Factors without negative roots are not
-    isolated."""
-    s_max = Fraction(s_max)
-    u, v = s_max.numerator ** 2, s_max.denominator ** 2
-    chains = [(chain, m) for g, m, c, chain in factors if c > (g[0] == 0)]
-    out = []
-    for x, exact, mult in _real_roots(chains, Fraction(-u, v), 0):
-        s_exact = None if exact is None else _fraction_sqrt(-exact)
-        out.append((float(s_exact) if s_exact is not None else (-x) ** 0.5, s_exact, mult, False))
-    out.sort(key=lambda t: t[0])
-    return out + [(float(s_max), s_max, m, True)
-                  for chain, m in chains if rp._sign_at(chain[0], -u, v) == 0]
-
-
 def _krein_locations_float(b: Matrix, s_max: float, tol: float) -> list:
-    """``_krein_locations_exact`` from the eigenvalues of J B, none of them
-    at s_max: a location within tol (1 + s_max) of s_max cannot be placed
+    """The s in (0, s_max) with singular B + s*G, as (float, None,
+    multiplicity, False), from the eigenvalues of J B, none of them at
+    s_max: a location within tol (1 + s_max) of s_max cannot be placed
     before, at or after it, and raises IndeterminateError."""
     n = b.n_rows // 2
     jb = standard_symplectic(n, FLOAT64).to_numpy() @ b.to_numpy()
@@ -485,23 +485,55 @@ def _krein_zero_crossing(b: Matrix, tol: float) -> Optional[Crossing]:
                     pos + neg == ker.dimension)
 
 
-def _krein_crossings(path: KreinPath, tol: float, factors=None):
-    """The crossings of B + s*G for 0 < s <= s_max in order of s, each with
-    whether it sits at s_max.  Irregular crossings are yielded, not raised.
-    A rational B takes the ``_axis_factors`` of char_poly(J B) when given
-    and computes them otherwise."""
+def _krein_chi_factors(b: Matrix) -> tuple:
+    """``_krein_chi(b, 1)`` and the ``_axis_factors`` of its q_0."""
+    qs = _krein_chi(b, 1)
+    return qs, _axis_factors(qs[0])
+
+
+def _krein_crossings(path: KreinPath, tol: Optional[float], shared=None):
+    """The crossings of B + s*G for 0 <= s <= s_max in order of s, each with
+    whether it sits at s_max: first the one at s = 0 when ker B != 0.
+    Irregular crossings are yielded, not raised.
+
+    A rational B takes ``_krein_chi_factors(B)`` as ``shared``, computed
+    when not given, and no tolerance; when it is invertible no kernel is
+    computed.  Its crossings are s = sqrt(-x) for the roots x of r in
+    (-s_max^2, 0), then s_max when a Yun factor of r vanishes at -s_max^2;
+    factors without negative roots are not isolated.  Each takes the rule
+    of ``_crossing_counts`` on the r_j in x, which falls as s rises, signed
+    at an irrational x by Tarski queries; a root of multiplicity m needs
+    r_0, ..., r_m."""
     b = path.b
-    g = krein_form(b.n_rows // 2)
-    base = b.to_numpy().astype(complex)
-    if b.field == RATIONAL:
-        if factors is None:
-            factors = _axis_factors(char_poly(_omega_b(b, None, None)))
-        locations = _krein_locations_exact(factors, path.s_max)
-    else:
-        locations = _krein_locations_float(b, float(path.s_max), tol)
-    for s, s_exact, mult, at_end in locations:
-        yield _crossing_numeric(base + s * g, g, s, s_exact, mult,
-                                interior=False, tol=tol), at_end
+    if b.field != RATIONAL:
+        tol = _resolve_tol(tol, lambda: b.max_abs() + float(path.s_max))
+        g = krein_form(b.n_rows // 2)
+        base = b.to_numpy().astype(complex)
+        zero = _krein_zero_crossing(b, tol)
+        if zero:
+            yield zero, False
+        for s, _, mult, at_end in _krein_locations_float(b, float(path.s_max), tol):
+            yield _crossing_numeric(base + s * g, g, s, None, mult,
+                                    interior=False, tol=tol), at_end
+        return
+    qs, factors = shared or _krein_chi_factors(b)
+    if not _invertible(factors):
+        yield _krein_zero_crossing(b, None), False
+    s_max = Fraction(path.s_max)
+    u, v = s_max.numerator ** 2, s_max.denominator ** 2
+    chains = [(chain, m) for g, m, c, chain in factors if c > (g[0] == 0)]
+    found = []
+    for x, exact, mult, sign, _, _ in _real_roots(chains, Fraction(-u, v), 0):
+        s_exact = None if exact is None else _fraction_sqrt(-exact)
+        found.append((float(s_exact) if s_exact is not None else (-x) ** 0.5, s_exact, mult, sign, False))
+    found.sort(key=lambda t: t[0])
+    found += [(float(s_max), s_max, m, _at_point(Fraction(-u, v)), True)
+              for chain, m in chains if rp._sign_at(chain[0], -u, v) == 0]
+    order = max((f[2] for f in found), default=0)
+    rs = [rp.even_part(q)[0] for q in (qs if order < len(qs) else _krein_chi(b, order))]
+    for s, s_exact, mult, sign, at_end in found:
+        k, neg, _, pos = _crossing_counts(rs, sign, reverse=True)
+        yield Crossing(s, s_exact, k, pos, neg, k == mult), at_end
 
 
 def _invertible(factors) -> bool:
@@ -510,21 +542,19 @@ def _invertible(factors) -> bool:
     return all(g[0] for g, _, _, _ in factors)
 
 
-def _flow_krein(path: KreinPath, tol: Optional[float], factors=None) -> SpectralFlowResult:
-    """The Krein flow; given the ``_axis_factors`` of a rational B, an
-    invertible B has no crossing at s = 0 and no kernel is computed."""
-    tol = _resolve_tol(tol, lambda: path.b.max_abs() + float(path.s_max))
-    crossings = []
-    end_corr = 0
-    for cr, at_end in _krein_crossings(path, tol, factors):
-        if at_end:
+def _flow_krein(path: KreinPath, tol: Optional[float], shared=None) -> SpectralFlowResult:
+    """The crossing at s = 0 gives the start correction, those at s_max the
+    end correction; an irregular one in between raises."""
+    crossings, start_corr, end_corr = [], 0, 0
+    for cr, at_end in _krein_crossings(path, tol, shared):
+        if cr.location == 0:
+            start_corr = cr.negative
+        elif at_end:
             end_corr += cr.positive
         elif not cr.regular:
             raise IrregularCrossingError(cr.location, "degenerate crossing form")
         else:
             crossings.append(cr)
-    zero = None if factors and _invertible(factors) else _krein_zero_crossing(path.b, tol)
-    start_corr = zero.negative if zero else 0
     total = sum(c.signature for c in crossings) - start_corr + end_corr
     return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, path.field)
 
@@ -557,10 +587,7 @@ def crossing_set(b: Matrix, s_max, tol: Optional[float] = None) -> tuple:
     """All crossings of the Krein deformation B + s*G for s in [0, s_max],
     endpoint values included.  Purely descriptive: irregular crossings are
     reported with ``regular=False`` rather than raised."""
-    path = KreinPath(b, s_max)
-    t = _resolve_tol(tol, lambda: b.max_abs() + float(s_max))
-    zero = _krein_zero_crossing(b, t)
-    return (() if zero is None else (zero,)) + tuple(cr for cr, _ in _krein_crossings(path, t))
+    return tuple(cr for cr, _ in _krein_crossings(KreinPath(b, s_max), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -607,13 +634,14 @@ def _kappa_identity_exact(b: Matrix, cls, factors) -> KappaIdentity:
 def _krein_flow_and_kappa(path: KreinPath,
                           tol: Optional[float]) -> tuple[SpectralFlowResult, KappaIdentity]:
     """``spectral_flow(path, tol)`` and ``kappa_identity_check(path.b, tol)``.
-    A rational B is classified first, which cannot fail on a Krein path, and
-    the flow's crossing locations come from that classification's factors,
-    so char_poly(J B) is computed once."""
+    A rational B, already checked by the path, is classified on the factors
+    of ``_krein_chi_factors``, which the flow shares, so char_poly(J B) is
+    computed once."""
     if path.field != RATIONAL:
         return spectral_flow(path, tol), kappa_identity_check(path.b, tol)
-    cls, factors = _classify(path.b, None, tol)
-    return _flow_krein(path, tol, factors), _kappa_identity_exact(path.b, cls, factors)
+    shared = _krein_chi_factors(path.b)
+    cls, factors = _classify(path.b, None, tol, shared[1])
+    return _flow_krein(path, tol, shared), _kappa_identity_exact(path.b, cls, factors)
 
 
 def krein_signature(subspace: Subspace, tol: Optional[float] = None) -> KreinSignatureReport:

@@ -261,9 +261,10 @@ def _off_axis_witness(spectrum: tuple[Eigenvalue, ...], tol: float) -> Optional[
     return worst
 
 
-def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float]):
+def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float], factors=None):
     """``classify``, returning also the ``_axis_factors`` of the exact
-    characteristic polynomial p of Omega B (None on the float backend).
+    characteristic polynomial p of Omega B (None on the float backend); a
+    caller that has checked B and has these factors passes them.
 
     p is computed and decomposed once per call: the Yun factors of p, for
     the spectrum, come from those of r (``_even_yun``), and so does the
@@ -272,11 +273,12 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float]):
     s(Omega B) = 0, decided modulo primes (``_semisimple_exact``).  Only a
     defective Omega B runs ``minimal_poly`` (integer Krylov sequences), and
     its defective eigenvalues are the roots of m / s = gcd(m, m')."""
-    b = _require_even_symmetric(b, tol)
+    if factors is None:
+        b = _require_even_symmetric(b, tol)
     ob = _omega_b(b, omega, tol)
     if b.field == RATIONAL:
         t = 0.0
-        factors = _axis_factors(char_poly(ob))
+        factors = factors or _axis_factors(char_poly(ob))
         yun = _even_yun(factors)
         spectrum = _exact_spectrum(yun)
         on_axis = all(c == rp.degree(g) for g, _, c, _ in factors)

@@ -72,7 +72,7 @@ def test_classify_computes_inertia_once(tmp_path, capsys, monkeypatch):
 
 
 # every module that imports char_poly, and matrix_core for its own callers
-CHAR_POLY_SITES = ("matrix_core", "stability", "spectral_flow")
+CHAR_POLY_SITES = ("matrix_core", "stability")
 
 
 def test_classify_computes_char_poly_once(tmp_path, capsys, monkeypatch):
@@ -235,6 +235,18 @@ def test_flow_krein_report(tmp_path, capsys):
     assert report["kappa_identity"]["kappa"] == 1
 
 
+def test_flow_krein_tiny_frequency_is_regular(tmp_path, capsys):
+    # the crossing form at s = 1e-12 is -2e-12, definite: counted exactly,
+    # not against a float floor that read it as degenerate (exit 3)
+    path = write_json(tmp_path / "path.json", {
+        "type": "krein", "b": [[1, 0], [0, "1/1000000000000000000000000"]], "s_max": 1})
+    assert main(["flow", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["flow"] == -1
+    (c,) = report["crossings"]
+    assert (c["regular"], c["negative"], c["positive"], c["multiplicity"]) == (True, 1, 0, 1)
+
+
 GOLDEN_FLOW = os.path.join(os.path.dirname(__file__), "golden_flow_reports.json")
 
 
@@ -253,7 +265,9 @@ def test_exact_flow_reports_match_golden(tmp_path, capsys):
 
 
 def test_flow_krein_computes_char_poly_once(tmp_path, capsys, monkeypatch):
-    calls = count_calls(monkeypatch, "char_poly", CHAR_POLY_SITES)
+    # one Faddeev-LeVerrier pass gives char_poly(J B) to the classification
+    # and the mu^1 part of det(mu I - B - s G) to the flow
+    calls = count_calls(monkeypatch, "_char_poly_int", ("matrix_core", "spectral_flow"))
     for b in ([[1, 0], [0, 1]], [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]):
         calls.clear()
         path = write_json(tmp_path / "path.json", {"type": "krein", "b": b, "s_max": 2})
@@ -263,9 +277,9 @@ def test_flow_krein_computes_char_poly_once(tmp_path, capsys, monkeypatch):
 
 
 def test_exact_flow_computes_no_kernel_of_an_invertible_matrix(tmp_path, capsys, monkeypatch):
-    # det B = r(0) for the even part r of char_poly(J B), and d(0), d(1) are
-    # multiples of det A(0), det A(1): an invertible B or end has no kernel,
-    # so no elimination runs on it
+    # det B = r(0) for the even part r of char_poly(J B): an invertible B
+    # has no kernel, so no elimination runs on it; a linear path reads its
+    # end corrections off det(mu I - A(t)) and computes no kernel at all
     kernels = count_calls(monkeypatch, "kernel", ("spectral_flow",))
     ranks = count_calls(monkeypatch, "rank", ("spectral_flow",))
     for path, singular in (
@@ -277,7 +291,7 @@ def test_exact_flow_computes_no_kernel_of_an_invertible_matrix(tmp_path, capsys,
         ranks.clear()
         assert main(["flow", write_json(tmp_path / "path.json", path)]) == 0
         capsys.readouterr()
-        assert bool(kernels) == singular and (bool(ranks) == singular or path["type"] == "linear")
+        assert bool(kernels) == bool(ranks) == (singular and path["type"] == "krein")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
@@ -540,6 +554,20 @@ def test_nbody_rejects_nonfinite_input(tmp_path, capsys, field, value):
     for command in ("nbody-find-cc", "nbody-stability"):
         assert main([command, problem]) == 1
         assert capsys.readouterr().err == f"error: {field} must be finite\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_nbody_rejects_masses_with_overflowing_products(tmp_path, capsys):
+    # m_i m_j overflowed in the pair kernel, with a numpy warning, and
+    # x ** (-alpha - 2) then raised an uncaught OverflowError
+    problem = write_json(tmp_path / "p.json", {
+        "masses": [1e300, 1e300, 1e300], "alpha": 1,
+        "positions": [[0, 0], [1, 0], [0.5, 0.8]]})
+    for command in ("nbody-find-cc", "nbody-stability"):
+        assert main([command, problem]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: masses must have finite pairwise products\n"
 
 
 def test_nbody_convergence_exit_code(tmp_path, capsys):

@@ -189,10 +189,25 @@ def test_char_poly_matches_faddeev_reference(rng):
         [[-(3**30) if i == j else 0 for j in range(4)] for i in range(4)],
     ]
     for m in cases:
-        assert _char_poly_int(m) == H.char_poly_faddeev(m)
+        assert _char_poly_int([m])[0][0] == H.char_poly_faddeev(m)
     nilpotent, scalar = cases[-2], cases[-1]
-    assert _char_poly_int(nilpotent) == [0] * 5 + [1]
-    assert _char_poly_int(scalar) == [3**120, 4 * 3**90, 6 * 3**60, 4 * 3**30, 1]
+    assert _char_poly_int([nilpotent])[0][0] == [0] * 5 + [1]
+    assert _char_poly_int([scalar])[0][0] == [3**120, 4 * 3**90, 6 * 3**60, 4 * 3**30, 1]
+
+
+def test_char_poly_stack_and_pencil_match_faddeev_reference(rng):
+    # a stack of samples gives each sample's polynomial, and with order = n
+    # the pencil coefficients give char_poly(M - mu X) at every integer mu
+    for n, bits in ((1, 3), (3, 3), (4, 40), (6, 70)):
+        ms = [_big_int_matrix(rng, n, bits) for _ in range(3)]
+        assert [p[0] for p in _char_poly_int(ms)] == [H.char_poly_faddeev(m) for m in ms]
+        x = _big_int_matrix(rng, n, bits)
+        out = _char_poly_int(ms[:1], x, n)[0]
+        assert _char_poly_int(ms[:1], x, 1)[0] == out[:2]
+        for mu in (-2, 0, 3):
+            m = [[a - mu * b for a, b in zip(ra, rb)] for ra, rb in zip(ms[0], x)]
+            assert [sum(out[j][k] * mu ** j for j in range(n + 1)) for k in range(n + 1)] == \
+                H.char_poly_faddeev(m)
 
 
 def test_char_poly_rational_big_entries_matches_lagrange(rng):
@@ -207,7 +222,7 @@ def test_char_poly_prime_size_shrinks_with_dimension(rng):
         assert n * (2 ** _prime_bits(n)) ** 2 <= 2**62
     assert _prime_bits(20) < _prime_bits(2)
     m = [[rng.randint(-2**30, 2**30) for _ in range(20)] for _ in range(20)]
-    assert _char_poly_int(m) == H.char_poly_faddeev(m)
+    assert _char_poly_int([m])[0][0] == H.char_poly_faddeev(m)
 
 
 def test_inertia_matches_congruence_reference(rng):
@@ -561,7 +576,7 @@ def test_poly_at_matrix_kernel():
         for scale in (1, 2 ** 9, big):
             m = (rng.integers(-scale, scale, (n, n), endpoint=True)).tolist()
             # Cayley-Hamilton: p(M) = 0, and p(M) + k I != 0
-            p = _char_poly_int(m)
+            p = _char_poly_int([m])[0][0]
             assert _int_poly_at_matrix_is_zero(p, m)
             assert not _int_poly_at_matrix_is_zero([p[0] + 1] + p[1:], m)
             assert not _int_poly_at_matrix_is_zero([p[0] + 2 ** 200] + p[1:], m)

@@ -18,7 +18,7 @@ from relequil.spectral_flow import (
     relative_morse_index,
     spectral_flow,
 )
-from relequil.spectral_flow import _det_poly_exact, _float_value, _krein_flow_and_kappa
+from relequil.spectral_flow import _krein_flow_and_kappa, _path_chi
 from relequil.stability import Verdict, classify
 
 
@@ -69,29 +69,22 @@ def test_det_poly_matches_lagrange_reference(rng):
     cases.append((big, H.random_symmetric(rng, 2)))
     for start, end in cases:
         path = LinearPath(Matrix(start, RATIONAL), Matrix(end, RATIONAL))
-        d = _det_poly_exact(path)
-        # a positive integer multiple of det A(t)
-        assert all(type(c) is int for c in d)
+        chi = _path_chi(path)
+        m = len(start)
+        # c_0 = det(-m d A(t)): (-1)^m c_0 is a positive integer multiple of det A(t)
+        d = [(-1) ** m * c for c in chi[0]]
+        assert all(type(c) is int for cj in chi for c in cj)
         assert _primitive(d) == _primitive(cleared(_lagrange_det_poly(start, end)))
         assert d and d[-1] != 0
-    d = _det_poly_exact(LinearPath(Matrix(cases[6][0], RATIONAL), Matrix(cases[6][1], RATIONAL)))
+        # the whole chi: sum_j c_j(t) mu^j = det(mu I - m d A(t)) at t = 2/7
+        t = Fraction(2, 7)
+        scale = m * math.lcm(*(x.denominator for row in start + end for x in row))
+        at_t = [[scale * ((1 - t) * x + t * y) for x, y in zip(rs, re)]
+                for rs, re in zip(start, end)]
+        assert [sum(c * t ** i for i, c in enumerate(cj)) for cj in chi] == \
+            H.char_poly_lagrange(at_t)
+    d = _path_chi(LinearPath(Matrix(cases[6][0], RATIONAL), Matrix(cases[6][1], RATIONAL)))[0]
     assert d[0] == 0 and sum(d) == 0  # det vanishes at t = 0 and t = 1
-
-
-def test_float_value_matches_fraction_value(rng):
-    # the float matrix at an irrational crossing, bit for bit as
-    # path.value(Fraction(t)).to_numpy() builds it
-    ts = [0.5, 1 / 3, 2.0 ** -52, 1 - 2.0 ** -53, 0.1, 5e-324, math.nextafter(1.0, 0.0)]
-    for dim in range(1, 7):
-        for num, den in ((4, 3), (10 ** 20, 10 ** 6), (2 ** 70, 3 ** 40)):
-            start = H.random_symmetric(rng, dim, num, den)
-            end = H.random_symmetric(rng, dim, num, den)
-            path = LinearPath(Matrix(start, RATIONAL), Matrix(end, RATIONAL))
-            for t in ts + [rng.random() for _ in range(5)]:
-                want = path.value(Fraction(t)).to_numpy()
-                got = _float_value(path, t)
-                assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                assert got.tobytes() == want.tobytes()
 
 
 def test_linear_path_derivative_built_once(rng):
@@ -110,7 +103,7 @@ def test_det_poly_identically_singular_path(rng):
         r = _random_square(rng, 3)
     start, end = _congruent(r, [0, 1, -1]), _congruent(r, [0, 2, 5])
     path = LinearPath(Matrix(start, RATIONAL), Matrix(end, RATIONAL))
-    assert _det_poly_exact(path) == [] == _lagrange_det_poly(start, end)
+    assert _path_chi(path)[0] == [] == _lagrange_det_poly(start, end)
     with pytest.raises(IrregularCrossingError):
         spectral_flow(path)
 
@@ -160,16 +153,35 @@ def test_irregular_crossing_raises():
     assert exc.value.location == pytest.approx(0.5)
 
 
+def _block_diagonal(*blocks):
+    dim = sum(len(b) for b in blocks)
+    out, at = [[Fraction(0)] * dim for _ in range(dim)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = [Fraction(x) for x in row]
+        at += len(b)
+    return out
+
+
 def test_flow_equals_index_difference(rng):
+    pairs = []
     for _ in range(20):
         dim = rng.choice([2, 3, 4])
-        a0 = Matrix(H.random_invertible_symmetric(rng, dim), RATIONAL)
-        a1 = Matrix(H.random_invertible_symmetric(rng, dim), RATIONAL)
+        pairs.append((H.random_invertible_symmetric(rng, dim),
+                      H.random_invertible_symmetric(rng, dim)))
+    # diag(C0, C0) -> diag(C1, C1) crosses at the irrational roots of
+    # det((1 - t) C0 + t C1), each with multiplicity 2
+    c0, c1 = [[-1, 1], [1, -2]], [[3, 1], [1, 2]]
+    pairs.append((_block_diagonal(c0, c0), _block_diagonal(c1, c1)))
+    for start, end in pairs:
+        a0, a1 = Matrix(start, RATIONAL), Matrix(end, RATIONAL)
         try:
             flow = spectral_flow(LinearPath(a0, a1)).flow
         except IrregularCrossingError:
             continue
         assert flow == inertia(a0).morse_index - inertia(a1).morse_index
+    crossings = spectral_flow(LinearPath(a0, a1)).crossings
+    assert [(c.multiplicity, c.exact_location, c.positive) for c in crossings] == [(2, None, 2)] * 2
 
 
 def test_relative_morse_index():
@@ -289,8 +301,13 @@ def test_krein_flow_matches_the_index_difference(rng):
     near = Fraction(1, 10**13)
     ends = [Fraction(c) + d for c in (1, 2, 3) for d in (0, -near, near)] + \
         [Fraction(141421356237310, 10**14), Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)]
-    for _ in range(30):
-        rows = H.pair_diagonal(rng.choices(pairs, k=rng.choice([1, 2, 3])))
+    cases = [H.pair_diagonal(rng.choices(pairs, k=rng.choice([1, 2, 3]))) for _ in range(30)]
+    # dense B = R^T D R: the roots x = -s^2 of r are irrational, so the
+    # crossing signs come from Tarski queries on their isolating intervals
+    scales = [Fraction(1, 4), Fraction(1, 2), 1, Fraction(-1, 4), Fraction(-1, 2)]
+    cases += [_congruent(_random_square(rng, dim), rng.choices(scales, k=dim))
+              for dim in (4, 4, 4, 6, 6, 6)]
+    for rows in cases:
         b = Matrix(rows, RATIONAL)
         morse_b = H.inertia_congruence(rows)[0]
         for s_max in ends:
@@ -298,6 +315,63 @@ def test_krein_flow_matches_the_index_difference(rng):
             assert result.flow == morse_b - _krein_morse(rows, s_max), (rows, s_max)
             assert all(0 < c.exact_location < s_max for c in result.crossings
                        if c.exact_location is not None)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an exact flow called a float eigenvalue routine")
+
+
+def test_exact_flows_take_no_float_step(monkeypatch):
+    # every count of an exact flow is read off det(mu I - A(t)): with eigh
+    # and eigvalsh refused, the flows return or raise as before
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+    # k^2 = 2 I, so blocks that are polynomials in k act as numbers of
+    # Q(sqrt 2): q = 2 I + k gives the frequencies^2 2 +- sqrt 2, and
+    # w = I + k the frequencies 1 +- sqrt 2
+    q, mq = [[3, 1], [1, 1]], [[-3, -1], [-1, -1]]
+    one, neg, zero = [[1, 0], [0, 1]], [[-1, 0], [0, -1]], [[0, 0], [0, 0]]
+    w, mw = [[2, 1], [1, 0]], [[-2, -1], [-1, 0]]
+    # B0(w) = [[1, 0, 0, -w], [0, 1, w, 0], [0, w, 0, 0], [-w, 0, 0, 0]]:
+    # J B0 has a 2 x 2 Jordan block at each of +-i w
+    blocks = [[one, zero, zero, mw], [zero, one, w, zero], [zero, w, zero, zero],
+              [mw, zero, zero, zero]]
+    defect = [[blocks[i // 2][j // 2][i % 2][j % 2] for j in range(8)] for i in range(8)]
+    krein = [  # (B, s_max, flow, (multiplicity, positive, negative) per crossing)
+        (_block_diagonal(one, q), 3, -2, [(1, 0, 1)] * 2),
+        (_block_diagonal(one, neg, q, mq), 3, 0, [(2, 1, 1)] * 2),
+        (_block_diagonal(one, one, neg, q, q, mq), 3, -2, [(3, 1, 2)] * 2),
+        (diag(1, 1, -1, 1, 1, -1).to_lists(), 2, -1, [(3, 1, 2)]),
+        (diag(1, Fraction(1, 10**24)).to_lists(), 1, -1, [(1, 0, 1)]),
+        ([[1, 0, 0, -1], [0, 1, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], 3, None, None),
+        (defect, 3, None, None),
+    ]
+    for rows, s_max, flow, counts in krein:
+        path = KreinPath(Matrix(rows, RATIONAL), Fraction(s_max))
+        if flow is None:
+            with pytest.raises(IrregularCrossingError):
+                spectral_flow(path)
+            assert not all(c.regular for c in crossing_set(path.b, path.s_max))
+            continue
+        result = spectral_flow(path)
+        assert result.flow == flow
+        assert [(c.multiplicity, c.positive, c.negative) for c in result.crossings] == counts
+    c0, c1 = [[-1, 1], [1, -2]], [[3, 1], [1, 2]]
+    linear = [  # (start, end, flow, (multiplicity, exact location) per crossing)
+        (diag(-1, -1, -1).to_lists(), diag(1, 1, 1).to_lists(), 3, [(3, Fraction(1, 2))]),
+        (diag(-1, -1).to_lists(), c1, 2, [(1, None)] * 2),
+        (_block_diagonal(c0, c0, c0), _block_diagonal(c1, c1, c1), 6, [(3, None)] * 2),
+        ([[0, -1], [-1, 0]], [[1, 1], [1, 0]], None, None),
+    ]
+    for start, end, flow, crossings in linear:
+        path = LinearPath(Matrix(start, RATIONAL), Matrix(end, RATIONAL))
+        if flow is None:
+            with pytest.raises(IrregularCrossingError):
+                spectral_flow(path)
+            continue
+        result = spectral_flow(path)
+        assert result.flow == flow
+        assert [(c.multiplicity, c.exact_location) for c in result.crossings] == crossings
 
 
 def test_krein_form_matches_entrywise_loop():
@@ -352,6 +426,8 @@ def test_crossing_set_tiny_frequencies():
     # J B has eigenvalues +-i sqrt(b_2); the crossing sits at s = sqrt(b_2)
     (c,) = crossing_set(diag(1, Fraction(1, 10**24)), Fraction(1))
     assert c.location == pytest.approx(1e-12, rel=1e-15)
+    # the crossing form -2e-12 is definite: the crossing is regular
+    assert (c.regular, c.multiplicity, c.positive, c.negative) == (True, 1, 0, 1)
     (c,) = crossing_set(diag(1, Fraction(1, 10**10)), Fraction(1))
     assert c.exact_location == Fraction(1, 10**5)
 
