@@ -30,6 +30,7 @@ from .matrix_core import (
     standard_symplectic,
 )
 from .nbody import (
+    BasisConstructionError,
     CCSettings,
     CollisionError,
     ConvergenceError,
@@ -488,7 +489,7 @@ def main(argv: Optional[list] = None) -> int:
     except IrregularCrossingError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IRREGULAR
-    except (IndeterminateError, ConvergenceError) as e:
+    except (IndeterminateError, ConvergenceError, BasisConstructionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except (OSError, ValueError, KeyError, TypeError) as e:

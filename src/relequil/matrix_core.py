@@ -111,9 +111,15 @@ class Matrix:
     and other rationals become ``Fraction``, a float in a rational matrix
     raises ``FieldError``.  An entry already in the field (a ``Fraction``
     in a rational matrix) is kept as it is, not coerced again.
+
+    An exact matrix memoizes, outside equality and hashing, its cleared
+    integer rows (``_cleared_rows``) and their characteristic polynomial
+    (``_int_char_polys``), so each is computed at most once per matrix.
+    One made by ``_from_cleared`` builds its ``Fraction`` entries only when
+    they are first read.
     """
 
-    __slots__ = ("_rows", "field")
+    __slots__ = ("_data", "field", "_ints", "_char")
 
     def __init__(self, rows: Sequence[Sequence], field: str):
         if field not in (RATIONAL, FLOAT64):
@@ -122,11 +128,38 @@ class Matrix:
         data = tuple(tuple(map(coerce, row)) for row in rows)
         if data and any(len(r) != len(data[0]) for r in data):
             raise ShapeError("ragged rows")
-        object.__setattr__(self, "_rows", data)
+        object.__setattr__(self, "_data", data)
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_char", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @classmethod
+    def _from_cleared(cls, ints: list[list[int]], d: int) -> "Matrix":
+        """The exact matrix M / d for integer rows M and d > 0, with (M, d)
+        as its memo."""
+        a = cls((), RATIONAL)
+        object.__setattr__(a, "_data", None)
+        object.__setattr__(a, "_ints", (ints, d))
+        return a
+
+    @property
+    def _rows(self) -> tuple:
+        if self._data is None:
+            ints, d = self._ints
+            object.__setattr__(self, "_data", tuple(tuple(Fraction(x, d) for x in r)
+                                                    for r in ints))
+        return self._data
+
+    def _cleared_rows(self) -> tuple[list[list[int]], int]:
+        """Integer rows M and d > 0 with A = M / d for an exact A, kept in
+        its memo: ``_cleared`` of its rows unless ``_from_cleared`` gave
+        them.  Callers must not modify M."""
+        if self._ints is None:
+            object.__setattr__(self, "_ints", _cleared(self._rows))
+        return self._ints
 
     # -- constructors -------------------------------------------------
 
@@ -156,11 +189,12 @@ class Matrix:
 
     @property
     def n_rows(self) -> int:
-        return len(self._rows)
+        return len(self._ints[0] if self._data is None else self._data)
 
     @property
     def n_cols(self) -> int:
-        return len(self._rows[0]) if self._rows else 0
+        rows = self._ints[0] if self._data is None else self._data
+        return len(rows[0]) if rows else 0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -229,8 +263,8 @@ class Matrix:
             raise ShapeError("shape mismatch in product")
         if self.field == FLOAT64:
             return Matrix.from_numpy(self.to_numpy() @ other.to_numpy())
-        a, da = _cleared(self._rows)
-        b, db = _cleared(other._rows)
+        a, da = self._cleared_rows()
+        b, db = other._cleared_rows()
         cols, d = list(zip(*b)), da * db
         return Matrix([[Fraction(sum(map(mul, row, col)), d) for col in cols] for row in a],
                       RATIONAL)
@@ -266,7 +300,8 @@ class Matrix:
         if not self.is_square:
             return False
         if self.field == RATIONAL:
-            return self._rows == tuple(zip(*self._rows))
+            m = self._cleared_rows()[0]
+            return all(map(list.__eq__, m, map(list, zip(*m))))
         t = _resolve_tol(tol, self.max_abs)
         a = self.to_numpy()
         return bool(np.isfinite(a).all() and np.max(np.abs(a - a.T), initial=0.0) <= t)
@@ -276,11 +311,19 @@ class Matrix:
         if not self.is_square:
             return False
         if self.field == RATIONAL:
-            return all(x == -y for row, col in zip(self._rows, zip(*self._rows))
-                       for x, y in zip(row, col))
+            m = self._cleared_rows()[0]
+            return all(x == -y for row, col in zip(m, zip(*m)) for x, y in zip(row, col))
         t = _resolve_tol(tol, self.max_abs)
         a = self.to_numpy()
         return bool(np.isfinite(a).all() and np.max(np.abs(a + a.T), initial=0.0) <= t)
+
+
+def _j_times(b: Matrix) -> Matrix:
+    """J B = [-B_lower; B_upper] for an exact B with an even number of rows,
+    by a row swap of its cleared integer rows."""
+    ints, d = b._cleared_rows()
+    n = len(ints) // 2
+    return Matrix._from_cleared([[-x for x in r] for r in ints[n:]] + ints[:n], d)
 
 
 def standard_symplectic(n: int, field: str = RATIONAL) -> Matrix:
@@ -537,7 +580,7 @@ def inertia(b: Matrix, tol: Optional[float] = None) -> IndexReport:
     if b.field == FLOAT64:
         return _inertia_float(_symmetric_part(b, tol), tol)
     b = _require_symmetric(b, tol)
-    neg, zero, pos = rp.root_sign_counts(_char_poly_int([_cleared(b.rows())[0]])[0][0])
+    neg, zero, pos = rp.root_sign_counts(_int_char_polys([b])[0])
     return IndexReport(morse_index=neg, nullity=zero, coindex=pos)
 
 
@@ -563,7 +606,7 @@ def kernel(a: Matrix, tol: Optional[float] = None) -> Subspace:
 
 def rank(a: Matrix, tol: Optional[float] = None) -> int:
     if a.field == RATIONAL:
-        return _exact_rank(a.to_lists())
+        return len(_bareiss_echelon(a._cleared_rows()[0])[1])
     t = _resolve_tol(tol, a.max_abs)
     arr = a.to_numpy()
     if arr.size == 0:
@@ -579,9 +622,9 @@ def determinant(a: Matrix) -> Scalar:
         return Fraction(1) if a.field == RATIONAL else 1.0
     if a.field == FLOAT64:
         return float(np.linalg.det(a.to_numpy()))
-    ints, d = _cleared(a.rows())
-    # det A = (-1)^n p(0) for the characteristic polynomial p of A
-    return Fraction((-1) ** a.n_rows * _char_poly_int([ints])[0][0][0], d ** a.n_rows)
+    # det A = (-1)^n p(0) / d^n for the characteristic polynomial p of A = M / d
+    n, d = a.n_rows, a._cleared_rows()[1]
+    return Fraction((-1) ** n * _int_char_polys([a])[0][0], d ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +635,11 @@ _PRIMES: dict[int, list[int]] = {}  # bit size -> the primes found so far, large
 
 
 def _prime_bits(n: int) -> int:
-    """Bit size b of the primes for an n x n matrix: n p^2 < 2^62 for every
-    p < 2^b, so no int64 dot product of residues below 2p overflows."""
-    return (62 - n.bit_length()) // 2
+    """Bit size b of the primes for an n x n matrix.  With p < 2^b and
+    n < 2^(n.bit_length()), 2 n p^2 < 2^(1 + n.bit_length() + 2b) <= 2^53,
+    so a dot product of n residues below p and 2p is an integer below
+    2^53, which float64 holds exactly (``_mulmod``)."""
+    return (52 - n.bit_length()) // 2
 
 
 def _is_prime(c: int) -> bool:
@@ -609,8 +654,9 @@ def _is_prime(c: int) -> bool:
 
 
 def _primes(bits: int):
-    """The primes below 2**bits, largest first, for 16 <= bits <= 31 (the
-    range of ``_prime_bits``); cached per bit size, never capped."""
+    """The primes below 2**bits, largest first, for 4 <= bits <= 31 (the
+    range of ``_prime_bits`` holds 16 <= bits <= 25 up to n = 2^20);
+    cached per bit size, never capped."""
     cache = _PRIMES.setdefault(bits, [])
     yield from cache
     c = cache[-1] if cache else (1 << bits) + 1
@@ -645,6 +691,19 @@ def _residues(m: list, primes: list[int]) -> np.ndarray:
     return (a % pv.reshape((-1,) + (1,) * a.ndim)).astype(np.int64)
 
 
+def _mulmod(a: np.ndarray, b: np.ndarray, pv: np.ndarray) -> np.ndarray:
+    """The stacked product a @ b modulo the primes pv (broadcast against
+    it), for a float64 residue stack a with entries in [0, p), an int64
+    one b with entries in [0, 2p), and p below 2^``_prime_bits(n)``.  Every
+    product of two entries, and every partial sum of n of them, is then an
+    integer below 2 n p^2 <= 2^53, which float64 holds exactly: the product
+    runs as BLAS dgemm, exact in any summation order and on any number of
+    threads, and is reduced in int64.  This needs a dgemm that sums the n
+    products of each entry, as OpenBLAS, MKL and the reference BLAS do,
+    not a Strassen-like scheme with differences of partial products."""
+    return (a @ b.astype(np.float64)).astype(np.int64) % pv
+
+
 def _int_poly_at_matrix_is_zero(c: list[int], m: list[list[int]]) -> bool:
     """Whether sum c_k M^k = 0 for an integer polynomial c (lowest degree
     first, nonempty) and a nonempty square integer matrix M.
@@ -654,22 +713,46 @@ def _int_poly_at_matrix_is_zero(c: list[int], m: list[list[int]]) -> bool:
     taken until their product exceeds twice that bound, and the sum is zero
     exactly when it is zero modulo every one of them (the CRT argument of
     ``_char_poly_int``).  Horner's scheme runs modulo a stack of primes at
-    once in int64: first the largest prime alone, which already shows a
-    nonzero sum in all but rare cases, then the others."""
+    once: first the largest prime alone, which already shows a nonzero sum
+    in all but rare cases, then the others.  Each step multiplies residues
+    below p by residues below 2p, so its dot products stay below
+    2 n p^2 <= 2^53 and run exactly on float64 BLAS (``_mulmod``)."""
     n = len(m)
     big = n * max(abs(x) for row in m for x in row)
     primes = _crt_primes(n, sum(abs(ck) * big ** k for k, ck in enumerate(c)))
     for batch in filter(None, (primes[:1], primes[1:])):
         pv = np.array(batch, dtype=np.int64)[:, None, None]
-        mods = _residues(m, batch)
-        work = np.zeros_like(mods)
+        mods = _residues(m, batch).astype(np.float64)
+        work = np.zeros(mods.shape, dtype=np.int64)
         for coeff in np.array([[ck % p for p in batch] for ck in reversed(c)], dtype=np.int64):
-            # entries below 2p after the shift keep each dot product under 2 n p^2
-            work = mods @ work % pv
-            work.reshape(len(batch), n * n)[:, :: n + 1] += coeff[:, None]
+            work = _mulmod(mods, work, pv)
+            work.reshape(len(batch), n * n)[:, :: n + 1] += coeff[:, None]  # now below 2p
         if (work % pv).any():
             return False
     return True
+
+
+def _coefficient_bound(ms: list, x: Optional[list], order: int) -> int:
+    """A bound on |out[s][j][k]| of ``_char_poly_int`` over the whole stack.
+
+    The coefficient of lambda^(n-k) is a signed sum of the C(n, k) principal
+    k x k minors.  With order 0 each minor is at most the product of the
+    norms of its k rows (Hadamard), so at most C(n, k) times the product of
+    the k largest row 2-norms of M, each taken as isqrt(sum M_ij^2) + 1.
+    With order > 0 the mu^j parts of a minor sum at most 2^k determinants of
+    entries at most max|M_ij, X_ij|, each at most (sqrt(k) max)^k."""
+    n = len(ms[0])
+    if order:
+        big = 2 * max(abs(v) for m in ms + [x] for row in m for v in row)
+        return max(math.comb(n, k) * (math.isqrt(k ** k) + 1) * big ** k for k in range(n + 1))
+    bound = 1
+    for m in ms:
+        prod = 1
+        norms = sorted((math.isqrt(sum(map(mul, row, row))) + 1 for row in m), reverse=True)
+        for k, norm in enumerate(norms, 1):
+            prod *= norm
+            bound = max(bound, math.comb(n, k) * prod)
+    return bound
 
 
 def _char_poly_int(ms: list, x: Optional[list] = None,
@@ -678,43 +761,43 @@ def _char_poly_int(ms: list, x: Optional[list] = None,
     is the coefficient of mu^j lambda^k in F(mu) = det(lambda I - M_s +
     mu X) for j <= order; X is an integer matrix, needed when order > 0.
 
-    Each coefficient of lambda^(n-k) sums C(n, k) principal minors whose
-    mu^j parts are sums of at most 2^k determinants, each at most (sqrt(k)
-    max|M_ij, X_ij|)^k (Hadamard).  Primes are taken until their product
-    exceeds twice the largest bound, and Faddeev-LeVerrier runs modulo all
-    of them and for the whole stack at once in int64, dividing by k through
-    k^-1 mod p; the residues are lifted by CRT to the symmetric range.  Its
-    N_k are the coefficients of adj(lambda I - M + mu X), and F'(mu) =
-    tr(adj X) (Jacobi), so F_order costs one trace per step.  The lower
-    orders run N <- (M - mu X) N over Z_p[mu] / (mu^order)."""
+    Primes are taken until their product exceeds twice the largest
+    ``_coefficient_bound``, and Faddeev-LeVerrier runs modulo all of them
+    and for the whole stack at once, dividing by k through k^-1 mod p; the
+    residues are lifted by CRT to the symmetric range.  Each step multiplies
+    M mod p (entries below p) by N_(k-1) + c I (entries below 2p), so every
+    dot product is below 2 n p^2 <= 2^53 for primes of ``_prime_bits(n)``
+    bits and runs exactly on float64 BLAS (``_mulmod``).  Its N_k are the
+    coefficients of adj(lambda I - M + mu X), and F'(mu) = tr(adj X)
+    (Jacobi), so F_order costs one trace per step.  The lower orders run
+    N <- (M - mu X) N over Z_p[mu] / (mu^order)."""
     n, size, width = len(ms[0]), len(ms), max(order, 1)
     if n == 0:
         return [[[1]] + [[]] * order for _ in ms]
-    big = max(abs(v) for m in ms + [x or []] for row in m for v in row) * (2 if order else 1)
-    bound = max(math.comb(n, k) * (math.isqrt(k ** k) + 1) * big ** k for k in range(n + 1))
-    primes = _crt_primes(n, bound)
+    primes = _crt_primes(n, _coefficient_bound(ms, x, order))
     p3 = np.array(primes, dtype=np.int64).reshape(-1, 1, 1)
     pv = p3[..., None, None]
-    mods = _residues(ms, primes)[:, :, None]  # (prime, sample, 1, n, n)
+    mods = _residues(ms, primes)[:, :, None].astype(np.float64)  # (prime, sample, 1, n, n)
     work = np.zeros((len(primes), size, width, n, n), dtype=np.int64)
     work[:, :, 0] = np.eye(n, dtype=np.int64)  # N_0 = I
     res = np.zeros((len(primes), size, order + 1, n + 1), dtype=np.int64)
     res[:, :, 0, n] = 1
+    neg_inv = np.array([[-pow(k, -1, p) % p for p in primes] for k in range(1, n + 1)],
+                       dtype=np.int64)[:, :, None, None]
     if order:
         xs = _residues(x, primes)[:, None, None]
-        x_t = np.swapaxes(xs, 3, 4)[:, :, 0]
+        x_t, xs_f = np.swapaxes(xs, 3, 4)[:, :, 0], xs.astype(np.float64)
         inv_order = np.array([pow(order, -1, p) for p in primes], dtype=np.int64)[:, None]
     for k in range(1, n + 1):
         if order:  # tr(N_(k-1) X) by row sums, each under 2 n p^2
             rows = (work[:, :, order - 1] * x_t).sum(axis=3) % p3
             res[:, :, order, n - k] = rows.sum(axis=2) % p3[..., 0] * inv_order % p3[..., 0]
-        # entries below 2p after the shift keep each dot product under 2 n p^2
-        step = mods @ work % pv
+        step = _mulmod(mods, work, pv)
         if width > 1:
-            step[:, :, 1:] = (step[:, :, 1:] - xs @ work[:, :, :-1] % pv) % pv
+            step[:, :, 1:] = (step[:, :, 1:] - _mulmod(xs_f, work[:, :, :-1], pv)) % pv
         work = step
-        inv_k = np.array([pow(k, -1, p) for p in primes], dtype=np.int64).reshape(-1, 1, 1)
-        res[..., :width, n - k] = -np.trace(work, axis1=3, axis2=4) % p3 * inv_k % p3
+        # c_(n-k) = -tr(M N_(k-1)) / k, the trace below n p and -1/k mod p below p
+        res[..., :width, n - k] = np.trace(work, axis1=3, axis2=4) * neg_inv[k - 1] % p3
         work.reshape(len(primes), size, width, n * n)[..., :: n + 1] += res[..., :width, n - k, None]
     coeffs, modulus = [0] * res[0].size, 1
     for p, r in zip(primes, res.reshape(len(primes), -1).tolist()):
@@ -726,6 +809,18 @@ def _char_poly_int(ms: list, x: Optional[list] = None,
             for s in range(0, len(coeffs), (order + 1) * (n + 1))]
 
 
+def _int_char_polys(mats: list[Matrix]) -> list[list[int]]:
+    """The characteristic polynomials of the cleared integer rows of exact
+    square matrices of one size, lowest degree first, kept in each matrix's
+    memo; the ones not yet known come from one ``_char_poly_int`` stack."""
+    todo = [a for a in mats if a._char is None]
+    if todo:
+        polys = _char_poly_int([a._cleared_rows()[0] for a in todo])
+        for a, (c,) in zip(todo, polys):
+            object.__setattr__(a, "_char", c)
+    return [a._char for a in mats]
+
+
 def char_poly(a: Matrix) -> list[Fraction]:
     """Monic characteristic polynomial det(xI - A), exact, lowest degree
     first.  Requires the rational field.  With A = M / d for the cleared
@@ -734,9 +829,8 @@ def char_poly(a: Matrix) -> list[Fraction]:
         raise FieldError("char_poly is exact-backend only")
     if not a.is_square:
         raise ShapeError("characteristic polynomial of a non-square matrix")
-    n = a.n_rows
-    ints, d = _cleared(a.rows())
-    c = _char_poly_int([ints])[0][0]
+    n, d = a.n_rows, a._cleared_rows()[1]
+    c = _int_char_polys([a])[0]
     # det(xI - A) = d^-n * det((dx)I - dA)
     return [Fraction(c[k], d ** (n - k)) for k in range(n + 1)]
 
@@ -789,7 +883,7 @@ def minimal_poly(a: Matrix) -> list[Fraction]:
     n = a.n_rows
     if n == 0:
         return [Fraction(1)]
-    m, d = _cleared(a.rows())
+    m, d = a._cleared_rows()
     mu = [1]  # an integer multiple of the running lcm, lowest degree first
     for v in [list(range(1, n + 1))] + [[int(i == j) for i in range(n)] for j in range(n)]:
         w = [mu[-1] * x for x in v]
@@ -901,7 +995,7 @@ def _semisimple_exact(a: Matrix, s: list[int]) -> SemisimplicityReport:
     k = rp.degree(s)
     if k == a.n_rows:
         return SemisimplicityReport(True, (), RATIONAL, 0.0)
-    ints, d = _cleared(a.rows())
+    ints, d = a._cleared_rows()
     coeffs = [x * d ** (k - i) for i, x in enumerate(s)]
     content = math.gcd(*coeffs)
     if _int_poly_at_matrix_is_zero([c // content for c in coeffs], ints):

@@ -180,9 +180,13 @@ class CentralConfiguration:
 
 @dataclass(frozen=True)
 class AmendedHessianReport:
-    matrix_on_v: Matrix
+    """The two forms of ``amended_hessian`` as symmetric float arrays,
+    ``on_v`` and ``on_shat``, with their inertias; ``matrix_on_v`` and
+    ``hess_u_on_shat`` wrap them as float64 ``Matrix`` objects on access."""
+
+    on_v: np.ndarray = field(repr=False, compare=False)
     inertia_v: IndexReport
-    hess_u_on_shat: Matrix
+    on_shat: np.ndarray = field(repr=False, compare=False)
     inertia_shat: IndexReport
     radial_eigenvalue: float
     radial_residual: float
@@ -191,12 +195,20 @@ class AmendedHessianReport:
     alpha: float
 
     @property
+    def matrix_on_v(self) -> Matrix:
+        return Matrix.from_numpy(self.on_v)
+
+    @property
+    def hess_u_on_shat(self) -> Matrix:
+        return Matrix.from_numpy(self.on_shat)
+
+    @property
     def dim_v(self) -> int:
-        return self.matrix_on_v.n_rows
+        return self.on_v.shape[0]
 
     @property
     def dim_shat(self) -> int:
-        return self.hess_u_on_shat.n_rows
+        return self.on_shat.shape[0]
 
 
 @dataclass(frozen=True)
@@ -495,9 +507,9 @@ def amended_hessian(cc: CentralConfiguration) -> AmendedHessianReport:
     sign_res = float(np.max(np.abs(z_shat.T @ form @ z_shat + on_shat))) \
         if z_shat.shape[1] else 0.0
     return AmendedHessianReport(
-        matrix_on_v=Matrix.from_numpy(on_v),
+        on_v=on_v,
         inertia_v=_inertia_float(on_v, None),  # both forms are exactly symmetric
-        hess_u_on_shat=Matrix.from_numpy(on_shat),
+        on_shat=on_shat,
         inertia_shat=_inertia_float(on_shat, None),
         radial_eigenvalue=lam,
         radial_residual=radial_res / op_scale,

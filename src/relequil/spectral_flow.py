@@ -46,6 +46,7 @@ from .matrix_core import (
     _char_poly_int,
     _cleared,
     _exact_div,
+    _j_times,
     _require_symmetric,
     _resolve_tol,
     default_tolerance,
@@ -249,10 +250,8 @@ def _krein_chi(b: Matrix, order: int) -> list[list[int]]:
     char_poly(J B), and since det(mu I - B - s G) = char_poly(J (B - mu I))
     (i s), chi(mu, s) = d^-2n sum_j r_j(-s^2) mu^j for the even parts
     q_j(lambda) = r_j(lambda^2)."""
-    ints, d = _cleared(b.rows())
-    n = len(ints) // 2
-    a = [[-x for x in row] for row in ints[n:]] + ints[:n]
-    x = [[d * int(v) for v in row] for row in standard_symplectic(n).rows()]
+    a, d = _j_times(b)._cleared_rows()
+    x = [[d * int(v) for v in row] for row in standard_symplectic(len(a) // 2).rows()]
     return [[c * d ** k for k, c in enumerate(q)] for q in _char_poly_int([a], x, order)[0]]
 
 

@@ -43,6 +43,8 @@ from .matrix_core import (
     SymmetryError,
     _exact_spectrum,
     _finite_array,
+    _int_char_polys,
+    _j_times,
     _kernel_exact,
     _require_symmetric,
     _resolve_tol,
@@ -192,11 +194,9 @@ def _omega_b(b: Matrix, omega: Optional[Matrix], tol: Optional[float]) -> Matrix
     """Omega B (J B by default) for an invertible skew Omega of the shape of
     B; a float Omega must be finite and enters as (Omega - Omega^T) / 2."""
     if omega is None:
-        n = b.n_rows // 2
-        if b.field == RATIONAL:  # J B = [-B_lower; B_upper] by a row swap
-            rows = b.rows()
-            return Matrix(tuple(tuple(-x for x in r) for r in rows[n:]) + rows[:n], RATIONAL)
-        return standard_symplectic(n, FLOAT64) @ b
+        if b.field == RATIONAL:
+            return _j_times(b)
+        return standard_symplectic(b.n_rows // 2, FLOAT64) @ b
     if omega.shape != b.shape:
         raise ShapeError("B and Omega must have the same shape")
     if omega.field == FLOAT64:
@@ -266,7 +266,9 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float], factors=
     characteristic polynomial p of Omega B (None on the float backend); a
     caller that has checked B and has these factors passes them.
 
-    p is computed and decomposed once per call: the Yun factors of p, for
+    p is computed and decomposed once per call, on one residue stack with
+    the characteristic polynomial of B, which B keeps in its memo for the
+    ``inertia(b)`` that a caller takes next.  The Yun factors of p, for
     the spectrum, come from those of r (``_even_yun``), and so does the
     square-free part s of p, their product.  Exact semisimplicity needs no
     matrix work when p is square-free (deg s = deg p); otherwise it is
@@ -278,7 +280,9 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float], factors=
     ob = _omega_b(b, omega, tol)
     if b.field == RATIONAL:
         t = 0.0
-        factors = factors or _axis_factors(char_poly(ob))
+        if factors is None:
+            _int_char_polys([ob, b])
+            factors = _axis_factors(char_poly(ob))
         yun = _even_yun(factors)
         spectrum = _exact_spectrum(yun)
         on_axis = all(c == rp.degree(g) for g, _, c, _ in factors)

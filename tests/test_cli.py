@@ -89,6 +89,22 @@ def test_classify_computes_char_poly_once(tmp_path, capsys, monkeypatch):
         assert len(calls) == 1
 
 
+def test_classify_runs_one_residue_stack(tmp_path, capsys, monkeypatch):
+    # the polynomials of Omega B and of B, for the verdict and the inertia,
+    # come from one Faddeev-LeVerrier pass, with and without --omega
+    calls = count_calls(monkeypatch, "_char_poly_int", ("matrix_core", "spectral_flow"))
+    b = write_json(tmp_path / "b.json", COUNTEREXAMPLE_ROWS)
+    identity = write_json(tmp_path / "i.json", [[1, 0], [0, 1]])
+    omega = write_json(tmp_path / "omega.json", [[0, "-2/3"], ["2/3", 0]])
+    for argv, verdict in ((["classify", b], "spectrally_stable_not_linear"),
+                          (["classify", identity], "linearly_stable"),
+                          (["classify", identity, "--omega", omega], "linearly_stable")):
+        calls.clear()
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+        assert len(calls) == 1
+
+
 def test_classify_square_free_stable_needs_no_minimal_poly(tmp_path, capsys, monkeypatch):
     # count at every relequil module that holds minimal_poly
     calls = []
@@ -568,6 +584,18 @@ def test_nbody_rejects_masses_with_overflowing_products(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: masses must have finite pairwise products\n"
+
+
+def test_nbody_unbuildable_slice_basis_exits_2(tmp_path, capsys):
+    # at masses 1e30 the gauge constraints m and M q differ in scale by
+    # 1e15 and lose rank in floating point: an error line, not a traceback
+    problem = write_json(tmp_path / "p.json", {
+        "masses": [1e30, 1e30, 1e30], "alpha": 1,
+        "positions": [[0, 0], [1, 0], [0.5, 0.8]]})
+    assert main(["nbody-stability", problem]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gauge constraints are rank deficient\n"
 
 
 def test_nbody_convergence_exit_code(tmp_path, capsys):

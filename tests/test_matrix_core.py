@@ -36,7 +36,9 @@ from relequil.matrix_core import (
 )
 from relequil.matrix_core import (
     _char_poly_int,
+    _coefficient_bound,
     _int_poly_at_matrix_is_zero,
+    _j_times,
     _prime_bits,
     _primes,
     _require_symmetric,
@@ -223,6 +225,86 @@ def test_char_poly_prime_size_shrinks_with_dimension(rng):
     assert _prime_bits(20) < _prime_bits(2)
     m = [[rng.randint(-2**30, 2**30) for _ in range(20)] for _ in range(20)]
     assert _char_poly_int([m])[0][0] == H.char_poly_faddeev(m)
+
+
+def test_prime_size_keeps_float64_dot_products_exact():
+    # residues below p and 2p: every dot product of length n is below 2^53
+    for n in range(1, 1001):
+        assert 2 * n * (2 ** _prime_bits(n)) ** 2 <= 2 ** 53
+
+
+def test_char_poly_all_residues_p_minus_1():
+    # every entry -1 is p - 1 modulo every prime, the largest residue, so
+    # each float64 dot product sits at the top of its range; the matrix has
+    # the eigenvalues -n and 0 (n - 1 times)
+    for n in (31, 32, 63, 64):
+        m = [[-1] * n for _ in range(n)]
+        p = _char_poly_int([m])[0][0]
+        assert p == H.char_poly_faddeev(m)
+        assert p == [0] * (n - 1) + [n, 1]
+        assert _int_poly_at_matrix_is_zero(p, m)
+        assert _int_poly_at_matrix_is_zero([0, n, 1], m)  # the minimal polynomial
+        assert not _int_poly_at_matrix_is_zero([p[0] + 1] + p[1:], m)
+
+
+def test_char_poly_stack_equals_separate_calls(rng):
+    # one stack of two matrices gives each its own polynomial, also when the
+    # entries are beyond int64 and the two need different numbers of primes
+    for n, bits in ((1, 3), (4, 3), (5, 70), (8, 64), (16, 5)):
+        a = _big_int_matrix(rng, n, bits)
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert _char_poly_int([a, b]) == _char_poly_int([a]) + _char_poly_int([b])
+        assert _char_poly_int([b, a]) == _char_poly_int([b]) + _char_poly_int([a])
+        assert [p[0] for p in _char_poly_int([a, b])] == \
+            [H.char_poly_faddeev(a), H.char_poly_faddeev(b)]
+
+
+def _sylvester_hadamard(k: int) -> list[list[int]]:
+    m = [[1]]
+    for _ in range(k):
+        m = [row + row for row in m] + [row + [-x for x in row] for row in m]
+    return m
+
+
+def test_coefficient_bound_covers_every_coefficient(rng):
+    # a Hadamard matrix meets Hadamard's bound on its determinant: det H =
+    # n^(n/2), the product of its row norms; the bound must still cover it
+    cases = [_sylvester_hadamard(k) for k in (0, 1, 2, 3, 4)]
+    cases += [_big_int_matrix(rng, n, bits) for n, bits in ((2, 3), (6, 40), (12, 70))]
+    cases += [[[0] * 3 for _ in range(3)], [[-(2 ** 70)] * 4 for _ in range(4)]]
+    for m in cases:
+        bound = _coefficient_bound([m], None, 0)
+        p = _char_poly_int([m])[0][0]
+        assert p == H.char_poly_faddeev(m)
+        assert max(abs(c) for c in p) <= bound
+    n = 16
+    assert abs(H.char_poly_faddeev(_sylvester_hadamard(4))[0]) == n ** (n // 2)
+    # the row norms give a far smaller bound than the largest entry alone
+    m = [[rng.randint(-9, 9) for _ in range(48)] for _ in range(48)]
+    old = max(math.comb(48, k) * (math.isqrt(k ** k) + 1) * 9 ** k for k in range(49))
+    assert _coefficient_bound([m], None, 0) < old
+
+
+def test_exact_matrix_memo_is_outside_equality():
+    rows = [[Fraction(1, 2), 3], [3, Fraction(-5, 4)]]
+    a, b = Matrix(rows, RATIONAL), Matrix(rows, RATIONAL)
+    assert a._cleared_rows() == ([[2, 12], [12, -5]], 4)
+    assert a._cleared_rows() is a._cleared_rows()
+    assert inertia(a) == IndexReport(1, 0, 1)
+    assert a == b and hash(a) == hash(b)
+    assert char_poly(a) == char_poly(b) == H.char_poly_lagrange(rows)
+    assert determinant(a) == determinant(b) == Fraction(-5, 8) - 9
+    with pytest.raises(AttributeError):
+        a._ints = None
+
+
+def test_j_times_keeps_cleared_rows(rng):
+    for n in (1, 2, 4):
+        b = Matrix(H.random_symmetric(rng, 2 * n, num=5, den=3), RATIONAL)
+        jb, product = _j_times(b), standard_symplectic(n) @ b
+        assert jb == product
+        assert jb._cleared_rows() == product._cleared_rows()
+        assert char_poly(jb) == H.char_poly_lagrange(product.to_lists())
 
 
 def test_inertia_matches_congruence_reference(rng):

@@ -316,6 +316,29 @@ def test_convergence_error_on_tiny_budget():
 # amended Hessian and index relations
 
 
+def test_hessian_report_builds_matrices_on_access(monkeypatch):
+    # the report keeps the two forms as arrays; the Matrix views are built
+    # only when read
+    cc = find_central_configuration(system([1.0, 2.0, 3.0, 4.0], 1.0,
+                                           [(1.0, 0.0), (0.0, 1.1), (-1.2, 0.0), (0.0, -0.9)]))
+    built = []
+    original = Matrix.from_numpy.__func__
+
+    def counted(cls, arr):
+        built.append(np.shape(arr))
+        return original(cls, arr)
+
+    monkeypatch.setattr(Matrix, "from_numpy", classmethod(counted))
+    rep = amended_hessian(cc)
+    assert built == []
+    assert (rep.dim_v, rep.dim_shat) == (5, 4) == (rep.on_v.shape[0], rep.on_shat.shape[0])
+    assert np.array_equal(rep.matrix_on_v.to_numpy(), rep.on_v)
+    assert np.array_equal(rep.hess_u_on_shat.to_numpy(), rep.on_shat)
+    assert built == [(5, 5), (4, 4)]
+    assert rep.inertia_v == inertia(rep.matrix_on_v)
+    assert rep.inertia_shat == inertia(rep.hess_u_on_shat)
+
+
 def test_equilateral_hessian_report():
     cc = find_central_configuration(system([1.0] * 3, 1.0, EQUILATERAL))
     rep = amended_hessian(cc)
