@@ -21,6 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
@@ -341,10 +342,6 @@ def standard_symplectic(n: int, field: str = RATIONAL) -> Matrix:
 # subspaces
 
 
-def _exact_rank(rows: list[list[Fraction]]) -> int:
-    return len(_bareiss_echelon(_cleared(rows)[0])[1])
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace given by an independent tuple of basis columns.
@@ -360,13 +357,10 @@ class Subspace:
         for v in self.basis:
             if len(v) != self.ambient_dim:
                 raise ShapeError("basis vector has wrong length")
-        if not self.basis:
-            return
         if self.is_exact:
-            r = _exact_rank([list(col) for col in zip(*self.basis)])
+            r = len(_bareiss_echelon(_cleared(self.basis)[0])[1])
         else:
-            arr = np.array(self.basis, dtype=complex).T
-            r = int(np.linalg.matrix_rank(arr))
+            r = int(np.linalg.matrix_rank(self.basis_numpy()))
         if r != len(self.basis):
             raise ValueError("basis vectors are linearly dependent")
 
@@ -497,16 +491,33 @@ def _back_substitute(echelon: list[list[int]], piv_cols: list[int],
     return y
 
 
-def _kernel_exact(rows: list[list[Fraction]], n_cols: int) -> list[list[Fraction]]:
-    echelon, piv_cols = _bareiss_echelon(_cleared(rows)[0])
+def _kernel_exact(ints: list[list[int]], n_cols: int) -> list[list[Fraction]]:
+    """A basis of the null space of integer rows with n_cols columns, one
+    vector per free column of their Bareiss echelon form."""
+    echelon, piv_cols = _bareiss_echelon(ints)
     return [_back_substitute(echelon, piv_cols, [Fraction(int(j == f)) for j in range(n_cols)])
             for f in range(n_cols) if f not in piv_cols]
 
 
+def _is_invariant(m: Matrix, w: Subspace) -> bool:
+    """Whether an exact subspace W is invariant under an exact square M: the
+    basis of W is independent, so W is M-invariant iff rank [W; M W] = dim W.
+    Rows may be scaled, so both come from the cleared integer rows of W and
+    M, in one elimination."""
+    ints = _cleared(w.basis)[0]
+    mi = m._cleared_rows()[0]
+    images = [[sum(map(mul, row, v)) for row in mi] for v in ints]
+    return len(_bareiss_echelon(ints + images)[1]) == w.dimension
+
+
 def solve_exact(a_rows: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
     """One exact solution of A x = b, free variables zero, or None when
-    inconsistent: the Bareiss echelon form of [A | b] with x extended by -1."""
+    inconsistent: the Bareiss echelon form of [A | b] with x extended by -1.
+    Raises ``ShapeError`` on ragged rows or a b with another number of
+    entries than A has rows."""
     n_cols = len(a_rows[0]) if a_rows else 0
+    if len(b) != len(a_rows) or any(len(row) != n_cols for row in a_rows):
+        raise ShapeError("A x = b needs rows of one length and one entry of b per row")
     aug = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a_rows, b)]
     echelon, piv_cols = _bareiss_echelon(_cleared(aug)[0])
     if n_cols in piv_cols:
@@ -515,10 +526,13 @@ def solve_exact(a_rows: list[list[Fraction]], b: list[Fraction]) -> Optional[lis
 
 
 def in_span(columns: list[list[Fraction]], vector: list[Fraction]) -> bool:
+    """Whether the vector is an exact combination of the columns, each of
+    which must have its length (``ShapeError`` otherwise)."""
+    if any(len(col) != len(vector) for col in columns):
+        raise ShapeError("columns and vector have different lengths")
     if not columns:
         return all(x == 0 for x in vector)
-    a = [[columns[k][i] for k in range(len(columns))] for i in range(len(vector))]
-    return solve_exact(a, vector) is not None
+    return solve_exact(list(zip(*columns)), vector) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +606,7 @@ def kernel(a: Matrix, tol: Optional[float] = None) -> Subspace:
     """Basis of the null space; exact fraction-free elimination over the
     rationals, SVD over floats."""
     if a.field == RATIONAL:
-        basis = _kernel_exact(a.to_lists(), a.n_cols)
+        basis = _kernel_exact(a._cleared_rows()[0], a.n_cols)
         return Subspace(a.n_cols, tuple(tuple(v) for v in basis))
     t = _resolve_tol(tol, a.max_abs)
     arr = a.to_numpy()
@@ -836,34 +850,21 @@ def char_poly(a: Matrix) -> list[Fraction]:
 
 
 def _vector_min_poly(m: list[list[int]], v: list[int]) -> list[int]:
-    """Integer coefficients, lowest degree first, of the minimal polynomial
-    of a nonzero integer vector v under a square integer matrix M: the first
-    linear dependence among v, M v, M^2 v, ...  Each new vector is reduced
-    against the earlier rows by cross-multiplication, and each stored row is
-    divided, with its combination of powers, by their content gcd."""
-    n = len(m)
-    # reduced rows: (vector, pivot index, combination over the powers 0..n)
-    reduced: list[tuple[list[int], int, list[int]]] = []
-    for k in range(n + 1):
-        vec = v
-        combo = [int(i == k) for i in range(n + 1)]
-        for rvec, piv, rcombo in reduced:
-            f = vec[piv]
-            if f:
-                p = rvec[piv]
-                g = math.gcd(p, f)
-                p, f = p // g, f // g
-                vec = [p * x - f * y for x, y in zip(vec, rvec)]
-                combo = [p * x - f * y for x, y in zip(combo, rcombo)]
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
-            # sum_i combo[i] M^i v = 0 with combo[k] != 0
-            g = math.gcd(*combo)
-            return [c // g for c in combo[:k + 1]]
-        g = math.gcd(*vec, *combo)
-        reduced.append(([x // g for x in vec], piv, [c // g for c in combo]))
-        v = [sum(map(mul, row, v)) for row in m]
-    raise AssertionError("Krylov dependence not found by degree n")
+    """Primitive integer coefficients, lowest degree first, of the minimal
+    polynomial of a nonzero integer vector v under a square integer matrix
+    M: the first linear dependence among v, M v, ..., M^n v.
+
+    Once M^k v depends on v, ..., M^(k-1) v, so do all later powers.  The
+    Bareiss echelon form of the Krylov matrix [v, M v, ..., M^n v] thus has
+    its pivots in the columns 0..k-1, and its first free column k is that
+    first dependence: back-substituting that column alone gives it, which
+    is then cleared to integers."""
+    krylov = [v]
+    for _ in m:
+        krylov.append([sum(map(mul, row, krylov[-1])) for row in m])
+    echelon, piv_cols = _bareiss_echelon([list(row) for row in zip(*krylov)])
+    k = len(piv_cols)
+    return _cleared([_back_substitute(echelon, piv_cols, [Fraction(0)] * k + [Fraction(1)])])[0][0]
 
 
 def minimal_poly(a: Matrix) -> list[Fraction]:
@@ -872,9 +873,10 @@ def minimal_poly(a: Matrix) -> list[Fraction]:
     With A = M / d for an integer matrix M, the minimal polynomial mu of M
     is the lcm of those of the start vectors (1, ..., n), e_1, ..., e_n
     (Wiedemann).  With the running lcm L, lcm(L, mu_v) = L mu_w for
-    w = L(M) v (``_vector_min_poly``).  L divides mu, so L = mu once
-    deg L = n or once ``_int_poly_at_matrix_is_zero`` proves L(M) = 0, at
-    the latest after e_n.  m(x) = mu(d x) / d^k is that of A, k = deg mu.
+    w = L(M) v, the first dependence in the Bareiss echelon form of the
+    Krylov matrix of w (``_vector_min_poly``).  L divides mu, so L = mu
+    once deg L = n or once ``_int_poly_at_matrix_is_zero`` proves L(M) = 0,
+    at the latest after e_n.  m(x) = mu(d x) / d^k is that of A, k = deg mu.
     """
     if a.field != RATIONAL:
         raise FieldError("minimal_poly is exact-backend only")
@@ -972,17 +974,10 @@ def complex_spectrum(a: Matrix, tol: Optional[float] = None) -> tuple[Eigenvalue
     return tuple(out)
 
 
-def _defect_report(g: list[int]) -> SemisimplicityReport:
-    """Semisimple iff g = gcd(m, m') of the minimal polynomial m is constant;
-    the roots of g are the defective eigenvalues."""
-    roots = tuple(e.value for e in _exact_spectrum([(g, 1)]))
-    return SemisimplicityReport(not roots, roots, RATIONAL, 0.0)
-
-
-def _semisimple_exact(a: Matrix, s: list[int]) -> SemisimplicityReport:
-    """Exact semisimplicity of a rational square matrix A, given the
-    square-free part s of its characteristic polynomial p in normal form
-    (``rational_poly``).
+def _semisimple_exact(a: Matrix, *factors: list[int]) -> SemisimplicityReport:
+    """Exact semisimplicity of a rational square matrix A, given the Yun
+    factors of its characteristic polynomial p in normal form
+    (``rational_poly``); their product s is the square-free part of p.
 
     A is semisimple iff s(A) = 0.  When deg s = n, p itself is square-free
     and that needs no matrix work.  Otherwise, with A = M / d for the
@@ -992,6 +987,7 @@ def _semisimple_exact(a: Matrix, s: list[int]) -> SemisimplicityReport:
     A runs ``minimal_poly``: its minimal polynomial m has the roots of p, so
     gcd(m, m') = m / s, one exact ``quotient``, and its roots name the
     defective eigenvalues."""
+    s = reduce(rp.mul, factors, [1])
     k = rp.degree(s)
     if k == a.n_rows:
         return SemisimplicityReport(True, (), RATIONAL, 0.0)
@@ -1003,18 +999,19 @@ def _semisimple_exact(a: Matrix, s: list[int]) -> SemisimplicityReport:
     g = rp.quotient(rp.cleared(minimal_poly(a)), s)
     if rp.degree(g) <= 0:
         raise AssertionError("s does not properly divide m although s(A) != 0")
-    return _defect_report(g)
+    return SemisimplicityReport(False, tuple(e.value for e in _exact_spectrum([(g, 1)])),
+                                RATIONAL, 0.0)
 
 
 def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityReport:
     """Diagonalizability over the complex numbers.
 
-    Exact backend: A is semisimple iff its minimal polynomial m
-    (``minimal_poly``, integer Krylov sequences checked modulo primes) is
-    square-free, i.e. gcd(m, m') = 1; otherwise the roots of gcd(m, m')
-    name the defective eigenvalues.  ``classify``, which has the square-free
-    part of the characteristic polynomial at hand, decides by
-    ``_semisimple_exact`` instead.  Float backend: rank(A - zI) versus
+    Exact backend: A is semisimple iff s(A) = 0 for the square-free part s
+    of its characteristic polynomial, decided by ``_semisimple_exact`` from
+    the Yun factors, as ``classify`` decides it; a semisimple A computes no
+    minimal polynomial, and for a defective one the roots of
+    gcd(m, m') = m / s name the defective eigenvalues.  Float backend:
+    rank(A - zI) versus
     rank((A - zI)^2) per eigenvalue cluster, with an indeterminate outcome
     when a singular value lands inside the band [tol/10, 10*tol] or two
     clusters lie within 10*tol of each other, as a split Jordan block does.
@@ -1022,8 +1019,8 @@ def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityRepor
     if not a.is_square:
         raise ShapeError("semisimplicity of a non-square matrix")
     if a.field == RATIONAL:
-        m = rp.cleared(minimal_poly(a))
-        return _defect_report(rp.gcd(m, rp.derivative(m)))
+        yun = rp.squarefree_decomposition(rp.cleared(char_poly(a)))
+        return _semisimple_exact(a, *(g for g, _ in yun))
     t = _resolve_tol(tol, a.max_abs)
     arr = a.to_numpy()
     n = arr.shape[0]

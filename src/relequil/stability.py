@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from typing import Optional
 
 from . import rational_poly as rp
@@ -41,9 +40,11 @@ from .matrix_core import (
     SingularMatrixError,
     Subspace,
     SymmetryError,
+    _cleared,
     _exact_spectrum,
     _finite_array,
     _int_char_polys,
+    _is_invariant,
     _j_times,
     _kernel_exact,
     _require_symmetric,
@@ -52,7 +53,6 @@ from .matrix_core import (
     char_poly,
     complex_spectrum,
     determinant,
-    in_span,
     inertia,
     is_semisimple,
     kernel,
@@ -298,8 +298,7 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float], factors=
     if factors is None:
         ss = is_semisimple(ob, tol=t)
     else:
-        # the square-free part of p is the product of its Yun factors
-        ss = _semisimple_exact(ob, reduce(rp.mul, (f for f, _ in yun), [1]))
+        ss = _semisimple_exact(ob, *(f for f, _ in yun))
     if ss.semisimple is None:
         verdict = Verdict.INDETERMINATE
     elif ss.semisimple:
@@ -359,15 +358,12 @@ def kernel_invariance_test(b: Matrix) -> KernelInvarianceResult:
     b = _require_even_symmetric(b, None)
     j = standard_symplectic(b.n_rows // 2)
     v = kernel(b)
-    if v.dimension == 0:
-        return KernelInvarianceResult(True, v, None)
-    v_cols = [[Fraction(x) for x in vec] for vec in v.basis]
-    if all(in_span(v_cols, j.matvec(vec)) for vec in v_cols):
+    if _is_invariant(j, v):
         if v.dimension % 2 != 0:
             raise AssertionError("J-invariant kernel with odd dimension")
         return KernelInvarianceResult(True, v, None)
-    basis = Matrix(list(zip(*v_cols)), RATIONAL)
-    radical = _kernel_exact((basis.T @ j @ basis).to_lists(), v.dimension)
+    basis = Matrix(list(zip(*v.basis)), RATIONAL)
+    radical = _kernel_exact((basis.T @ j @ basis)._cleared_rows()[0], v.dimension)
     if not radical:
         return KernelInvarianceResult(False, v, None)
     x = basis.matvec(radical[0])
@@ -414,23 +410,14 @@ def invariant_split(b: Matrix) -> InvariantSplit:
             "kernel is not J-invariant, so neither is its Euclidean complement")
     two_n = b.n_rows
     v = result.kernel
-    if v.dimension == 0:
-        ident = Matrix.identity(two_n)
-        comp = Subspace(two_n, tuple(tuple(row) for row in ident.rows()))
-        return InvariantSplit(v, comp, restrict_form(b, comp))
-    rows = [[Fraction(x) for x in vec] for vec in v.basis]
-    comp_basis = tuple(tuple(w) for w in _kernel_exact(rows, two_n))
+    comp_basis = tuple(tuple(w) for w in _kernel_exact(_cleared(v.basis)[0], two_n))
     comp = Subspace(two_n, comp_basis)
-    n = two_n // 2
-    j = standard_symplectic(n)
-    comp_cols = [[Fraction(x) for x in vec] for vec in comp.basis]
-    for vec in comp_cols:
-        if not in_span(comp_cols, j.matvec(vec)):
-            raise AssertionError("complement of a J-invariant kernel must be J-invariant")
-        if not in_span(comp_cols, b.matvec(vec)):
-            raise AssertionError("complement must be B-invariant for symmetric B")
+    if not _is_invariant(standard_symplectic(two_n // 2), comp):
+        raise AssertionError("complement of a J-invariant kernel must be J-invariant")
+    if not _is_invariant(b, comp):
+        raise AssertionError("complement must be B-invariant for symmetric B")
     restricted = restrict_form(b, comp)
-    if comp.dimension and rank(restricted) != comp.dimension:
+    if rank(restricted) != comp.dimension:
         raise AssertionError("B must restrict to an isomorphism of the complement")
     return InvariantSplit(v, comp, restricted)
 
@@ -446,18 +433,14 @@ def spectral_instability_certificate(b: Matrix,
     b = _require_even_symmetric(b, None)
     if w is None:
         w = invariant_split(b).complement
-    two_n = b.n_rows
-    n = two_n // 2
-    j = standard_symplectic(n)
-    cols = [[Fraction(x) for x in vec] for vec in w.basis]
-    failures = []
-    if not all(in_span(cols, j.matvec(vec)) for vec in cols):
-        failures.append("not J-invariant")
-    if not all(in_span(cols, b.matvec(vec)) for vec in cols):
-        failures.append("not B-invariant")
+    # restrict_form refuses a W of another ambient dimension or an inexact basis
     restricted = restrict_form(b, w)
-    iso = w.dimension == 0 or rank(restricted) == w.dimension
-    if not iso:
+    failures = []
+    if not _is_invariant(standard_symplectic(b.n_rows // 2), w):
+        failures.append("not J-invariant")
+    if not _is_invariant(b, w):
+        failures.append("not B-invariant")
+    if rank(restricted) != w.dimension:
         failures.append("B is not an isomorphism on W")
     if failures:
         raise HypothesisFailure(failures)

@@ -535,6 +535,28 @@ def test_complex_spectrum_multiplicity():
     assert found == {(2.0, 2), (3.0, 1)}
 
 
+def test_exact_is_semisimple_computes_no_minimal_poly(monkeypatch, rng):
+    calls = []
+    original = matrix_core.minimal_poly
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(matrix_core, "minimal_poly", counted)
+    # S diag(3/2, 3/2, -1, 0, 0) S^-1: repeated eigenvalues, semisimple
+    a = Matrix(_similar(_jordan([(Fraction(3, 2), 1), (Fraction(3, 2), 1), (-1, 1), (0, 1),
+                                 (0, 1)]), rng), RATIONAL)
+    assert is_semisimple(a).semisimple is True
+    assert calls == []
+    # a defective matrix names its eigenvalue through one minimal polynomial
+    report = is_semisimple(Matrix(_similar(_jordan([(Fraction(3, 2), 2), (-1, 1)]), rng),
+                                  RATIONAL))
+    assert report.semisimple is False and len(calls) == 1
+    assert [complex(round(z.real, 9), round(z.imag, 9))
+            for z in report.defective_eigenvalues] == [1.5]
+
+
 def test_semisimple_exact():
     assert is_semisimple(Matrix.diagonal([1, 1, 2])).semisimple is True
     jordan = Matrix([[1, 1], [0, 1]], RATIONAL)
@@ -738,6 +760,22 @@ def test_solve_and_span():
     assert x == [Fraction(2), Fraction(3)]
     assert in_span([(Fraction(1), Fraction(0))], (Fraction(5), Fraction(0)))
     assert not in_span([(Fraction(1), Fraction(0))], (Fraction(0), Fraction(1)))
+
+
+def test_exact_solvers_refuse_mismatched_shapes():
+    one, five = Fraction(1), Fraction(5)
+    for rows, b in (([[one]], [one, five]),  # a second equation without a row
+                    ([[one], [one]], [one]),  # a row without an entry of b
+                    ([[one, 0], [one]], [one, one])):  # ragged rows
+        with pytest.raises(ShapeError):
+            solve_exact(rows, b)
+    for columns, vector in (([[one, 0, five]], [one, 0]),  # longer column
+                            ([[one]], [one, 0]),  # shorter column
+                            ([[one, 0], [one]], [one, 0])):  # ragged columns
+        with pytest.raises(ShapeError):
+            in_span(columns, vector)
+    assert solve_exact([], []) == []
+    assert in_span([], [0, 0]) and not in_span([], [0, one])
 
 
 def test_subspace_contains():

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 import helpers as H
+from relequil import matrix_core
 from relequil.matrix_core import (
     FLOAT64,
     RATIONAL,
     Matrix,
     ShapeError,
     SingularMatrixError,
+    Subspace,
     SymmetryError,
     char_poly,
     complex_spectrum,
     inertia,
     is_semisimple,
+    minimal_poly,
     rank,
     solve_exact,
     standard_symplectic,
@@ -176,6 +179,41 @@ def test_classify_spectrum_is_that_of_omega_b(rng):
         omega = q @ standard_symplectic(n) @ q.T
         assert classify(b, omega=omega).spectrum == complex_spectrum(omega @ b)
         assert classify(b).spectrum == complex_spectrum(standard_symplectic(n) @ b)
+
+
+def _int_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_defective_jb_at_32_known_by_construction():
+    # B = S^T D S for D = diag(b_1..b_n, b_{n+1}..b_{2n}) with 15 pairs of
+    # distinct positive products a_k b_k and one nilpotent pair (4, 0), and
+    # the integer symplectic S = [[I, X], [0, I]] [[I, 0], [Y, I]], X and Y
+    # symmetric: J B = S^-1 (J D) S, whose minimal polynomial is
+    # x^2 prod_k (x^2 + a_k b_k)
+    n = 16
+    pairs = [(-1, -k) if k % 3 == 0 else (1, k) for k in range(1, n)] + [(4, 0)]
+    x = [[int(abs(i - j) == 1) + (i % 3 - 1) * (i == j) for j in range(n)] for i in range(n)]
+    y = [[int(abs(i - j) == 2) + (i % 2) * (i == j) for j in range(n)] for i in range(n)]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    zero = [[0] * n for _ in range(n)]
+    upper = [r + q for r, q in zip(eye, x)] + [r + q for r, q in zip(zero, eye)]
+    lower = [r + q for r, q in zip(eye, zero)] + [r + q for r, q in zip(y, eye)]
+    s = _int_product(upper, lower)
+    d = [[0] * (2 * n) for _ in range(2 * n)]
+    for k, (a, b) in enumerate(pairs):
+        d[k][k], d[n + k][n + k] = a, b
+    b = Matrix(_int_product(_int_product([list(c) for c in zip(*s)], d), s), RATIONAL)
+    expected = [0, 0, 1]
+    for a, c in pairs[:-1]:  # times x^2 + a c, lowest degree first
+        expected = [u + v for u, v in zip([a * c * e for e in expected] + [0, 0],
+                                          [0, 0] + expected)]
+    jb = standard_symplectic(n) @ b
+    assert minimal_poly(jb) == [Fraction(c) for c in expected]
+    cls = classify(b)
+    assert cls.verdict == Verdict.SPECTRALLY_STABLE_NOT_LINEAR
+    assert cls.semisimple is False
+    assert cls.defective_eigenvalue == 0
 
 
 def test_classify_linearly_stable():
@@ -377,6 +415,31 @@ def test_certificate_reports_hypothesis_failures():
     with pytest.raises(HypothesisFailure) as exc:
         spectral_instability_certificate(Matrix.diagonal([-1, 1]), w=w)
     assert "J-invariant" in str(exc.value)
+
+
+def test_certificate_one_elimination_per_invariance_test(monkeypatch):
+    # J- and B-invariance are one rank [W; M W] = dim W test each; the third
+    # elimination is the rank of the restricted form
+    b = Matrix(H.pair_diagonal([(-1, 2), (3, 5), (0, 0)]), RATIONAL)
+    cases = [(b, invariant_split(b).complement, True),
+             (Matrix.diagonal([-1, 1]), Subspace(2, ((Fraction(1), Fraction(0)),)), False)]
+    calls = []
+    original = matrix_core._bareiss_echelon
+
+    def counted(m):
+        calls.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(matrix_core, "_bareiss_echelon", counted)
+    for form, w, holds in cases:
+        calls.clear()
+        if holds:
+            spectral_instability_certificate(form, w)
+        else:
+            with pytest.raises(HypothesisFailure):
+                spectral_instability_certificate(form, w)
+        k = w.dimension
+        assert calls == [2 * k, 2 * k, k]
 
 
 # ---------------------------------------------------------------------------
