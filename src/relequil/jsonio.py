@@ -1,10 +1,18 @@
 """Deterministic JSON for reports and input files.
 
 Reports must be byte-stable across runs: keys are emitted sorted, floats
-with 17 significant digits, rationals as exact "p/q" strings, complex
-numbers as {"im": ..., "re": ...} objects.  The stdlib encoder cannot pin
-float formatting, so emission is a small recursive writer; parsing uses the
-stdlib as usual.
+with 17 significant digits (zero without a sign), rationals as exact "p/q"
+strings, complex numbers as {"im": ..., "re": ...} objects.  The stdlib
+encoder cannot pin float formatting, so emission is a small recursive
+writer that dispatches on the exact type of each node and encodes each dict
+key once per process.
+
+Input files are read by the stdlib parser.  A matrix whose entries are all
+ints and floats is converted in one pass: one float64 array and one
+finiteness check for the float backend, the integer rows themselves as the
+cleared-integer memo of an exact matrix when all are ints.  Any other
+matrix, and every refusal with its message, goes entry by entry through
+``scalar_from_data``.
 """
 
 from __future__ import annotations
@@ -14,9 +22,13 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
-from .matrix_core import FLOAT64, RATIONAL, Matrix
+import numpy as np
+
+from .matrix_core import FLOAT64, RATIONAL, Matrix, ShapeError
 
 __all__ = [
     "dumps",
@@ -26,47 +38,73 @@ __all__ = [
 ]
 
 
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError("reports must not contain NaN or infinity")
+    return format(x + 0.0, ".17g")  # x + 0.0 is x, but 0.0 for -0.0
+
+
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+@lru_cache(maxsize=1024)
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError("JSON object keys must be strings")
+    return _quote(key) + ":"
+
+
 def _emit(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
+    t = type(obj)
+    scalar = _SCALARS.get(t)
+    if scalar is not None:
+        out.append(scalar(obj))
+    elif t is dict:
+        sep = "{"
+        for key in sorted(obj):
+            out.append(sep)
+            out.append(_key_text(key))
+            value = obj[key]
+            scalar = _SCALARS.get(type(value))
+            if scalar is None:
+                _emit(value, out)
+            else:
+                out.append(scalar(value))
+            sep = ","
+        out.append("}" if obj else "{}")
+    elif t is list or t is tuple:
+        sep = "["
+        for item in obj:
+            out.append(sep)
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                _emit(item, out)
+            else:
+                out.append(scalar(item))
+            sep = ","
+        out.append("]" if obj else "[]")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(_quote(obj))
     elif isinstance(obj, Enum):
         _emit(obj.value, out)
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, Fraction):
-        out.append(json.dumps(str(obj)))
+        out.append(_quote(str(obj)))
     elif isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            raise ValueError("reports must not contain NaN or infinity")
-        out.append(format(obj + 0.0 if obj == 0 else obj, ".17g"))
+        out.append(_float_text(obj))
     elif isinstance(obj, complex):
         _emit({"im": obj.imag, "re": obj.real}, out)
     elif isinstance(obj, dict):
-        out.append("{")
-        first = True
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError("JSON object keys must be strings")
-            if not first:
-                out.append(",")
-            first = False
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(":")
-            _emit(obj[key], out)
-        out.append("}")
+        _emit(dict(obj), out)
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
+        _emit(list(obj), out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -116,6 +154,29 @@ def scalar_from_data(value, field: str):
     return x
 
 
+def _one_pass(rows: list, field: str):
+    """The matrix of rows whose entries are all ints (exact) or all ints
+    and floats (float), without a per-entry parse; None for any other rows,
+    and for float rows that are ragged, beyond the float range or not
+    finite, which the per-entry path refuses with its own message."""
+    types = set(map(type, chain.from_iterable(rows)))
+    if field == RATIONAL:
+        if not types <= {int}:
+            return None
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ShapeError("ragged rows")
+        return Matrix._from_cleared([r[:] for r in rows], 1)
+    if not types <= {int, float}:
+        return None
+    try:
+        arr = np.array(rows, dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    if arr.ndim != 2 or not np.isfinite(arr).all():
+        return None
+    return Matrix._from_array(arr)
+
+
 def matrix_from_data(data, field: str) -> Matrix:
     """Matrix from a parsed JSON value: either {"rows": [[...]]} or a bare
     list of rows.  ``field`` selects the backend; exact input must be
@@ -133,6 +194,9 @@ def matrix_from_data(data, field: str) -> Matrix:
         rows = data
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix rows must be a list of lists")
+    m = _one_pass(rows, field)
+    if m is not None:
+        return m
     parsed = [[scalar_from_data(x, field) for x in row] for row in rows]
     return Matrix(parsed, field)
 

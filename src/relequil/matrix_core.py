@@ -21,7 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
@@ -113,14 +113,22 @@ class Matrix:
     raises ``FieldError``.  An entry already in the field (a ``Fraction``
     in a rational matrix) is kept as it is, not coerced again.
 
-    An exact matrix memoizes, outside equality and hashing, its cleared
-    integer rows (``_cleared_rows``) and their characteristic polynomial
-    (``_int_char_polys``), so each is computed at most once per matrix.
+    A float matrix holds one read-only C-contiguous float64 array
+    (``_arr``); its arithmetic, products and transposes work on that array,
+    and its tuple rows of Python floats are built only when first read.
+    ``from_numpy`` copies its argument and ``to_numpy`` returns a copy, so
+    neither array can change the matrix.
+
+    A matrix memoizes, outside equality and hashing, what its spectrum
+    needs: an exact one its cleared integer rows (``_cleared_rows``) and
+    their characteristic polynomial (``_int_char_polys``), a float one its
+    eigenvalues (``_eigenvalues``), so each is computed at most once per
+    matrix.
     One made by ``_from_cleared`` builds its ``Fraction`` entries only when
     they are first read.
     """
 
-    __slots__ = ("_data", "field", "_ints", "_char")
+    __slots__ = ("_data", "field", "_ints", "_char", "_arr")
 
     def __init__(self, rows: Sequence[Sequence], field: str):
         if field not in (RATIONAL, FLOAT64):
@@ -129,10 +137,16 @@ class Matrix:
         data = tuple(tuple(map(coerce, row)) for row in rows)
         if data and any(len(r) != len(data[0]) for r in data):
             raise ShapeError("ragged rows")
-        object.__setattr__(self, "_data", data)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_ints", None)
-        object.__setattr__(self, "_char", None)
+        arr = None
+        if field == FLOAT64:
+            arr = np.array(data, dtype=float).reshape(len(data), len(data[0]) if data else 0)
+            arr.flags.writeable = False
+        self._set(field, data, None, arr)
+
+    def _set(self, field: str, data, ints, arr) -> None:
+        for name, value in (("field", field), ("_data", data), ("_ints", ints),
+                            ("_char", None), ("_arr", arr)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -141,17 +155,29 @@ class Matrix:
     def _from_cleared(cls, ints: list[list[int]], d: int) -> "Matrix":
         """The exact matrix M / d for integer rows M and d > 0, with (M, d)
         as its memo."""
-        a = cls((), RATIONAL)
-        object.__setattr__(a, "_data", None)
-        object.__setattr__(a, "_ints", (ints, d))
+        a = object.__new__(cls)
+        a._set(RATIONAL, None, (ints, d), None)
+        return a
+
+    @classmethod
+    def _from_array(cls, arr: np.ndarray) -> "Matrix":
+        """The float matrix of a 2-d float64 array the caller gives up: it
+        is kept (made C-contiguous and read-only), not copied."""
+        a = object.__new__(cls)
+        arr = np.ascontiguousarray(arr)
+        arr.flags.writeable = False
+        a._set(FLOAT64, None, None, arr)
         return a
 
     @property
     def _rows(self) -> tuple:
         if self._data is None:
-            ints, d = self._ints
-            object.__setattr__(self, "_data", tuple(tuple(Fraction(x, d) for x in r)
-                                                    for r in ints))
+            if self._arr is not None:
+                rows = tuple(map(tuple, self._arr.tolist()))
+            else:
+                ints, d = self._ints
+                rows = tuple(tuple(Fraction(x, d) for x in r) for r in ints)
+            object.__setattr__(self, "_data", rows)
         return self._data
 
     def _cleared_rows(self) -> tuple[list[list[int]], int]:
@@ -166,7 +192,10 @@ class Matrix:
 
     @classmethod
     def from_numpy(cls, arr) -> "Matrix":
-        return cls(np.asarray(arr, dtype=float).tolist(), FLOAT64)
+        a = np.array(arr, dtype=float)
+        if a.ndim != 2:
+            raise ShapeError("a matrix needs a 2-d array")
+        return cls._from_array(a)
 
     @classmethod
     def identity(cls, n: int, field: str = RATIONAL) -> "Matrix":
@@ -189,17 +218,19 @@ class Matrix:
     # -- basic queries ------------------------------------------------
 
     @property
+    def shape(self) -> tuple[int, int]:
+        if self._arr is not None:
+            return self._arr.shape
+        rows = self._ints[0] if self._data is None else self._data
+        return (len(rows), len(rows[0]) if rows else 0)
+
+    @property
     def n_rows(self) -> int:
-        return len(self._ints[0] if self._data is None else self._data)
+        return self.shape[0]
 
     @property
     def n_cols(self) -> int:
-        rows = self._ints[0] if self._data is None else self._data
-        return len(rows[0]) if rows else 0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
+        return self.shape[1]
 
     @property
     def is_square(self) -> bool:
@@ -216,9 +247,13 @@ class Matrix:
         return [list(r) for r in self._rows]
 
     def to_numpy(self) -> np.ndarray:
+        if self._arr is not None:
+            return self._arr.copy()
         return np.array(self._rows, dtype=float).reshape(self.shape)
 
     def max_abs(self) -> float:
+        if self._arr is not None:
+            return float(np.max(np.abs(self._arr), initial=0.0))
         if not self._rows or not self._rows[0]:
             return 0.0
         return max(abs(float(x)) for row in self._rows for x in row)
@@ -233,6 +268,8 @@ class Matrix:
         self._check_same_field(other)
         if self.shape != other.shape:
             raise ShapeError("shape mismatch in addition")
+        if self._arr is not None:
+            return Matrix._from_array(self._arr + other._arr)
         return Matrix(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)],
             self.field,
@@ -242,11 +279,14 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
+        if self._arr is not None:
+            return Matrix._from_array(-self._arr)
         return Matrix([[-x for x in row] for row in self._rows], self.field)
 
     def __mul__(self, c) -> "Matrix":
-        coerce = _coerce_rational if self.field == RATIONAL else float
-        c = coerce(c)
+        if self._arr is not None:
+            return Matrix._from_array(float(c) * self._arr)
+        c = _coerce_rational(c)
         return Matrix([[c * x for x in row] for row in self._rows], self.field)
 
     __rmul__ = __mul__
@@ -263,7 +303,7 @@ class Matrix:
         if self.n_cols != other.n_rows:
             raise ShapeError("shape mismatch in product")
         if self.field == FLOAT64:
-            return Matrix.from_numpy(self.to_numpy() @ other.to_numpy())
+            return Matrix._from_array(self._arr @ other._arr)
         a, da = self._cleared_rows()
         b, db = other._cleared_rows()
         cols, d = list(zip(*b)), da * db
@@ -280,6 +320,8 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
+        if self._arr is not None:
+            return Matrix._from_array(self._arr.T)
         return Matrix(list(zip(*self._rows)) if self._rows else [], self.field)
 
     def __eq__(self, other) -> bool:
@@ -304,7 +346,7 @@ class Matrix:
             m = self._cleared_rows()[0]
             return all(map(list.__eq__, m, map(list, zip(*m))))
         t = _resolve_tol(tol, self.max_abs)
-        a = self.to_numpy()
+        a = self._arr
         return bool(np.isfinite(a).all() and np.max(np.abs(a - a.T), initial=0.0) <= t)
 
     def is_skew_symmetric(self, tol: Optional[float] = None) -> bool:
@@ -315,7 +357,7 @@ class Matrix:
             m = self._cleared_rows()[0]
             return all(x == -y for row, col in zip(m, zip(*m)) for x, y in zip(row, col))
         t = _resolve_tol(tol, self.max_abs)
-        a = self.to_numpy()
+        a = self._arr
         return bool(np.isfinite(a).all() and np.max(np.abs(a + a.T), initial=0.0) <= t)
 
 
@@ -327,8 +369,10 @@ def _j_times(b: Matrix) -> Matrix:
     return Matrix._from_cleared([[-x for x in r] for r in ints[n:]] + ints[:n], d)
 
 
+@lru_cache(maxsize=64)
 def standard_symplectic(n: int, field: str = RATIONAL) -> Matrix:
-    """The 2n x 2n matrix J = [[0, -I], [I, 0]]."""
+    """The 2n x 2n matrix J = [[0, -I], [I, 0]], one per (n, field): a
+    Matrix is immutable, so it is shared."""
     one = Fraction(1) if field == RATIONAL else 1.0
     zero = Fraction(0) if field == RATIONAL else 0.0
     rows = [[zero] * (2 * n) for _ in range(2 * n)]
@@ -541,7 +585,7 @@ def in_span(columns: list[list[Fraction]], vector: list[Fraction]) -> bool:
 
 def _require_symmetric(b: Matrix, tol: Optional[float]) -> Matrix:
     if b.field == FLOAT64:
-        return Matrix.from_numpy(_symmetric_part(b, tol))
+        return Matrix._from_array(_symmetric_part(b, tol))
     if not b.is_square:
         raise ShapeError("symmetric operations need a square matrix")
     if not b.is_symmetric():
@@ -550,8 +594,9 @@ def _require_symmetric(b: Matrix, tol: Optional[float]) -> Matrix:
 
 
 def _finite_array(b: Matrix) -> np.ndarray:
-    """The float array of b, refused with ``SymmetryError`` unless finite."""
-    a = b.to_numpy()
+    """The read-only array of a float b, refused with ``SymmetryError``
+    unless finite."""
+    a = b._arr
     if not np.isfinite(a).all():
         raise SymmetryError("matrix has a non-finite entry")
     return a
@@ -609,7 +654,7 @@ def kernel(a: Matrix, tol: Optional[float] = None) -> Subspace:
         basis = _kernel_exact(a._cleared_rows()[0], a.n_cols)
         return Subspace(a.n_cols, tuple(tuple(v) for v in basis))
     t = _resolve_tol(tol, a.max_abs)
-    arr = a.to_numpy()
+    arr = a._arr
     if arr.size == 0:
         return Subspace(a.n_cols, tuple(tuple(row) for row in np.eye(a.n_cols)))
     _, s, vh = np.linalg.svd(arr)
@@ -622,7 +667,7 @@ def rank(a: Matrix, tol: Optional[float] = None) -> int:
     if a.field == RATIONAL:
         return len(_bareiss_echelon(a._cleared_rows()[0])[1])
     t = _resolve_tol(tol, a.max_abs)
-    arr = a.to_numpy()
+    arr = a._arr
     if arr.size == 0:
         return 0
     s = np.linalg.svd(arr, compute_uv=False)
@@ -635,7 +680,7 @@ def determinant(a: Matrix) -> Scalar:
     if a.n_rows == 0:
         return Fraction(1) if a.field == RATIONAL else 1.0
     if a.field == FLOAT64:
-        return float(np.linalg.det(a.to_numpy()))
+        return float(np.linalg.det(a._arr))
     # det A = (-1)^n p(0) / d^n for the characteristic polynomial p of A = M / d
     n, d = a.n_rows, a._cleared_rows()[1]
     return Fraction((-1) ** n * _int_char_polys([a])[0][0], d ** n)
@@ -946,8 +991,9 @@ def complex_spectrum(a: Matrix, tol: Optional[float] = None) -> tuple[Eigenvalue
 
     Exact backend: multiplicities come from the square-free decomposition of
     the characteristic polynomial, values from polished numeric roots of the
-    square-free factors.  Float backend: numpy eigenvalues clustered within
-    the tolerance.
+    square-free factors.  Float backend: numpy eigenvalues (``_eigenvalues``),
+    sorted; each joins the first cluster whose first member lies within the
+    tolerance of it, and a cluster is its mean with its size as multiplicity.
     """
     if not a.is_square:
         raise ShapeError("spectrum of a non-square matrix")
@@ -956,22 +1002,30 @@ def complex_spectrum(a: Matrix, tol: Optional[float] = None) -> tuple[Eigenvalue
     if a.field == RATIONAL:
         return _exact_spectrum(rp.squarefree_decomposition(rp.cleared(char_poly(a))))
     t = _resolve_tol(tol, a.max_abs)
-    w = sorted(np.linalg.eigvals(a.to_numpy()), key=lambda z: (z.real, z.imag))
+    # Python complex numbers round as numpy's do (hypot for abs), only faster
     clusters: list[list[complex]] = []
-    for z in w:
-        placed = False
+    for z in sorted(_eigenvalues(a).astype(complex).tolist(), key=lambda z: (z.real, z.imag)):
         for cl in clusters:
             if abs(z - cl[0]) <= t:
                 cl.append(z)
-                placed = True
                 break
-        if not placed:
-            clusters.append([complex(z)])
-    out = [
-        Eigenvalue(value=complex(np.mean(cl)), multiplicity=len(cl)) for cl in clusters
-    ]
+        else:
+            clusters.append([z])
+    # np.mean of a single value v is v + 0j, bit for bit
+    out = [Eigenvalue(value=cl[0] + 0j if len(cl) == 1 else complex(np.mean(cl)),
+                      multiplicity=len(cl)) for cl in clusters]
     out.sort(key=lambda e: (e.value.real, e.value.imag))
     return tuple(out)
+
+
+def _eigenvalues(a: Matrix) -> np.ndarray:
+    """``np.linalg.eigvals`` of a square float matrix, taken once per
+    matrix: kept, read-only, in its memo."""
+    if a._char is None:
+        w = np.linalg.eigvals(a._arr)
+        w.flags.writeable = False
+        object.__setattr__(a, "_char", w)
+    return a._char
 
 
 def _semisimple_exact(a: Matrix, *factors: list[int]) -> SemisimplicityReport:
@@ -1022,7 +1076,13 @@ def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityRepor
         yun = rp.squarefree_decomposition(rp.cleared(char_poly(a)))
         return _semisimple_exact(a, *(g for g, _ in yun))
     t = _resolve_tol(tol, a.max_abs)
-    arr = a.to_numpy()
+    return _semisimple_float(a._arr, complex_spectrum(a, tol=t), t)
+
+
+def _semisimple_float(arr: np.ndarray, spectrum: tuple[Eigenvalue, ...],
+                      t: float) -> SemisimplicityReport:
+    """The float ``is_semisimple`` of a square array whose
+    ``complex_spectrum`` at the tolerance t is given."""
     n = arr.shape[0]
 
     def banded_rank(mat: np.ndarray, cutoff: float) -> Optional[int]:
@@ -1031,7 +1091,6 @@ def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityRepor
             return None
         return int(np.sum(s > cutoff))
 
-    spectrum = complex_spectrum(a, tol=t)
     if any(abs(x.value - y.value) <= 10 * t
            for i, x in enumerate(spectrum) for y in spectrum[i + 1:]):
         return SemisimplicityReport(None, (), FLOAT64, t)
@@ -1075,4 +1134,4 @@ def restrict_form(b: Matrix, w: Subspace) -> Matrix:
     if np.iscomplexobj(z):
         raise FieldError("restrict_form expects a real basis")
     z = z.astype(float)
-    return Matrix.from_numpy(z.T @ b.to_numpy() @ z)
+    return Matrix._from_array(z.T @ b._arr @ z)

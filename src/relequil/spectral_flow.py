@@ -45,6 +45,7 @@ from .matrix_core import (
     Subspace,
     _char_poly_int,
     _cleared,
+    _eigenvalues,
     _exact_div,
     _j_times,
     _require_symmetric,
@@ -54,7 +55,7 @@ from .matrix_core import (
     rank,
     standard_symplectic,
 )
-from .stability import _axis_factors, _classify, _fraction_sqrt
+from .stability import _axis_factors, _classify, _fraction_sqrt, _omega_b
 
 __all__ = [
     "IrregularCrossingError",
@@ -86,7 +87,7 @@ def krein_form(n: int) -> np.ndarray:
     """The Hermitian form G = i*J on C^2n; G^2 = I and G has signature 0."""
     if n < 0:
         raise ShapeError("n must be nonnegative")
-    return 1j * standard_symplectic(n, FLOAT64).to_numpy()
+    return 1j * standard_symplectic(n, FLOAT64)._arr
 
 
 @dataclass(frozen=True)
@@ -348,7 +349,7 @@ def _det_poly_float(path: LinearPath) -> np.ndarray:
     if m == 0:
         return np.array([1.0])
     nodes = np.linspace(0.0, 1.0, m + 1)
-    values = np.array([np.linalg.det(path.value(float(t)).to_numpy()) for t in nodes])
+    values = np.array([np.linalg.det(path.value(float(t))._arr) for t in nodes])
     coeffs = np.polynomial.polynomial.polyfit(nodes, values, m)
     top = np.max(np.abs(coeffs)) if coeffs.size else 0.0
     if top == 0.0:
@@ -428,12 +429,12 @@ def _flow_linear_float(path: LinearPath, tol: float) -> SpectralFlowResult:
         for loc, mult in _cluster(real, gap=1e-4):
             if loc <= edge or loc >= 1 - edge:
                 continue
-            arr = path.value(loc).to_numpy()
+            arr = path.value(loc)._arr
             crossings.append(_crossing_numeric(
-                arr, path.derivative.to_numpy(), loc, None, mult,
+                arr, path.derivative._arr, loc, None, mult,
                 interior=True, tol=tol))
     crossings.sort(key=lambda c: c.location)
-    deriv = path.derivative.to_numpy().astype(complex)
+    deriv = path.derivative._arr.astype(complex)
     start_corr = _kernel_counts_float(path.start, deriv, tol)[1]
     end_corr = _kernel_counts_float(path.end, deriv, tol)[0]
     total = sum(c.signature for c in crossings) - start_corr + end_corr
@@ -444,14 +445,11 @@ def _flow_linear_float(path: LinearPath, tol: float) -> SpectralFlowResult:
 # spectral flow: Krein deformations
 
 
-def _krein_locations_float(b: Matrix, s_max: float, tol: float) -> list:
+def _krein_locations_float(evals: np.ndarray, s_max: float, tol: float) -> list:
     """The s in (0, s_max) with singular B + s*G, as (float, None,
     multiplicity, False), from the eigenvalues of J B, none of them at
     s_max: a location within tol (1 + s_max) of s_max cannot be placed
     before, at or after it, and raises IndeterminateError."""
-    n = b.n_rows // 2
-    jb = standard_symplectic(n, FLOAT64).to_numpy() @ b.to_numpy()
-    evals = np.linalg.eigvals(jb)
     onaxis = sorted(e.imag for e in evals if abs(e.real) <= tol and e.imag > tol)
     out = []
     for s, cnt in _cluster(onaxis, tol):
@@ -495,6 +493,9 @@ def _krein_crossings(path: KreinPath, tol: Optional[float], shared=None):
     whether it sits at s_max: first the one at s = 0 when ker B != 0.
     Irregular crossings are yielded, not raised.
 
+    A float B takes the eigenvalues of J B from float ``_classify`` as
+    ``shared``, computed from the same J (B + B^T) / 2 when not given.
+
     A rational B takes ``_krein_chi_factors(B)`` as ``shared``, computed
     when not given, and no tolerance; when it is invertible no kernel is
     computed.  Its crossings are s = sqrt(-x) for the roots x of r in
@@ -507,11 +508,13 @@ def _krein_crossings(path: KreinPath, tol: Optional[float], shared=None):
     if b.field != RATIONAL:
         tol = _resolve_tol(tol, lambda: b.max_abs() + float(path.s_max))
         g = krein_form(b.n_rows // 2)
-        base = b.to_numpy().astype(complex)
+        base = b._arr.astype(complex)
         zero = _krein_zero_crossing(b, tol)
         if zero:
             yield zero, False
-        for s, _, mult, at_end in _krein_locations_float(b, float(path.s_max), tol):
+        if shared is None:
+            shared = _eigenvalues(_omega_b(_require_symmetric(b, None), None, None))
+        for s, _, mult, at_end in _krein_locations_float(shared, float(path.s_max), tol):
             yield _crossing_numeric(base + s * g, g, s, None, mult,
                                     interior=False, tol=tol), at_end
         return
@@ -606,14 +609,20 @@ def kappa_identity_check(b: Matrix, tol: Optional[float] = None) -> KappaIdentit
     frequencies separated from zero by the tolerance and raises
     IndeterminateError when they are not.
     """
-    cls, factors = _classify(b, None, tol)
-    if b.field == RATIONAL:
-        return _kappa_identity_exact(b, cls, factors)
+    return _kappa_identity(b, tol, *_classify(b, None, tol))
+
+
+def _kappa_identity(b: Matrix, tol: Optional[float], cls, factors) -> KappaIdentity:
+    """``kappa_identity_check`` from the classification of B and what
+    ``_classify`` returns with it: the factors of r, or the eigenvalues of
+    J B on the float backend."""
     n = b.n_rows // 2
+    if b.field == RATIONAL:
+        kappa = sum(m * (c - (g[0] == 0)) for g, m, c, _ in factors)
+        nullity = 0 if _invertible(factors) else b.n_rows - rank(b)
+        return KappaIdentity(n, kappa, nullity, n == kappa + Fraction(nullity, 2), cls)
     t = _resolve_tol(tol, b.max_abs)
-    jb = standard_symplectic(n, FLOAT64).to_numpy() @ b.to_numpy()
-    evals = np.linalg.eigvals(jb)
-    nonzero = [e for e in evals if abs(e) > t]
+    nonzero = [e for e in factors if abs(e) > t]
     if any(abs(e) <= 10 * t for e in nonzero):
         raise IndeterminateError(
             "eigenvalues too close to zero to separate kappa from the kernel")
@@ -623,24 +632,22 @@ def kappa_identity_check(b: Matrix, tol: Optional[float] = None) -> KappaIdentit
     return KappaIdentity(n, kappa, nullity, holds, cls)
 
 
-def _kappa_identity_exact(b: Matrix, cls, factors) -> KappaIdentity:
-    n = b.n_rows // 2
-    kappa = sum(m * (c - (g[0] == 0)) for g, m, c, _ in factors)
-    nullity = 0 if _invertible(factors) else b.n_rows - rank(b)
-    return KappaIdentity(n, kappa, nullity, n == kappa + Fraction(nullity, 2), cls)
-
-
 def _krein_flow_and_kappa(path: KreinPath,
                           tol: Optional[float]) -> tuple[SpectralFlowResult, KappaIdentity]:
-    """``spectral_flow(path, tol)`` and ``kappa_identity_check(path.b, tol)``.
-    A rational B, already checked by the path, is classified on the factors
-    of ``_krein_chi_factors``, which the flow shares, so char_poly(J B) is
-    computed once."""
-    if path.field != RATIONAL:
-        return spectral_flow(path, tol), kappa_identity_check(path.b, tol)
-    shared = _krein_chi_factors(path.b)
-    cls, factors = _classify(path.b, None, tol, shared[1])
-    return _flow_krein(path, tol, shared), _kappa_identity_exact(path.b, cls, factors)
+    """``spectral_flow(path, tol)`` and ``kappa_identity_check(path.b, tol)``
+    from one classification of B, which the path has checked.  A rational
+    B is classified on the factors of ``_krein_chi_factors``, which the
+    flow shares, so char_poly(J B) is computed once; a float B's
+    classification takes the eigenvalues of J B that the flow reads.  The
+    flow is taken first, so its errors win over those of kappa."""
+    b = path.b
+    if b.field == RATIONAL:
+        shared = _krein_chi_factors(b)
+        cls, factors = _classify(b, None, tol, shared[1])
+    else:
+        cls, factors = _classify(b, None, tol)
+        shared = factors
+    return _flow_krein(path, tol, shared), _kappa_identity(b, tol, cls, factors)
 
 
 def krein_signature(subspace: Subspace, tol: Optional[float] = None) -> KreinSignatureReport:

@@ -41,6 +41,7 @@ from .matrix_core import (
     Subspace,
     SymmetryError,
     _cleared,
+    _eigenvalues,
     _exact_spectrum,
     _finite_array,
     _int_char_polys,
@@ -50,11 +51,11 @@ from .matrix_core import (
     _require_symmetric,
     _resolve_tol,
     _semisimple_exact,
+    _semisimple_float,
     char_poly,
     complex_spectrum,
     determinant,
     inertia,
-    is_semisimple,
     kernel,
     rank,
     restrict_form,
@@ -203,7 +204,7 @@ def _omega_b(b: Matrix, omega: Optional[Matrix], tol: Optional[float]) -> Matrix
         arr = _finite_array(omega)
         if not omega.is_skew_symmetric(tol):
             raise SymmetryError("matrix is not skew-symmetric within tolerance")
-        omega = Matrix.from_numpy((arr - arr.T) / 2)
+        omega = Matrix._from_array((arr - arr.T) / 2)
     elif not omega.is_skew_symmetric():
         raise SymmetryError("matrix is not exactly skew-symmetric")
     if rank(omega, tol) < b.n_rows:
@@ -263,8 +264,13 @@ def _off_axis_witness(spectrum: tuple[Eigenvalue, ...], tol: float) -> Optional[
 
 def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float], factors=None):
     """``classify``, returning also the ``_axis_factors`` of the exact
-    characteristic polynomial p of Omega B (None on the float backend); a
-    caller that has checked B and has these factors passes them.
+    characteristic polynomial p of Omega B, or on the float backend the
+    eigenvalues of Omega B; a caller that has checked an exact B and has
+    these factors passes them.
+
+    A float Omega B takes ``eigvals`` once (``_eigenvalues``): their
+    clusters are the spectrum, which the semisimplicity test
+    (``_semisimple_float``) reads.
 
     p is computed and decomposed once per call, on one residue stack with
     the characteristic polynomial of B, which B keeps in its memo for the
@@ -286,19 +292,20 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float], factors=
         yun = _even_yun(factors)
         spectrum = _exact_spectrum(yun)
         on_axis = all(c == rp.degree(g) for g, _, c, _ in factors)
+        witness = None if on_axis else _off_axis_witness(spectrum, t)
     else:
         t = _resolve_tol(tol, ob.max_abs)
-        factors = None
         spectrum = complex_spectrum(ob, tol=t)
-        on_axis = _off_axis_witness(spectrum, t) is None
-    if not on_axis:
+        factors = _eigenvalues(ob)
         witness = _off_axis_witness(spectrum, t)
+        on_axis = witness is None
+    if not on_axis:
         return StabilityClassification(Verdict.SPECTRALLY_UNSTABLE, False, None, witness,
                                        None, spectrum, b.field, t), factors
-    if factors is None:
-        ss = is_semisimple(ob, tol=t)
-    else:
+    if b.field == RATIONAL:
         ss = _semisimple_exact(ob, *(f for f, _ in yun))
+    else:
+        ss = _semisimple_float(ob._arr, spectrum, t)
     if ss.semisimple is None:
         verdict = Verdict.INDETERMINATE
     elif ss.semisimple:

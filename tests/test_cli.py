@@ -9,12 +9,14 @@ import sys
 import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relequil import cli
 from relequil.cli import main, run_examples
+from relequil.matrix_core import FLOAT64, Matrix, is_semisimple
 
 COUNTEREXAMPLE_ROWS = [[-2, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0],
                        [0, 0, 1, 0, 0, 0], [0, 0, 0, -1, 0, 0],
@@ -290,6 +292,34 @@ def test_flow_krein_computes_char_poly_once(tmp_path, capsys, monkeypatch):
         assert main(["flow", path]) == 0
         assert "kappa_identity" in json.loads(capsys.readouterr().out)
         assert len(calls) == 1
+
+
+def test_float_requests_take_one_spectrum(tmp_path, capsys, monkeypatch):
+    # float classify clusters one eigvals(J B) and tests semisimplicity on
+    # it; a float Krein flow and its kappa check read the same eigenvalues
+    calls = []
+    original = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    b = [[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 3.0]]
+    matrix = write_json(tmp_path / "b.json", b)
+    assert main(["classify", matrix, "--backend", "float"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "linearly_stable"
+    assert calls == [(4, 4)]
+    calls.clear()
+    path = write_json(tmp_path / "path.json", {"type": "krein", "b": b, "s_max": 2.5})
+    assert main(["flow", path, "--backend", "float"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kappa_identity"]["holds"] and report["crossings"]
+    assert calls == [(4, 4)]
+    # the public test on its own still takes its own spectrum
+    calls.clear()
+    assert is_semisimple(Matrix(b, FLOAT64)).semisimple
+    assert calls == [(4, 4)]
 
 
 def test_exact_flow_computes_no_kernel_of_an_invertible_matrix(tmp_path, capsys, monkeypatch):

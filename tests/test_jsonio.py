@@ -1,11 +1,14 @@
+import collections
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from relequil import jsonio
-from relequil.matrix_core import FLOAT64, RATIONAL
+from relequil.matrix_core import FLOAT64, RATIONAL, Matrix, ShapeError, char_poly
+from relequil.stability import Verdict
 
 
 def test_dumps_sorted_and_newline_terminated():
@@ -31,6 +34,29 @@ def test_dumps_float_precision():
     text = jsonio.dumps({"x": third})
     assert text == '{"x":0.33333333333333331}\n'
     assert jsonio.dumps({"x": -0.0}) == '{"x":0}\n'
+
+
+def test_dumps_every_node_kind():
+    # the writer dispatches on exact types; subclasses (an enum, a numpy
+    # float, a named tuple, an ordered dict) are written as their base kind
+    point = collections.namedtuple("Point", "x y")
+    text = jsonio.dumps({
+        "big": 10**20, "empty": [], "neg0": -0.0, "nested": [[{}], [[]]], "no": False,
+        "none": {}, "np": np.float64(0.1), "null": None,
+        "od": collections.OrderedDict([("b", 1), ("a", True)]),
+        "pt": point(Fraction(-1, 3), 'q"\u00e9'), "tiny": -5e-324, "tuple": (1, 2.5),
+        "verdict": Verdict.LINEARLY_STABLE, "z": complex(-0.0, 2),
+    })
+    assert text == (
+        '{"big":100000000000000000000,"empty":[],"neg0":0,"nested":[[{}],[[]]],'
+        '"no":false,"none":{},"np":0.10000000000000001,"null":null,'
+        '"od":{"a":true,"b":1},"pt":["-1/3","q\\"\\u00e9"],'
+        '"tiny":-4.9406564584124654e-324,"tuple":[1,2.5],"verdict":"linearly_stable",'
+        '"z":{"im":2,"re":0}}\n')
+    with pytest.raises(TypeError, match="keys must be strings"):
+        jsonio.dumps({1: 2})
+    with pytest.raises(TypeError, match="cannot serialize int64"):
+        jsonio.dumps([np.int64(1)])
 
 
 def test_dumps_rejects_nonfinite():
@@ -108,3 +134,70 @@ def test_subspace_serialization():
     # exact basis columns nested in lists are written as "p/q" strings
     data = {"ambient": 3, "basis": [[Fraction(1), Fraction(0), Fraction(-2, 3)]]}
     assert jsonio.dumps(data) == '{"ambient":3,"basis":[["1","0","-2/3"]]}\n'
+
+
+def _entry_by_entry(rows, field):
+    """The per-entry parse that a one-pass parse must agree with."""
+    return Matrix([[jsonio.scalar_from_data(x, field) for x in row] for row in rows], field)
+
+
+def _outcome(parse, rows, field):
+    try:
+        m = parse(rows, field)
+    except ValueError as e:
+        return type(e), str(e)
+    return m, hash(m), [[x.hex() for x in row] for row in m.rows()]
+
+
+@pytest.mark.parametrize("rows, error", [
+    pytest.param([[1.0, True], [0.0, 1.0]], "booleans are not scalars", id="bool"),
+    pytest.param([[1.0, 10**400], [0.0, 1.0]], "beyond the float range", id="10^400"),
+    pytest.param([[1.0, [2.0]], [0.0, 1.0]], "not a scalar: [2.0]", id="nested"),
+    pytest.param([[1.0, 2.0], [3.0]], "ragged rows", id="ragged"),
+    pytest.param([[1.0, math.nan], [0.0, 1.0]], "got nan", id="nan"),
+    pytest.param([[1.0, "1/0"], [0.0, 1.0]], "zero denominator in '1/0'", id="p/0"),
+    pytest.param([[1.0, "1/3"], ["-2/3", 2]], None, id="p/q-mixed"),
+    pytest.param([[1, -0.0], [2**60 + 1, 0.1]], None, id="ints-and-floats"),
+    pytest.param([[5e-324, -1.7976931348623157e308]], None, id="extremes"),
+    pytest.param([], None, id="empty"),
+    pytest.param([[], []], None, id="no-columns"),
+])
+def test_float_matrix_parse_matches_entry_by_entry(rows, error):
+    got = _outcome(jsonio.matrix_from_data, rows, FLOAT64)
+    assert got == _outcome(_entry_by_entry, rows, FLOAT64)
+    if error is None:
+        assert got[0].field == FLOAT64 and got[0].shape == (len(rows), len(rows[0]) if rows else 0)
+    else:
+        assert error in got[1]
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param([[2, -1], [-1, 3]], id="symmetric"),
+    pytest.param([[0, 5], [7, 0]], id="not-symmetric"),
+    pytest.param([[10**30, 1, 0], [1, -7, 2], [0, 2, 0]], id="big"),
+    pytest.param([], id="empty"),
+    pytest.param([[], []], id="no-columns"),
+])
+def test_exact_int_rows_match_the_fraction_path(rows):
+    m = jsonio.matrix_from_data(rows, RATIONAL)
+    ref = Matrix([[Fraction(x) for x in row] for row in rows], RATIONAL)
+    assert m == ref and hash(m) == hash(ref) and m.shape == ref.shape
+    assert m.is_symmetric() == ref.is_symmetric()
+    if m.is_square:
+        assert char_poly(m) == char_poly(ref)
+    for row in rows:  # the matrix keeps no reference to the parsed lists
+        row.append(0)
+    assert m == ref
+
+
+@pytest.mark.parametrize("rows, error", [
+    pytest.param([[1, 2], [3]], ShapeError, id="ragged"),
+    pytest.param([[1, True], [0, 1]], ValueError, id="bool"),
+    pytest.param([[1, 0.5], [0, 1]], ValueError, id="float"),
+])
+def test_exact_int_rows_refusals(rows, error):
+    with pytest.raises(error) as got:
+        jsonio.matrix_from_data(rows, RATIONAL)
+    with pytest.raises(error) as want:
+        _entry_by_entry(rows, RATIONAL)
+    assert str(got.value) == str(want.value)

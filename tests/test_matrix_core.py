@@ -872,3 +872,47 @@ def test_float_kernel_and_inertia():
     assert kernel(m).dimension == 1
     r = inertia(m)
     assert (r.morse_index, r.nullity, r.coindex) == (1, 1, 1)
+
+
+def test_float_matrix_is_a_snapshot_of_its_array():
+    rows = [[1.0, -0.0], [2.5, 1e-310]]
+    src = np.array(rows)
+    read_late, read_early = Matrix.from_numpy(src), Matrix.from_numpy(src)
+    early = (read_early.rows(), hash(read_early))
+    src[:] = 7.0  # neither the source array ...
+    out = read_early.to_numpy()
+    out[0, 0] = 9.0  # ... nor a returned one reaches the matrix
+    read_late.to_numpy()[1, 1] = 9.0
+    direct = Matrix(rows, FLOAT64)
+    for m in (read_late, read_early):
+        assert m.rows() == ((1.0, -0.0), (2.5, 1e-310))
+        assert all(type(x) is float for row in m.rows() for x in row)
+        assert m == direct and hash(m) == hash(direct) == early[1]
+        assert math.copysign(1.0, m[0, 1]) == -1.0
+        assert math.copysign(1.0, m.to_numpy()[0, 1]) == -1.0
+    assert read_early.rows() == early[0]
+    assert math.copysign(1.0, read_late.T[1, 0]) == -1.0
+    assert (-read_late)[0, 1] == 0.0 and math.copysign(1.0, (-read_late)[0, 1]) == 1.0
+    with pytest.raises(ShapeError):
+        Matrix.from_numpy(np.zeros(3))
+
+
+def test_float_algebra_on_arrays_matches_entrywise():
+    # the array operations round as the entrywise Python loops do; products
+    # were numpy's before and stay numpy's
+    rng = np.random.default_rng(7)
+    a, b, c = (rng.standard_normal(shape).tolist() for shape in ((3, 4), (3, 4), (4, 2)))
+    ma, mb, mc = (Matrix(x, FLOAT64) for x in (a, b, c))
+    for got, want in ((ma + mb, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+                      (ma - mb, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+                      (ma * 2.5, [[2.5 * x for x in r] for r in a]),
+                      (3 * ma, [[3.0 * x for x in r] for r in a]),
+                      (-ma, [[-x for x in r] for r in a]),
+                      (ma.T, [list(col) for col in zip(*a)]),
+                      (ma @ mc, (np.array(a) @ np.array(c)).tolist())):
+        assert got.field == FLOAT64 and [[x.hex() for x in r] for r in got.rows()] == \
+            [[x.hex() for x in r] for r in want]
+    assert ma.max_abs() == max(abs(x) for r in a for x in r)
+    assert Matrix.zeros(2, 0, FLOAT64).max_abs() == 0.0
+    assert Matrix.zeros(2, 0, FLOAT64).shape == (2, 0)
+    assert standard_symplectic(2, FLOAT64) is standard_symplectic(2, FLOAT64)
