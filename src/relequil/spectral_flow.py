@@ -20,8 +20,13 @@ chi(mu, t) = det(mu I - A(t)) by the rule of ``_crossing_counts``, and exact
 signs decide which roots lie inside the parameter interval and whether a
 Krein crossing sits at s_max.  The Krein crossing at s = 0, G on ker B, is
 the first entry of ``crossing_set`` and gives the flow's start correction,
-with the exact counts rank(Z^T J Z) / 2 for rational B.  Float input counts
-eigenvalues against a tolerance.
+with the exact counts rank(Z^T J Z) / 2 for rational B.  Float input takes
+its crossings from the real eigenvalues of one pencil (linear) or of J B
+(Krein) and every interior count from the band [-tol, tol] of one stacked
+``eigvalsh`` (``_banded_crossings``); an end with an eigenvalue in the band
+takes the crossing form on its float kernel.  What floats cannot place
+raises IndeterminateError (exit 2); an irregular interior crossing, or a
+path in the band wherever it is tried, IrregularCrossingError (exit 3).
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from .matrix_core import (
     _j_times,
     _require_symmetric,
     _resolve_tol,
-    default_tolerance,
     kernel,
     rank,
     standard_symplectic,
@@ -341,50 +345,34 @@ def _flow_linear_exact(path: LinearPath) -> SpectralFlowResult:
 
 
 # ---------------------------------------------------------------------------
-# float crossings
+# float crossings: banded inertia
 
 
-def _det_poly_float(path: LinearPath) -> np.ndarray:
-    m = path.dim
-    if m == 0:
-        return np.array([1.0])
-    nodes = np.linspace(0.0, 1.0, m + 1)
-    values = np.array([np.linalg.det(path.value(float(t))._arr) for t in nodes])
-    coeffs = np.polynomial.polynomial.polyfit(nodes, values, m)
-    top = np.max(np.abs(coeffs)) if coeffs.size else 0.0
-    if top == 0.0:
-        return np.zeros(1)
-    keep = coeffs.copy()
-    while keep.size > 1 and abs(keep[-1]) <= 1e-12 * top:
-        keep = keep[:-1]
-    return keep
-
-
-def _crossing_numeric(arr: np.ndarray, deriv: np.ndarray, location: float,
-                      exact_location: Optional[Fraction], multiplicity: int,
-                      interior: bool, tol: float) -> Crossing:
-    """Crossing data from a numeric Hermitian matrix near a known root.
-
-    ``multiplicity`` is the determinant root multiplicity; the kernel is read
-    off as the eigenvectors of the smallest absolute eigenvalues, capped at
-    the count of eigenvalues below the separation cutoff.
-    """
-    m = arr.shape[0]
-    evals, evecs = np.linalg.eigh(arr)
-    order = np.argsort(np.abs(evals))
-    scale = 1.0 + float(np.max(np.abs(evals))) if m else 1.0
-    cutoff = max(tol, 1e-6 * scale)
-    near = int(np.sum(np.abs(evals) <= cutoff))
-    k = min(multiplicity, near) if near else multiplicity
-    k = max(k, 1)
-    z = evecs[:, order[:k]]
-    f = z.conj().T @ deriv @ z
-    f = (f + f.conj().T) / 2
-    pos, neg = _strict_counts_float(f, default_tolerance(np.max(np.abs(f))))
-    regular = pos + neg == k and k == multiplicity
-    if interior and not regular:
-        raise IrregularCrossingError(location, "degenerate crossing form")
-    return Crossing(location, exact_location, k, pos, neg, regular)
+def _banded_crossings(base: np.ndarray, direction: np.ndarray, hi: float,
+                      found: list, tol: float) -> tuple[list, int, int]:
+    """The crossings of A(t) = base + t direction at the sorted locations
+    ``found``, (theta, multiplicity) in (0, hi), and the band counts at 0
+    and hi, from one ``eigvalsh`` of A at 0, the midpoints, the locations
+    and hi: Morse counts eigenvalues below -tol, the band those in [-tol,
+    tol].  At theta, k = band(theta) and the crossing form's counts are the
+    Morse drops to the neighbouring midpoints (Robbin & Salamon 1995),
+    regular iff their sum is k and k is the multiplicity.  A midpoint in
+    the band, or a Morse step that no band explains, is a crossing that was
+    not located and raises IndeterminateError."""
+    ts = [t for t, _ in found]
+    points = [0.0] + [p for x, y in zip([0.0] + ts, ts + [hi]) for p in ((x + y) / 2, y)]
+    w = np.linalg.eigvalsh(base + np.array(points)[:, None, None] * direction)
+    morse = np.count_nonzero(w < -tol, axis=1).tolist()
+    band = np.count_nonzero(np.abs(w) <= tol, axis=1).tolist()
+    for i in range(1, len(points), 2):
+        if band[i] or not all(0 <= morse[i] - morse[j] <= band[j] for j in (i - 1, i + 1)):
+            raise IndeterminateError(
+                f"a crossing between {points[i - 1]!r} and {points[i + 1]!r} was not located")
+    crossings = []
+    for i, (theta, mult) in enumerate(found, 1):
+        k, pos, neg = band[2 * i], morse[2 * i - 1] - morse[2 * i], morse[2 * i + 1] - morse[2 * i]
+        crossings.append(Crossing(theta, None, k, pos, neg, pos + neg == k == mult))
+    return crossings, band[0], band[-1]
 
 
 def _strict_counts_float(form: np.ndarray, tol: float) -> tuple[int, int]:
@@ -395,10 +383,7 @@ def _strict_counts_float(form: np.ndarray, tol: float) -> tuple[int, int]:
 def _kernel_counts_float(a: Matrix, form: np.ndarray, tol: float) -> tuple[int, int]:
     """Strict positive and negative counts of the Hermitian ``form``
     restricted to the float kernel of ``a``."""
-    ker = kernel(a, tol=tol)
-    if ker.dimension == 0:
-        return 0, 0
-    z = ker.basis_numpy()
+    z = kernel(a, tol=tol).basis_numpy()
     return _strict_counts_float(z.conj().T @ form @ z, tol)
 
 
@@ -415,28 +400,41 @@ def _cluster(values: list[float], gap: float) -> list[tuple[float, int]]:
     return out
 
 
+def _linear_locations_float(path: LinearPath, tol: float) -> list[tuple[float, int]]:
+    """The t in (0, 1) with singular A(t) = S + t D, as (t, multiplicity):
+    t0 - 1 / mu for the eigenvalues mu of A(t0)^-1 D, |mu| >= 1 for t in
+    [0, 1], at the better of the ends or else of m interior points t0 (det
+    A has degree m; a path in the band at all of them is singular at every
+    parameter).  Within gap = tol / max|D|, the step in t that moves A by
+    tol, a root is real, roots cluster, and an end keeps a root."""
+    s, d, m = path.start._arr, path.derivative._arr, path.dim
+    if m == 0:
+        return []
+    for ts in (np.array([0.0, 1.0]), np.linspace(0.0, 1.0, m + 2)[1:-1]):
+        small = np.abs(np.linalg.eigvalsh(s + ts[:, None, None] * d)).min(axis=1)
+        if small.max() > tol:
+            break
+    else:
+        raise IrregularCrossingError(float("nan"), "the path is singular at every parameter")
+    t0 = float(ts[np.argmax(small)])
+    mu = np.linalg.eigvals(np.linalg.solve(s + t0 * d, d))
+    roots = t0 - 1 / mu[np.abs(mu) >= 0.5]
+    if not roots.size:
+        return []
+    gap = tol / float(np.max(np.abs(d)))
+    real = sorted(roots.real[np.abs(roots.imag) <= gap].tolist())
+    return [(t, c) for t, c in _cluster(real, gap) if gap < t < 1 - gap]
+
+
 def _flow_linear_float(path: LinearPath, tol: float) -> SpectralFlowResult:
-    coeffs = _det_poly_float(path)
-    top = float(np.max(np.abs(coeffs)))
-    if top == 0.0:
-        raise IrregularCrossingError(
-            float("nan"), "the path is singular at every parameter")
-    crossings = []
-    if coeffs.size > 1:
-        roots = np.polynomial.polynomial.polyroots(coeffs)
-        edge = 1e-9
-        real = sorted(r.real for r in roots if abs(r.imag) <= 1e-4)
-        for loc, mult in _cluster(real, gap=1e-4):
-            if loc <= edge or loc >= 1 - edge:
-                continue
-            arr = path.value(loc)._arr
-            crossings.append(_crossing_numeric(
-                arr, path.derivative._arr, loc, None, mult,
-                interior=True, tol=tol))
-    crossings.sort(key=lambda c: c.location)
-    deriv = path.derivative._arr.astype(complex)
-    start_corr = _kernel_counts_float(path.start, deriv, tol)[1]
-    end_corr = _kernel_counts_float(path.end, deriv, tol)[0]
+    found = _linear_locations_float(path, tol)
+    d = path.derivative._arr
+    crossings, band0, band1 = _banded_crossings(path.start._arr, d, 1.0, found, tol)
+    for c in crossings:
+        if not c.regular:
+            raise IrregularCrossingError(c.location, "degenerate crossing form")
+    start_corr = _kernel_counts_float(path.start, d, tol)[1] if band0 else 0
+    end_corr = _kernel_counts_float(path.end, d, tol)[0] if band1 else 0
     total = sum(c.signature for c in crossings) - start_corr + end_corr
     return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, FLOAT64)
 
@@ -446,19 +444,16 @@ def _flow_linear_float(path: LinearPath, tol: float) -> SpectralFlowResult:
 
 
 def _krein_locations_float(evals: np.ndarray, s_max: float, tol: float) -> list:
-    """The s in (0, s_max) with singular B + s*G, as (float, None,
-    multiplicity, False), from the eigenvalues of J B, none of them at
-    s_max: a location within tol (1 + s_max) of s_max cannot be placed
-    before, at or after it, and raises IndeterminateError."""
-    onaxis = sorted(e.imag for e in evals if abs(e.real) <= tol and e.imag > tol)
-    out = []
-    for s, cnt in _cluster(onaxis, tol):
+    """The s in (0, s_max) with singular B + s*G, as (s, multiplicity),
+    from the eigenvalues of J B, none of them at s_max: a location within
+    tol (1 + s_max) of s_max cannot be placed before, at or after it, and
+    raises IndeterminateError."""
+    found = _cluster(sorted(e.imag for e in evals if abs(e.real) <= tol and e.imag > tol), tol)
+    for s, _ in found:
         if abs(s - s_max) <= tol * (1 + s_max):
             raise IndeterminateError(
                 f"a crossing at s = {float(s)!r} lies within the tolerance band of s_max")
-        if s < s_max:
-            out.append((s, None, cnt, False))
-    return out
+    return [(s, cnt) for s, cnt in found if s < s_max]
 
 
 def _krein_zero_crossing(b: Matrix, tol: float) -> Optional[Crossing]:
@@ -494,7 +489,8 @@ def _krein_crossings(path: KreinPath, tol: Optional[float], shared=None):
     Irregular crossings are yielded, not raised.
 
     A float B takes the eigenvalues of J B from float ``_classify`` as
-    ``shared``, computed from the same J (B + B^T) / 2 when not given.
+    ``shared``, computed from the same J (B + B^T) / 2 when not given, and
+    ``_banded_crossings``; B + s_max G in the band raises.
 
     A rational B takes ``_krein_chi_factors(B)`` as ``shared``, computed
     when not given, and no tolerance; when it is invertible no kernel is
@@ -507,16 +503,18 @@ def _krein_crossings(path: KreinPath, tol: Optional[float], shared=None):
     b = path.b
     if b.field != RATIONAL:
         tol = _resolve_tol(tol, lambda: b.max_abs() + float(path.s_max))
-        g = krein_form(b.n_rows // 2)
-        base = b._arr.astype(complex)
-        zero = _krein_zero_crossing(b, tol)
-        if zero:
-            yield zero, False
         if shared is None:
             shared = _eigenvalues(_omega_b(_require_symmetric(b, None), None, None))
-        for s, _, mult, at_end in _krein_locations_float(shared, float(path.s_max), tol):
-            yield _crossing_numeric(base + s * g, g, s, None, mult,
-                                    interior=False, tol=tol), at_end
+        s_max = float(path.s_max)
+        crossings, band0, band1 = _banded_crossings(
+            b._arr, krein_form(b.n_rows // 2), s_max,
+            _krein_locations_float(shared, s_max, tol), tol)
+        if band1:
+            raise IndeterminateError(
+                f"B + s*G is within the tolerance band of singular at s_max = {s_max!r}")
+        zero = _krein_zero_crossing(b, tol) if band0 else None
+        for cr in ([zero] if zero else []) + crossings:
+            yield cr, False
         return
     qs, factors = shared or _krein_chi_factors(b)
     if not _invertible(factors):

@@ -322,6 +322,68 @@ def test_float_requests_take_one_spectrum(tmp_path, capsys, monkeypatch):
     assert calls == [(4, 4)]
 
 
+def count_linalg(monkeypatch, names) -> dict:
+    """Wrap each named ``np.linalg`` routine with a counter."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_float_flows_take_one_stacked_eigvalsh(tmp_path, capsys, monkeypatch):
+    # a float linear flow takes its locations from one eigvals and every
+    # count from one stacked eigvalsh, after one check of the ends for a
+    # base point; a float Krein flow reads its locations off the shared
+    # eigvals(J B), and only kappa's rank takes an SVD: invertible ends
+    # compute no kernel
+    calls = count_linalg(monkeypatch, ["det", "eigh", "eigvalsh", "eigvals", "svd"])
+    start = [[float(-(i + 1) if i < 3 else 1) * (i == j) for j in range(12)] for i in range(12)]
+    end = [[float(i == j) for j in range(12)] for i in range(12)]
+    path = write_json(tmp_path / "linear.json", {"type": "linear", "start": start, "end": end})
+    assert main(["flow", path, "--backend", "float"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["flow"] == 3 and len(report["crossings"]) == 3
+    assert calls == {"det": 0, "eigh": 0, "eigvalsh": 2, "eigvals": 1, "svd": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    b = [[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 3.0]]
+    path = write_json(tmp_path / "krein.json", {"type": "krein", "b": b, "s_max": 3.0})
+    assert main(["flow", path, "--backend", "float"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["crossings"]) == 2
+    assert calls == {"det": 0, "eigh": 0, "eigvalsh": 1, "eigvals": 1, "svd": 1}
+
+
+def test_float_flow_ends_and_refusals(tmp_path, capsys):
+    # B = diag(1, 0): G vanishes on ker B, so the start correction is 0
+    # (the Morse step to the next sample would say 1); a path singular at
+    # every parameter exits 3; a Krein crossing in the band of s_max exits 2
+    path = write_json(tmp_path / "krein.json",
+                      {"type": "krein", "b": [[1.0, 0.0], [0.0, 0.0]], "s_max": 1.0})
+    assert main(["flow", path, "--backend", "float"]) == 0
+    assert capsys.readouterr().out == (
+        '{"backend":"float","crossings":[],"end_correction":0,"flow":0,"kappa_identity":'
+        '{"holds":false,"kappa":0,"n":1,"nullity":1,"verdict":"spectrally_stable_not_linear"},'
+        '"path":"krein","start_correction":0}\n')
+    path = write_json(tmp_path / "linear.json", {
+        "type": "linear", "start": [[1.0, 0.0], [0.0, 0.0]], "end": [[2.0, 0.0], [0.0, 0.0]]})
+    assert main(["flow", path, "--backend", "float"]) == 3
+    assert capsys.readouterr().err == \
+        "error: irregular crossing at parameter nan: the path is singular at every parameter\n"
+    # frequencies 1 and 2, s_max 1e-9 above the second
+    b = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 4.0]]
+    path = write_json(tmp_path / "band.json", {"type": "krein", "b": b, "s_max": 2 + 1e-9})
+    assert main(["flow", path, "--backend", "float"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a crossing at s = 2.0")
+    assert captured.err.endswith(" lies within the tolerance band of s_max\n")
+
+
 def test_exact_flow_computes_no_kernel_of_an_invertible_matrix(tmp_path, capsys, monkeypatch):
     # det B = r(0) for the even part r of char_poly(J B): an invertible B
     # has no kernel, so no elimination runs on it; a linear path reads its

@@ -1,11 +1,23 @@
+import json
 import math
+import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import helpers as H
-from relequil.matrix_core import FLOAT64, RATIONAL, Matrix, inertia, kernel, rank
+from relequil.matrix_core import (
+    FLOAT64,
+    RATIONAL,
+    IndeterminateError,
+    Matrix,
+    default_tolerance,
+    inertia,
+    kernel,
+    rank,
+)
 from relequil.rational_poly import cleared
 from relequil.spectral_flow import (
     IrregularCrossingError,
@@ -18,7 +30,12 @@ from relequil.spectral_flow import (
     relative_morse_index,
     spectral_flow,
 )
-from relequil.spectral_flow import _krein_flow_and_kappa, _path_chi
+from relequil.spectral_flow import (
+    _banded_crossings,
+    _kernel_counts_float,
+    _krein_flow_and_kappa,
+    _path_chi,
+)
 from relequil.stability import Verdict, classify
 
 
@@ -213,6 +230,104 @@ def test_float_backend_linear_path():
     assert result.backend == "float64"
     (c,) = result.crossings
     assert c.location == pytest.approx(0.5, abs=1e-9)
+
+
+SEGMENTS = os.path.join(os.path.dirname(__file__), "float_flow_segments.json")
+
+
+def test_float_flow_matches_the_exact_run_at_large_size():
+    # three segments of size 28 and 32 with well-conditioned ends and
+    # separated simple crossings, frozen with the flow and crossings of the
+    # exact run; a determinant fit read them as flow -2 against 0, three
+    # crossings against one, and -3 against -1, warning only of a poorly
+    # conditioned fit
+    with open(SEGMENTS, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    for case in cases:
+        start, end = ([[float(Fraction(x)) for x in row] for row in case[key]]
+                      for key in ("start", "end"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = spectral_flow(LinearPath(Matrix.from_numpy(np.array(start)),
+                                              Matrix.from_numpy(np.array(end))))
+        assert result.flow == case["flow"], case["case"]
+        assert len(result.crossings) == len(case["crossings"]), case["case"]
+        for c, want in zip(result.crossings, case["crossings"]):
+            assert (c.multiplicity, c.positive, c.negative, c.regular) == \
+                (want["multiplicity"], want["positive"], want["negative"], want["regular"])
+            assert abs(c.location - want["location"]) <= 1e-7
+
+
+def test_banded_crossing_rule():
+    # A(t) = base + t direction sampled at the ends, the midpoints and the
+    # locations: counts are Morse steps to the neighbouring midpoints
+    tol = 1e-8
+    base, direction = np.diag([-1.0, 1.0, -2.0]), np.diag([2.0, 0.0, 3.0])
+    crossings, band0, band1 = _banded_crossings(
+        base, direction, 1.0, [(0.5, 1), (2 / 3, 1)], tol)
+    assert (band0, band1) == (0, 0)
+    assert [(c.location, c.multiplicity, c.positive, c.negative, c.regular)
+            for c in crossings] == [(0.5, 1, 1, 0, True), (2 / 3, 1, 1, 0, True)]
+    # a location left out: its midpoint is in the band, or a Morse step
+    # between a sample and its midpoint has no band to come from
+    with pytest.raises(IndeterminateError, match="^a crossing between 0.0 and 1.0 was not"):
+        _banded_crossings(base, direction, 1.0, [], tol)
+    with pytest.raises(IndeterminateError, match="^a crossing between 0.5 and 0.8 was not"):
+        _banded_crossings(base, direction, 0.8, [(0.5, 1)], tol)
+    # det A(t) = -(2t - 1)^2: a negative eigenvalue touches zero at t = 1/2
+    # and goes back, so both Morse steps are 1 on a kernel of dimension 1
+    base, direction = np.array([[0.0, -1.0], [-1.0, 0.0]]), np.array([[1.0, 2.0], [2.0, 0.0]])
+    (c,), _, _ = _banded_crossings(base, direction, 1.0, [(0.5, 2)], tol)
+    assert (c.multiplicity, c.positive, c.negative, c.regular) == (1, 1, 1, False)
+    # the float run of test_irregular_crossing_raises
+    with pytest.raises(IrregularCrossingError) as exc:
+        spectral_flow(LinearPath(Matrix.from_numpy(base), Matrix.from_numpy(base + direction)))
+    assert exc.value.location == pytest.approx(0.5)
+
+
+def test_float_end_kernels_take_the_crossing_form():
+    # an end with an eigenvalue in the band is counted on its kernel by the
+    # crossing form, as the exact backend counts it, not by the Morse step
+    # to the next sample: here the form is degenerate on the kernel, and the
+    # two differ
+    start, end = diag(0, 0, 1), Matrix([[1, 0, 0], [0, 0, 1], [0, 1, 1]], RATIONAL)
+    exact = spectral_flow(LinearPath(start, end))
+    fl_start, fl_end = (Matrix.from_numpy(m.to_numpy()) for m in (start, end))
+    result = spectral_flow(LinearPath(fl_start, fl_end))
+    counts = _kernel_counts_float(fl_start, (fl_end - fl_start).to_numpy(), default_tolerance(1))
+    assert (result.flow, result.start_correction, result.end_correction) == \
+        (exact.flow, exact.start_correction, exact.end_correction) == (0, counts[1], 0)
+    assert inertia(start).morse_index - inertia(end).morse_index == -1
+    # both ends singular: the locations come from an interior base point
+    start, end = diag(0, 1, -1), diag(1, 0, 2)
+    exact = spectral_flow(LinearPath(start, end))
+    result = spectral_flow(LinearPath(*(Matrix.from_numpy(m.to_numpy()) for m in (start, end))))
+    assert (result.flow, result.start_correction, result.end_correction) == \
+        (exact.flow, exact.start_correction, exact.end_correction) == (1, 0, 0)
+    assert [(c.location, c.positive, c.negative) for c in result.crossings] == \
+        [(pytest.approx(1 / 3, abs=1e-12), 1, 0)]
+    # B = diag(1, 0): G vanishes on ker B, so the start correction is 0
+    for b, s_max in ((diag(1, 0), Fraction(1)), (Matrix.from_numpy(np.diag([1.0, 0.0])), 1.0)):
+        result = spectral_flow(KreinPath(b, s_max))
+        assert (result.flow, result.start_correction, result.crossings) == (0, 0, ())
+
+
+def test_float_krein_refuses_a_pseudo_singular_sample():
+    # S^T C S for the symplectic shear S = [[I, 30 I], [0, I]] and C with the
+    # frequency 1 of both Krein signs coupled by 1e-4: J B has eigenvalues
+    # +-1e-4 +- i, off the axis by more than the tolerance 9e-6, and
+    # S^T C S + s G = S^T (C + s G) S has its smallest eigenvalue at s = 1
+    # shrunk to about 2e-7, inside the band; the exact flow is 0
+    rows = [[1, "1/10000", 30, "3/1000"], ["1/10000", -1, "3/1000", -30],
+            [30, "3/1000", 901, "899/10000"], ["3/1000", -30, "899/10000", -901]]
+    exact = Matrix(rows, RATIONAL)
+    b = Matrix.from_numpy(exact.to_numpy())
+    assert spectral_flow(KreinPath(b, 0.5)).flow == 0
+    with pytest.raises(IndeterminateError, match="singular at s_max = 1.0$"):
+        spectral_flow(KreinPath(b, 1.0))
+    with pytest.raises(IndeterminateError, match="^a crossing between 0.0 and 2.0 was not"):
+        spectral_flow(KreinPath(b, 2.0))
+    assert spectral_flow(KreinPath(exact, Fraction(1))).flow == 0
 
 
 def test_path_validation():
