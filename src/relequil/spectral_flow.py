@@ -21,12 +21,12 @@ signs decide which roots lie inside the parameter interval and whether a
 Krein crossing sits at s_max.  The Krein crossing at s = 0, G on ker B, is
 the first entry of ``crossing_set`` and gives the flow's start correction,
 with the exact counts rank(Z^T J Z) / 2 for rational B.  Float input takes
-its crossings from the real eigenvalues of one pencil (linear) or of J B
-(Krein) and every interior count from the band [-tol, tol] of one stacked
-``eigvalsh`` (``_banded_crossings``); an end with an eigenvalue in the band
-takes the crossing form on its float kernel.  What floats cannot place
-raises IndeterminateError (exit 2); an irregular interior crossing, or a
-path in the band wherever it is tried, IrregularCrossingError (exit 3).
+its crossings from the eigenvalues of one pencil (linear) or of J B (Krein),
+every interior count from the band [-tol, tol] of one stacked ``eigvalsh``
+(``_banded_crossings``), and an end in the band from the crossing form on
+its float kernel.  What floats cannot place raises IndeterminateError (exit
+2), also in ``crossing_set``; an irregular interior crossing, or a path in
+the band wherever tried, IrregularCrossingError (exit 3).
 """
 
 from __future__ import annotations
@@ -356,9 +356,9 @@ def _banded_crossings(base: np.ndarray, direction: np.ndarray, hi: float,
     and hi: Morse counts eigenvalues below -tol, the band those in [-tol,
     tol].  At theta, k = band(theta) and the crossing form's counts are the
     Morse drops to the neighbouring midpoints (Robbin & Salamon 1995),
-    regular iff their sum is k and k is the multiplicity.  A midpoint in
-    the band, or a Morse step that no band explains, is a crossing that was
-    not located and raises IndeterminateError."""
+    regular iff they sum to k = multiplicity; k = 0 is no crossing.  A
+    midpoint in the band, or a Morse step that no band explains, is a
+    crossing that was not located and raises IndeterminateError."""
     ts = [t for t, _ in found]
     points = [0.0] + [p for x, y in zip([0.0] + ts, ts + [hi]) for p in ((x + y) / 2, y)]
     w = np.linalg.eigvalsh(base + np.array(points)[:, None, None] * direction)
@@ -371,7 +371,8 @@ def _banded_crossings(base: np.ndarray, direction: np.ndarray, hi: float,
     crossings = []
     for i, (theta, mult) in enumerate(found, 1):
         k, pos, neg = band[2 * i], morse[2 * i - 1] - morse[2 * i], morse[2 * i + 1] - morse[2 * i]
-        crossings.append(Crossing(theta, None, k, pos, neg, pos + neg == k == mult))
+        if k:
+            crossings.append(Crossing(theta, None, k, pos, neg, pos + neg == k == mult))
     return crossings, band[0], band[-1]
 
 
@@ -380,11 +381,11 @@ def _strict_counts_float(form: np.ndarray, tol: float) -> tuple[int, int]:
     return int(np.sum(w > tol)), int(np.sum(w < -tol))
 
 
-def _kernel_counts_float(a: Matrix, form: np.ndarray, tol: float) -> tuple[int, int]:
-    """Strict positive and negative counts of the Hermitian ``form``
-    restricted to the float kernel of ``a``."""
+def _kernel_counts_float(a: Matrix, form: np.ndarray, tol: float) -> tuple[int, int, int]:
+    """The dimension of the float kernel of ``a`` and the strict positive
+    and negative counts of the Hermitian ``form`` restricted to it."""
     z = kernel(a, tol=tol).basis_numpy()
-    return _strict_counts_float(z.conj().T @ form @ z, tol)
+    return (z.shape[1], *_strict_counts_float(z.conj().T @ form @ z, tol))
 
 
 def _cluster(values: list[float], gap: float) -> list[tuple[float, int]]:
@@ -401,12 +402,14 @@ def _cluster(values: list[float], gap: float) -> list[tuple[float, int]]:
 
 
 def _linear_locations_float(path: LinearPath, tol: float) -> list[tuple[float, int]]:
-    """The t in (0, 1) with singular A(t) = S + t D, as (t, multiplicity):
-    t0 - 1 / mu for the eigenvalues mu of A(t0)^-1 D, |mu| >= 1 for t in
-    [0, 1], at the better of the ends or else of m interior points t0 (det
-    A has degree m; a path in the band at all of them is singular at every
-    parameter).  Within gap = tol / max|D|, the step in t that moves A by
-    tol, a root is real, roots cluster, and an end keeps a root."""
+    """The t in (0, 1) where A(t) = S + t D may be singular, as (t,
+    multiplicity): t0 - 1 / mu for the eigenvalues |mu| >= 1/2 of A(t0)^-1 D
+    (t in [0, 1] needs |mu| >= 1), at the better end or else the best of m
+    interior t0 (a path in the band at all of them is singular everywhere).
+    Within gap = tol / max|D| a root is real, real roots cluster, and an
+    end keeps a root.  Rounding splits a p-fold root by about eps^(1/p), so
+    the roots within 1e-4 of a real location add to its multiplicity, and
+    the other roots within 1e-4 of the axis cluster by real part."""
     s, d, m = path.start._arr, path.derivative._arr, path.dim
     if m == 0:
         return []
@@ -419,22 +422,24 @@ def _linear_locations_float(path: LinearPath, tol: float) -> list[tuple[float, i
     t0 = float(ts[np.argmax(small)])
     mu = np.linalg.eigvals(np.linalg.solve(s + t0 * d, d))
     roots = t0 - 1 / mu[np.abs(mu) >= 0.5]
-    if not roots.size:
-        return []
-    gap = tol / float(np.max(np.abs(d)))
-    real = sorted(roots.real[np.abs(roots.imag) <= gap].tolist())
-    return [(t, c) for t, c in _cluster(real, gap) if gap < t < 1 - gap]
+    gap = tol / float(np.max(np.abs(d))) if roots.size else 0.0
+    real = np.abs(roots.imag) <= gap
+    near = roots[~real & (np.abs(roots.imag) <= 1e-4)]
+    found = _cluster(sorted(roots.real[real].tolist()), gap)
+    split = np.abs(near[:, None] - np.array([t for t, _ in found])) <= 1e-4
+    found = [(t, c + int(n)) for (t, c), n in zip(found, split.sum(axis=0))]
+    found += _cluster(sorted(near[~split.any(axis=1)].real.tolist()), 1e-4)
+    return sorted(f for f in found if gap < f[0] < 1 - gap)
 
 
 def _flow_linear_float(path: LinearPath, tol: float) -> SpectralFlowResult:
-    found = _linear_locations_float(path, tol)
-    d = path.derivative._arr
+    d, found = path.derivative._arr, _linear_locations_float(path, tol)
     crossings, band0, band1 = _banded_crossings(path.start._arr, d, 1.0, found, tol)
     for c in crossings:
         if not c.regular:
             raise IrregularCrossingError(c.location, "degenerate crossing form")
-    start_corr = _kernel_counts_float(path.start, d, tol)[1] if band0 else 0
-    end_corr = _kernel_counts_float(path.end, d, tol)[0] if band1 else 0
+    start_corr = _kernel_counts_float(path.start, d, tol)[2] if band0 else 0
+    end_corr = _kernel_counts_float(path.end, d, tol)[1] if band1 else 0
     total = sum(c.signature for c in crossings) - start_corr + end_corr
     return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, FLOAT64)
 
@@ -445,10 +450,10 @@ def _flow_linear_float(path: LinearPath, tol: float) -> SpectralFlowResult:
 
 def _krein_locations_float(evals: np.ndarray, s_max: float, tol: float) -> list:
     """The s in (0, s_max) with singular B + s*G, as (s, multiplicity),
-    from the eigenvalues of J B, none of them at s_max: a location within
-    tol (1 + s_max) of s_max cannot be placed before, at or after it, and
-    raises IndeterminateError."""
-    found = _cluster(sorted(e.imag for e in evals if abs(e.real) <= tol and e.imag > tol), tol)
+    from the eigenvalues of J B; one within tol (1 + s_max) of s_max cannot
+    be placed before, at or after it, and raises IndeterminateError."""
+    on_axis = (float(e.imag) for e in evals if abs(e.real) <= tol and e.imag > tol)
+    found = _cluster(sorted(on_axis), tol)
     for s, _ in found:
         if abs(s - s_max) <= tol * (1 + s_max):
             raise IndeterminateError(
@@ -463,18 +468,15 @@ def _krein_zero_crossing(b: Matrix, tol: float) -> Optional[Crossing]:
     about zero, so for rational B each count is rank(Z^T J Z) / 2 on the
     exact kernel basis Z; float B counts the eigenvalues of the form
     outside [-tol, tol]."""
-    exact = b.field == RATIONAL
-    ker = kernel(b, tol=None if exact else tol)
+    if b.field != RATIONAL:
+        dim, pos, neg = _kernel_counts_float(b, krein_form(b.n_rows // 2), tol)
+        return Crossing(0.0, None, dim, pos, neg, pos + neg == dim) if dim else None
+    ker = kernel(b)
     if ker.dimension == 0:
         return None
-    if exact:
-        zm = Matrix(list(zip(*ker.basis)), RATIONAL)
-        pos = neg = rank(zm.T @ standard_symplectic(b.n_rows // 2) @ zm) // 2
-    else:
-        z = ker.basis_numpy()
-        pos, neg = _strict_counts_float(z.conj().T @ krein_form(b.n_rows // 2) @ z, tol)
-    return Crossing(0.0, Fraction(0) if exact else None, ker.dimension, pos, neg,
-                    pos + neg == ker.dimension)
+    zm = Matrix(list(zip(*ker.basis)), RATIONAL)
+    pos = neg = rank(zm.T @ standard_symplectic(b.n_rows // 2) @ zm) // 2
+    return Crossing(0.0, Fraction(0), ker.dimension, pos, neg, pos + neg == ker.dimension)
 
 
 def _krein_chi_factors(b: Matrix) -> tuple:
@@ -512,9 +514,8 @@ def _krein_crossings(path: KreinPath, tol: Optional[float], shared=None):
         if band1:
             raise IndeterminateError(
                 f"B + s*G is within the tolerance band of singular at s_max = {s_max!r}")
-        zero = _krein_zero_crossing(b, tol) if band0 else None
-        for cr in ([zero] if zero else []) + crossings:
-            yield cr, False
+        zero = [_krein_zero_crossing(b, tol)] if band0 else []
+        yield from ((cr, False) for cr in zero + crossings if cr is not None)
         return
     qs, factors = shared or _krein_chi_factors(b)
     if not _invertible(factors):
@@ -585,8 +586,9 @@ def relative_morse_index(a0: Matrix, a1: Matrix, tol: Optional[float] = None) ->
 
 def crossing_set(b: Matrix, s_max, tol: Optional[float] = None) -> tuple:
     """All crossings of the Krein deformation B + s*G for s in [0, s_max],
-    endpoint values included.  Purely descriptive: irregular crossings are
-    reported with ``regular=False`` rather than raised."""
+    endpoint values included; irregular ones have ``regular=False``.  A
+    float B raises IndeterminateError as its flow does: for a crossing not
+    located (``_banded_crossings``), or one or B + s_max G in the band of s_max."""
     return tuple(cr for cr, _ in _krein_crossings(KreinPath(b, s_max), tol))
 
 

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -358,10 +359,10 @@ def test_float_flows_take_one_stacked_eigvalsh(tmp_path, capsys, monkeypatch):
     assert calls == {"det": 0, "eigh": 0, "eigvalsh": 1, "eigvals": 1, "svd": 1}
 
 
-def test_float_flow_ends_and_refusals(tmp_path, capsys):
+def test_float_flow_end_kernel_and_singular_path(tmp_path, capsys):
     # B = diag(1, 0): G vanishes on ker B, so the start correction is 0
     # (the Morse step to the next sample would say 1); a path singular at
-    # every parameter exits 3; a Krein crossing in the band of s_max exits 2
+    # every parameter exits 3
     path = write_json(tmp_path / "krein.json",
                       {"type": "krein", "b": [[1.0, 0.0], [0.0, 0.0]], "s_max": 1.0})
     assert main(["flow", path, "--backend", "float"]) == 0
@@ -374,14 +375,6 @@ def test_float_flow_ends_and_refusals(tmp_path, capsys):
     assert main(["flow", path, "--backend", "float"]) == 3
     assert capsys.readouterr().err == \
         "error: irregular crossing at parameter nan: the path is singular at every parameter\n"
-    # frequencies 1 and 2, s_max 1e-9 above the second
-    b = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 4.0]]
-    path = write_json(tmp_path / "band.json", {"type": "krein", "b": b, "s_max": 2 + 1e-9})
-    assert main(["flow", path, "--backend", "float"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: a crossing at s = 2.0")
-    assert captured.err.endswith(" lies within the tolerance band of s_max\n")
 
 
 def test_exact_flow_computes_no_kernel_of_an_invertible_matrix(tmp_path, capsys, monkeypatch):
@@ -467,7 +460,7 @@ def test_krein_end_is_decided_exactly(tmp_path, capsys, rows, s_max, flow, cross
     assert len(report["crossings"]) == crossings
 
 
-@pytest.mark.parametrize("s_max", [0.9999999999999, 1])
+@pytest.mark.parametrize("s_max", [0.9999999999999, 1, 1 + 1e-9])
 def test_float_krein_crossing_at_s_max_exits_2(tmp_path, capsys, s_max):
     # the crossing at s = 1 lies within the tolerance band of s_max, so
     # floats cannot tell whether it lies before, at or after it; the exact
@@ -551,6 +544,19 @@ def test_flow_irregular_exit_code(tmp_path, capsys):
     })
     assert main(["flow", path]) == 3
     assert "irregular" in capsys.readouterr().err
+
+
+def test_float_krein_irregular_crossing_message(tmp_path, capsys):
+    # J B has a Jordan block at +-i: B + s G is tangent to singular at s = 1;
+    # the float location prints as a plain number
+    b = [[1, 0, 0, -1], [0, 1, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
+    path = write_json(tmp_path / "path.json", {"type": "krein", "b": b, "s_max": 2})
+    for backend in ("exact", "float"):
+        assert main(["flow", path, "--backend", backend]) == 3
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"error: irregular crossing at parameter (\S+): "
+                             r"degenerate crossing form\n", err)
+        assert match and float(match[1]) == pytest.approx(1.0), err
 
 
 def test_flow_bad_type(tmp_path, capsys):

@@ -34,6 +34,7 @@ from relequil.spectral_flow import (
     _banded_crossings,
     _kernel_counts_float,
     _krein_flow_and_kappa,
+    _linear_locations_float,
     _path_chi,
 )
 from relequil.stability import Verdict, classify
@@ -263,8 +264,8 @@ def test_banded_crossing_rule():
     # locations: counts are Morse steps to the neighbouring midpoints
     tol = 1e-8
     base, direction = np.diag([-1.0, 1.0, -2.0]), np.diag([2.0, 0.0, 3.0])
-    crossings, band0, band1 = _banded_crossings(
-        base, direction, 1.0, [(0.5, 1), (2 / 3, 1)], tol)
+    found = [(0.5, 1), (2 / 3, 1)]
+    crossings, band0, band1 = _banded_crossings(base, direction, 1.0, found, tol)
     assert (band0, band1) == (0, 0)
     assert [(c.location, c.multiplicity, c.positive, c.negative, c.regular)
             for c in crossings] == [(0.5, 1, 1, 0, True), (2 / 3, 1, 1, 0, True)]
@@ -274,15 +275,37 @@ def test_banded_crossing_rule():
         _banded_crossings(base, direction, 1.0, [], tol)
     with pytest.raises(IndeterminateError, match="^a crossing between 0.5 and 0.8 was not"):
         _banded_crossings(base, direction, 0.8, [(0.5, 1)], tol)
+    # a location outside the band, which no Morse step crosses, is no crossing
+    assert _banded_crossings(base, direction, 1.0, [(0.25, 2)] + found, tol)[0] == crossings
     # det A(t) = -(2t - 1)^2: a negative eigenvalue touches zero at t = 1/2
     # and goes back, so both Morse steps are 1 on a kernel of dimension 1
     base, direction = np.array([[0.0, -1.0], [-1.0, 0.0]]), np.array([[1.0, 2.0], [2.0, 0.0]])
     (c,), _, _ = _banded_crossings(base, direction, 1.0, [(0.5, 2)], tol)
     assert (c.multiplicity, c.positive, c.negative, c.regular) == (1, 1, 1, False)
-    # the float run of test_irregular_crossing_raises
-    with pytest.raises(IrregularCrossingError) as exc:
-        spectral_flow(LinearPath(Matrix.from_numpy(base), Matrix.from_numpy(base + direction)))
-    assert exc.value.location == pytest.approx(0.5)
+    # float runs of degenerate crossings, irregular as on the exact backend:
+    # test_irregular_crossing_raises; a congruent copy of det A(t) =
+    # -(2t - 1)^3 on a kernel of dimension 1, whose triple root rounding
+    # splits into one real root and a complex pair about 1e-5 away; and a
+    # congruent copy of the tangency above, moved to t = 1/4 and padded by
+    # a crossing at t = 1/2, whose double root splits off the axis
+    cubic = ([[32, 25, 24], [25, 17, 21], [24, 21, 15]],
+             [[16, 11, 28], [11, 7, 23], [28, 23, 33]])
+    tangency = ([[-7, -14, 15, 29], [-14, -15, 4, 14], [15, 4, 23, 27], [29, 14, 27, 19]],
+                [[-3, 16, -45, -67], [16, 51, -32, -34], [-45, -32, -39, -43],
+                 [-67, -34, -43, -19]])
+    cases = (((base, base + direction), [(0.5, 2)]), (cubic, [(0.5, 3)]),
+             (tangency, [(0.25, 2), (0.5, 1)]))
+    for (start, end), locations in cases:
+        fl = LinearPath(Matrix.from_numpy(np.asarray(start, dtype=float)),
+                        Matrix.from_numpy(np.asarray(end, dtype=float)))
+        assert [(pytest.approx(t, abs=1e-4), c) for t, c in locations] == \
+            _linear_locations_float(fl, default_tolerance(fl.end.max_abs()))
+        for path in (LinearPath(*(Matrix([[Fraction(x) for x in row] for row in m], RATIONAL)
+                                  for m in (np.asarray(start).tolist(), np.asarray(end).tolist()))),
+                     fl):
+            with pytest.raises(IrregularCrossingError, match="degenerate crossing form$") as exc:
+                spectral_flow(path)
+            assert exc.value.location == pytest.approx(locations[0][0], abs=1e-4)
 
 
 def test_float_end_kernels_take_the_crossing_form():
@@ -296,7 +319,7 @@ def test_float_end_kernels_take_the_crossing_form():
     result = spectral_flow(LinearPath(fl_start, fl_end))
     counts = _kernel_counts_float(fl_start, (fl_end - fl_start).to_numpy(), default_tolerance(1))
     assert (result.flow, result.start_correction, result.end_correction) == \
-        (exact.flow, exact.start_correction, exact.end_correction) == (0, counts[1], 0)
+        (exact.flow, exact.start_correction, exact.end_correction) == (0, counts[2], 0)
     assert inertia(start).morse_index - inertia(end).morse_index == -1
     # both ends singular: the locations come from an interior base point
     start, end = diag(0, 1, -1), diag(1, 0, 2)
