@@ -7,12 +7,13 @@ encoder cannot pin float formatting, so emission is a small recursive
 writer that dispatches on the exact type of each node and encodes each dict
 key once per process.
 
-Input files are read by the stdlib parser.  A matrix whose entries are all
-ints and floats is converted in one pass: one float64 array and one
-finiteness check for the float backend, the integer rows themselves as the
-cleared-integer memo of an exact matrix when all are ints.  Any other
-matrix, and every refusal with its message, goes entry by entry through
-``scalar_from_data``.
+Input files are read by the stdlib parser.  An exact matrix of ints and
+"p/q" strings is converted in one pass to its cleared-integer memo (M, d):
+each string is split at "/" and reduced, d is the least common denominator
+and no ``Fraction`` is built per entry.  A float matrix of ints and floats
+is converted to one float64 array with one finiteness check.  Any other
+float matrix, and every refusal with its message, goes entry by entry
+through ``scalar_from_data``.
 """
 
 from __future__ import annotations
@@ -154,19 +155,43 @@ def scalar_from_data(value, field: str):
     return x
 
 
+def _ratio(x) -> tuple[int, int]:
+    """(p, q) in lowest terms with q > 0 for an exact entry that is not an
+    int.  A "p/q" string is split and reduced here; any other entry, and a
+    refused string (a zero denominator, an integer past the digit limit),
+    goes through ``scalar_from_data``, which gives a refusal its message."""
+    if type(x) is str and _RATIONAL_TEXT.fullmatch(x):
+        p, _, q = x.partition("/")
+        try:
+            p, q = int(p), int(q or 1)
+        except ValueError:  # an integer past the digit limit: refused below
+            q = 0
+        if q:
+            g = math.gcd(p, q)
+            return p // g, q // g
+    v = scalar_from_data(x, RATIONAL)
+    return v.numerator, v.denominator
+
+
 def _one_pass(rows: list, field: str):
-    """The matrix of rows whose entries are all ints (exact) or all ints
-    and floats (float), without a per-entry parse; None for any other rows,
-    and for float rows that are ragged, beyond the float range or not
-    finite, which the per-entry path refuses with its own message."""
-    types = set(map(type, chain.from_iterable(rows)))
+    """The matrix of the rows without a per-entry ``Fraction`` or float:
+    exact rows go straight to their cleared integers M and least common
+    denominator d, refusing a bad entry (in row order) before ragged rows;
+    rows of ints and floats go to one float64 array with one finiteness
+    check.  None for any other float rows, and for float rows that are
+    ragged, beyond the float range or not finite, which the per-entry path
+    refuses with its own message."""
     if field == RATIONAL:
-        if not types <= {int}:
-            return None
+        entries = [[x if type(x) is int else _ratio(x) for x in row] for row in rows]
         if any(len(r) != len(rows[0]) for r in rows):
             raise ShapeError("ragged rows")
-        return Matrix._from_cleared([r[:] for r in rows], 1)
-    if not types <= {int, float}:
+        pairs = [x for x in chain.from_iterable(entries) if type(x) is tuple]
+        d = math.lcm(*(q for _, q in pairs))
+        if pairs:  # else every entry is an int, M itself with d = 1
+            entries = [[x * d if type(x) is int else x[0] * (d // x[1]) for x in row]
+                       for row in entries]
+        return Matrix._from_cleared(entries, d)
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
         return None
     try:
         arr = np.array(rows, dtype=float)

@@ -125,38 +125,42 @@ class Matrix:
     eigenvalues (``_eigenvalues``), so each is computed at most once per
     matrix.
     One made by ``_from_cleared`` builds its ``Fraction`` entries only when
-    they are first read.
+    they are first read.  Every matrix stores its shape, so a 0 x n or
+    n x 0 matrix keeps it through ``T`` and products.
     """
 
-    __slots__ = ("_data", "field", "_ints", "_char", "_arr")
+    __slots__ = ("_data", "field", "shape", "_ints", "_char", "_arr")
 
     def __init__(self, rows: Sequence[Sequence], field: str):
         if field not in (RATIONAL, FLOAT64):
             raise FieldError(f"unknown field {field!r}")
         coerce = _coerce_rational if field == RATIONAL else float
         data = tuple(tuple(map(coerce, row)) for row in rows)
-        if data and any(len(r) != len(data[0]) for r in data):
+        shape = (len(data), len(data[0]) if data else 0)
+        if any(len(r) != shape[1] for r in data):
             raise ShapeError("ragged rows")
         arr = None
         if field == FLOAT64:
-            arr = np.array(data, dtype=float).reshape(len(data), len(data[0]) if data else 0)
+            arr = np.array(data, dtype=float).reshape(shape)
             arr.flags.writeable = False
-        self._set(field, data, None, arr)
+        self._set(field, data, None, arr, shape)
 
-    def _set(self, field: str, data, ints, arr) -> None:
+    def _set(self, field: str, data, ints, arr, shape) -> None:
         for name, value in (("field", field), ("_data", data), ("_ints", ints),
-                            ("_char", None), ("_arr", arr)):
+                            ("_char", None), ("_arr", arr), ("shape", shape)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def _from_cleared(cls, ints: list[list[int]], d: int) -> "Matrix":
+    def _from_cleared(cls, ints: list[list[int]], d: int,
+                      n_cols: Optional[int] = None) -> "Matrix":
         """The exact matrix M / d for integer rows M and d > 0, with (M, d)
-        as its memo."""
+        as its memo; ``n_cols`` is needed only when M has no rows."""
         a = object.__new__(cls)
-        a._set(RATIONAL, None, (ints, d), None)
+        shape = (len(ints), len(ints[0]) if ints else n_cols or 0)
+        a._set(RATIONAL, None, (ints, d), None, shape)
         return a
 
     @classmethod
@@ -166,7 +170,7 @@ class Matrix:
         a = object.__new__(cls)
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
-        a._set(FLOAT64, None, None, arr)
+        a._set(FLOAT64, None, None, arr, arr.shape)
         return a
 
     @property
@@ -205,8 +209,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int, field: str = RATIONAL) -> "Matrix":
-        zero = Fraction(0) if field == RATIONAL else 0.0
-        return cls([[zero] * n_cols for _ in range(n_rows)], field)
+        if field == FLOAT64:
+            return cls._from_array(np.zeros((n_rows, n_cols)))
+        if field != RATIONAL:
+            raise FieldError(f"unknown field {field!r}")
+        return cls._from_cleared([[0] * n_cols for _ in range(n_rows)], 1, n_cols)
 
     @classmethod
     def diagonal(cls, entries, field: str = RATIONAL) -> "Matrix":
@@ -216,13 +223,6 @@ class Matrix:
         return cls([[entries[i] if i == j else zero for j in range(n)] for i in range(n)], field)
 
     # -- basic queries ------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        if self._arr is not None:
-            return self._arr.shape
-        rows = self._ints[0] if self._data is None else self._data
-        return (len(rows), len(rows[0]) if rows else 0)
 
     @property
     def n_rows(self) -> int:
@@ -296,8 +296,8 @@ class Matrix:
 
         Over the rationals each operand is cleared once to an integer matrix
         over one common denominator, A = M / da and B = N / db; the dot
-        products are taken on the integers and each entry of the product is
-        a single ``Fraction((M N)_ij, da * db)``.
+        products are taken on the integers, and the product is kept as its
+        cleared memo (M N / g, da db / g) for g = gcd(da db, entries of M N).
         """
         self._check_same_field(other)
         if self.n_cols != other.n_rows:
@@ -306,9 +306,11 @@ class Matrix:
             return Matrix._from_array(self._arr @ other._arr)
         a, da = self._cleared_rows()
         b, db = other._cleared_rows()
-        cols, d = list(zip(*b)), da * db
-        return Matrix([[Fraction(sum(map(mul, row, col)), d) for col in cols] for row in a],
-                      RATIONAL)
+        cols = list(zip(*b)) if b else [()] * other.n_cols
+        p = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        g = math.gcd(da * db, *(x for row in p for x in row))
+        return Matrix._from_cleared([[x // g for x in row] for row in p], da * db // g,
+                                    other.n_cols)
 
     def matvec(self, v: Sequence) -> list:
         coerce = _coerce_rational if self.field == RATIONAL else float
@@ -322,12 +324,15 @@ class Matrix:
     def T(self) -> "Matrix":
         if self._arr is not None:
             return Matrix._from_array(self._arr.T)
-        return Matrix(list(zip(*self._rows)) if self._rows else [], self.field)
+        ints, d = self._cleared_rows()
+        n_rows, n_cols = self.shape
+        return Matrix._from_cleared([[r[j] for r in ints] for j in range(n_cols)], d, n_rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
+            and self.shape == other.shape
             and self._rows == other._rows
         )
 

@@ -49,7 +49,6 @@ from .matrix_core import (
     ShapeError,
     Subspace,
     _char_poly_int,
-    _cleared,
     _eigenvalues,
     _exact_div,
     _j_times,
@@ -230,10 +229,11 @@ def _path_chi(path: LinearPath) -> list[list[int]]:
     differences: q_j(u) = sum_k a_k u (u - 1) ... (u - k + 1), each
     a_k = Delta^k q_j(0) / k! an integer."""
     m = path.dim
-    ints = _cleared(path.start.rows() + path.end.rows())[0]
+    (s, ds), (e, de) = path.start._cleared_rows(), path.end._cleared_rows()
+    d = math.lcm(ds, de)
+    weights = [((m - u) * (d // ds), u * (d // de)) for u in range(m + 1)]
     polys = [p[0] for p in _char_poly_int([
-        [[(m - u) * x + u * y for x, y in zip(rs, re)] for rs, re in zip(ints[:m], ints[m:])]
-        for u in range(m + 1)])]
+        [[a * x + b * y for x, y in zip(rs, re)] for rs, re in zip(s, e)] for a, b in weights])]
     out = []
     for j in range(m + 1):
         values, newton = [p[j] for p in polys], []
@@ -256,7 +256,7 @@ def _krein_chi(b: Matrix, order: int) -> list[list[int]]:
     (i s), chi(mu, s) = d^-2n sum_j r_j(-s^2) mu^j for the even parts
     q_j(lambda) = r_j(lambda^2)."""
     a, d = _j_times(b)._cleared_rows()
-    x = [[d * int(v) for v in row] for row in standard_symplectic(len(a) // 2).rows()]
+    x = [[d * v for v in row] for row in standard_symplectic(len(a) // 2)._cleared_rows()[0]]
     return [[c * d ** k for k, c in enumerate(q)] for q in _char_poly_int([a], x, order)[0]]
 
 

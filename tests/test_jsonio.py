@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relequil import jsonio
+from relequil import cli, jsonio
 from relequil.matrix_core import FLOAT64, RATIONAL, Matrix, ShapeError, char_poly
 from relequil.stability import Verdict
 
@@ -177,11 +177,16 @@ def test_float_matrix_parse_matches_entry_by_entry(rows, error):
     pytest.param([[10**30, 1, 0], [1, -7, 2], [0, 2, 0]], id="big"),
     pytest.param([], id="empty"),
     pytest.param([[], []], id="no-columns"),
+    pytest.param([["2/4", "-0/7"], ["+3/6", "007/014"]], id="p/q-unreduced"),
+    pytest.param([[1, "-1/3"], ["-1/3", "2/5"]], id="p/q-mixed"),
+    pytest.param([["-6/4", 0], [0, "10/1"]], id="p/q-integers"),
+    pytest.param([[f"{10**40 + 1}/3", "1/7"], ["1/7", f"-{10**40}/{10**20}"]], id="p/q-big"),
 ])
 def test_exact_int_rows_match_the_fraction_path(rows):
     m = jsonio.matrix_from_data(rows, RATIONAL)
     ref = Matrix([[Fraction(x) for x in row] for row in rows], RATIONAL)
     assert m == ref and hash(m) == hash(ref) and m.shape == ref.shape
+    assert m._cleared_rows() == ref._cleared_rows()
     assert m.is_symmetric() == ref.is_symmetric()
     if m.is_square:
         assert char_poly(m) == char_poly(ref)
@@ -194,10 +199,70 @@ def test_exact_int_rows_match_the_fraction_path(rows):
     pytest.param([[1, 2], [3]], ShapeError, id="ragged"),
     pytest.param([[1, True], [0, 1]], ValueError, id="bool"),
     pytest.param([[1, 0.5], [0, 1]], ValueError, id="float"),
+    pytest.param([[1, "1/0"], [0, 1]], ValueError, id="p/0"),
+    pytest.param([["1.5"]], ValueError, id="decimal"),
+    pytest.param([["1e3"]], ValueError, id="exponent"),
+    pytest.param([[" 1/2"]], ValueError, id="space"),
+    pytest.param([[1, [2]], [0, 1]], ValueError, id="nested"),
+    pytest.param([["1/2", "9" * 5000]], ValueError, id="digit-limit"),
+    pytest.param([[1, 2, 3], ["1/2", 1.5]], ValueError, id="ragged-and-bad"),
+    pytest.param([[1, 2], [3], ["1/0", 1]], ValueError, id="ragged-then-bad"),
 ])
 def test_exact_int_rows_refusals(rows, error):
+    # the message, type and precedence of the per-entry parse: the first bad
+    # entry in row order, before ragged rows
     with pytest.raises(error) as got:
         jsonio.matrix_from_data(rows, RATIONAL)
     with pytest.raises(error) as want:
         _entry_by_entry(rows, RATIONAL)
-    assert str(got.value) == str(want.value)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def _exact_text(rng) -> object:
+    """An int or a "p/q" string, often not in lowest terms, sometimes with a
+    sign, leading zeros or a numerator of 40 digits."""
+    p = rng.randint(-10**40, 10**40) if rng.random() < 0.1 else rng.randint(-60, 60)
+    if rng.random() < 0.2:
+        return p
+    k = rng.randint(1, 12)
+    text = f"{p * k}/{rng.randint(1, 30) * k}"
+    if rng.random() < 0.2:
+        text = rng.choice(["+", "0", "00"]) + text if p >= 0 else text.replace("/", "/0")
+    return text
+
+
+def test_exact_p_over_q_rows_match_the_fraction_path(rng):
+    for _ in range(200):
+        n_rows, n_cols = rng.randint(0, 5), rng.randint(0, 5)
+        n_cols = n_cols if n_rows and rng.random() < 0.3 else n_rows
+        rows = [[_exact_text(rng) for _ in range(n_cols)] for _ in range(n_rows)]
+        m = jsonio.matrix_from_data(rows, RATIONAL)
+        ref = Matrix([[Fraction(x) for x in row] for row in rows], RATIONAL)
+        assert m == ref and hash(m) == hash(ref) and m.shape == ref.shape, rows
+        assert m._cleared_rows() == ref._cleared_rows(), rows
+        if m.is_square:
+            assert char_poly(m) == char_poly(ref), rows
+
+
+def test_exact_p_over_q_flow_builds_no_fraction_per_entry(tmp_path, capsys, monkeypatch):
+    # "p/q" input goes straight to the cleared integers, and an exact linear
+    # flow reads only those: neither end matrix builds its Fraction rows
+    def refuse(value, field):
+        raise AssertionError(f"per-entry parse of {value!r}")
+
+    monkeypatch.setattr(jsonio, "scalar_from_data", refuse)
+    rows = [["1/2", "-2/6"], ["-1/3", "2/4"]]
+    assert jsonio.matrix_from_data(rows, RATIONAL) == Matrix(rows, RATIONAL)
+    made, parse = [], jsonio.matrix_from_data
+
+    def recording(data, field):
+        made.append(parse(data, field))
+        return made[-1]
+
+    monkeypatch.setattr(jsonio, "matrix_from_data", recording)
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"type": "linear", "start": rows,
+                                "end": [["-3/2", "1/6"], ["1/6", "-10/8"]]}))
+    assert cli.main(["flow", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["flow"] == -2
+    assert len(made) == 2 and all(m._data is None for m in made)

@@ -78,6 +78,23 @@ def test_identity_diagonal_zeros():
     assert Matrix.zeros(2, 3).n_cols == 3
 
 
+@pytest.mark.parametrize("field", [RATIONAL, FLOAT64])
+def test_empty_shapes_survive_transpose_zeros_and_products(field):
+    # a matrix with rows but no columns, or columns but no rows, keeps its
+    # shape through .T, zeros, products and kernel on both backends
+    three_by_0 = Matrix([[], [], []], field)
+    assert three_by_0.shape == (3, 0) and three_by_0.T.shape == (0, 3)
+    assert three_by_0.T.T.shape == (3, 0)
+    assert Matrix.zeros(0, 3, field).shape == (0, 3) == Matrix.zeros(0, 3, field).T.T.shape
+    product = three_by_0 @ Matrix.zeros(0, 2, field)
+    assert product.shape == (3, 2) and product == Matrix.zeros(3, 2, field)
+    assert Matrix.zeros(0, 3, field) != Matrix.zeros(0, 0, field)
+    assert kernel(Matrix.zeros(0, 3, field)).dimension == 3
+    wide = Matrix([[1, 2, 3]], field)
+    assert (Matrix.zeros(0, 1, field) @ wide).shape == (0, 3)
+    assert wide.T.shape == (3, 1) and wide.T.T == wide
+
+
 def test_scalar_multiplication():
     m = Matrix([[1, 2], [3, 4]], RATIONAL)
     assert (m * Fraction(1, 2))[1, 1] == 2
