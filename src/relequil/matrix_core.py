@@ -768,6 +768,17 @@ def _mulmod(a: np.ndarray, b: np.ndarray, pv: np.ndarray) -> np.ndarray:
     return (a @ b.astype(np.float64)).astype(np.int64) % pv
 
 
+def _crt_lift(residues: list[list[int]], primes: list[int]) -> list[int]:
+    """The integers with the given residues, one list per prime, in the
+    symmetric range of the product of the primes (Garner's CRT)."""
+    coeffs, modulus = [0] * len(residues[0]), 1
+    for p, r in zip(primes, residues):
+        inv = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((ri - c) * inv % p) for c, ri in zip(coeffs, r)]
+        modulus *= p
+    return [c - modulus if 2 * c > modulus else c for c in coeffs]
+
+
 def _int_poly_at_matrix_is_zero(c: list[int], m: list[list[int]]) -> bool:
     """Whether sum c_k M^k = 0 for an integer polynomial c (lowest degree
     first, nonempty) and a nonempty square integer matrix M.
@@ -863,12 +874,7 @@ def _char_poly_int(ms: list, x: Optional[list] = None,
         # c_(n-k) = -tr(M N_(k-1)) / k, the trace below n p and -1/k mod p below p
         res[..., :width, n - k] = np.trace(work, axis1=3, axis2=4) * neg_inv[k - 1] % p3
         work.reshape(len(primes), size, width, n * n)[..., :: n + 1] += res[..., :width, n - k, None]
-    coeffs, modulus = [0] * res[0].size, 1
-    for p, r in zip(primes, res.reshape(len(primes), -1).tolist()):
-        inv = pow(modulus, -1, p)
-        coeffs = [c + modulus * ((ri - c) * inv % p) for c, ri in zip(coeffs, r)]
-        modulus *= p
-    coeffs = [c - modulus if 2 * c > modulus else c for c in coeffs]
+    coeffs = _crt_lift(res.reshape(len(primes), -1).tolist(), primes)
     return [[coeffs[i:i + n + 1] for i in range(s, s + (order + 1) * (n + 1), n + 1)]
             for s in range(0, len(coeffs), (order + 1) * (n + 1))]
 
@@ -899,22 +905,81 @@ def char_poly(a: Matrix) -> list[Fraction]:
     return [Fraction(c[k], d ** (n - k)) for k in range(n + 1)]
 
 
-def _vector_min_poly(m: list[list[int]], v: list[int]) -> list[int]:
-    """Primitive integer coefficients, lowest degree first, of the minimal
-    polynomial of a nonzero integer vector v under a square integer matrix
-    M: the first linear dependence among v, M v, ..., M^n v.
+def _poly_times_vector(c: list[int], m: list[list[int]], v: list[int]) -> list[int]:
+    """c(M) v by Horner's scheme, for an integer polynomial c (lowest degree
+    first, nonempty), a square integer matrix M and an integer vector v."""
+    w = [c[-1] * x for x in v]
+    for ck in reversed(c[:-1]):
+        w = [sum(map(mul, row, w)) + ck * x for row, x in zip(m, v)]
+    return w
 
-    Once M^k v depends on v, ..., M^(k-1) v, so do all later powers.  The
-    Bareiss echelon form of the Krylov matrix [v, M v, ..., M^n v] thus has
-    its pivots in the columns 0..k-1, and its first free column k is that
-    first dependence: back-substituting that column alone gives it, which
-    is then cleared to integers."""
-    krylov = [v]
-    for _ in m:
-        krylov.append([sum(map(mul, row, krylov[-1])) for row in m])
-    echelon, piv_cols = _bareiss_echelon([list(row) for row in zip(*krylov)])
-    k = len(piv_cols)
-    return _cleared([_back_substitute(echelon, piv_cols, [Fraction(0)] * k + [Fraction(1)])])[0][0]
+
+def _krylov_dependence(m: list[list[int]], w: list[int], p: int,
+                       k: int) -> Optional[list[int]]:
+    """The first dependence among w, M w, ..., M^(k-1) w modulo a prime p of
+    ``_prime_bits(n)``, for a square integer matrix M, an integer vector w
+    and 1 <= k <= n: the monic x^c - sum_i a_i x^i with
+    M^c w = sum_i a_i M^i w mod p, lowest degree first with coefficients in
+    [0, p), or None when the k vectors are independent modulo p.
+
+    Each vector is one ``_mulmod`` of M mod p by the last one.  Gauss-Jordan
+    elimination modulo p then takes the columns [w, M w, ...] in order, in
+    int64 with every product below p^2: the columns 0..c-1 have pivots in
+    the rows 0..c-1 and are unit columns, so the first column c without a
+    pivot holds a_0..a_(c-1) in them."""
+    mods = _residues(m, [p])[0].astype(np.float64)
+    a = np.empty((len(m), k), dtype=np.int64)
+    a[:, 0] = _residues(w, [p])[0]
+    for j in range(1, k):
+        a[:, j] = _mulmod(mods, a[:, j - 1], p)
+    for c in range(k):
+        nonzero = np.flatnonzero(a[c:, c])
+        if not nonzero.size:
+            return [-x % p for x in a[:c, c].tolist()] + [1]
+        r = c + int(nonzero[0])
+        if r != c:
+            a[[c, r]] = a[[r, c]]
+        a[c, c:] = a[c, c:] * pow(int(a[c, c]), -1, p) % p
+        col = a[:, c].copy()
+        col[c] = 0
+        a[:, c:] = (a[:, c:] - np.outer(col, a[c, c:])) % p
+    return None
+
+
+def _vector_min_poly(m: list[list[int]], w: list[int], f: list[int]) -> list[int]:
+    """The minimal polynomial mu_w of a nonzero integer vector w under a
+    square integer matrix M, monic with integer coefficients, lowest degree
+    first, given a monic integer multiple f of it.
+
+    mu_w mod p annihilates w mod p, so the first dependence mu_(w,p) of
+    w, M w, ... modulo a prime p divides it: deg mu_(w,p) <= deg mu_w.
+    Degree proof: when w, ..., M^(k-1) w are independent modulo a prime,
+    k = deg f, then deg mu_w >= k, so mu_w = f.  Otherwise mu_w is lifted.
+    Every coefficient of a monic degree-j divisor of f is at most
+    C(j, i) ||f||_2 (Landau-Mignotte), so primes, largest first, whose
+    mu_(w,p) share the highest degree j seen are taken until their product
+    exceeds twice C(j, j // 2) (isqrt(||f||_2^2) + 1); a prime of lower
+    degree is skipped.  The CRT lift g is checked exactly: if g(M) w = 0,
+    mu_w divides g, which has degree j <= deg mu_w, so g = mu_w.  If not,
+    every prime kept was unlucky (j < deg mu_w) and more primes are taken."""
+    k = len(f) - 1
+    norm = math.isqrt(sum(c * c for c in f)) + 1
+    kept: dict[int, list[int]] = {}  # prime -> mu_(w,p), all of degree deg
+    deg, modulus = 0, 1
+    for p in _primes(_prime_bits(len(m))):
+        dep = _krylov_dependence(m, w, p, k)
+        if dep is None:
+            return f
+        if len(dep) - 1 > deg:
+            kept, deg, modulus = {}, len(dep) - 1, 1
+        if len(dep) - 1 == deg:
+            kept[p] = dep
+            modulus *= p
+            if modulus > 2 * math.comb(deg, deg // 2) * norm:
+                g = _crt_lift(list(kept.values()), list(kept))
+                if not any(_poly_times_vector(g, m, w)):
+                    return g
+                kept, deg, modulus = {}, deg + 1, 1
 
 
 def minimal_poly(a: Matrix) -> list[Fraction]:
@@ -923,8 +988,11 @@ def minimal_poly(a: Matrix) -> list[Fraction]:
     With A = M / d for an integer matrix M, the minimal polynomial mu of M
     is the lcm of those of the start vectors (1, ..., n), e_1, ..., e_n
     (Wiedemann).  With the running lcm L, lcm(L, mu_v) = L mu_w for
-    w = L(M) v, the first dependence in the Bareiss echelon form of the
-    Krylov matrix of w (``_vector_min_poly``).  L divides mu, so L = mu
+    w = L(M) v, and mu_w divides chi / L for the characteristic polynomial
+    chi of M, kept in the matrix's memo.  ``_vector_min_poly`` finds mu_w
+    from Krylov sequences modulo primes: when w, M w, ... are independent
+    modulo a prime up to degree n - deg L, mu = chi with no lift, and
+    otherwise mu_w is a CRT lift checked exactly.  L divides mu, so L = mu
     once deg L = n or once ``_int_poly_at_matrix_is_zero`` proves L(M) = 0,
     at the latest after e_n.  m(x) = mu(d x) / d^k is that of A, k = deg mu.
     """
@@ -936,16 +1004,16 @@ def minimal_poly(a: Matrix) -> list[Fraction]:
     if n == 0:
         return [Fraction(1)]
     m, d = a._cleared_rows()
-    mu = [1]  # an integer multiple of the running lcm, lowest degree first
+    mu, rest = [1], _int_char_polys([a])[0]  # the running lcm L and chi / L
     for v in [list(range(1, n + 1))] + [[int(i == j) for i in range(n)] for j in range(n)]:
-        w = [mu[-1] * x for x in v]
-        for c in reversed(mu[:-1]):  # w = mu(M) v by Horner
-            w = [sum(map(mul, row, w)) + c * x for row, x in zip(m, v)]
+        w = _poly_times_vector(mu, m, v)
         if any(w):
-            mu = rp.mul(mu, _vector_min_poly(m, w))
+            mu_w = _vector_min_poly(m, w, rest)
+            mu = rp.mul(mu, mu_w)
             if len(mu) == n + 1 or _int_poly_at_matrix_is_zero(mu, m):
                 break
-    return [Fraction(c * d ** i, mu[-1] * d ** (len(mu) - 1)) for i, c in enumerate(mu)]
+            rest = rp.quotient(rest, mu_w)
+    return [Fraction(c * d ** i, d ** (len(mu) - 1)) for i, c in enumerate(mu)]
 
 
 # ---------------------------------------------------------------------------
@@ -1045,7 +1113,13 @@ def _semisimple_exact(a: Matrix, *factors: list[int]) -> SemisimplicityReport:
     ``_int_poly_at_matrix_is_zero`` decides modulo primes.  Only a defective
     A runs ``minimal_poly``: its minimal polynomial m has the roots of p, so
     gcd(m, m') = m / s, one exact ``quotient``, and its roots name the
-    defective eigenvalues."""
+    defective eigenvalues.  m comes from Krylov sequences modulo primes:
+    when the Krylov matrix [v, M v, ..., M^(n-1) v] of the start vector is
+    nonsingular modulo a prime, m = p with no lift (the degree proof, which
+    later start vectors make with fewer vectors); otherwise a vector's
+    minimal polynomial is a CRT lift to twice the Landau-Mignotte bound on a
+    monic divisor of p, checked exactly by g(M) w = 0
+    (``_vector_min_poly``)."""
     s = reduce(rp.mul, factors, [1])
     k = rp.degree(s)
     if k == a.n_rows:

@@ -58,7 +58,7 @@ from .matrix_core import (
     rank,
     standard_symplectic,
 )
-from .stability import _axis_factors, _classify, _fraction_sqrt, _omega_b
+from .stability import Verdict, _axis_factors, _classify, _fraction_sqrt, _omega_b
 
 __all__ = [
     "IrregularCrossingError",
@@ -607,7 +607,8 @@ def kappa_identity_check(b: Matrix, tol: Optional[float] = None) -> KappaIdentit
     m and c distinct roots in (-inf, 0] adds m (c - [g(0) = 0]), its roots
     on the open negative axis.  The float backend needs the nonzero
     frequencies separated from zero by the tolerance and raises
-    IndeterminateError when they are not.
+    IndeterminateError when they are not, and when its counts break the
+    identity under a linearly stable float verdict, where it must hold.
     """
     return _kappa_identity(b, tol, *_classify(b, None, tol))
 
@@ -629,6 +630,10 @@ def _kappa_identity(b: Matrix, tol: Optional[float], cls, factors) -> KappaIdent
     kappa = sum(1 for e in nonzero if e.imag > 0)
     nullity = b.n_rows - rank(b, tol=t)
     holds = n == kappa + nullity / 2
+    if not holds and cls.verdict == Verdict.LINEARLY_STABLE:
+        raise IndeterminateError(
+            f"kappa = {kappa} and nullity {nullity} break n = kappa + nullity/2 for n = {n},"
+            " which holds under the float verdict linearly_stable")
     return KappaIdentity(n, kappa, nullity, holds, cls)
 
 

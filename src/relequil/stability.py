@@ -17,7 +17,9 @@ spectrum is on the axis iff c = deg g for every factor, and the eigenvalue
 pairs on the punctured imaginary axis number kappa = sum m (c - [g(0) = 0]).
 The same factors give the Yun factors of p and its square-free part s, and
 J B is semisimple iff s(J B) = 0: at once when p is square-free, else by a
-modular test, with the minimal polynomial computed only for a defective J B.
+modular test.  Only a defective J B computes its minimal polynomial, from
+Krylov sequences modulo primes: a Krylov matrix that is nonsingular modulo
+one prime proves that it is p, and any other is a CRT lift checked exactly.
 """
 
 from __future__ import annotations
@@ -279,8 +281,9 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float], factors=
     square-free part s of p, their product.  Exact semisimplicity needs no
     matrix work when p is square-free (deg s = deg p); otherwise it is
     s(Omega B) = 0, decided modulo primes (``_semisimple_exact``).  Only a
-    defective Omega B runs ``minimal_poly`` (integer Krylov sequences), and
-    its defective eigenvalues are the roots of m / s = gcd(m, m')."""
+    defective Omega B runs ``minimal_poly`` (Krylov sequences modulo
+    primes, no elimination over the integers), and its defective
+    eigenvalues are the roots of m / s = gcd(m, m')."""
     if factors is None:
         b = _require_even_symmetric(b, tol)
     ob = _omega_b(b, omega, tol)

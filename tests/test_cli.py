@@ -283,6 +283,29 @@ def test_exact_flow_reports_match_golden(tmp_path, capsys):
         assert (captured.out, captured.err) == (case["report"], ""), case["case"]
 
 
+GOLDEN_CLASSIFY = os.path.join(os.path.dirname(__file__), "golden_classify_reports.json")
+
+
+def test_exact_classify_reports_match_golden(tmp_path, capsys):
+    # exact reports pinned byte for byte: defective J B at 2n = 8, 12 and 16,
+    # one whose start vector (1, ..., 16) is not cyclic, derogatory ones,
+    # "p/q" entries, --omega, and the other two verdicts at 2n = 16; their
+    # floats are numpy roots of exact factors, polished in Python
+    with open(GOLDEN_CLASSIFY, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    verdicts = [json.loads(c["report"])["verdict"] for c in cases]
+    assert verdicts.count("spectrally_stable_not_linear") >= 8
+    assert {"linearly_stable", "spectrally_unstable"} < set(verdicts)
+    assert any("omega" in c for c in cases)
+    for k, case in enumerate(cases):
+        argv = ["classify", write_json(tmp_path / f"{k}-b.json", case["b"])]
+        if "omega" in case:
+            argv += ["--omega", write_json(tmp_path / f"{k}-omega.json", case["omega"])]
+        assert main(argv) == 0, case["case"]
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (case["report"], ""), case["case"]
+
+
 def test_flow_krein_computes_char_poly_once(tmp_path, capsys, monkeypatch):
     # one Faddeev-LeVerrier pass gives char_poly(J B) to the classification
     # and the mu^1 part of det(mu I - B - s G) to the flow

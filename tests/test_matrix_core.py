@@ -39,12 +39,13 @@ from relequil.matrix_core import (
     _coefficient_bound,
     _int_poly_at_matrix_is_zero,
     _j_times,
+    _krylov_dependence,
     _prime_bits,
     _primes,
     _require_symmetric,
     _semisimple_exact,
 )
-from relequil.stability import classify
+from relequil.stability import Verdict, classify
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +442,9 @@ def test_minimal_poly_matches_fraction_reference(rng):
         Matrix.diagonal([1, 1, 2]).to_lists(),
         _similar(_jordan([(Fraction(2, 3), 2), (Fraction(2, 3), 2)]), rng),
         _similar(_jordan([(-1, 2), (-1, 2), (3, 1), (3, 1)]), rng),
+        # derogatory and defective: a nilpotent Jordan pair beside two equal
+        # elliptic blocks x^2 + 2, so mu = x^2 (x^2 + 2) has degree 4 < 6
+        _similar(_block_diagonal(_jordan([(0, 2)]), _companion([2, 0]), _companion([2, 0])), rng),
         # non-integral entries: m(x) = mu(d x) / d^k for the cleared M = d A
         [[x / 7 for x in row] for row in _similar(_jordan([(Fraction(1, 3), 2), (-2, 1)]), rng)],
         [[x / 2 ** 40 for x in row] for row in _similar(_jordan([(5, 1), (5, 1), (1, 1)]), rng)],
@@ -465,9 +469,9 @@ def test_minimal_poly_lcm_over_start_vectors(monkeypatch):
     calls = []
     original = matrix_core._vector_min_poly
 
-    def counted(m, v):
+    def counted(m, v, f):
         calls.append(v)
-        return original(m, v)
+        return original(m, v, f)
 
     monkeypatch.setattr(matrix_core, "_vector_min_poly", counted)
     two = _conjugate([(1, 2), (0, 1)], [3, 0])
@@ -480,7 +484,8 @@ def test_minimal_poly_lcm_over_start_vectors(monkeypatch):
         assert len(m) - 1 == degree
         assert len(calls) == used
         ints = matrix_core._cleared(rows)[0]
-        assert len(original(ints, list(range(1, len(rows) + 1)))) == 2
+        chi = _char_poly_int([ints])[0][0]
+        assert len(original(ints, list(range(1, len(rows) + 1)), chi)) == 2
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -517,6 +522,162 @@ def test_minimal_poly_structured_cases(rng):
     assert minimal_poly(Matrix.zeros(3, 3)) == [Fraction(0), Fraction(1)]
     assert minimal_poly(Matrix.identity(3) * Fraction(3, 4)) == [Fraction(-3, 4), Fraction(1)]
     assert minimal_poly(Matrix([[Fraction(-5, 7)]], RATIONAL)) == [Fraction(5, 7), Fraction(1)]
+
+
+# ---------------------------------------------------------------------------
+# minimal polynomial from Krylov sequences modulo primes
+
+
+def test_minimal_poly_survives_a_bad_largest_prime():
+    # diag(0, p) for the largest prime p of its size: M (1, 2) = (0, 2p) is
+    # zero mod p, so the start vector's dependence mod p is x, while
+    # mu = x^2 - p x; diag(0, p, p) has the same mu and is derogatory, so
+    # the lift must skip p, whose dependence has the lower degree
+    p = next(_primes(_prime_bits(2)))
+    assert p == next(_primes(_prime_bits(3)))
+    expected = [Fraction(0), Fraction(-p), Fraction(1)]
+    for rows in ([[0, 0], [0, p]], [[0, 0, 0], [0, p, 0], [0, 0, p]]):
+        v = list(range(1, len(rows) + 1))
+        assert _krylov_dependence(rows, v, p, len(rows)) == [0, 1]
+        assert minimal_poly(Matrix(rows, RATIONAL)) == expected == H.minimal_poly_fraction(rows)
+
+
+def test_minimal_poly_drops_a_lift_that_fails_its_check(monkeypatch):
+    # the first two primes report x for diag(0, 5) and (1, 2), a dependence
+    # of too low a degree: the lift x of the first fails the exact check
+    # M w = 0, the second has the degree just refuted and is skipped, and
+    # the third proves mu = chi
+    real, calls, lifts = matrix_core._krylov_dependence, [], []
+    crt_lift = matrix_core._crt_lift
+
+    def unlucky(m, w, p, k):
+        calls.append(p)
+        return [0, 1] if len(calls) <= 2 else real(m, w, p, k)
+
+    def counted(residues, primes):
+        lifts.append(len(primes))
+        return crt_lift(residues, primes)
+
+    rows = [[0, 0], [0, 5]]
+    a = Matrix(rows, RATIONAL)
+    char_poly(a)
+    monkeypatch.setattr(matrix_core, "_krylov_dependence", unlucky)
+    monkeypatch.setattr(matrix_core, "_crt_lift", counted)
+    assert minimal_poly(a) == [Fraction(0), Fraction(-5), Fraction(1)] == H.minimal_poly_fraction(rows)
+    assert (len(calls), lifts) == (3, [1])
+
+
+def test_minimal_poly_when_the_start_vector_is_not_cyclic(monkeypatch):
+    # P D P^-1 with P = [v, e_2, ..., e_6], v = (1, ..., 6), so P^-1 = 2 I - P
+    # and v = P e_1; D is the companion of (x - 1)^2 (x^2 + 2) beside that of
+    # x^2 + 3, so mu = chi, while mu_v = (x - 1)^2 (x^2 + 2) has degree 4: v
+    # needs a checked lift, and e_1 then proves mu = chi
+    n = 6
+    d = _block_diagonal(_companion([2, -4, 3, -2]), _companion([3, 0]))
+    p_mat = [[Fraction(i + 1 if j == 0 else int(i == j)) for j in range(n)] for i in range(n)]
+    p_inv = [[2 * int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(p_mat)]
+    rows = _fraction_product(_fraction_product(p_mat, d), p_inv)
+    ints = matrix_core._cleared(rows)[0]
+    largest = next(_primes(_prime_bits(n)))
+    assert len(_krylov_dependence(ints, list(range(1, n + 1)), largest, n)) == 5
+    lifts = []
+    original = matrix_core._crt_lift
+
+    def counted(residues, primes):
+        lifts.append(len(primes))
+        return original(residues, primes)
+
+    a = Matrix(rows, RATIONAL)
+    char_poly(a)  # chi in the memo, so that the one lift left is that of mu_v
+    monkeypatch.setattr(matrix_core, "_crt_lift", counted)
+    m = minimal_poly(a)
+    assert m == H.minimal_poly_fraction(rows)
+    assert m == [Fraction(c) for c in (6, -12, 11, -10, 6, -2, 1)]  # chi
+    assert len(lifts) == 1
+
+
+def test_minimal_poly_random_block_matrices(rng):
+    # Jordan blocks at small rational eigenvalues and companions of
+    # x^2 + c, the first block repeated half of the time (derogatory), under
+    # a random unimodular similarity, and scaled by 1/5 now and then
+    for _ in range(50):
+        blocks = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                lam = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+                blocks.append(_jordan([(lam, rng.randint(1, 2))]))
+            else:
+                blocks.append(_companion([rng.randint(1, 4), 0]))
+        if rng.random() < 0.5:
+            blocks.append(blocks[0])
+        rows = _similar(_block_diagonal(*blocks), rng)
+        if rng.random() < 0.3:
+            rows = [[x / 5 for x in row] for row in rows]
+        assert minimal_poly(Matrix(rows, RATIONAL)) == H.minimal_poly_fraction(rows)
+
+
+def _pair_block_b(pairs, rng):
+    """B = S^T D S for the pair diagonal D of the pairs and the integer
+    symplectic S = [[I, K], [0, I]] [[I, 0], [L, I]], with K and L each a
+    sum of two random symmetric {-1, 0, 1} matrices."""
+    n = len(pairs)
+
+    def sym():
+        m = [[0] * n for _ in range(n)]
+        for _ in range(2):
+            for i in range(n):
+                for j in range(i, n):
+                    x = rng.choice((-1, 0, 1))
+                    m[i][j] += x
+                    m[j][i] += x if i != j else 0
+        return m
+
+    k, l_ = sym(), sym()
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    upper = [eye[i] + k[i] for i in range(n)] + [[0] * n + eye[i] for i in range(n)]
+    lower = [eye[i] + [0] * n for i in range(n)] + [l_[i] + eye[i] for i in range(n)]
+    s = _fraction_product(upper, lower)
+    s_t = [list(col) for col in zip(*s)]
+    return _fraction_product(_fraction_product(s_t, H.pair_diagonal(pairs)), s)
+
+
+def test_defective_classify_runs_no_bareiss_and_builds_no_fraction(monkeypatch):
+    # a nilpotent pair (1, 0) and 7 pairs of distinct products at 2n = 16:
+    # J B is defective, with mu = chi, and (1, ..., 16) is cyclic modulo the
+    # largest prime, so mu needs no lift and no elimination over the integers
+    pairs = [(1, 0), (1, 2), (1, 3), (2, 2), (1, 5), (2, 3), (1, 7), (2, 4)]
+    b = Matrix(_pair_block_b(pairs, random.Random(16)), RATIONAL)
+    jb = matrix_core._cleared(_j_times(b).to_lists())[0]
+    assert _krylov_dependence(jb, list(range(1, 17)), next(_primes(_prime_bits(16))), 16) is None
+    eliminations, fractions, results = [], [], []
+    bareiss, original = matrix_core._bareiss_echelon, matrix_core.minimal_poly
+
+    def counted_bareiss(m):
+        eliminations.append(len(m))
+        return bareiss(m)
+
+    def counted_fraction(*args):
+        fractions.append(args)
+        return Fraction(*args)
+
+    def counted(a):
+        monkeypatch.setattr(matrix_core, "Fraction", counted_fraction)
+        try:
+            results.append(original(a))
+        finally:
+            monkeypatch.setattr(matrix_core, "Fraction", Fraction)
+        return results[-1]
+
+    monkeypatch.setattr(matrix_core, "_bareiss_echelon", counted_bareiss)
+    monkeypatch.setattr(matrix_core, "minimal_poly", counted)
+    report = classify(b)
+    assert report.verdict == Verdict.SPECTRALLY_STABLE_NOT_LINEAR
+    assert report.defective_eigenvalue == 0
+    assert eliminations == []
+    # one minimal polynomial, of degree 16, whose 17 coefficients are the
+    # only Fractions built: those of the final rescaling
+    assert [len(m) for m in results] == [17]
+    assert len(fractions) == 17
 
 
 def test_rational_matmul_matches_fraction_sums(rng):

@@ -640,6 +640,24 @@ def test_kappa_identity_fails_off_identity():
     assert k.holds is False
 
 
+def test_float_kappa_refuses_a_broken_identity_under_linear_stability():
+    # B = diag(1, 1e-12): J B has eigenvalues +-1e-6 i, outside the default
+    # band, so kappa = 1, while the band puts 1e-12 in the kernel of B, so
+    # nullity 1; n = kappa + nullity/2 holds under linear stability, so the
+    # linearly stable float verdict and these counts cannot all be right
+    b = Matrix.from_numpy(np.diag([1.0, 1e-12]))
+    assert classify(b).verdict == Verdict.LINEARLY_STABLE
+    with pytest.raises(IndeterminateError, match="linearly_stable"):
+        kappa_identity_check(b)
+    # a band below 1e-12 counts both right, and the identity holds
+    k = kappa_identity_check(b, tol=1e-13)
+    assert (k.n, k.kappa, k.nullity, k.holds) == (1, 1, 0, True)
+    # under another verdict a broken identity is reported, not refused
+    k = kappa_identity_check(Matrix.from_numpy(np.diag([-2.0, -1, 1, -1, 0, 0])))
+    assert k.holds is False
+    assert k.classification.verdict == Verdict.SPECTRALLY_STABLE_NOT_LINEAR
+
+
 def test_kappa_matches_float_oracle(rng):
     for _ in range(20):
         n = rng.choice([1, 2])
