@@ -139,9 +139,11 @@ def _run_flow(args) -> int:
     kind = data["type"]
     if kind not in ("linear", "krein"):
         raise ValueError(f"unknown path type {kind!r}")
-    for key in ("start", "end") if kind == "linear" else ("b",):
+    needed, optional = (("start", "end"), ()) if kind == "linear" else (("b",), ("s_max",))
+    for key in needed:
         if key not in data:
             raise ValueError(f"path file is missing {key!r}")
+    jsonio.check_keys(data, ("type",) + needed + optional, f"{kind} path keys")
     if kind == "linear":
         if args.s_max is not None:
             raise ValueError("--s-max applies only to a Krein path")
@@ -201,14 +203,12 @@ def _load_problem(path: str):
     for key in ("masses", "alpha", "positions"):
         if key not in data:
             raise ValueError(f"problem file is missing {key!r}")
+    jsonio.check_keys(data, ("masses", "alpha", "positions", "settings"), "problem file keys")
     system = NBodySystem.assemble(data["masses"], data["alpha"], data["positions"])
     raw = data.get("settings", {})
     if not isinstance(raw, dict):
         raise ValueError("settings must be an object")
-    allowed = {"cc_tol", "max_iter", "collision_guard", "armijo_factor"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"unknown settings: {sorted(unknown)}")
+    jsonio.check_keys(raw, ("cc_tol", "max_iter", "collision_guard", "armijo_factor"), "settings")
     settings = CCSettings(**raw)
     return system, settings
 
@@ -299,20 +299,15 @@ def run_examples(stream=None) -> int:
     ss = is_semisimple(f.matrix)
     row("block-nilpotent", "kind=nilpotent_jordan semisimple=False",
         f"kind={f.kind} semisimple={ss.semisimple}")
-    f = block_normal_form(1, 2)
-    pairs = _spectrum_pairs(f.matrix)
-    err = max(abs(v - w) for (v, _), w in zip(pairs, sorted(f.eigenvalues,
-                                                           key=lambda z: (z.real, z.imag))))
-    row("block-imaginary", "kind=imaginary_pair match<=1e-12",
-        f"kind={f.kind} match<=1e-12" if err <= 1e-12 else
-        f"kind={f.kind} mismatch={_fmt(err)}")
-    f = block_normal_form(1, -2)
-    pairs = _spectrum_pairs(f.matrix)
-    err = max(abs(v - w) for (v, _), w in zip(pairs, sorted(f.eigenvalues,
-                                                           key=lambda z: (z.real, z.imag))))
-    row("block-real", "kind=real_pair match<=1e-12",
-        f"kind={f.kind} match<=1e-12" if err <= 1e-12 else
-        f"kind={f.kind} mismatch={_fmt(err)}")
+    for name, b_k, b_nk, kind in (("block-imaginary", 1, 2, "imaginary_pair"),
+                                  ("block-real", 1, -2, "real_pair")):
+        f = block_normal_form(b_k, b_nk)
+        pairs = _spectrum_pairs(f.matrix)
+        err = max(abs(v - w) for (v, _), w in zip(pairs, sorted(f.eigenvalues,
+                                                               key=lambda z: (z.real, z.imag))))
+        row(name, f"kind={kind} match<=1e-12",
+            f"kind={f.kind} match<=1e-12" if err <= 1e-12 else
+            f"kind={f.kind} mismatch={_fmt(err)}")
 
     # spectrally stable with odd Morse index
     b = Matrix.diagonal([-2, -1, 1, -1, 0, 0])
@@ -326,8 +321,7 @@ def run_examples(stream=None) -> int:
     row("odd-index-stable-spectrum",
         f"spectrum={_fmt_complex(complex(0, -r2))}x1 0+0ix4 "
         f"{_fmt_complex(complex(0, r2))}x1",
-        "spectrum=" + " ".join(
-            f"{_fmt_complex(v)}x{m}" for v, m in _spectrum_pairs(jb)))
+        "spectrum=" + _fmt_spectrum(_spectrum_pairs(jb)))
 
     # the 4x4 symmetry block
     for alpha, expected in ((1, "0+0ix2 0+1ix1 0-1ix1"),

@@ -8,12 +8,13 @@ writer that dispatches on the exact type of each node and encodes each dict
 key once per process.
 
 Input files are read by the stdlib parser.  An exact matrix of ints and
-"p/q" strings is converted in one pass to its cleared-integer memo (M, d):
-each string is split at "/" and reduced, d is the least common denominator
-and no ``Fraction`` is built per entry.  A float matrix of ints and floats
-is converted to one float64 array with one finiteness check.  Any other
-float matrix, and every refusal with its message, goes entry by entry
-through ``scalar_from_data``.
+"p/q" strings is converted in one pass to its cleared integers (M, d):
+each string is split at "/", d is the least common denominator, and
+``Matrix._from_cleared`` reduces (M, d); no ``Fraction`` is built per
+entry.  A float matrix of ints and floats is converted to one float64 array
+with one finiteness check.  Any other float matrix, and every refusal with
+its message, goes entry by entry through ``scalar_from_data``.  Unknown
+keys of a matrix object are refused (``check_keys``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "dumps",
     "scalar_from_data",
     "matrix_from_data",
+    "check_keys",
     "load_json",
 ]
 
@@ -156,8 +158,8 @@ def scalar_from_data(value, field: str):
 
 
 def _ratio(x) -> tuple[int, int]:
-    """(p, q) in lowest terms with q > 0 for an exact entry that is not an
-    int.  A "p/q" string is split and reduced here; any other entry, and a
+    """(p, q) with p / q the value and q > 0 for an exact entry that is not
+    an int.  A "p/q" string is split here; any other entry, and a
     refused string (a zero denominator, an integer past the digit limit),
     goes through ``scalar_from_data``, which gives a refusal its message."""
     if type(x) is str and _RATIONAL_TEXT.fullmatch(x):
@@ -167,8 +169,7 @@ def _ratio(x) -> tuple[int, int]:
         except ValueError:  # an integer past the digit limit: refused below
             q = 0
         if q:
-            g = math.gcd(p, q)
-            return p // g, q // g
+            return p, q
     v = scalar_from_data(x, RATIONAL)
     return v.numerator, v.denominator
 
@@ -209,6 +210,7 @@ def matrix_from_data(data, field: str) -> Matrix:
     if isinstance(data, dict):
         if "rows" not in data:
             raise ValueError("matrix object needs a \"rows\" field")
+        check_keys(data, ("rows", "field"), "matrix object keys")
         declared = data.get("field")
         if declared is not None and declared not in (RATIONAL, FLOAT64):
             raise ValueError(f"unknown field {declared!r}")
@@ -224,6 +226,14 @@ def matrix_from_data(data, field: str) -> Matrix:
         return m
     parsed = [[scalar_from_data(x, field) for x in row] for row in rows]
     return Matrix(parsed, field)
+
+
+def check_keys(data: dict, allowed, what: str) -> None:
+    """Refuse the keys of a parsed JSON object that are not ``allowed``,
+    naming them, so that a misspelt key is not silently ignored."""
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
 
 
 def load_json(path: str):

@@ -1,9 +1,11 @@
 """Dense linear algebra over two backends: exact rationals and binary64.
 
-The exact backend keeps every entry a ``fractions.Fraction`` and never
-degrades to floats, so inertia, kernels, characteristic polynomials and
-semisimplicity tests are decision procedures.  The float backend wraps numpy
-with a single tolerance convention: rank and eigenvalue-cluster decisions
+One storage per field; ``Fraction``s only on read.  An exact matrix is its
+cleared integers, integer rows M and d > 0 with A = M / d in lowest terms,
+and never degrades to floats, so inertia, kernels, characteristic
+polynomials and semisimplicity tests are decision procedures.  A float
+matrix is one float64 array, and the float backend wraps numpy with a
+single tolerance convention: rank and eigenvalue-cluster decisions
 default to ``tol = 1e-8 * (1 + max_abs(A))`` and are overridable per call by
 a finite tol >= 0.
 
@@ -97,8 +99,8 @@ def _resolve_tol(tol: Optional[float], max_abs: Callable[[], float]) -> float:
     return tol
 
 
-def _coerce_rational(x) -> Fraction:
-    if type(x) is Fraction:
+def _coerce_rational(x):
+    if type(x) is Fraction or type(x) is int:
         return x
     if isinstance(x, float):
         raise FieldError("float entry in a rational matrix; use the float64 field")
@@ -106,27 +108,21 @@ def _coerce_rational(x) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense matrix over the rational or float64 field.
+    """Immutable dense matrix over the rational or float64 field: one
+    storage per field, and ``Fraction``s only on read.
 
-    Entries are coerced to the field once, on construction: ints, strings
-    and other rationals become ``Fraction``, a float in a rational matrix
-    raises ``FieldError``.  An entry already in the field (a ``Fraction``
-    in a rational matrix) is kept as it is, not coerced again.
-
-    A float matrix holds one read-only C-contiguous float64 array
-    (``_arr``); its arithmetic, products and transposes work on that array,
-    and its tuple rows of Python floats are built only when first read.
-    ``from_numpy`` copies its argument and ``to_numpy`` returns a copy, so
-    neither array can change the matrix.
-
-    A matrix memoizes, outside equality and hashing, what its spectrum
-    needs: an exact one its cleared integer rows (``_cleared_rows``) and
-    their characteristic polynomial (``_int_char_polys``), a float one its
-    eigenvalues (``_eigenvalues``), so each is computed at most once per
-    matrix.
-    One made by ``_from_cleared`` builds its ``Fraction`` entries only when
-    they are first read.  Every matrix stores its shape, so a 0 x n or
-    n x 0 matrix keeps it through ``T`` and products.
+    An exact matrix A is its cleared integers (``_ints``): integer rows M
+    and d > 0 with A = M / d, gcd(content M, d) = 1.  Its arithmetic,
+    products, transposes, equality and hashing work on M; ``__init__``
+    clears its entries once (ints, strings and other rationals; a float
+    raises ``FieldError``).  A float matrix holds one read-only
+    C-contiguous float64 array (``_arr``), which ``from_numpy`` copies in
+    and ``to_numpy`` copies out.  The tuple rows of ``rows()``, ``[i, j]``,
+    ``to_lists`` and ``matvec`` are built when first read.  A matrix
+    memoizes, outside equality and hashing, the characteristic polynomial
+    of M (``_int_char_polys``) or its float eigenvalues (``_eigenvalues``).
+    Every matrix stores its shape, so a 0 x n or n x 0 matrix keeps it
+    through ``T`` and products.
     """
 
     __slots__ = ("_data", "field", "shape", "_ints", "_char", "_arr")
@@ -139,14 +135,14 @@ class Matrix:
         shape = (len(data), len(data[0]) if data else 0)
         if any(len(r) != shape[1] for r in data):
             raise ShapeError("ragged rows")
-        arr = None
-        if field == FLOAT64:
-            arr = np.array(data, dtype=float).reshape(shape)
-            arr.flags.writeable = False
-        self._set(field, data, None, arr, shape)
+        if field == RATIONAL:
+            return self._set(field, _cleared(data), None, shape)
+        arr = np.array(data, dtype=float).reshape(shape)
+        arr.flags.writeable = False
+        self._set(field, None, arr, shape)
 
-    def _set(self, field: str, data, ints, arr, shape) -> None:
-        for name, value in (("field", field), ("_data", data), ("_ints", ints),
+    def _set(self, field: str, ints, arr, shape) -> None:
+        for name, value in (("field", field), ("_data", None), ("_ints", ints),
                             ("_char", None), ("_arr", arr), ("shape", shape)):
             object.__setattr__(self, name, value)
 
@@ -156,11 +152,15 @@ class Matrix:
     @classmethod
     def _from_cleared(cls, ints: list[list[int]], d: int,
                       n_cols: Optional[int] = None) -> "Matrix":
-        """The exact matrix M / d for integer rows M and d > 0, with (M, d)
-        as its memo; ``n_cols`` is needed only when M has no rows."""
+        """The exact matrix M / d for integer rows M and d > 0, stored as
+        (M, d) reduced to lowest terms; ``n_cols`` is needed only when M has
+        no rows.  Callers must not modify M afterwards."""
+        g = math.gcd(d, *(x for row in ints for x in row)) if d > 1 else 1
+        if g > 1:
+            ints, d = [[x // g for x in row] for row in ints], d // g
         a = object.__new__(cls)
         shape = (len(ints), len(ints[0]) if ints else n_cols or 0)
-        a._set(RATIONAL, None, (ints, d), None, shape)
+        a._set(RATIONAL, (ints, d), None, shape)
         return a
 
     @classmethod
@@ -170,27 +170,8 @@ class Matrix:
         a = object.__new__(cls)
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
-        a._set(FLOAT64, None, None, arr, arr.shape)
+        a._set(FLOAT64, None, arr, arr.shape)
         return a
-
-    @property
-    def _rows(self) -> tuple:
-        if self._data is None:
-            if self._arr is not None:
-                rows = tuple(map(tuple, self._arr.tolist()))
-            else:
-                ints, d = self._ints
-                rows = tuple(tuple(Fraction(x, d) for x in r) for r in ints)
-            object.__setattr__(self, "_data", rows)
-        return self._data
-
-    def _cleared_rows(self) -> tuple[list[list[int]], int]:
-        """Integer rows M and d > 0 with A = M / d for an exact A, kept in
-        its memo: ``_cleared`` of its rows unless ``_from_cleared`` gave
-        them.  Callers must not modify M."""
-        if self._ints is None:
-            object.__setattr__(self, "_ints", _cleared(self._rows))
-        return self._ints
 
     # -- constructors -------------------------------------------------
 
@@ -203,9 +184,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, field: str = RATIONAL) -> "Matrix":
-        one = Fraction(1) if field == RATIONAL else 1.0
-        zero = Fraction(0) if field == RATIONAL else 0.0
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)], field)
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], field)
 
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int, field: str = RATIONAL) -> "Matrix":
@@ -219,8 +198,7 @@ class Matrix:
     def diagonal(cls, entries, field: str = RATIONAL) -> "Matrix":
         entries = list(entries)
         n = len(entries)
-        zero = Fraction(0) if field == RATIONAL else 0.0
-        return cls([[entries[i] if i == j else zero for j in range(n)] for i in range(n)], field)
+        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], field)
 
     # -- basic queries ------------------------------------------------
 
@@ -238,25 +216,33 @@ class Matrix:
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
-        return self._rows[i][j]
+        return self.rows()[i][j]
 
-    def rows(self):
-        return self._rows
+    def rows(self) -> tuple:
+        """The tuple rows, of ``Fraction``s or Python floats, built on first
+        read and kept."""
+        if self._data is None:
+            if self._arr is not None:
+                rows = tuple(map(tuple, self._arr.tolist()))
+            else:
+                ints, d = self._ints
+                rows = tuple(tuple(Fraction(x, d) for x in r) for r in ints)
+            object.__setattr__(self, "_data", rows)
+        return self._data
 
     def to_lists(self) -> list[list]:
-        return [list(r) for r in self._rows]
+        return [list(r) for r in self.rows()]
 
     def to_numpy(self) -> np.ndarray:
         if self._arr is not None:
             return self._arr.copy()
-        return np.array(self._rows, dtype=float).reshape(self.shape)
+        return np.array(self.rows(), dtype=float).reshape(self.shape)
 
     def max_abs(self) -> float:
         if self._arr is not None:
             return float(np.max(np.abs(self._arr), initial=0.0))
-        if not self._rows or not self._rows[0]:
-            return 0.0
-        return max(abs(float(x)) for row in self._rows for x in row)
+        m, d = self._ints
+        return max((abs(x) for row in m for x in row), default=0) / d
 
     # -- algebra ------------------------------------------------------
 
@@ -270,47 +256,40 @@ class Matrix:
             raise ShapeError("shape mismatch in addition")
         if self._arr is not None:
             return Matrix._from_array(self._arr + other._arr)
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)],
-            self.field,
-        )
+        (a, da), (b, db) = self._ints, other._ints
+        return Matrix._from_cleared([[db * x + da * y for x, y in zip(r1, r2)]
+                                     for r1, r2 in zip(a, b)], da * db, self.n_cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        if self._arr is not None:
-            return Matrix._from_array(-self._arr)
-        return Matrix([[-x for x in row] for row in self._rows], self.field)
+        return self * -1
 
     def __mul__(self, c) -> "Matrix":
         if self._arr is not None:
             return Matrix._from_array(float(c) * self._arr)
         c = _coerce_rational(c)
-        return Matrix([[c * x for x in row] for row in self._rows], self.field)
+        a, d = self._ints
+        return Matrix._from_cleared([[c.numerator * x for x in row] for row in a],
+                                    c.denominator * d, self.n_cols)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Matrix product.
 
-        Over the rationals each operand is cleared once to an integer matrix
-        over one common denominator, A = M / da and B = N / db; the dot
-        products are taken on the integers, and the product is kept as its
-        cleared memo (M N / g, da db / g) for g = gcd(da db, entries of M N).
-        """
+        Over the rationals, with A = M / da and B = N / db, the dot products
+        are taken on the integers: A B = M N / (da db), in lowest terms."""
         self._check_same_field(other)
         if self.n_cols != other.n_rows:
             raise ShapeError("shape mismatch in product")
         if self.field == FLOAT64:
             return Matrix._from_array(self._arr @ other._arr)
-        a, da = self._cleared_rows()
-        b, db = other._cleared_rows()
+        (a, da), (b, db) = self._ints, other._ints
         cols = list(zip(*b)) if b else [()] * other.n_cols
-        p = [[sum(map(mul, row, col)) for col in cols] for row in a]
-        g = math.gcd(da * db, *(x for row in p for x in row))
-        return Matrix._from_cleared([[x // g for x in row] for row in p], da * db // g,
-                                    other.n_cols)
+        return Matrix._from_cleared([[sum(map(mul, row, col)) for col in cols] for row in a],
+                                    da * db, other.n_cols)
 
     def matvec(self, v: Sequence) -> list:
         coerce = _coerce_rational if self.field == RATIONAL else float
@@ -318,26 +297,24 @@ class Matrix:
         if len(vec) != self.n_cols:
             raise ShapeError("vector length mismatch")
         zero = Fraction(0) if self.field == RATIONAL else 0.0
-        return [sum((a * b for a, b in zip(row, vec)), zero) for row in self._rows]
+        return [sum((a * b for a, b in zip(row, vec)), zero) for row in self.rows()]
 
     @property
     def T(self) -> "Matrix":
         if self._arr is not None:
             return Matrix._from_array(self._arr.T)
-        ints, d = self._cleared_rows()
+        ints, d = self._ints
         n_rows, n_cols = self.shape
         return Matrix._from_cleared([[r[j] for r in ints] for j in range(n_cols)], d, n_rows)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.shape == other.shape
-            and self._rows == other._rows
-        )
+        if not isinstance(other, Matrix) or (self.field, self.shape) != (other.field, other.shape):
+            return False
+        return self._ints == other._ints if self._arr is None else self.rows() == other.rows()
 
     def __hash__(self):
-        return hash((self.field, self._rows))
+        m, d = self._ints or (self.rows(), None)
+        return hash((self.field, tuple(map(tuple, m)), d))
 
     def __repr__(self) -> str:
         return f"Matrix({self.n_rows}x{self.n_cols}, {self.field})"
@@ -348,7 +325,7 @@ class Matrix:
         if not self.is_square:
             return False
         if self.field == RATIONAL:
-            m = self._cleared_rows()[0]
+            m = self._ints[0]
             return all(map(list.__eq__, m, map(list, zip(*m))))
         t = _resolve_tol(tol, self.max_abs)
         a = self._arr
@@ -359,7 +336,7 @@ class Matrix:
         if not self.is_square:
             return False
         if self.field == RATIONAL:
-            m = self._cleared_rows()[0]
+            m = self._ints[0]
             return all(x == -y for row, col in zip(m, zip(*m)) for x, y in zip(row, col))
         t = _resolve_tol(tol, self.max_abs)
         a = self._arr
@@ -369,21 +346,19 @@ class Matrix:
 def _j_times(b: Matrix) -> Matrix:
     """J B = [-B_lower; B_upper] for an exact B with an even number of rows,
     by a row swap of its cleared integer rows."""
-    ints, d = b._cleared_rows()
+    ints, d = b._ints
     n = len(ints) // 2
-    return Matrix._from_cleared([[-x for x in r] for r in ints[n:]] + ints[:n], d)
+    return Matrix._from_cleared([[-x for x in r] for r in ints[n:]] + ints[:n], d, b.n_cols)
 
 
 @lru_cache(maxsize=64)
 def standard_symplectic(n: int, field: str = RATIONAL) -> Matrix:
     """The 2n x 2n matrix J = [[0, -I], [I, 0]], one per (n, field): a
     Matrix is immutable, so it is shared."""
-    one = Fraction(1) if field == RATIONAL else 1.0
-    zero = Fraction(0) if field == RATIONAL else 0.0
-    rows = [[zero] * (2 * n) for _ in range(2 * n)]
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
-        rows[i][n + i] = -one
-        rows[n + i][i] = one
+        rows[i][n + i] = -1
+        rows[n + i][i] = 1
     return Matrix(rows, field)
 
 
@@ -554,7 +529,7 @@ def _is_invariant(m: Matrix, w: Subspace) -> bool:
     Rows may be scaled, so both come from the cleared integer rows of W and
     M, in one elimination."""
     ints = _cleared(w.basis)[0]
-    mi = m._cleared_rows()[0]
+    mi = m._ints[0]
     images = [[sum(map(mul, row, v)) for row in mi] for v in ints]
     return len(_bareiss_echelon(ints + images)[1]) == w.dimension
 
@@ -656,7 +631,7 @@ def kernel(a: Matrix, tol: Optional[float] = None) -> Subspace:
     """Basis of the null space; exact fraction-free elimination over the
     rationals, SVD over floats."""
     if a.field == RATIONAL:
-        basis = _kernel_exact(a._cleared_rows()[0], a.n_cols)
+        basis = _kernel_exact(a._ints[0], a.n_cols)
         return Subspace(a.n_cols, tuple(tuple(v) for v in basis))
     t = _resolve_tol(tol, a.max_abs)
     arr = a._arr
@@ -670,7 +645,7 @@ def kernel(a: Matrix, tol: Optional[float] = None) -> Subspace:
 
 def rank(a: Matrix, tol: Optional[float] = None) -> int:
     if a.field == RATIONAL:
-        return len(_bareiss_echelon(a._cleared_rows()[0])[1])
+        return len(_bareiss_echelon(a._ints[0])[1])
     t = _resolve_tol(tol, a.max_abs)
     arr = a._arr
     if arr.size == 0:
@@ -687,7 +662,7 @@ def determinant(a: Matrix) -> Scalar:
     if a.field == FLOAT64:
         return float(np.linalg.det(a._arr))
     # det A = (-1)^n p(0) / d^n for the characteristic polynomial p of A = M / d
-    n, d = a.n_rows, a._cleared_rows()[1]
+    n, d = a.n_rows, a._ints[1]
     return Fraction((-1) ** n * _int_char_polys([a])[0][0], d ** n)
 
 
@@ -885,7 +860,7 @@ def _int_char_polys(mats: list[Matrix]) -> list[list[int]]:
     memo; the ones not yet known come from one ``_char_poly_int`` stack."""
     todo = [a for a in mats if a._char is None]
     if todo:
-        polys = _char_poly_int([a._cleared_rows()[0] for a in todo])
+        polys = _char_poly_int([a._ints[0] for a in todo])
         for a, (c,) in zip(todo, polys):
             object.__setattr__(a, "_char", c)
     return [a._char for a in mats]
@@ -899,7 +874,7 @@ def char_poly(a: Matrix) -> list[Fraction]:
         raise FieldError("char_poly is exact-backend only")
     if not a.is_square:
         raise ShapeError("characteristic polynomial of a non-square matrix")
-    n, d = a.n_rows, a._cleared_rows()[1]
+    n, d = a.n_rows, a._ints[1]
     c = _int_char_polys([a])[0]
     # det(xI - A) = d^-n * det((dx)I - dA)
     return [Fraction(c[k], d ** (n - k)) for k in range(n + 1)]
@@ -1003,7 +978,7 @@ def minimal_poly(a: Matrix) -> list[Fraction]:
     n = a.n_rows
     if n == 0:
         return [Fraction(1)]
-    m, d = a._cleared_rows()
+    m, d = a._ints
     mu, rest = [1], _int_char_polys([a])[0]  # the running lcm L and chi / L
     for v in [list(range(1, n + 1))] + [[int(i == j) for i in range(n)] for j in range(n)]:
         w = _poly_times_vector(mu, m, v)
@@ -1019,8 +994,10 @@ def minimal_poly(a: Matrix) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # spectra
 
+_POLISH_STEPS = 3  # the most Newton steps ``_polish_root`` takes
 
-def _polish_root(coeffs_float: list[float], z: complex, steps: int = 3) -> complex:
+
+def _polish_root(coeffs_float: list[float], z: complex) -> complex:
     dcoeffs = [i * c for i, c in enumerate(coeffs_float)][1:]
 
     def ev(cs, x):
@@ -1031,7 +1008,7 @@ def _polish_root(coeffs_float: list[float], z: complex, steps: int = 3) -> compl
 
     best = z
     best_val = abs(ev(coeffs_float, z))
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         dp = ev(dcoeffs, best)
         if dp == 0:
             break
@@ -1124,7 +1101,7 @@ def _semisimple_exact(a: Matrix, *factors: list[int]) -> SemisimplicityReport:
     k = rp.degree(s)
     if k == a.n_rows:
         return SemisimplicityReport(True, (), RATIONAL, 0.0)
-    ints, d = a._cleared_rows()
+    ints, d = a._ints
     coeffs = [x * d ** (k - i) for i, x in enumerate(s)]
     content = math.gcd(*coeffs)
     if _int_poly_at_matrix_is_zero([c // content for c in coeffs], ints):

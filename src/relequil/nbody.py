@@ -102,6 +102,22 @@ class CCSettings:
                 raise ValueError(f"{name} must be {text}, got {value!r}")
 
 
+def _reals(values, name: str, text: str, pairs: bool = False) -> list:
+    """The floats of a sequence of real numbers (with ``pairs``, of (x, y)
+    pairs, flattened); anything else raises a ValueError naming ``name``."""
+    if not isinstance(values, str) and np.iterable(values):
+        values = list(values)
+        if pairs and values and all(np.iterable(p) and not isinstance(p, str) and len(p) == 2
+                                    for p in values):
+            values = [x for p in values for x in p]
+        if all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in values):
+            try:
+                return [float(x) for x in values]
+            except OverflowError:
+                raise ValueError(f"{name} must be finite") from None
+    raise ValueError(f"{name} must be {text}")
+
+
 def _require_finite(masses, alpha, positions) -> None:
     for name, values in (("masses", masses), ("alpha", (alpha,)), ("positions", positions)):
         if not all(map(math.isfinite, values)):
@@ -139,24 +155,21 @@ class NBodySystem:
 
     @classmethod
     def assemble(cls, masses, alpha, positions) -> "NBodySystem":
-        """Build a system from per-body (x, y) pairs or a flat sequence,
-        recentering the weighted center of mass to the origin."""
-        flat = []
-        for p in positions:
-            if np.iterable(p):
-                flat.extend(float(x) for x in p)
-            else:
-                flat.append(float(p))
-        m = np.asarray([float(x) for x in masses], dtype=float)
-        q = np.asarray(flat, dtype=float)
+        """Build a system from per-body (x, y) pairs or a flat sequence of
+        real numbers, recentering the weighted center of mass to the origin;
+        strings, booleans and ragged pairs raise ValueError (``_reals``)."""
+        m = np.asarray(_reals(masses, "masses", "a list of numbers"), dtype=float)
+        (alpha,) = _reals([alpha], "alpha", "a number")
+        q = np.asarray(_reals(positions, "positions", "(x, y) pairs or a flat list of numbers",
+                              pairs=True), dtype=float)
         if q.size != 2 * m.size:
             raise ShapeError("positions must hold two coordinates per body")
-        _require_finite(m, float(alpha), q)
+        _require_finite(m, alpha, q)
         if np.any(m <= 0):
             raise ValueError("masses must be positive")
         com = _weighted_com(m, q)
         q = q - np.tile(com, m.size)
-        return cls(tuple(float(x) for x in m), float(alpha), tuple(float(x) for x in q))
+        return cls(tuple(float(x) for x in m), alpha, tuple(float(x) for x in q))
 
     @property
     def n(self) -> int:

@@ -360,15 +360,18 @@ def _first_stop(a: int, w: int, den: int, i: int, s: int, first: int, last: int)
     return None
 
 
-def refine_root(p: Poly, lo: Fraction, hi: Fraction,
-                max_steps: int = 200) -> tuple[float, Optional[Fraction]]:
+_MAX_STEPS = 200  # the most halvings ``refine_root`` takes
+
+
+def refine_root(p: Poly, lo: Fraction, hi: Fraction) -> tuple[float, Optional[Fraction]]:
     """Shrink an isolating interval (lo, hi] of a square-free p.
 
     Returns (float approximation, exact rational root or None).  The interval
     must contain exactly one root of square-free p.  The result is that of
-    plain bisection: halve the cell until ``_stops`` holds or ``max_steps``
-    halvings are done, returning a midpoint at which p vanishes, then test
-    the best candidate with denominator <= 1e12 (``limit_denominator``).
+    plain bisection: halve the cell until ``_stops`` holds or
+    ``_MAX_STEPS`` halvings are done, returning a midpoint at which p
+    vanishes, then test the best candidate with denominator <= 1e12
+    (``limit_denominator``).
     How the same cell is reached with few signs of p is in the module
     docstring.
     """
@@ -400,7 +403,7 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction,
     wide, lead = 10**17 * w, abs(p[-1])
     f, root, rational = p, None, True
     level, jump = 0, 1
-    while level < max_steps:
+    while level < _MAX_STEPS:
         # the rule cannot hold before t1 more levels
         top, low = max(abs(a), abs(a + w)), min(abs(a), abs(a + w))
         t1 = max(wide.bit_length() - top.bit_length() - 1, 0)
@@ -415,9 +418,9 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction,
                 _sign_at(p, r.numerator, r.denominator) == 0
             if rational:
                 sign = -1 if fa > 0 else 1
-                root, f, n, jump = r, [-sign * r.numerator, sign * r.denominator], 1, max_steps
+                root, f, n, jump = r, [-sign * r.numerator, sign * r.denominator], 1, _MAX_STEPS
                 fa, fb = (sign * (r.denominator * x - r.numerator * den) for x in (a, a + w))
-        s = min(jump, max_steps - level)
+        s = min(jump, _MAX_STEPS - level)
         if a * (a + w) <= 0:  # a cell around zero cannot stop
             s = min(s, max(t1, 1))
         else:  # end the jump where the rule must hold

@@ -19,14 +19,16 @@ Rational input takes no tolerance: every count is read off
 chi(mu, t) = det(mu I - A(t)) by the rule of ``_crossing_counts``, and exact
 signs decide which roots lie inside the parameter interval and whether a
 Krein crossing sits at s_max.  The Krein crossing at s = 0, G on ker B, is
-the first entry of ``crossing_set`` and gives the flow's start correction,
-with the exact counts rank(Z^T J Z) / 2 for rational B.  Float input takes
-its crossings from the eigenvalues of one pencil (linear) or of J B (Krein),
-every interior count from the band [-tol, tol] of one stacked ``eigvalsh``
-(``_banded_crossings``), and an end in the band from the crossing form on
-its float kernel.  What floats cannot place raises IndeterminateError (exit
-2), also in ``crossing_set``; an irregular interior crossing, or a path in
-the band wherever tried, IrregularCrossingError (exit 3).
+the first entry of ``crossing_set`` and gives the flow's start correction.
+For rational B its counts are (2n - 2 rank B + rank(B J B)) / 2 each, from
+two ranks on integer rows, so no exact flow computes a kernel.  Float input
+takes its crossings from the eigenvalues of one pencil (linear) or of J B
+(Krein), every interior count from the band [-tol, tol] of one stacked
+``eigvalsh`` (``_banded_crossings``), and an end in the band from the
+crossing form on its float kernel.  What floats cannot place raises
+IndeterminateError (exit 2), also in ``crossing_set``; an irregular
+interior crossing, or a path in the band wherever tried,
+IrregularCrossingError (exit 3).
 """
 
 from __future__ import annotations
@@ -229,7 +231,7 @@ def _path_chi(path: LinearPath) -> list[list[int]]:
     differences: q_j(u) = sum_k a_k u (u - 1) ... (u - k + 1), each
     a_k = Delta^k q_j(0) / k! an integer."""
     m = path.dim
-    (s, ds), (e, de) = path.start._cleared_rows(), path.end._cleared_rows()
+    (s, ds), (e, de) = path.start._ints, path.end._ints
     d = math.lcm(ds, de)
     weights = [((m - u) * (d // ds), u * (d // de)) for u in range(m + 1)]
     polys = [p[0] for p in _char_poly_int([
@@ -255,8 +257,8 @@ def _krein_chi(b: Matrix, order: int) -> list[list[int]]:
     char_poly(J B), and since det(mu I - B - s G) = char_poly(J (B - mu I))
     (i s), chi(mu, s) = d^-2n sum_j r_j(-s^2) mu^j for the even parts
     q_j(lambda) = r_j(lambda^2)."""
-    a, d = _j_times(b)._cleared_rows()
-    x = [[d * v for v in row] for row in standard_symplectic(len(a) // 2)._cleared_rows()[0]]
+    a, d = _j_times(b)._ints
+    x = [[d * v for v in row] for row in standard_symplectic(len(a) // 2)._ints[0]]
     return [[c * d ** k for k, c in enumerate(q)] for q in _char_poly_int([a], x, order)[0]]
 
 
@@ -464,19 +466,18 @@ def _krein_locations_float(evals: np.ndarray, s_max: float, tol: float) -> list:
 def _krein_zero_crossing(b: Matrix, tol: float) -> Optional[Crossing]:
     """The crossing of B + s*G at s = 0, or None when ker B = 0.
 
-    The restriction of G = i*J to a real subspace has spectrum symmetric
-    about zero, so for rational B each count is rank(Z^T J Z) / 2 on the
-    exact kernel basis Z; float B counts the eigenvalues of the form
-    outside [-tol, tol]."""
+    G = i*J restricted to a real subspace has spectrum symmetric about
+    zero, so each count is half the rank of x^T J y on ker B = ker J B.
+    Its radical is ker J B meet range J B, of dimension r - q for
+    r = rank B and q = rank(B J B) = rank((J B)^2), so for rational B each
+    count is (2n - 2r + q) / 2, from two ranks on integer rows and no
+    kernel.  Float B counts the eigenvalues of the form outside [-tol, tol]."""
     if b.field != RATIONAL:
         dim, pos, neg = _kernel_counts_float(b, krein_form(b.n_rows // 2), tol)
         return Crossing(0.0, None, dim, pos, neg, pos + neg == dim) if dim else None
-    ker = kernel(b)
-    if ker.dimension == 0:
-        return None
-    zm = Matrix(list(zip(*ker.basis)), RATIONAL)
-    pos = neg = rank(zm.T @ standard_symplectic(b.n_rows // 2) @ zm) // 2
-    return Crossing(0.0, Fraction(0), ker.dimension, pos, neg, pos + neg == ker.dimension)
+    dim = b.n_rows - rank(b)
+    pos = neg = (2 * dim - b.n_rows + rank(b @ _j_times(b))) // 2
+    return Crossing(0.0, Fraction(0), dim, pos, neg, pos + neg == dim) if dim else None
 
 
 def _krein_chi_factors(b: Matrix) -> tuple:
@@ -495,7 +496,7 @@ def _krein_crossings(path: KreinPath, tol: Optional[float], shared=None):
     ``_banded_crossings``; B + s_max G in the band raises.
 
     A rational B takes ``_krein_chi_factors(B)`` as ``shared``, computed
-    when not given, and no tolerance; when it is invertible no kernel is
+    when not given, and no tolerance; when it is invertible no rank is
     computed.  Its crossings are s = sqrt(-x) for the roots x of r in
     (-s_max^2, 0), then s_max when a Yun factor of r vanishes at -s_max^2;
     factors without negative roots are not isolated.  Each takes the rule

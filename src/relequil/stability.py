@@ -373,7 +373,7 @@ def kernel_invariance_test(b: Matrix) -> KernelInvarianceResult:
             raise AssertionError("J-invariant kernel with odd dimension")
         return KernelInvarianceResult(True, v, None)
     basis = Matrix(list(zip(*v.basis)), RATIONAL)
-    radical = _kernel_exact((basis.T @ j @ basis)._cleared_rows()[0], v.dimension)
+    radical = _kernel_exact((basis.T @ j @ basis)._ints[0], v.dimension)
     if not radical:
         return KernelInvarianceResult(False, v, None)
     x = basis.matvec(radical[0])

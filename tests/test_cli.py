@@ -3,6 +3,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from relequil import cli
 from relequil.cli import main, run_examples
-from relequil.matrix_core import FLOAT64, Matrix, is_semisimple
+from relequil.matrix_core import FLOAT64, Matrix, Subspace, is_semisimple
 
 COUNTEREXAMPLE_ROWS = [[-2, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0],
                        [0, 0, 1, 0, 0, 0], [0, 0, 0, -1, 0, 0],
@@ -402,20 +403,26 @@ def test_float_flow_end_kernel_and_singular_path(tmp_path, capsys):
 
 def test_exact_flow_computes_no_kernel_of_an_invertible_matrix(tmp_path, capsys, monkeypatch):
     # det B = r(0) for the even part r of char_poly(J B): an invertible B
-    # has no kernel, so no elimination runs on it; a linear path reads its
-    # end corrections off det(mu I - A(t)) and computes no kernel at all
-    kernels = count_calls(monkeypatch, "kernel", ("spectral_flow",))
+    # has no kernel, so no elimination runs on it; a singular Krein B takes
+    # its start correction from rank B and rank(B J B), and a linear path
+    # reads its end corrections off det(mu I - A(t)): no exact flow computes
+    # a kernel or builds a Subspace
+    kernels = count_calls(monkeypatch, "kernel", ("matrix_core", "spectral_flow", "stability"))
     ranks = count_calls(monkeypatch, "rank", ("spectral_flow",))
+    subspaces = []
+    post_init = Subspace.__post_init__
+    monkeypatch.setattr(Subspace, "__post_init__",
+                        lambda self: subspaces.append(self) or post_init(self))
     for path, singular in (
             ({"type": "krein", "b": [[1, 0], [0, 1]], "s_max": 2}, False),
             ({"type": "krein", "b": COUNTEREXAMPLE_ROWS, "s_max": 2}, True),
             ({"type": "linear", "start": [[1, 0], [0, 1]], "end": [[2, 0], [0, 3]]}, False),
             ({"type": "linear", "start": [[0, 0], [0, 1]], "end": [[1, 0], [0, 1]]}, True)):
-        kernels.clear()
         ranks.clear()
         assert main(["flow", write_json(tmp_path / "path.json", path)]) == 0
         capsys.readouterr()
-        assert bool(kernels) == bool(ranks) == (singular and path["type"] == "krein")
+        assert bool(ranks) == (singular and path["type"] == "krein")
+    assert kernels == subspaces == []
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
@@ -642,6 +649,12 @@ def test_nbody_stability_builds_hessian_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+_TWO_BODIES = {"masses": [1.0, 2.0], "alpha": 1.0, "positions": [[-1.0, 0.0], [0.5, 0.0]]}
+_NONFINITE_AT = {"alpha": lambda v: {"alpha": v}, "masses": lambda v: {"masses": [1.0, v]},
+                 "positions": lambda v: {"positions": [[-1.0, v], [0.5, 0.0]]}}
+_PAIRS = "(x, y) pairs or a flat list of numbers"
+
+
 def test_nbody_rejects_unknown_settings(tmp_path, capsys):
     problem = write_json(tmp_path / "p.json", {
         "masses": [1.0, 1.0],
@@ -651,6 +664,26 @@ def test_nbody_rejects_unknown_settings(tmp_path, capsys):
     })
     assert main(["nbody-find-cc", problem]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, data, message", [
+    pytest.param("nbody-find-cc", {**_TWO_BODIES, "setings": {"cc_tol": 1e-3}},
+                 "unknown problem file keys: ['setings']", id="problem"),
+    pytest.param("flow", {"type": "linear", "start": [[1]], "end": [[2]], "s_max": 2},
+                 "unknown linear path keys: ['s_max']", id="linear-path"),
+    pytest.param("flow", {"type": "krein", "b": [[1, 0], [0, 1]], "s_max": 2, "sMax": 3},
+                 "unknown krein path keys: ['sMax']", id="krein-path"),
+    pytest.param("flow", {"type": "krein", "b": {"rows": [[1, 0], [0, 1]], "feild": "float64"},
+                          "s_max": 2}, "unknown matrix object keys: ['feild']", id="path-matrix"),
+    pytest.param("classify", {"rows": [[1, 0], [0, 1]], "field": "rational",
+                              "omega": [[0, -1], [1, 0]]},
+                 "unknown matrix object keys: ['omega']", id="matrix"),
+])
+def test_input_files_reject_unknown_keys(tmp_path, capsys, command, data, message):
+    # a misspelt key was ignored: the file ran with defaults and exited 0
+    assert main([command, write_json(tmp_path / "in.json", data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("name, value", [
@@ -677,20 +710,28 @@ def test_nbody_rejects_bad_settings(tmp_path, capsys, monkeypatch, name, value):
         assert capsys.readouterr().err.startswith(f"error: {name} must be ")
 
 
-@pytest.mark.parametrize("field", ["masses", "alpha", "positions"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-def test_nbody_rejects_nonfinite_input(tmp_path, capsys, field, value):
-    data = {"masses": [1.0, 2.0], "alpha": 1.0, "positions": [[-1.0, 0.0], [0.5, 0.0]]}
-    if field == "alpha":
-        data["alpha"] = value
-    elif field == "masses":
-        data["masses"][1] = value
-    else:
-        data["positions"][0][1] = value
-    problem = write_json(tmp_path / "p.json", data)
+@pytest.mark.parametrize("change, message", [
+    *(pytest.param(_NONFINITE_AT[field](value), f"{field} must be finite", id=f"{value}-{field}")
+      for value in (math.nan, math.inf, -math.inf) for field in _NONFINITE_AT),
+    pytest.param(_NONFINITE_AT["positions"](10 ** 400), "positions must be finite",
+                 id="int-beyond-float-positions"),
+    # strings and booleans are not numbers, a string is not read one
+    # character per coordinate, and ragged pairs are not regrouped
+    pytest.param({"masses": "11", "alpha": 1, "positions": "1001"},
+                 "masses must be a list of numbers", id="string-fields"),
+    pytest.param({"masses": [1, 2, 1], "positions": ["10", "01", [0.5, 0.9]]},
+                 f"positions must be {_PAIRS}", id="string-pairs"),
+    pytest.param({"positions": [[1, 0, 5], [0]]}, f"positions must be {_PAIRS}",
+                 id="ragged-pairs"),
+    pytest.param({"masses": ["1", "1", True], "alpha": "1"},
+                 "masses must be a list of numbers", id="string-and-bool-masses"),
+    pytest.param({"alpha": "1"}, "alpha must be a number", id="string-alpha"),
+])
+def test_nbody_rejects_nonfinite_input(tmp_path, capsys, change, message):
+    problem = write_json(tmp_path / "p.json", {**_TWO_BODIES, **change})
     for command in ("nbody-find-cc", "nbody-stability"):
         assert main([command, problem]) == 1
-        assert capsys.readouterr().err == f"error: {field} must be finite\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers as H
-from relequil import matrix_core
+from relequil import jsonio, matrix_core
 from relequil import rational_poly as rp
 from relequil.matrix_core import (
     FLOAT64,
@@ -102,11 +102,13 @@ def test_scalar_multiplication():
 
 
 def test_rational_entries_coerced_once():
-    # a Fraction is kept as it is; ints and strings become Fractions; a float
-    # is refused, in the constructor and as a scalar factor
+    # entries are cleared once to the integers (M, d) and read back as
+    # Fractions, ints and strings alike; a float is refused, in the
+    # constructor and as a scalar factor
     f = Fraction(-7, 3)
     m = Matrix([[f, 2], ["1/3", True]], RATIONAL)
-    assert m[0, 0] is f
+    assert m._ints == ([[-7, 6], [1, 3]], 3) and m._data is None
+    assert m[0, 0] == f
     assert [type(x) for row in m.rows() for x in row] == [Fraction] * 4
     assert m.rows() == ((f, Fraction(2)), (Fraction(1, 3), Fraction(1)))
     assert (m * Fraction(1, 2)).rows() == ((f / 2, Fraction(1)), (Fraction(1, 6), Fraction(1, 2)))
@@ -306,8 +308,7 @@ def test_coefficient_bound_covers_every_coefficient(rng):
 def test_exact_matrix_memo_is_outside_equality():
     rows = [[Fraction(1, 2), 3], [3, Fraction(-5, 4)]]
     a, b = Matrix(rows, RATIONAL), Matrix(rows, RATIONAL)
-    assert a._cleared_rows() == ([[2, 12], [12, -5]], 4)
-    assert a._cleared_rows() is a._cleared_rows()
+    assert a._ints == ([[2, 12], [12, -5]], 4)
     assert inertia(a) == IndexReport(1, 0, 1)
     assert a == b and hash(a) == hash(b)
     assert char_poly(a) == char_poly(b) == H.char_poly_lagrange(rows)
@@ -316,12 +317,74 @@ def test_exact_matrix_memo_is_outside_equality():
         a._ints = None
 
 
+def test_exact_storage_is_cleared_integers_in_lowest_terms(rng):
+    # every exact constructor and operation stores (M, d) with d > 0 and
+    # gcd(content M, d) = 1, the clearing of its Fraction rows; +, -,
+    # scalar *, == and hash work on M and build no Fraction rows
+    def fractions(n_rows, n_cols):
+        return [[Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6, 9)))
+                 for _ in range(n_cols)] for _ in range(n_rows)]
+
+    def exact(rows, n_cols):
+        return Matrix(rows, RATIONAL) if rows else Matrix.zeros(0, n_cols)
+
+    def check(x, rows, shape):
+        ints, d = x._ints
+        assert d > 0 and math.gcd(d, *(v for r in ints for v in r)) == 1
+        assert (x._ints, x.shape) == (matrix_core._cleared(rows), shape)
+
+    def same(x, y, rows_x, rows_y):
+        equal = (x.shape, rows_x) == (y.shape, rows_y)
+        assert (x == y) == equal and (y == x) == equal
+        assert not equal or hash(x) == hash(y)
+
+    for _ in range(80):
+        n, k, m = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 3)
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        ra, rb, rc = fractions(n, k), fractions(n, k), fractions(k, m)
+        a, b, right = exact(ra, k), exact(rb, k), exact(rc, m)
+        check(Matrix(ra, RATIONAL), ra, (n, k if n else 0))
+        total, diff, neg, scaled = a + b, a - b, -a, c * a
+        sums = [[x + y for x, y in zip(r, s)] for r, s in zip(ra, rb)]
+        check(total, sums, (n, k))
+        check(diff, [[x - y for x, y in zip(r, s)] for r, s in zip(ra, rb)], (n, k))
+        check(neg, [[-x for x in r] for r in ra], (n, k))
+        check(scaled, [[c * x for x in r] for r in ra], (n, k))
+        assert a * c == scaled
+        same(a, b, ra, rb)
+        same(total - b, a, [[x - y for x, y in zip(r, s)] for r, s in zip(sums, rb)], ra)
+        same(a * 0, Matrix.zeros(n, k), [[0] * k for _ in ra], [[0] * k] * n)
+        assert all(x._data is None for x in (a, b, total, diff, neg, scaled))
+        check(a @ right, [[sum((x * y for x, y in zip(r, col)), Fraction(0))
+                           for col in zip(*rc)] if rc else [0] * m for r in ra], (n, m))
+        check(a.T, [list(col) for col in zip(*ra)] if ra else [[]] * k, (k, n))
+        rows = ra + rb  # an even number of rows
+        check(_j_times(exact(rows, k)), [[-x for x in r] for r in rb] + ra, (2 * n, k))
+        texts = [[f"{x.numerator * 3}/{x.denominator * 3}" for x in r] for r in ra]
+        check(jsonio.matrix_from_data(texts, RATIONAL), ra, (n, k if n else 0))
+        entries = [x for r in ra for x in r][:4] + [2, "1/3"]
+        diag = [[Fraction(x) if i == j else Fraction(0) for j in range(len(entries))]
+                for i, x in enumerate(entries)]
+        check(Matrix.diagonal(entries), diag, (len(entries),) * 2)
+        check(Matrix.zeros(n, k), [[0] * k for _ in range(n)], (n, k))
+        check(Matrix.identity(n), [[int(i == j) for j in range(n)] for i in range(n)], (n, n))
+        j = [[0] * 2 * m for _ in range(2 * m)]
+        for i in range(m):
+            j[i][m + i], j[m + i][i] = -1, 1
+        check(standard_symplectic(m), j, (2 * m, 2 * m))
+    empty = [(Matrix.zeros(r, c), (r, c)) for r in (0, 2) for c in (0, 3)]
+    empty += [(Matrix([], RATIONAL), (0, 0)), (Matrix([[], []], RATIONAL), (2, 0))]
+    for x, shape_x in empty:
+        for y, shape_y in empty:
+            same(x, y, [[]] * shape_x[0], [[]] * shape_y[0])
+
+
 def test_j_times_keeps_cleared_rows(rng):
     for n in (1, 2, 4):
         b = Matrix(H.random_symmetric(rng, 2 * n, num=5, den=3), RATIONAL)
         jb, product = _j_times(b), standard_symplectic(n) @ b
         assert jb == product
-        assert jb._cleared_rows() == product._cleared_rows()
+        assert jb._ints == product._ints
         assert char_poly(jb) == H.char_poly_lagrange(product.to_lists())
 
 

@@ -2,6 +2,7 @@ import math
 import time
 from fractions import Fraction
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
@@ -422,4 +423,5 @@ def test_isolate_and_refine_match_plain_bisection(roots, pairs, lo, hi, steps):
         cells = intervals + [(a, b) for a, b in _CELLS if count_distinct_real_roots(g, a, b) == 1]
         for a, b in cells:
             assert refine_root(g, a, b) == _plain_refine_root(g, a, b)
-            assert refine_root(g, a, b, steps) == _plain_refine_root(g, a, b, steps)
+            with mock.patch.object(rp, "_MAX_STEPS", steps):
+                assert refine_root(g, a, b) == _plain_refine_root(g, a, b, steps)

@@ -522,8 +522,9 @@ def test_krein_form_matches_entrywise_loop():
 def test_zero_crossing_gives_the_start_correction(rng):
     # singular pair-diagonal B, plain and sheared to R^T B R by a unit upper
     # triangular R, on both backends: the s = 0 entry of crossing_set is the
-    # Krein start correction, and over the rationals each of its counts is
-    # rank(Z^T J Z) / 2 on its kernel basis Z
+    # Krein start correction, and over the rationals each of its counts,
+    # taken from rank B and rank(B J B), is rank(Z^T J Z) / 2 on a kernel
+    # basis Z
     pairs = [(0, 0), (0, 1), (0, 3), (2, 0), (1, 1), (2, 2), (-1, -9), (1, -1)]
     checked = 0
     for _ in range(20):
