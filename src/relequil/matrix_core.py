@@ -24,6 +24,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate
 from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
@@ -113,12 +114,13 @@ class Matrix:
 
     An exact matrix A is its cleared integers (``_ints``): integer rows M
     and d > 0 with A = M / d, gcd(content M, d) = 1.  Its arithmetic,
-    products, transposes, equality and hashing work on M; ``__init__``
-    clears its entries once (ints, strings and other rationals; a float
-    raises ``FieldError``).  A float matrix holds one read-only
-    C-contiguous float64 array (``_arr``), which ``from_numpy`` copies in
-    and ``to_numpy`` copies out.  The tuple rows of ``rows()``, ``[i, j]``,
-    ``to_lists`` and ``matvec`` are built when first read.  A matrix
+    products, transposes, equality and hashing work on M, and so do
+    ``matvec`` and ``to_numpy``; ``__init__`` clears its entries once
+    (ints, strings and other rationals; a float raises ``FieldError``).
+    A float matrix holds one read-only C-contiguous float64 array
+    (``_arr``), which ``from_numpy`` copies in and ``to_numpy`` copies
+    out.  The tuple rows of ``rows()``, ``[i, j]`` and ``to_lists``, and
+    of ``matvec`` on a float matrix, are built when first read.  A matrix
     memoizes, outside equality and hashing, the characteristic polynomial
     of M (``_int_char_polys``) or its float eigenvalues (``_eigenvalues``).
     Every matrix stores its shape, so a 0 x n or n x 0 matrix keeps it
@@ -234,9 +236,12 @@ class Matrix:
         return [list(r) for r in self.rows()]
 
     def to_numpy(self) -> np.ndarray:
+        """The float64 array; an exact entry is M_ij / d, Python's correctly
+        rounded int division, which is float(Fraction(M_ij, d))."""
         if self._arr is not None:
             return self._arr.copy()
-        return np.array(self.rows(), dtype=float).reshape(self.shape)
+        m, d = self._ints
+        return np.array([[x / d for x in row] for row in m], dtype=float).reshape(self.shape)
 
     def max_abs(self) -> float:
         if self._arr is not None:
@@ -292,12 +297,15 @@ class Matrix:
                                     da * db, other.n_cols)
 
     def matvec(self, v: Sequence) -> list:
-        coerce = _coerce_rational if self.field == RATIONAL else float
+        """A v as a list; exactly, (M w)_i / (d e) with v = w / e cleared."""
+        coerce = float if self._arr is not None else _coerce_rational
         vec = [coerce(x) for x in v]
         if len(vec) != self.n_cols:
             raise ShapeError("vector length mismatch")
-        zero = Fraction(0) if self.field == RATIONAL else 0.0
-        return [sum((a * b for a, b in zip(row, vec)), zero) for row in self.rows()]
+        if self._arr is not None:
+            return [sum((a * b for a, b in zip(row, vec)), 0.0) for row in self.rows()]
+        (m, d), ((w,), e) = self._ints, _cleared([vec])
+        return [Fraction(sum(map(mul, row, w)), d * e) for row in m]
 
     @property
     def T(self) -> "Matrix":
@@ -785,23 +793,22 @@ def _int_poly_at_matrix_is_zero(c: list[int], m: list[list[int]]) -> bool:
 def _coefficient_bound(ms: list, x: Optional[list], order: int) -> int:
     """A bound on |out[s][j][k]| of ``_char_poly_int`` over the whole stack.
 
-    The coefficient of lambda^(n-k) is a signed sum of the C(n, k) principal
-    k x k minors.  With order 0 each minor is at most the product of the
-    norms of its k rows (Hadamard), so at most C(n, k) times the product of
-    the k largest row 2-norms of M, each taken as isqrt(sum M_ij^2) + 1.
-    With order > 0 the mu^j parts of a minor sum at most 2^k determinants of
-    entries at most max|M_ij, X_ij|, each at most (sqrt(k) max)^k."""
-    n = len(ms[0])
-    if order:
-        big = 2 * max(abs(v) for m in ms + [x] for row in m for v in row)
-        return max(math.comb(n, k) * (math.isqrt(k ** k) + 1) * big ** k for k in range(n + 1))
-    bound = 1
+    The coefficient of lambda^(n-k) in det(lambda I - M + mu X) is a signed
+    sum of the C(n, k) principal k x k minors of M - mu X.  A minor is
+    multilinear in its rows M_r - mu X_r, so its mu^j part is a signed sum
+    of C(k, j) determinants, each with j rows of X and k - j rows of M,
+    and each at most the product of its row 2-norms (Hadamard), so at most
+    the product of the k largest max(|M_r|, |X_r|) (X = 0 with order 0).
+    Only j <= order is computed, and C(k, j) <= C(k, min(order, k // 2)).
+    Each norm is taken as isqrt(sum of squares) + 1."""
+    n, bound = len(ms[0]), 1
+    weights = [math.comb(n, k) * math.comb(k, min(order, k // 2)) for k in range(1, n + 1)]
     for m in ms:
-        prod = 1
-        norms = sorted((math.isqrt(sum(map(mul, row, row))) + 1 for row in m), reverse=True)
-        for k, norm in enumerate(norms, 1):
-            prod *= norm
-            bound = max(bound, math.comb(n, k) * prod)
+        sq = [sum(map(mul, row, row)) for row in m]
+        if order:
+            sq = map(max, sq, (sum(map(mul, row, row)) for row in x))
+        norms = sorted((math.isqrt(a) + 1 for a in sq), reverse=True)
+        bound = max(bound, *map(mul, weights, accumulate(norms, mul)))
     return bound
 
 
@@ -812,43 +819,43 @@ def _char_poly_int(ms: list, x: Optional[list] = None,
     mu X) for j <= order; X is an integer matrix, needed when order > 0.
 
     Primes are taken until their product exceeds twice the largest
-    ``_coefficient_bound``, and Faddeev-LeVerrier runs modulo all of them
-    and for the whole stack at once, dividing by k through k^-1 mod p; the
-    residues are lifted by CRT to the symmetric range.  Each step multiplies
-    M mod p (entries below p) by N_(k-1) + c I (entries below 2p), so every
-    dot product is below 2 n p^2 <= 2^53 for primes of ``_prime_bits(n)``
-    bits and runs exactly on float64 BLAS (``_mulmod``).  Its N_k are the
-    coefficients of adj(lambda I - M + mu X), and F'(mu) = tr(adj X)
-    (Jacobi), so F_order costs one trace per step.  The lower orders run
-    N <- (M - mu X) N over Z_p[mu] / (mu^order)."""
-    n, size, width = len(ms[0]), len(ms), max(order, 1)
+    ``_coefficient_bound``, and Faddeev-LeVerrier runs over Z_p[mu] /
+    (mu^(order + 1)) modulo all of them and for the whole stack at once,
+    dividing by k through k^-1 mod p; the residues are lifted by CRT to the
+    symmetric range.  N_(k-1), the lambda^(n-k) coefficient of adj(lambda I
+    - M + mu X), has mu-degree below k, so step k carries its min(k, order
+    + 1) live mu^j parts; one stacked product of [M; X] (2n x n, X only
+    when order > 0) by them gives every M N_j and X N_j, and (M - mu X)
+    N_(k-1) has the parts M N_j - X N_(j-1), formed in int64.  Every factor
+    has entries below p and every N_j + c I entries below 2p, so each dot
+    product of length n is below 2 n p^2 <= 2^53 for primes of
+    ``_prime_bits(n)`` bits and runs exactly on float64 BLAS (``_mulmod``)."""
+    n, size = len(ms[0]), len(ms)
     if n == 0:
         return [[[1]] + [[]] * order for _ in ms]
     primes = _crt_primes(n, _coefficient_bound(ms, x, order))
     p3 = np.array(primes, dtype=np.int64).reshape(-1, 1, 1)
     pv = p3[..., None, None]
-    mods = _residues(ms, primes)[:, :, None].astype(np.float64)  # (prime, sample, 1, n, n)
-    work = np.zeros((len(primes), size, width, n, n), dtype=np.int64)
+    mods = _residues([m + x for m in ms] if order else ms, primes)[:, :, None].astype(np.float64)
+    work = np.zeros((len(primes), size, 1, n, n), dtype=np.int64)
     work[:, :, 0] = np.eye(n, dtype=np.int64)  # N_0 = I
     res = np.zeros((len(primes), size, order + 1, n + 1), dtype=np.int64)
     res[:, :, 0, n] = 1
     neg_inv = np.array([[-pow(k, -1, p) % p for p in primes] for k in range(1, n + 1)],
                        dtype=np.int64)[:, :, None, None]
-    if order:
-        xs = _residues(x, primes)[:, None, None]
-        x_t, xs_f = np.swapaxes(xs, 3, 4)[:, :, 0], xs.astype(np.float64)
-        inv_order = np.array([pow(order, -1, p) for p in primes], dtype=np.int64)[:, None]
     for k in range(1, n + 1):
-        if order:  # tr(N_(k-1) X) by row sums, each under 2 n p^2
-            rows = (work[:, :, order - 1] * x_t).sum(axis=3) % p3
-            res[:, :, order, n - k] = rows.sum(axis=2) % p3[..., 0] * inv_order % p3[..., 0]
-        step = _mulmod(mods, work, pv)
-        if width > 1:
-            step[:, :, 1:] = (step[:, :, 1:] - _mulmod(xs_f, work[:, :, :-1], pv)) % pv
-        work = step
-        # c_(n-k) = -tr(M N_(k-1)) / k, the trace below n p and -1/k mod p below p
-        res[..., :width, n - k] = np.trace(work, axis1=3, axis2=4) * neg_inv[k - 1] % p3
-        work.reshape(len(primes), size, width, n * n)[..., :: n + 1] += res[..., :width, n - k, None]
+        top = min(k + 1, order + 1)
+        prod = (mods @ work.astype(np.float64)).astype(np.int64)
+        if order:
+            work = np.zeros((len(primes), size, top, n, n), dtype=np.int64)
+            work[:, :, :prod.shape[2]] = prod[..., :n, :]
+            work[:, :, 1:] -= prod[:, :, :top - 1, n:]
+        else:
+            work = prod
+        work %= pv
+        # c_(n-k) = -tr((M - mu X) N_(k-1)) / k, the trace below n p and -1/k mod p below p
+        res[..., :top, n - k] = np.trace(work, axis1=3, axis2=4) * neg_inv[k - 1] % p3
+        work.reshape(len(primes), size, top, n * n)[..., :: n + 1] += res[..., :top, n - k, None]
     coeffs = _crt_lift(res.reshape(len(primes), -1).tolist(), primes)
     return [[coeffs[i:i + n + 1] for i in range(s, s + (order + 1) * (n + 1), n + 1)]
             for s in range(0, len(coeffs), (order + 1) * (n + 1))]

@@ -52,7 +52,6 @@ from .matrix_core import (
     Subspace,
     _char_poly_int,
     _eigenvalues,
-    _exact_div,
     _j_times,
     _require_symmetric,
     _resolve_tol,
@@ -225,29 +224,16 @@ def _path_chi(path: LinearPath) -> list[list[int]]:
     """The integer c_j(t), j = 0..m, with sum_j c_j(t) mu^j =
     det(mu I - m d A(t)) for the dimension m and start = S / d, end = E / d.
 
-    m d A(u / m) = (m - u) S + u E, so the characteristic polynomials of
-    these samples, u = 0..m, on one ``_char_poly_int`` stack give q_j(u) =
-    c_j(u / m), of degree <= m - j.  Each is rebuilt from its forward
-    differences: q_j(u) = sum_k a_k u (u - 1) ... (u - k + 1), each
-    a_k = Delta^k q_j(0) / k! an integer."""
+    m d A(t) = m (S - t (S - E)), so one ``_char_poly_int`` call on S with
+    X = S - E and order m gives b_j(t) with det(mu I - S + t X) = sum_j
+    b_j(t) mu^j, and c_j = m^(m - j) b_j."""
     m = path.dim
     (s, ds), (e, de) = path.start._ints, path.end._ints
     d = math.lcm(ds, de)
-    weights = [((m - u) * (d // ds), u * (d // de)) for u in range(m + 1)]
-    polys = [p[0] for p in _char_poly_int([
-        [[a * x + b * y for x, y in zip(rs, re)] for rs, re in zip(s, e)] for a, b in weights])]
-    out = []
-    for j in range(m + 1):
-        values, newton = [p[j] for p in polys], []
-        for k in range(m - j + 1):
-            newton.append(_exact_div(values[0], math.factorial(k)))
-            values = [y - x for x, y in zip(values, values[1:])]
-        q = []
-        for k in range(len(newton) - 1, -1, -1):  # q <- q (u - k) + a_k
-            q = [a - k * b for a, b in zip([0] + q, q + [0])]
-            q[0] += newton[k]
-        out.append(rp._trim([c * m ** i for i, c in enumerate(q)]))
-    return out
+    s = [[v * (d // ds) for v in row] for row in s]
+    x = [[a - v * (d // de) for a, v in zip(rs, re)] for rs, re in zip(s, e)]
+    (q,) = _char_poly_int([s], x, m)
+    return [rp._trim([m ** (m - j) * b[j] for b in q]) for j in range(m + 1)]
 
 
 def _krein_chi(b: Matrix, order: int) -> list[list[int]]:
@@ -544,13 +530,15 @@ def _invertible(factors) -> bool:
     return all(g[0] for g, _, _, _ in factors)
 
 
-def _flow_krein(path: KreinPath, tol: Optional[float], shared=None) -> SpectralFlowResult:
-    """The crossing at s = 0 gives the start correction, those at s_max the
-    end correction; an irregular one in between raises."""
-    crossings, start_corr, end_corr = [], 0, 0
+def _flow_krein(path: KreinPath, tol: Optional[float], shared=None) -> tuple:
+    """The flow and the multiplicity of its crossing at s = 0 (0 when there
+    is none), which is dim ker B for a rational B.  The crossing at s = 0
+    gives the start correction, those at s_max the end correction; an
+    irregular one in between raises."""
+    crossings, start_corr, end_corr, nullity = [], 0, 0, 0
     for cr, at_end in _krein_crossings(path, tol, shared):
         if cr.location == 0:
-            start_corr = cr.negative
+            start_corr, nullity = cr.negative, cr.multiplicity
         elif at_end:
             end_corr += cr.positive
         elif not cr.regular:
@@ -558,7 +546,7 @@ def _flow_krein(path: KreinPath, tol: Optional[float], shared=None) -> SpectralF
         else:
             crossings.append(cr)
     total = sum(c.signature for c in crossings) - start_corr + end_corr
-    return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, path.field)
+    return SpectralFlowResult(total, tuple(crossings), start_corr, end_corr, path.field), nullity
 
 
 def spectral_flow(path: Path, tol: Optional[float] = None) -> SpectralFlowResult:
@@ -574,7 +562,7 @@ def spectral_flow(path: Path, tol: Optional[float] = None) -> SpectralFlowResult
         t = _resolve_tol(tol, lambda: max(path.start.max_abs(), path.end.max_abs()))
         return _flow_linear_float(path, t)
     if isinstance(path, KreinPath):
-        return _flow_krein(path, tol)
+        return _flow_krein(path, tol)[0]
     raise TypeError("unsupported path type")
 
 
@@ -614,14 +602,16 @@ def kappa_identity_check(b: Matrix, tol: Optional[float] = None) -> KappaIdentit
     return _kappa_identity(b, tol, *_classify(b, None, tol))
 
 
-def _kappa_identity(b: Matrix, tol: Optional[float], cls, factors) -> KappaIdentity:
+def _kappa_identity(b: Matrix, tol: Optional[float], cls, factors, nullity=None) -> KappaIdentity:
     """``kappa_identity_check`` from the classification of B and what
     ``_classify`` returns with it: the factors of r, or the eigenvalues of
-    J B on the float backend."""
+    J B on the float backend.  ``nullity`` is dim ker B, when known, for a
+    rational B; a float B takes its own rank at the tolerance."""
     n = b.n_rows // 2
     if b.field == RATIONAL:
         kappa = sum(m * (c - (g[0] == 0)) for g, m, c, _ in factors)
-        nullity = 0 if _invertible(factors) else b.n_rows - rank(b)
+        if nullity is None:
+            nullity = 0 if _invertible(factors) else b.n_rows - rank(b)
         return KappaIdentity(n, kappa, nullity, n == kappa + Fraction(nullity, 2), cls)
     t = _resolve_tol(tol, b.max_abs)
     nonzero = [e for e in factors if abs(e) > t]
@@ -645,7 +635,8 @@ def _krein_flow_and_kappa(path: KreinPath,
     B is classified on the factors of ``_krein_chi_factors``, which the
     flow shares, so char_poly(J B) is computed once; a float B's
     classification takes the eigenvalues of J B that the flow reads.  The
-    flow is taken first, so its errors win over those of kappa."""
+    flow is taken first, so its errors win over those of kappa, and gives
+    a rational B's kappa its nullity, so rank B is taken once."""
     b = path.b
     if b.field == RATIONAL:
         shared = _krein_chi_factors(b)
@@ -653,7 +644,8 @@ def _krein_flow_and_kappa(path: KreinPath,
     else:
         cls, factors = _classify(b, None, tol)
         shared = factors
-    return _flow_krein(path, tol, shared), _kappa_identity(b, tol, cls, factors)
+    flow, nullity = _flow_krein(path, tol, shared)
+    return flow, _kappa_identity(b, tol, cls, factors, nullity)
 
 
 def krein_signature(subspace: Subspace, tol: Optional[float] = None) -> KreinSignatureReport:

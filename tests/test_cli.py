@@ -319,6 +319,28 @@ def test_flow_krein_computes_char_poly_once(tmp_path, capsys, monkeypatch):
         assert len(calls) == 1
 
 
+def test_exact_linear_flow_takes_one_pencil_polynomial(tmp_path, capsys, monkeypatch):
+    # chi(mu, t) of a linear path is one characteristic polynomial over
+    # Z_p[t], of a stack of one matrix, not one per sample of the path
+    stacks = []
+    for mod_name in ("matrix_core", "spectral_flow"):
+        mod = importlib.import_module(f"relequil.{mod_name}")
+
+        def counted(ms, *args, _original=mod._char_poly_int, **kwargs):
+            stacks.append(len(ms))
+            return _original(ms, *args, **kwargs)
+
+        monkeypatch.setattr(mod, "_char_poly_int", counted)
+    for start, end in (([[1, 0, 0], [0, -1, 0], [0, 0, 2]],
+                        [["1/2", 1, 0], [1, 3, 0], [0, 0, -1]]),
+                       ([[0, 0], [0, 1]], [[1, 0], [0, 1]])):
+        stacks.clear()
+        path = write_json(tmp_path / "path.json", {"type": "linear", "start": start, "end": end})
+        assert main(["flow", path]) == 0
+        assert json.loads(capsys.readouterr().out)["path"] == "linear"
+        assert stacks == [1]
+
+
 def test_float_requests_take_one_spectrum(tmp_path, capsys, monkeypatch):
     # float classify clusters one eigvals(J B) and tests semisimplicity on
     # it; a float Krein flow and its kappa check read the same eigenvalues
@@ -404,9 +426,10 @@ def test_float_flow_end_kernel_and_singular_path(tmp_path, capsys):
 def test_exact_flow_computes_no_kernel_of_an_invertible_matrix(tmp_path, capsys, monkeypatch):
     # det B = r(0) for the even part r of char_poly(J B): an invertible B
     # has no kernel, so no elimination runs on it; a singular Krein B takes
-    # its start correction from rank B and rank(B J B), and a linear path
-    # reads its end corrections off det(mu I - A(t)): no exact flow computes
-    # a kernel or builds a Subspace
+    # its start correction from rank B and rank(B J B), and its kappa check
+    # the nullity from the same rank B, and a linear path reads its end
+    # corrections off det(mu I - A(t)): no exact flow computes a kernel or
+    # builds a Subspace
     kernels = count_calls(monkeypatch, "kernel", ("matrix_core", "spectral_flow", "stability"))
     ranks = count_calls(monkeypatch, "rank", ("spectral_flow",))
     subspaces = []
@@ -421,7 +444,7 @@ def test_exact_flow_computes_no_kernel_of_an_invertible_matrix(tmp_path, capsys,
         ranks.clear()
         assert main(["flow", write_json(tmp_path / "path.json", path)]) == 0
         capsys.readouterr()
-        assert bool(ranks) == (singular and path["type"] == "krein")
+        assert len(ranks) == (2 if singular and path["type"] == "krein" else 0)
     assert kernels == subspaces == []
 
 

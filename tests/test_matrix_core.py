@@ -154,6 +154,24 @@ def test_to_numpy_overflow_like_entrywise(entry):
         m.to_numpy()
 
 
+def test_exact_matvec_and_to_numpy_read_the_cleared_integers(rng):
+    # M_ij / d is Python's correctly rounded int division, float(Fraction(M_ij, d)),
+    # and A v is (M w) / (d e) for v = w / e: neither builds the Fraction rows
+    cases = [m.to_lists() for m in _to_numpy_cases(rng) if m.field == RATIONAL]
+    cases += [[[H.random_fraction(rng, 10 ** 20, 10 ** 18) for _ in range(c)]
+               for _ in range(r)] for r, c in ((1, 1), (2, 3), (4, 4), (0, 3), (3, 0))]
+    for rows in cases:
+        shape = (len(rows), len(rows[0]) if rows else 3)
+        a = Matrix(rows, RATIONAL) if rows else Matrix.zeros(0, 3)
+        v = [H.random_fraction(rng, 10 ** 12, 10 ** 9) for _ in range(shape[1])]
+        got, arr = a.matvec(v), a.to_numpy()
+        assert a._data is None
+        want = [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a.rows()]
+        assert got == want and all(type(c) is Fraction for c in got)
+        assert arr.shape == shape and arr.tobytes() == np.array(
+            [[float(x) for x in row] for row in a.rows()], dtype=float).reshape(shape).tobytes()
+
+
 def test_exact_symmetry_predicates_match_transpose(rng):
     for dim in range(7):
         for _ in range(12):
@@ -230,6 +248,47 @@ def test_char_poly_stack_and_pencil_match_faddeev_reference(rng):
             m = [[a - mu * b for a, b in zip(ra, rb)] for ra, rb in zip(ms[0], x)]
             assert [sum(out[j][k] * mu ** j for j in range(n + 1)) for k in range(n + 1)] == \
                 H.char_poly_faddeev(m)
+
+
+def _pencil_cases(rng):
+    """(stack of M, X) for n = 1..6: a random X, X = 0, a singular X of rank
+    at most 1, and stacks of two and three matrices, with entries small or
+    beyond int64."""
+    for n in range(1, 7):
+        def small():
+            return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+
+        big = _big_int_matrix(rng, n, rng.choice((3, 40, 70)))
+        u, v = [rng.randint(-5, 5) for _ in range(n)], [rng.randint(-5, 5) for _ in range(n)]
+        yield [small()], small()
+        yield [big], [[0] * n for _ in range(n)]
+        yield [small(), big], [[a * b for b in v] for a in u]
+        yield [small(), small(), small()], _big_int_matrix(rng, n, 40)
+
+
+def test_char_poly_pencil_matches_gauss_determinants_on_a_grid(rng):
+    # F(lambda, mu) = det(lambda I - M + mu X) has degree <= n in each
+    # variable, so its values on an (n + 1) x (n + 1) integer grid fix it;
+    # each lower order is the truncation of order n, all within the bound
+    for ms, x in _pencil_cases(rng):
+        n = len(x)
+        outs = _char_poly_int(ms, x, n)
+        assert len(outs) == len(ms)
+        for m, out in zip(ms, outs):
+            for lam in range(-1, n):
+                for mu in range(-1, n):
+                    det = H.det_gauss([[Fraction(lam * (i == j) - m[i][j] + mu * x[i][j])
+                                        for j in range(n)] for i in range(n)])
+                    assert sum(c * mu ** j * lam ** k for j, row in enumerate(out)
+                               for k, c in enumerate(row)) == det
+        for order in range(n):
+            assert _char_poly_int(ms, x, order) == [out[:order + 1] for out in outs]
+        bound = _coefficient_bound(ms, x, n)
+        assert max(abs(c) for out in outs for row in out for c in row) <= bound
+    # the row norms give a smaller pencil bound than the largest entry alone
+    m, x = ([[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)] for _ in range(2))
+    old = max(math.comb(12, k) * (math.isqrt(k ** k) + 1) * 18 ** k for k in range(13))
+    assert _coefficient_bound([m], x, 12) < old
 
 
 def test_char_poly_rational_big_entries_matches_lagrange(rng):

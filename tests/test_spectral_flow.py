@@ -105,6 +105,52 @@ def test_det_poly_matches_lagrange_reference(rng):
     assert d[0] == 0 and sum(d) == 0  # det vanishes at t = 0 and t = 1
 
 
+def _path_chi_by_samples(start, end):
+    """The c_j(t) of ``_path_chi`` by the route it took before one pencil
+    polynomial: the characteristic polynomials q(u) of the integer samples
+    (m - u) S + u E, u = 0..m, for start = S / d and end = E / d, give
+    c_j(u / m) = q_j(u), each rebuilt from its integer forward differences."""
+    m = len(start)
+    d = math.lcm(*(x.denominator for row in start + end for x in row))
+    s, e = ([[int(x * d) for x in row] for row in a] for a in (start, end))
+    polys = [H.char_poly_faddeev([[(m - u) * x + u * y for x, y in zip(rs, re)]
+                                  for rs, re in zip(s, e)]) for u in range(m + 1)]
+    out = []
+    for j in range(m + 1):
+        values, newton = [p[j] for p in polys], []
+        for k in range(m - j + 1):
+            a, r = divmod(values[0], math.factorial(k))
+            assert r == 0
+            newton.append(a)
+            values = [y - x for x, y in zip(values, values[1:])]
+        q = []
+        for k in range(len(newton) - 1, -1, -1):  # q <- q (u - k) + a_k
+            q = [a - k * b for a, b in zip([0] + q, q + [0])]
+            q[0] += newton[k]
+        c = [a * m ** i for i, a in enumerate(q)]
+        while c and c[-1] == 0:
+            c.pop()
+        out.append(c)
+    return out
+
+
+def test_path_chi_matches_sampled_forward_differences(rng):
+    # 110 segments, m = 1..10: random rational ones, ones with singular
+    # endpoints, and constant paths S = E
+    for k in range(110):
+        m = k % 10 + 1
+        start, end = H.random_symmetric(rng, m, 6, 5), H.random_symmetric(rng, m, 6, 5)
+        if k % 3 == 1:
+            zeros = rng.sample(range(m), rng.randint(1, m))
+            start = _congruent(_random_square(rng, m), [0 if i in zeros else rng.randint(-3, 3)
+                                                        for i in range(m)])
+            end = _congruent(_random_square(rng, m), [0] * (m // 2) + [1] * (m - m // 2))
+        elif k % 3 == 2:
+            end = start
+        path = LinearPath(Matrix(start, RATIONAL), Matrix(end, RATIONAL))
+        assert _path_chi(path) == _path_chi_by_samples(start, end)
+
+
 def test_linear_path_derivative_built_once(rng):
     start, end = H.random_symmetric(rng, 3), H.random_symmetric(rng, 3)
     path = LinearPath(Matrix(start, RATIONAL), Matrix(end, RATIONAL))
