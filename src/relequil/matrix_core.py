@@ -603,8 +603,9 @@ def _symmetric_part(b: Matrix, tol: Optional[float]) -> np.ndarray:
 
 
 def _inertia_float(s: np.ndarray, tol: Optional[float]) -> IndexReport:
-    """``inertia`` of a symmetric float array, counting its eigenvalues
-    against ``tol`` (default: 1e-8 (1 + max |s_ij|)); no symmetry check."""
+    """``inertia`` of a real symmetric or complex Hermitian float array,
+    counting its eigenvalues against ``tol`` (default: 1e-8 (1 + max
+    |s_ij|)); no symmetry check."""
     if s.size == 0:
         return IndexReport(0, 0, 0)
     t = _resolve_tol(tol, lambda: np.max(np.abs(s)))

@@ -17,15 +17,16 @@ N of roots <= each end, N(x) = V(-inf) - V(x) for the sign variations V of
 the chain, so a split evaluates the chain once, at its midpoint, and not at
 all where the midpoint lies outside (-2^e, 2^e) of ``_root_exponent``.
 ``isolate_real_roots(p, lo, hi)`` descends only nodes that meet (lo, hi).
-``refine_root`` reaches the cell where plain bisection would stop by jumping
-s levels at once (quadratic interval refinement; Abbott 2006): an integer
-secant through the cell's ends picks the grid point nearest its root among
-the 2^s cells below, the signs there and at one or two neighbours find the
-root's cell, and s doubles, or halves when they miss.  A jump ends where
-the stop rule must hold, and only the levels where the cell's magnitude lets
-it hold are tested.  A rational root u / v in lowest terms has v | p_n: once
-the cell holds one point k / |p_n|, one sign decides it, and a root found so
-replaces p by its linear factor, which has p's signs on the cell.  Signs are
+``refine_root`` gives plain bisection's answer from one shrink loop and one
+read-off.  The loop jumps s levels at once (quadratic interval refinement;
+Abbott 2006): an integer secant through the cell's ends picks the grid point
+nearest its root among the 2^s cells below, the signs there and at one or
+two neighbours find the root's cell, and s doubles, or halves when they
+miss, up to the level where the stop rule must hold below the cell (or, for
+a cell with an end at 0, can first hold).  The loop ends where its cell
+stops, where a sign vanishes, or where the cell holds one point k / |p_n|
+and p vanishes there: a rational root u / v in lowest terms has v | p_n.
+The read-off finds bisection's last cell by index arithmetic.  Signs are
 those of the homogeneous form ``_sign_at`` at (numerator, denominator).
 """
 
@@ -344,20 +345,10 @@ def _stops(m2: int, w: int, den: int) -> bool:
     """The stop rule of ``refine_root`` on a cell of width w / den with
     midpoint m2 / (2 den): the width is below |mid| 1e-17 + min(1e-20,
     |mid| 1e-17), relative below |mid| = 1e-3 so that roots of small
-    magnitude keep their leading digits."""
+    magnitude keep their leading digits.  Where it holds on a cell it holds
+    on both halves: the width halves, and |mid| moves by a quarter of it."""
     rel = 10**3 * abs(m2)
     return 2 * 10**20 * w < rel + min(2 * den, rel)
-
-
-def _first_stop(a: int, w: int, den: int, i: int, s: int, first: int, last: int):
-    """(a_t, den_t) of the first t in [first, last) at which ``_stops``
-    holds on the t-th level cell over the i-th of the 2^s cells that split
-    the cell (a, a + w] / den; None when it holds at none."""
-    for t in range(first, last):
-        at = (a << t) + (i >> (s - t)) * w
-        if _stops(2 * at + w, w, den << t):
-            return at, den << t
-    return None
 
 
 _MAX_STEPS = 200  # the most halvings ``refine_root`` takes
@@ -399,41 +390,35 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction) -> tuple[float, Optional[Fr
             a, fa, fb = m, fm, fb << n
     if (fa > 0) == (fb > 0):
         raise ValueError("no sign change over the isolating interval")
-    w = b - a
+    # the cell i of level t is (a0 2^t + i w, a0 2^t + (i + 1) w] / (den0 2^t)
+    a0, den0, w = a, den, b - a
     wide, lead = 10**17 * w, abs(p[-1])
-    f, root, rational = p, None, True
-    level, jump = 0, 1
-    while level < _MAX_STEPS:
-        # the rule cannot hold before t1 more levels
-        top, low = max(abs(a), abs(a + w)), min(abs(a), abs(a + w))
-        t1 = max(wide.bit_length() - top.bit_length() - 1, 0)
-        while top << (t1 + 1) <= wide:
-            t1 += 1
-        if t1 == 0 and _stops(2 * a + w, w, den):
+    root, rational = None, True
+    level, jump, first = 0, 1, 0
+    while not _stops(2 * a + w, w, den):
+        # a cell below this one stops only where its width is under
+        # 2e-17 |mid| <= 2e-17 max |end| / den: not above level ``first``
+        first = level + (5 * 10**16 * w // max(abs(a), abs(a + w))).bit_length()
+        if level == _MAX_STEPS:
             break
-        if root is None and rational and (a + w) * lead // den - a * lead // den < 2:
+        if rational and (a + w) * lead // den - a * lead // den < 2:
             r = Fraction((a + w) * lead // den, lead)
             rational = a * r.denominator < r.numerator * den and \
                 (p[0] % r.numerator == 0 if r else p[0] == 0) and \
                 _sign_at(p, r.numerator, r.denominator) == 0
             if rational:
-                sign = -1 if fa > 0 else 1
-                root, f, n, jump = r, [-sign * r.numerator, sign * r.denominator], 1, _MAX_STEPS
-                fa, fb = (sign * (r.denominator * x - r.numerator * den) for x in (a, a + w))
-        s = min(jump, _MAX_STEPS - level)
-        if a * (a + w) <= 0:  # a cell around zero cannot stop
-            s = min(s, max(t1, 1))
-        else:  # end the jump where the rule must hold
-            t2 = max(t1, 1)
-            while t2 < s and not _stops(low << (t2 + 1), w, den << t2):
-                t2 += 1
-            s = min(s, t2)
+                root = r
+                break
+        # below a cell clear of 0, all cells stop once min |end| 2^s >= 1e17 w,
+        # and below one with an end at 0 none stops before 2^s > 5e16
+        low = min(abs(a), abs(a + w)) or w
+        s = min(jump, _MAX_STEPS - level, max(wide.bit_length() - low.bit_length() + 1, 1))
         grid, big = den << s, a << s
         seen = {0: fa << n * s, 1 << s: fb << n * s}
 
-        def at(i: int) -> int:  # f at grid point i of the 2^s cells
+        def at(i: int) -> int:  # p at grid point i of the 2^s cells
             if i not in seen:
-                seen[i] = _sign_at(f, big + i * w, grid)
+                seen[i] = _sign_at(p, big + i * w, grid)
             return seen[i]
 
         # from the grid point nearest the secant's root, step toward the
@@ -443,22 +428,31 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction) -> tuple[float, Optional[Fr
         while at(j) and (at(j) > 0) == (at(i) > 0) and abs(j - i) < 2:
             j += step
         zero = next((k for k, v in seen.items() if v == 0), None)
-        if zero is None and (at(j) > 0) == (at(i) > 0):
+        if zero is not None:
+            root = Fraction(big + zero * w, grid)
+            break
+        if (at(j) > 0) == (at(i) > 0):
             jump = max(s // 2, 1)  # the guess missed; s = 1 cannot miss
             continue
-        # the rule may stop a level the jump passes; an exact root at grid
-        # point k is the midpoint of its cell on the level where k / 2^s has
-        # an odd numerator, and bisection meets it there unless it stops
-        g = min(j, j - step) if zero is None else zero
-        last = s if zero is None else s - (zero & -zero).bit_length() + 1
-        hit = _first_stop(a, w, den, g, s, max(t1, 1), last)
-        if hit is not None:
-            a, den = hit
-            break
-        if zero is not None:
-            return float(Fraction(big + zero * w, grid)), Fraction(big + zero * w, grid)
+        g = min(j, j - step)
         a, den, fa, fb = big + g * w, grid, seen[g], seen[g + 1]
         level, jump = level + s, 2 * s
+    # Bisection's answer, read off x: the place in the level-0 cell of the
+    # root or, when it is unknown, of the last cell's midpoint, whose cells
+    # above are the root's.  The cell of level t holding x is ceil(x 2^t) - 1;
+    # the first to stop is the answer, unless x has denominator 2^q and no
+    # cell above level q stops: bisection meets x there as a midpoint.  An
+    # unknown root's last cell stops or is at _MAX_STEPS, before its q.
+    x = ((Fraction(2 * a + w, 2 * den) if root is None else root) * den0 - a0) / w
+    d = x.denominator
+    q = d.bit_length() - 1
+    end = min(q, _MAX_STEPS) if d == 1 << q else _MAX_STEPS
+    for t in range(min(first, end), end + 1):
+        a, den = (a0 << t) - ((-x.numerator << t) // d + 1) * w, den0 << t
+        if t == end or _stops(2 * a + w, w, den):
+            break
+    if d == 1 << t:
+        return float(root), root
     if not rational:
         return (2 * a + w) / (2 * den), None
     if root is not None and root.denominator <= 10**12 and abs(

@@ -52,6 +52,7 @@ from .matrix_core import (
     Subspace,
     _char_poly_int,
     _eigenvalues,
+    _inertia_float,
     _j_times,
     _require_symmetric,
     _resolve_tol,
@@ -364,16 +365,13 @@ def _banded_crossings(base: np.ndarray, direction: np.ndarray, hi: float,
     return crossings, band[0], band[-1]
 
 
-def _strict_counts_float(form: np.ndarray, tol: float) -> tuple[int, int]:
-    w = np.linalg.eigvalsh((form + form.conj().T) / 2)
-    return int(np.sum(w > tol)), int(np.sum(w < -tol))
-
-
 def _kernel_counts_float(a: Matrix, form: np.ndarray, tol: float) -> tuple[int, int, int]:
     """The dimension of the float kernel of ``a`` and the strict positive
     and negative counts of the Hermitian ``form`` restricted to it."""
     z = kernel(a, tol=tol).basis_numpy()
-    return (z.shape[1], *_strict_counts_float(z.conj().T @ form @ z, tol))
+    f = z.conj().T @ form @ z
+    counts = _inertia_float((f + f.conj().T) / 2, tol)
+    return z.shape[1], counts.coindex, counts.morse_index
 
 
 def _cluster(values: list[float], gap: float) -> list[tuple[float, int]]:
@@ -655,11 +653,7 @@ def krein_signature(subspace: Subspace, tol: Optional[float] = None) -> KreinSig
     form is definite and its sign is the Krein sign of that eigenvalue."""
     if subspace.ambient_dim % 2 != 0:
         raise ShapeError("the Krein form lives on an even-dimensional space")
-    if subspace.dimension == 0:
-        return KreinSignatureReport(0, 0, 0)
     z = subspace.basis_numpy()
     f = z.conj().T @ krein_form(subspace.ambient_dim // 2) @ z
-    f = (f + f.conj().T) / 2
-    t = _resolve_tol(tol, lambda: np.max(np.abs(f)))
-    pos, neg = _strict_counts_float(f, t)
-    return KreinSignatureReport(pos, neg, subspace.dimension - pos - neg)
+    counts = _inertia_float((f + f.conj().T) / 2, tol)
+    return KreinSignatureReport(counts.coindex, counts.morse_index, counts.nullity)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import helpers as H
 import relequil.rational_poly as rp
 from conftest import SEED
+from relequil.matrix_core import RATIONAL, Matrix, char_poly, standard_symplectic
 from relequil.rational_poly import (
     cauchy_root_bound,
     cleared,
@@ -114,6 +115,9 @@ def test_refine_irrational_root():
     assert roots[1] == pytest.approx(2 ** 0.5, abs=1e-12)
     for lo, hi in intervals:
         assert refine_root(p, lo, hi)[1] is None
+    # (2, 3] holds no root of x^2 - 1, and p has one sign at both ends
+    with pytest.raises(ValueError, match="no sign change"):
+        refine_root(poly(-1, 0, 1), Fraction(2), Fraction(3))
 
 
 def test_cauchy_bound_contains_roots():
@@ -246,20 +250,56 @@ def test_isolate_refuses_a_polynomial_that_is_not_square_free():
     assert time.perf_counter() - start < 1
 
 
+def _pair_block_even_part(n: int) -> list:
+    """The even part r of char_poly(J B) for the 2n x 2n pair-block
+    B = S^T D S: D has n blocks diag(a, b), 1 <= a <= b <= 9, with the n
+    smallest distinct products a b, every third negated, and S is the
+    symplectic shear [[I, K], [0, I]] for the tridiagonal 0/1 matrix K."""
+    blocks = {}
+    for a in range(1, 10):
+        for b in range(a, 10):
+            blocks.setdefault(a * b, (a, b))
+    d = [0] * (2 * n)
+    for k, c in enumerate(sorted(blocks)[:n]):
+        sign = -1 if k % 3 == 1 else 1
+        d[k], d[n + k] = sign * blocks[c][0], sign * blocks[c][1]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    shear = [[int(abs(i - j) <= 1) for j in range(n)] for i in range(n)]
+    s = Matrix([eye[i] + shear[i] for i in range(n)] + [[0] * n + row for row in eye], RATIONAL)
+    r, is_even = even_part(cleared(char_poly(standard_symplectic(n) @ s.T @ Matrix.diagonal(d) @ s)))
+    assert is_even
+    return r
+
+
 def test_refine_root_sign_evaluations(monkeypatch):
     # the even part r of char_poly(J B) for a linearly stable 16 x 16 B, whose
     # eight roots -w^2 on the negative axis give the Krein crossings; plain
     # bisection takes about 60 signs per root
-    r = [391910400, 724818240, 418238016, 94732684, 9918652, 530713, 14767, 199, 1]
-    calls = []
-    sign_at = rp._sign_at
-    monkeypatch.setattr(rp, "_sign_at", lambda c, u, v: calls.append(c) or sign_at(c, u, v))
-    intervals = isolate_real_roots(r, None, 0)
-    assert len(intervals) == 8
-    for lo, hi in intervals:
-        calls.clear()
-        refine_root(r, lo, hi)
-        assert len(calls) <= 15
+    r16 = [391910400, 724818240, 418238016, 94732684, 9918652, 530713, 14767, 199, 1]
+    # the same for a 48 x 48 pair-block B: its roots -a b are integers, each
+    # decided by one sign once the cell holds one integer; r + 1 has an
+    # irrational root beside each, so its walk runs to the stop rule, and
+    # only the cap on the jumps keeps it from signs far below the cell where
+    # bisection stops (an uncapped walk went 26 levels deeper)
+    r48 = _pair_block_even_part(24)
+    assert r48 == from_roots([-c for c in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14,
+                                           15, 16, 18, 20, 21, 24, 25, 27, 28, 30, 32, 35)])
+    calls, plain = [], []
+    sign_at, plain_sign_at = rp._sign_at, _plain_sign_at
+    monkeypatch.setattr(rp, "_sign_at", lambda c, u, v: calls.append((c, v)) or sign_at(c, u, v))
+    monkeypatch.setitem(globals(), "_plain_sign_at",
+                        lambda c, u, v: plain.append(v) or plain_sign_at(c, u, v))
+    for r, most in ((r16, 15), (r48, 15), ([r48[0] + 1] + r48[1:], 24)):
+        intervals = isolate_real_roots(r, None, 0)
+        assert len(intervals) == len(r) - 1
+        for lo, hi in intervals:
+            calls.clear()
+            plain.clear()
+            assert refine_root(r, lo, hi) == _plain_refine_root(r, lo, hi)
+            assert len(calls) <= most
+            # every denominator is den(lo, hi) 2^t at level t, and plain
+            # bisection's last sign is on the level of its last cell
+            assert max(v for c, v in calls if c is r) <= 2 * max(plain)
 
 
 # ---------------------------------------------------------------------------

@@ -703,6 +703,10 @@ def test_float_kappa_refuses_a_broken_identity_under_linear_stability():
     k = kappa_identity_check(Matrix.from_numpy(np.diag([-2.0, -1, 1, -1, 0, 0])))
     assert k.holds is False
     assert k.classification.verdict == Verdict.SPECTRALLY_STABLE_NOT_LINEAR
+    # B = diag(1, 1e-14): +-1e-7 i are outside the band of 2e-8 but within
+    # ten times it, too close to zero to count in kappa or in the kernel
+    with pytest.raises(IndeterminateError, match="^eigenvalues too close to zero"):
+        kappa_identity_check(Matrix.from_numpy(np.diag([1.0, 1e-14])))
 
 
 def test_kappa_matches_float_oracle(rng):

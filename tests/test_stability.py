@@ -415,6 +415,15 @@ def test_certificate_reports_hypothesis_failures():
     with pytest.raises(HypothesisFailure) as exc:
         spectral_instability_certificate(Matrix.diagonal([-1, 1]), w=w)
     assert "J-invariant" in str(exc.value)
+    # span{e1, e3} is J-invariant in R^4; B e1 = e1 + e2 leaves it, and
+    # diag(0, 1, 0, 1) keeps it but vanishes on it
+    w = Subspace(4, tuple(tuple(Fraction(int(i == k)) for i in range(4)) for k in (0, 2)))
+    b = Matrix([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], RATIONAL)
+    for form, failures in ((b, ["not B-invariant"]),
+                           (Matrix.diagonal([0, 1, 0, 1]), ["B is not an isomorphism on W"])):
+        with pytest.raises(HypothesisFailure) as exc:
+            spectral_instability_certificate(form, w=w)
+        assert exc.value.failures == failures
 
 
 def test_certificate_one_elimination_per_invariance_test(monkeypatch):
