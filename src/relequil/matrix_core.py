@@ -741,9 +741,9 @@ def _residues(m: list, primes: list[int]) -> np.ndarray:
 
 def _mulmod(a: np.ndarray, b: np.ndarray, pv: np.ndarray) -> np.ndarray:
     """The stacked product a @ b modulo the primes pv (broadcast against
-    it), for a float64 residue stack a with entries in [0, p), an int64
-    one b with entries in [0, 2p), and p below 2^``_prime_bits(n)``.  Every
-    product of two entries, and every partial sum of n of them, is then an
+    it), for a float64 residue stack a with entries in [0, p), an int64 or
+    float64 one b with entries in [0, 2p), and p below 2^``_prime_bits(n)``.
+    Every product of two entries, and every partial sum of n of them, is an
     integer below 2 n p^2 <= 2^53, which float64 holds exactly: the product
     runs as BLAS dgemm, exact in any summation order and on any number of
     threads, and is reduced in int64.  This needs a dgemm that sums the n
@@ -799,18 +799,26 @@ def _coefficient_bound(ms: list, x: Optional[list], order: int) -> int:
     multilinear in its rows M_r - mu X_r, so its mu^j part is a signed sum
     of C(k, j) determinants, each with j rows of X and k - j rows of M,
     and each at most the product of its row 2-norms (Hadamard), so at most
-    the product of the k largest max(|M_r|, |X_r|) (X = 0 with order 0).
+    the product of the k largest max(|M_r|, |X_r|) (X = M without X).
     Only j <= order is computed, and C(k, j) <= C(k, min(order, k // 2)).
     Each norm is taken as isqrt(sum of squares) + 1."""
     n, bound = len(ms[0]), 1
     weights = [math.comb(n, k) * math.comb(k, min(order, k // 2)) for k in range(1, n + 1)]
     for m in ms:
-        sq = [sum(map(mul, row, row)) for row in m]
-        if order:
-            sq = map(max, sq, (sum(map(mul, row, row)) for row in x))
+        sq = [max(sum(map(mul, r, r)), sum(map(mul, y, y))) for r, y in zip(m, x or m)]
         norms = sorted((math.isqrt(a) + 1 for a in sq), reverse=True)
         bound = max(bound, *map(mul, weights, accumulate(norms, mul)))
     return bound
+
+
+def _power_sum_bound(ms: list, x: Optional[list]) -> int:
+    """n F^(n-1) max(F, G) for F, G above the Frobenius norms of the n x n
+    integer matrices M of a stack and of X (G = 1 without X): it bounds
+    |tr(M^(k-1) Y)| <= ||M^(k-1)||_F ||Y||_F <= sqrt(n) F^(k-1) ||Y||_F for
+    Y = M, X and k = 1..n (Cauchy-Schwarz and submultiplicativity, with
+    ||I||_F = sqrt(n)).  The all-(-1) M has |tr M^n| = n^n = ||M||_F^n."""
+    *norms, g = [math.isqrt(sum(sum(map(mul, r, r)) for r in a)) + 1 for a in ms + [x or []]]
+    return len(ms[0]) * max(norms) ** (len(ms[0]) - 1) * max(*norms, g)
 
 
 def _char_poly_int(ms: list, x: Optional[list] = None,
@@ -818,28 +826,59 @@ def _char_poly_int(ms: list, x: Optional[list] = None,
     """For a stack of square integer matrices M of one size n, out[s][j][k]
     is the coefficient of mu^j lambda^k in F(mu) = det(lambda I - M_s +
     mu X) for j <= order; X is an integer matrix, needed when order > 0.
+    Products run modulo primes p of ``_prime_bits(n)`` bits, for the whole
+    stack and all primes at once, on float64 BLAS (``_mulmod``), and the
+    residues are lifted by CRT to the symmetric range.
 
-    Primes are taken until their product exceeds twice the largest
-    ``_coefficient_bound``, and Faddeev-LeVerrier runs over Z_p[mu] /
-    (mu^(order + 1)) modulo all of them and for the whole stack at once,
-    dividing by k through k^-1 mod p; the residues are lifted by CRT to the
-    symmetric range.  N_(k-1), the lambda^(n-k) coefficient of adj(lambda I
-    - M + mu X), has mu-degree below k, so step k carries its min(k, order
-    + 1) live mu^j parts; one stacked product of [M; X] (2n x n, X only
-    when order > 0) by them gives every M N_j and X N_j, and (M - mu X)
-    N_(k-1) has the parts M N_j - X N_(j-1), formed in int64.  Every factor
-    has entries below p and every N_j + c I entries below 2p, so each dot
-    product of length n is below 2 n p^2 <= 2^53 for primes of
-    ``_prime_bits(n)`` bits and runs exactly on float64 BLAS (``_mulmod``)."""
+    order <= 1, by power sums: with s = ceil(sqrt n) and G = M^s, each M^k
+    and M^(k-1) X, k <= n, is M^i G^j (X), i < s, j <= n // s.  So s + n // s
+    - 2 products give M^0..M^(s-1) and G^0..G^(n//s), one more all G^j X,
+    and one stacked product over the rows a all (M^i G^j (X))_aa (Paterson
+    and Stockmeyer 1973).  Factors are residues below p, so dot products are
+    below n p^2 <= 2^52; each (.)_aa is reduced mod p before the n of them
+    are summed in int64, below n p < 2^63 (unreduced, n^2 p^2 passes 2^63
+    from n ~ 2^11.5).  Primes cover twice ``_power_sum_bound``, so every tr
+    M^k and tr(M^(k-1) X) lifts exactly, and ``_newton`` finishes over Z.
+
+    order >= 2, by Faddeev-LeVerrier over Z_p[mu] / (mu^(order + 1)), with
+    primes taken until their product exceeds twice the largest
+    ``_coefficient_bound`` and division by k through k^-1 mod p.  N_(k-1),
+    the lambda^(n-k) coefficient of adj(lambda I - M + mu X), has mu-degree
+    below k, so step k carries its min(k, order + 1) live mu^j parts; one
+    stacked product of [M; X] (2n x n) by them gives every M N_j and X N_j,
+    and (M - mu X) N_(k-1) has the parts M N_j - X N_(j-1), formed in int64.
+    Every factor has entries below p and every N_j + c I entries below 2p,
+    so each dot product of length n is below 2 n p^2 <= 2^53."""
     n, size = len(ms[0]), len(ms)
     if n == 0:
         return [[[1]] + [[]] * order for _ in ms]
+    if order <= 1:
+        s = math.isqrt(n - 1) + 1
+        primes = _crt_primes(n, _power_sum_bound(ms, x if order else None))
+        pv = np.array(primes, dtype=np.int64).reshape(-1, 1, 1, 1)
+        rows = np.empty((len(primes), size, s + 1, n, n))  # M^0..M^s
+        rows[:, :, 0], rows[:, :, 1] = np.eye(n), _residues(ms, primes)
+        for i in range(2, s + 1):
+            rows[:, :, i] = _mulmod(rows[:, :, 1], rows[:, :, i - 1], pv)
+        cols = np.empty((len(primes), size, (order + 1) * (n // s + 1), n, n))  # (G^j (X))^T
+        cols[:, :, 0], cols[:, :, 1] = np.eye(n), rows[:, :, s].swapaxes(-1, -2)
+        for j in range(2, n // s + 1):
+            cols[:, :, j] = _mulmod(cols[:, :, 1], cols[:, :, j - 1], pv)
+        if order:  # (G^j X)^T = X^T (G^j)^T
+            xt = _residues(x, primes).swapaxes(-1, -2).astype(np.float64)[:, None, None]
+            cols[:, :, n // s + 1:] = _mulmod(xt, cols[:, :, :n // s + 1], pv[..., None])
+        # [prime, matrix, a, j, i] = sum_b (G^j (X))_ba (M^i)_ab
+        diag = cols.transpose(0, 1, 3, 2, 4) @ rows[:, :, :s].transpose(0, 1, 3, 4, 2)
+        tr = (diag.astype(np.int64) % pv[..., None]).sum(axis=2) % pv  # [.., j, i]: i + s j
+        tr = tr.reshape(len(primes), size, order + 1, -1)
+        keep = np.concatenate([tr[:, :, j, 1 - j:n + 1 - j] for j in range(order + 1)], axis=2)
+        sums, w = _crt_lift(keep.reshape(len(primes), -1).tolist(), primes), (order + 1) * n
+        return [_newton(sums[i:i + n], sums[i + n:i + w]) for i in range(0, len(sums), w)]
     primes = _crt_primes(n, _coefficient_bound(ms, x, order))
     p3 = np.array(primes, dtype=np.int64).reshape(-1, 1, 1)
     pv = p3[..., None, None]
-    mods = _residues([m + x for m in ms] if order else ms, primes)[:, :, None].astype(np.float64)
-    work = np.zeros((len(primes), size, 1, n, n), dtype=np.int64)
-    work[:, :, 0] = np.eye(n, dtype=np.int64)  # N_0 = I
+    mods = _residues([m + x for m in ms], primes)[:, :, None].astype(np.float64)
+    work = np.broadcast_to(np.eye(n, dtype=np.int64), (len(primes), size, 1, n, n))  # N_0 = I
     res = np.zeros((len(primes), size, order + 1, n + 1), dtype=np.int64)
     res[:, :, 0, n] = 1
     neg_inv = np.array([[-pow(k, -1, p) % p for p in primes] for k in range(1, n + 1)],
@@ -847,12 +886,9 @@ def _char_poly_int(ms: list, x: Optional[list] = None,
     for k in range(1, n + 1):
         top = min(k + 1, order + 1)
         prod = (mods @ work.astype(np.float64)).astype(np.int64)
-        if order:
-            work = np.zeros((len(primes), size, top, n, n), dtype=np.int64)
-            work[:, :, :prod.shape[2]] = prod[..., :n, :]
-            work[:, :, 1:] -= prod[:, :, :top - 1, n:]
-        else:
-            work = prod
+        work = np.zeros((len(primes), size, top, n, n), dtype=np.int64)
+        work[:, :, :prod.shape[2]] = prod[..., :n, :]
+        work[:, :, 1:] -= prod[:, :, :top - 1, n:]
         work %= pv
         # c_(n-k) = -tr((M - mu X) N_(k-1)) / k, the trace below n p and -1/k mod p below p
         res[..., :top, n - k] = np.trace(work, axis1=3, axis2=4) * neg_inv[k - 1] % p3
@@ -860,6 +896,26 @@ def _char_poly_int(ms: list, x: Optional[list] = None,
     coeffs = _crt_lift(res.reshape(len(primes), -1).tolist(), primes)
     return [[coeffs[i:i + n + 1] for i in range(s, s + (order + 1) * (n + 1), n + 1)]
             for s in range(0, len(coeffs), (order + 1) * (n + 1))]
+
+
+def _newton(p: list[int], q: list[int]) -> list[list[int]]:
+    """det(lambda I - M + mu X) mod mu^2 as ``_char_poly_int`` gives it (mu^0
+    alone when q is empty) from p_k = tr M^k and q_k = tr(M^(k-1) X), k =
+    1..n: Newton's identities k c_(n-k) = -sum_(i<k) c_(n-i) P_(k-i) over
+    Z[mu] / (mu^2), P_k = p_k - mu k q_k, each division by k exact."""
+    r = [-k * v for k, v in enumerate(q, 1)]
+    a, b = [1], [0]  # the mu^0 and mu^1 parts of c_n, c_(n-1), ...
+    for k in range(1, len(p) + 1):
+        pk = p[k - 1::-1]
+        sums = [sum(map(mul, a, pk))]
+        if q:
+            sums.append(sum(map(mul, a, r[k - 1::-1])) + sum(map(mul, b, pk)))
+        for out, v in zip((a, b), sums):
+            c, rem = divmod(-v, k)
+            if rem:
+                raise ArithmeticError("a power sum lifted outside its bound")
+            out.append(c)
+    return [a[::-1], b[::-1]][:1 + bool(q)]
 
 
 def _int_char_polys(mats: list[Matrix]) -> list[list[int]]:
@@ -1014,16 +1070,15 @@ def _polish_root(coeffs_float: list[float], z: complex) -> complex:
             acc = acc * x + c
         return acc
 
-    best = z
-    best_val = abs(ev(coeffs_float, z))
+    best, f_best = z, ev(coeffs_float, z)
     for _ in range(_POLISH_STEPS):
         dp = ev(dcoeffs, best)
         if dp == 0:
             break
-        cand = best - ev(coeffs_float, best) / dp
-        v = abs(ev(coeffs_float, cand))
-        if v < best_val:
-            best, best_val = cand, v
+        cand = best - f_best / dp
+        f_cand = ev(coeffs_float, cand)
+        if abs(f_cand) < abs(f_best):
+            best, f_best = cand, f_cand
         else:
             break
     return best

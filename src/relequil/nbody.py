@@ -320,8 +320,12 @@ def _potential_parts(m: np.ndarray, q: np.ndarray, alpha: float,
     r2 = np.matmul(d[:, None, :], d[:, :, None]).reshape(-1)
     r = np.sqrt(r2).tolist()
     mm = m[i] * m[j]
-    u = np.add.accumulate(mm * [x ** (-alpha) for x in r])[-1]
-    c = -alpha * mm * [x ** (-alpha - 2) for x in r]
+    try:
+        u = np.add.accumulate(mm * [x ** (-alpha) for x in r])[-1]
+        c = -alpha * mm * [x ** (-alpha - 2) for x in r]
+    except OverflowError:
+        raise ValueError(f"the pair potential r^-alpha overflows the float range at "
+                         f"alpha = {alpha!r} and r = {min(r):.3e}") from None
     g = c[:, None] * d
     k = c[:, None, None] * (
         np.eye(2) - (alpha + 2) * (d[:, :, None] * d[:, None, :]) / r2[:, None, None])

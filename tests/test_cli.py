@@ -95,7 +95,7 @@ def test_classify_computes_char_poly_once(tmp_path, capsys, monkeypatch):
 
 def test_classify_runs_one_residue_stack(tmp_path, capsys, monkeypatch):
     # the polynomials of Omega B and of B, for the verdict and the inertia,
-    # come from one Faddeev-LeVerrier pass, with and without --omega
+    # come from one power-sum stack, with and without --omega
     calls = count_calls(monkeypatch, "_char_poly_int", ("matrix_core", "spectral_flow"))
     b = write_json(tmp_path / "b.json", COUNTEREXAMPLE_ROWS)
     identity = write_json(tmp_path / "i.json", [[1, 0], [0, 1]])
@@ -308,8 +308,8 @@ def test_exact_classify_reports_match_golden(tmp_path, capsys):
 
 
 def test_flow_krein_computes_char_poly_once(tmp_path, capsys, monkeypatch):
-    # one Faddeev-LeVerrier pass gives char_poly(J B) to the classification
-    # and the mu^1 part of det(mu I - B - s G) to the flow
+    # one power-sum pass over Z[mu] / (mu^2) gives char_poly(J B) to the
+    # classification and the mu^1 part of det(mu I - B - s G) to the flow
     calls = count_calls(monkeypatch, "_char_poly_int", ("matrix_core", "spectral_flow"))
     for b in ([[1, 0], [0, 1]], [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]):
         calls.clear()
@@ -769,6 +769,19 @@ def test_nbody_rejects_masses_with_overflowing_products(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: masses must have finite pairwise products\n"
+
+
+@pytest.mark.parametrize("alpha", [2000, 1e308])
+def test_nbody_rejects_an_overflowing_pair_potential(tmp_path, capsys, alpha):
+    # r^-alpha at r < 1 overflowed CPython's float pow in the pair kernel,
+    # an uncaught OverflowError with a traceback
+    problem = write_json(tmp_path / "p.json", {
+        "masses": [1, 1, 1], "alpha": alpha, "positions": [[0, 0], [1, 0], [0, 1.5]]})
+    for command in ("nbody-find-cc", "nbody-stability"):
+        assert main([command, problem]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the pair potential r^-alpha overflows")
 
 
 def test_nbody_unbuildable_slice_basis_exits_2(tmp_path, capsys):

@@ -40,6 +40,8 @@ from relequil.matrix_core import (
     _int_poly_at_matrix_is_zero,
     _j_times,
     _krylov_dependence,
+    _newton,
+    _power_sum_bound,
     _prime_bits,
     _primes,
     _require_symmetric,
@@ -362,6 +364,82 @@ def test_coefficient_bound_covers_every_coefficient(rng):
     m = [[rng.randint(-9, 9) for _ in range(48)] for _ in range(48)]
     old = max(math.comb(48, k) * (math.isqrt(k ** k) + 1) * 9 ** k for k in range(49))
     assert _coefficient_bound([m], None, 0) < old
+
+
+def _power_traces(m, x):
+    """tr M^k and tr(M^(k-1) X), k = 1..n, over the integers."""
+    a, power, p, q = np.array(m, dtype=object), np.eye(len(m), dtype=int).astype(object), [], []
+    for _ in m:
+        q.append(int(np.trace(power @ np.array(x, dtype=object))))
+        power = power @ a
+        p.append(int(np.trace(power)))
+    return p, q
+
+
+def test_power_sum_bound_covers_every_trace(rng):
+    # the all-(-1) matrix has tr M^k = (-n)^k = (-||M||_F)^k, so the bound
+    # is tight up to a factor of about e n; Hadamard matrices have
+    # ||M||_F^2 = n^2 and eigenvalues of modulus sqrt(n); entries beyond
+    # int64 take the object path of the residues
+    ones = [[[-1] * n for _ in range(n)] for n in (1, 2, 5, 16, 31)]
+    for m in ones:
+        n = len(m)
+        assert _power_traces(m, m)[0] == [(-n) ** k for k in range(1, n + 1)]
+    cases = ones + [_sylvester_hadamard(k) for k in (0, 1, 2, 3, 4)]
+    cases += [_big_int_matrix(rng, n, bits) for n, bits in ((2, 3), (3, 64), (6, 70), (9, 40))]
+    cases += [[[0] * 3 for _ in range(3)]]
+    for m in cases:
+        n = len(m)
+        for x in (m, [[-v for v in row] for row in reversed(m)], _big_int_matrix(rng, n, 65)):
+            p, q = _power_traces(m, x)
+            assert max(map(abs, p + q)) <= _power_sum_bound([m], x)
+            assert max(map(abs, p)) <= _power_sum_bound([m], None)
+            out = _char_poly_int([m], x, 1)[0]
+            assert out[0] == H.char_poly_faddeev(m)
+            if 1 < n < 10:  # order n runs Faddeev-LeVerrier, under its own bound
+                assert out == _char_poly_int([m], x, n)[0][:2]
+
+
+def test_newton_refuses_power_sums_of_no_integer_matrix():
+    # p_1 = 1 and p_2 = 0 give c_0 = (p_1^2 - p_2) / 2 = 1/2: no integer
+    # matrix has them, so power sums lifted wrongly raise, never return
+    for q in ([], [0, 0]):
+        with pytest.raises(ArithmeticError):
+            _newton([1, 0], q)
+    assert _newton([3, 5], [1, 1]) == [[2, -3, 1], [-2, 1, 0]]  # M = diag(1, 2), X = diag(1, 0)
+
+
+def test_char_poly_power_sums_at_n_1_and_2(rng):
+    # s = ceil(sqrt n) is 1 and 2: det(lambda I - M + mu X) in closed form,
+    # mod mu^2, for small entries and entries beyond int64
+    for bits in (2, 40, 70):
+        m0, x0 = (rng.choice((-1, 1)) * rng.randint(2 ** bits, 2 ** (bits + 2)) for _ in range(2))
+        assert _char_poly_int([[[m0]], [[x0]]], [[3]], 1) == \
+            [[[-m0, 1], [3, 0]], [[-x0, 1], [3, 0]]]
+        m, x = _big_int_matrix(rng, 2, bits), _big_int_matrix(rng, 2, bits)
+        tr_m, tr_x = m[0][0] + m[1][1], x[0][0] + x[1][1]
+        det_m = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        # det(M - mu X) = det M - mu (m11 x22 + m22 x11 - m12 x21 - m21 x12) + O(mu^2)
+        cross = m[0][0] * x[1][1] + m[1][1] * x[0][0] - m[0][1] * x[1][0] - m[1][0] * x[0][1]
+        assert _char_poly_int([m], x, 1) == [[[det_m, -tr_m, 1], [-cross, tr_x, 0]]]
+        assert _char_poly_int([m, x]) == [[[det_m, -tr_m, 1]],
+                                          [[x[0][0] * x[1][1] - x[0][1] * x[1][0], -tr_x, 1]]]
+
+
+def test_pair_block_chi_and_inertia_at_48(rng):
+    # B = S^T D S at 2n = 48 with distinct products a_k b_k: chi(J B) is
+    # prod (x^2 + a_k b_k) and the inertia of B is that of D, both known by
+    # construction (Sylvester's law of inertia)
+    pairs = [(a, b) for a in range(1, 10) for b in range(a, 10)]
+    pairs = list({a * b: (a, b) for a, b in rng.sample(pairs, len(pairs))}.values())[:24]
+    pairs = [(-a, -b) if rng.random() < 0.3 else (a, b) for a, b in pairs]
+    b = Matrix(_pair_block_b(pairs, rng), RATIONAL)
+    chi = [1]
+    for a, c in pairs:
+        chi = rp.mul(chi, [a * c, 0, 1])
+    assert char_poly(_j_times(b)) == chi
+    diag = [v for pair in pairs for v in pair]
+    assert inertia(b) == IndexReport(sum(v < 0 for v in diag), 0, sum(v > 0 for v in diag))
 
 
 def test_exact_matrix_memo_is_outside_equality():
