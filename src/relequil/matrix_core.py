@@ -23,7 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from operator import mul
 from typing import Callable, Optional, Sequence, Union
@@ -463,13 +463,27 @@ class SemisimplicityReport:
     ``semisimple`` is True/False for a decided answer and None when the float
     backend could not separate a rank decision from its tolerance band.
     ``defective_eigenvalues`` approximates the eigenvalues with a nontrivial
-    Jordan block when the answer is False.
+    Jordan block when the answer is False, from ``defect``: the float test
+    passes them there, and a defective exact A passes (A, s), s the
+    square-free part of its characteristic polynomial, from which they are
+    computed on first read, as the roots of m / s for the minimal
+    polynomial m of A, and then kept.  Equality compares ``defect``.
     """
 
     semisimple: Optional[bool]
-    defective_eigenvalues: tuple[complex, ...]
     backend: str
     tol: float
+    defect: tuple = ()
+
+    @cached_property
+    def defective_eigenvalues(self) -> tuple[complex, ...]:
+        if self.backend == FLOAT64 or self.semisimple:
+            return self.defect
+        a, s = self.defect
+        g = rp.quotient(rp.cleared(minimal_poly(a)), s)
+        if rp.degree(g) <= 0:
+            raise AssertionError("s does not properly divide m although s(A) != 0")
+        return tuple(e.value for e in _exact_spectrum([(g, 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -1061,22 +1075,23 @@ def minimal_poly(a: Matrix) -> list[Fraction]:
 _POLISH_STEPS = 3  # the most Newton steps ``_polish_root`` takes
 
 
-def _polish_root(coeffs_float: list[float], z: complex) -> complex:
-    dcoeffs = [i * c for i, c in enumerate(coeffs_float)][1:]
+def _horner(cs: list[float], x: complex) -> complex:
+    acc = 0.0 + 0.0j
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
 
-    def ev(cs, x):
-        acc = 0.0 + 0.0j
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
 
-    best, f_best = z, ev(coeffs_float, z)
+def _polish_root(coeffs_float: list[float], dcoeffs: list[float], z: complex) -> complex:
+    """Newton steps from z on a polynomial and its derivative ``dcoeffs``,
+    each kept only while it lowers |p|."""
+    best, f_best = z, _horner(coeffs_float, z)
     for _ in range(_POLISH_STEPS):
-        dp = ev(dcoeffs, best)
+        dp = _horner(dcoeffs, best)
         if dp == 0:
             break
         cand = best - f_best / dp
-        f_cand = ev(coeffs_float, cand)
+        f_cand = _horner(coeffs_float, cand)
         if abs(f_cand) < abs(f_best):
             best, f_best = cand, f_cand
         else:
@@ -1084,17 +1099,18 @@ def _polish_root(coeffs_float: list[float], z: complex) -> complex:
     return best
 
 
-def _exact_spectrum(yun: list[tuple[list[int], int]]) -> tuple[Eigenvalue, ...]:
+def _exact_spectrum(yun: Sequence[tuple[Sequence[int], int]]) -> tuple[Eigenvalue, ...]:
     """Eigenvalues with multiplicities from the Yun factors of an exact
     characteristic polynomial, as ``rp.squarefree_decomposition`` gives them.
-    Each factor enters numpy as its monic coefficients, correctly rounded."""
+    Each factor enters numpy as its monic coefficients, correctly rounded:
+    true division of two ints is, and it raises ``OverflowError`` on a
+    quotient beyond the float range, as ``float(Fraction(c, lead))`` does."""
     out: list[Eigenvalue] = []
     for factor, m in yun:
-        cf = [float(Fraction(c, factor[-1])) for c in factor]
-        roots = np.roots(list(reversed(cf))) if rp.degree(factor) >= 1 else []
-        for z in roots:
-            z = _polish_root(cf, complex(z))
-            out.append(Eigenvalue(value=complex(z), multiplicity=m))
+        cf = [c / factor[-1] for c in factor]
+        dcf = [i * c for i, c in enumerate(cf)][1:]
+        for z in np.roots(cf[::-1]):
+            out.append(Eigenvalue(value=_polish_root(cf, dcf, complex(z)), multiplicity=m))
     out.sort(key=lambda e: (e.value.real, e.value.imag))
     return tuple(out)
 
@@ -1150,30 +1166,27 @@ def _semisimple_exact(a: Matrix, *factors: list[int]) -> SemisimplicityReport:
     and that needs no matrix work.  Otherwise, with A = M / d for the
     cleared integer matrix M, s(A) = 0 iff sum_k s_k d^(deg s - k) M^k = 0,
     taken over the content of those coefficients, which
-    ``_int_poly_at_matrix_is_zero`` decides modulo primes.  Only a defective
-    A runs ``minimal_poly``: its minimal polynomial m has the roots of p, so
-    gcd(m, m') = m / s, one exact ``quotient``, and its roots name the
-    defective eigenvalues.  m comes from Krylov sequences modulo primes:
-    when the Krylov matrix [v, M v, ..., M^(n-1) v] of the start vector is
-    nonsingular modulo a prime, m = p with no lift (the degree proof, which
-    later start vectors make with fewer vectors); otherwise a vector's
-    minimal polynomial is a CRT lift to twice the Landau-Mignotte bound on a
-    monic divisor of p, checked exactly by g(M) w = 0
-    (``_vector_min_poly``)."""
+    ``_int_poly_at_matrix_is_zero`` decides modulo primes.  That decides the
+    answer; a defective A's report keeps (A, s), and only a read of its
+    ``defective_eigenvalues`` runs ``minimal_poly``.  Its minimal polynomial
+    m has the roots of p, so gcd(m, m') = m / s, one exact ``quotient``, and
+    its roots name the defective eigenvalues.  m comes from Krylov sequences
+    modulo primes: when the Krylov matrix [v, M v, ..., M^(n-1) v] of the
+    start vector is nonsingular modulo a prime, m = p with no lift (the
+    degree proof, which later start vectors make with fewer vectors);
+    otherwise a vector's minimal polynomial is a CRT lift to twice the
+    Landau-Mignotte bound on a monic divisor of p, checked exactly by
+    g(M) w = 0 (``_vector_min_poly``)."""
     s = reduce(rp.mul, factors, [1])
     k = rp.degree(s)
     if k == a.n_rows:
-        return SemisimplicityReport(True, (), RATIONAL, 0.0)
+        return SemisimplicityReport(True, RATIONAL, 0.0)
     ints, d = a._ints
     coeffs = [x * d ** (k - i) for i, x in enumerate(s)]
     content = math.gcd(*coeffs)
     if _int_poly_at_matrix_is_zero([c // content for c in coeffs], ints):
-        return SemisimplicityReport(True, (), RATIONAL, 0.0)
-    g = rp.quotient(rp.cleared(minimal_poly(a)), s)
-    if rp.degree(g) <= 0:
-        raise AssertionError("s does not properly divide m although s(A) != 0")
-    return SemisimplicityReport(False, tuple(e.value for e in _exact_spectrum([(g, 1)])),
-                                RATIONAL, 0.0)
+        return SemisimplicityReport(True, RATIONAL, 0.0)
+    return SemisimplicityReport(False, RATIONAL, 0.0, (a, tuple(s)))
 
 
 def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityReport:
@@ -1181,10 +1194,9 @@ def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityRepor
 
     Exact backend: A is semisimple iff s(A) = 0 for the square-free part s
     of its characteristic polynomial, decided by ``_semisimple_exact`` from
-    the Yun factors, as ``classify`` decides it; a semisimple A computes no
-    minimal polynomial, and for a defective one the roots of
-    gcd(m, m') = m / s name the defective eigenvalues.  Float backend:
-    rank(A - zI) versus
+    the Yun factors, as ``classify`` decides it; no minimal polynomial is
+    computed until the defective eigenvalues of a defective A are read, the
+    roots of gcd(m, m') = m / s.  Float backend: rank(A - zI) versus
     rank((A - zI)^2) per eigenvalue cluster, with an indeterminate outcome
     when a singular value lands inside the band [tol/10, 10*tol] or two
     clusters lie within 10*tol of each other, as a split Jordan block does.
@@ -1212,7 +1224,7 @@ def _semisimple_float(arr: np.ndarray, spectrum: tuple[Eigenvalue, ...],
 
     if any(abs(x.value - y.value) <= 10 * t
            for i, x in enumerate(spectrum) for y in spectrum[i + 1:]):
-        return SemisimplicityReport(None, (), FLOAT64, t)
+        return SemisimplicityReport(None, FLOAT64, t)
     defective: list[complex] = []
     indeterminate = False
     for ev in spectrum:
@@ -1227,10 +1239,10 @@ def _semisimple_float(arr: np.ndarray, spectrum: tuple[Eigenvalue, ...],
         if r1 != r2:
             defective.append(ev.value)
     if indeterminate and not defective:
-        return SemisimplicityReport(None, (), FLOAT64, t)
+        return SemisimplicityReport(None, FLOAT64, t)
     if defective:
-        return SemisimplicityReport(False, tuple(defective), FLOAT64, t)
-    return SemisimplicityReport(True, (), FLOAT64, t)
+        return SemisimplicityReport(False, FLOAT64, t, tuple(defective))
+    return SemisimplicityReport(True, FLOAT64, t)
 
 
 # ---------------------------------------------------------------------------

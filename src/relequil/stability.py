@@ -17,9 +17,12 @@ spectrum is on the axis iff c = deg g for every factor, and the eigenvalue
 pairs on the punctured imaginary axis number kappa = sum m (c - [g(0) = 0]).
 The same factors give the Yun factors of p and its square-free part s, and
 J B is semisimple iff s(J B) = 0: at once when p is square-free, else by a
-modular test.  Only a defective J B computes its minimal polynomial, from
-Krylov sequences modulo primes: a Krylov matrix that is nonsingular modulo
-one prime proves that it is p, and any other is a CRT lift checked exactly.
+modular test.  The float eigenvalues that a classification reports are a
+display, built from these factors when first read.  Only a read of the
+defective eigenvalue of a defective J B computes its minimal polynomial,
+from Krylov sequences modulo primes: a Krylov matrix that is nonsingular
+modulo one prime proves that it is p, and any other is a CRT lift checked
+exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import rational_poly as rp
@@ -38,6 +42,7 @@ from .matrix_core import (
     FieldError,
     IndexReport,
     Matrix,
+    SemisimplicityReport,
     ShapeError,
     SingularMatrixError,
     Subspace,
@@ -111,16 +116,21 @@ class HypothesisFailure(ValueError):
 class StabilityClassification:
     """A verdict with ``spectrum``, the eigenvalues and multiplicities of
     the matrix it was decided on, as ``complex_spectrum`` lists them; an
-    unstable verdict names the entry farthest off the imaginary axis."""
+    unstable verdict names the entry farthest off the imaginary axis.
+
+    Only the verdict, ``spectrum_on_axis`` and ``semisimple`` are decided
+    when it is made.  The eigenvalues are a display of what decided them:
+    the exact Yun factors of the characteristic polynomial (``source``, as
+    (coefficients, multiplicity); on the float backend the spectrum itself)
+    and the semisimplicity ``report`` (None off the axis).  They are
+    computed on first read and then kept; equality compares their sources."""
 
     verdict: Verdict
     spectrum_on_axis: bool
-    semisimple: Optional[bool]
-    offending_eigenvalue: Optional[complex]
-    defective_eigenvalue: Optional[complex]
-    spectrum: tuple[Eigenvalue, ...]
     backend: str
     tol: float
+    source: tuple
+    report: Optional[SemisimplicityReport]
 
     def __post_init__(self):
         v = self.verdict
@@ -134,6 +144,23 @@ class StabilityClassification:
             raise ValueError("stable-not-linear requires a defective spectrum")
         if v == Verdict.INDETERMINATE and self.semisimple is not None:
             raise ValueError("indeterminate verdict with a decided semisimplicity")
+
+    @property
+    def semisimple(self) -> Optional[bool]:
+        return None if self.report is None else self.report.semisimple
+
+    @cached_property
+    def spectrum(self) -> tuple[Eigenvalue, ...]:
+        return _exact_spectrum(self.source) if self.backend == RATIONAL else self.source
+
+    @cached_property
+    def offending_eigenvalue(self) -> Optional[complex]:
+        return None if self.spectrum_on_axis else _off_axis_witness(self.spectrum, self.tol)
+
+    @cached_property
+    def defective_eigenvalue(self) -> Optional[complex]:
+        defective = () if self.report is None else self.report.defective_eigenvalues
+        return defective[0] if defective else None
 
 
 @dataclass(frozen=True)
@@ -271,19 +298,22 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float], factors=
     these factors passes them.
 
     A float Omega B takes ``eigvals`` once (``_eigenvalues``): their
-    clusters are the spectrum, which the semisimplicity test
-    (``_semisimple_float``) reads.
+    clusters are the spectrum, which the verdict and the semisimplicity
+    test (``_semisimple_float``) read.
 
     p is computed and decomposed once per call, on one residue stack with
     the characteristic polynomial of B, which B keeps in its memo for the
-    ``inertia(b)`` that a caller takes next.  The Yun factors of p, for
-    the spectrum, come from those of r (``_even_yun``), and so does the
-    square-free part s of p, their product.  Exact semisimplicity needs no
-    matrix work when p is square-free (deg s = deg p); otherwise it is
-    s(Omega B) = 0, decided modulo primes (``_semisimple_exact``).  Only a
-    defective Omega B runs ``minimal_poly`` (Krylov sequences modulo
-    primes, no elimination over the integers), and its defective
-    eigenvalues are the roots of m / s = gcd(m, m')."""
+    ``inertia(b)`` that a caller takes next.  The verdict reads only exact
+    counts: the axis test those of the factors of r, and semisimplicity the
+    Yun factors of p, which come from those of r (``_even_yun``), as does
+    the square-free part s of p, their product.  Exact semisimplicity needs
+    no matrix work when p is square-free (deg s = deg p); otherwise it is
+    s(Omega B) = 0, decided modulo primes (``_semisimple_exact``).  The
+    classification keeps the Yun factors of p and the semisimplicity
+    report, and builds its float display from them only when it is read:
+    ``np.roots`` and a Newton polish per factor for the spectrum, and for a
+    defective Omega B ``minimal_poly`` (Krylov sequences modulo primes),
+    whose m / s = gcd(m, m') has the defective eigenvalues as its roots."""
     if factors is None:
         b = _require_even_symmetric(b, tol)
     ob = _omega_b(b, omega, tol)
@@ -293,31 +323,27 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float], factors=
             _int_char_polys([ob, b])
             factors = _axis_factors(char_poly(ob))
         yun = _even_yun(factors)
-        spectrum = _exact_spectrum(yun)
+        source = tuple((tuple(g), m) for g, m in yun)
         on_axis = all(c == rp.degree(g) for g, _, c, _ in factors)
-        witness = None if on_axis else _off_axis_witness(spectrum, t)
     else:
         t = _resolve_tol(tol, ob.max_abs)
-        spectrum = complex_spectrum(ob, tol=t)
+        source = complex_spectrum(ob, tol=t)
         factors = _eigenvalues(ob)
-        witness = _off_axis_witness(spectrum, t)
-        on_axis = witness is None
+        on_axis = _off_axis_witness(source, t) is None
     if not on_axis:
-        return StabilityClassification(Verdict.SPECTRALLY_UNSTABLE, False, None, witness,
-                                       None, spectrum, b.field, t), factors
+        return StabilityClassification(Verdict.SPECTRALLY_UNSTABLE, False, b.field, t, source,
+                                       None), factors
     if b.field == RATIONAL:
         ss = _semisimple_exact(ob, *(f for f, _ in yun))
     else:
-        ss = _semisimple_float(ob._arr, spectrum, t)
+        ss = _semisimple_float(ob._arr, source, t)
     if ss.semisimple is None:
         verdict = Verdict.INDETERMINATE
     elif ss.semisimple:
         verdict = Verdict.LINEARLY_STABLE
     else:
         verdict = Verdict.SPECTRALLY_STABLE_NOT_LINEAR
-    defect = ss.defective_eigenvalues[0] if ss.defective_eigenvalues else None
-    return StabilityClassification(verdict, True, ss.semisimple, None, defect, spectrum,
-                                   b.field, t), factors
+    return StabilityClassification(verdict, True, b.field, t, source, ss), factors
 
 
 def classify(b: Matrix, omega: Optional[Matrix] = None,

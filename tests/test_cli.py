@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from relequil import cli
 from relequil.cli import main, run_examples
-from relequil.matrix_core import FLOAT64, Matrix, Subspace, is_semisimple
+from relequil.matrix_core import FLOAT64, RATIONAL, Matrix, Subspace, is_semisimple
+from relequil.spectral_flow import kappa_identity_check
+from relequil.stability import invertible_even_index_check
 
 COUNTEREXAMPLE_ROWS = [[-2, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0],
                        [0, 0, 1, 0, 0, 0], [0, 0, 0, -1, 0, 0],
@@ -317,6 +319,40 @@ def test_flow_krein_computes_char_poly_once(tmp_path, capsys, monkeypatch):
         assert main(["flow", path]) == 0
         assert "kappa_identity" in json.loads(capsys.readouterr().out)
         assert len(calls) == 1
+
+
+# J B stable; with a real pair; with a nilpotent pair block; with a zero pair
+KREIN_VERDICT_ROWS = {
+    "linearly_stable": [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]],
+    "spectrally_unstable": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 2]],
+    "spectrally_stable_not_linear": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 2]],
+    "singular": [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 3]],
+}
+
+
+def test_exact_krein_flow_and_kappa_build_no_float_spectrum(tmp_path, capsys, monkeypatch):
+    # the kappa and even-index verdicts read exact counts only: the float
+    # display of the classification (np.roots and its polish, the minimal
+    # polynomial of a defective J B) is built only where a report prints it
+    spectra = count_calls(monkeypatch, "_exact_spectrum", ("matrix_core", "stability"))
+    minimal = count_calls(monkeypatch, "minimal_poly", ("matrix_core",))
+    verdicts = set()
+    for name, rows in KREIN_VERDICT_ROWS.items():
+        path = write_json(tmp_path / "path.json", {"type": "krein", "b": rows, "s_max": 4})
+        assert main(["flow", path]) == 0
+        verdicts.add(json.loads(capsys.readouterr().out)["kappa_identity"]["verdict"])
+        kappa_identity_check(Matrix(rows, RATIONAL))
+        if name in ("linearly_stable", "spectrally_unstable"):  # B invertible
+            invertible_even_index_check(Matrix(rows, RATIONAL))
+        assert spectra == minimal == []
+    assert verdicts == {"linearly_stable", "spectrally_unstable", "spectrally_stable_not_linear"}
+    # classify prints the spectrum, and a defective J B's eigenvalue too
+    for rows, expected in zip(KREIN_VERDICT_ROWS.values(), (1, 1, 2, 1)):
+        spectra.clear()
+        minimal.clear()
+        assert main(["classify", write_json(tmp_path / "b.json", rows)]) == 0
+        assert json.loads(capsys.readouterr().out)["spectrum"]
+        assert (len(spectra), len(minimal)) == (expected, expected - 1)
 
 
 def test_exact_linear_flow_takes_one_pencil_polynomial(tmp_path, capsys, monkeypatch):

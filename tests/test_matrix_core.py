@@ -927,12 +927,15 @@ def test_exact_is_semisimple_computes_no_minimal_poly(monkeypatch, rng):
                                  (0, 1)]), rng), RATIONAL)
     assert is_semisimple(a).semisimple is True
     assert calls == []
-    # a defective matrix names its eigenvalue through one minimal polynomial
+    # a defective matrix is decided without one, and names its eigenvalue
+    # through one minimal polynomial when that is first read
     report = is_semisimple(Matrix(_similar(_jordan([(Fraction(3, 2), 2), (-1, 1)]), rng),
                                   RATIONAL))
-    assert report.semisimple is False and len(calls) == 1
+    assert report.semisimple is False and calls == []
     assert [complex(round(z.real, 9), round(z.imag, 9))
             for z in report.defective_eigenvalues] == [1.5]
+    assert len(calls) == 1
+    assert report.defective_eigenvalues is report.defective_eigenvalues and len(calls) == 1
 
 
 def test_semisimple_exact():

@@ -35,7 +35,7 @@ from relequil.stability import (
     spectral_instability_certificate,
     theorem_predict,
 )
-from relequil.rational_poly import cleared, squarefree_decomposition
+from relequil.rational_poly import cleared, mul, quotient, squarefree_decomposition
 from relequil.spectral_flow import kappa_identity_check
 from relequil.stability import _axis_factors, _even_yun, _omega_b
 
@@ -179,6 +179,61 @@ def test_classify_spectrum_is_that_of_omega_b(rng):
         omega = q @ standard_symplectic(n) @ q.T
         assert classify(b, omega=omega).spectrum == complex_spectrum(omega @ b)
         assert classify(b).spectrum == complex_spectrum(standard_symplectic(n) @ b)
+
+
+def _bits(z):
+    return None if z is None else (z.real.hex(), z.imag.hex())
+
+
+def test_classify_display_is_the_exact_spectrum_of_its_factors(rng):
+    # pair-block B = S^T D S of each verdict, and B' = Q^-1 B Q^-1 with
+    # Omega = Q J Q for a rational diagonal Q, so that Omega B' = Q (J B) Q^-1
+    # has the verdict of J B.  Equality and the verdict read no display; the
+    # display read afterwards is, bit for bit, _exact_spectrum of the Yun
+    # factors of p, and of m / s for a defective Omega B, and is kept
+    products = [(1, 4), (2, 2), (0, 3), (0, 0), (1, -1)]
+    display = {"spectrum", "offending_eigenvalue", "defective_eigenvalue"}
+    seen = set()
+    for _ in range(16):
+        b = _sheared(rng, H.pair_diagonal(rng.choices(products, k=rng.choice([1, 2, 3]))))
+        n = b.n_rows // 2
+        q = [H.random_fraction(rng, 3, 4) or Fraction(1) for _ in range(2 * n)]
+        q_inv = Matrix.diagonal([1 / x for x in q])
+        for b_used, omega in ((b, None),
+                              (q_inv @ b @ q_inv,
+                               Matrix.diagonal(q) @ standard_symplectic(n) @ Matrix.diagonal(q))):
+            cls = classify(b_used, omega=omega)
+            assert cls == classify(b_used, omega=omega)
+            assert not display & set(vars(cls))
+            ob = _omega_b(b_used, omega, None)
+            yun = squarefree_decomposition(cleared(char_poly(ob)))
+            spectrum = matrix_core._exact_spectrum(yun)
+            off = [e.value for e in spectrum if e.value.real != 0]
+            # _off_axis_witness keeps the first of the largest |Re|
+            worst = None if cls.spectrum_on_axis else max(off, key=lambda z: abs(z.real))
+            report = is_semisimple(ob)
+            defective = ()
+            if report.semisimple is False:
+                s = [1]
+                for g, _ in yun:
+                    s = mul(s, g)
+                g = quotient(cleared(minimal_poly(ob)), s)
+                defective = tuple(e.value for e in matrix_core._exact_spectrum([(g, 1)]))
+            assert [(_bits(e.value), e.multiplicity) for e in cls.spectrum] == \
+                [(_bits(e.value), e.multiplicity) for e in spectrum]
+            assert _bits(cls.offending_eigenvalue) == _bits(worst)
+            # an unstable verdict takes no semisimplicity test
+            first = (defective or (None,))[0] if cls.spectrum_on_axis else None
+            assert _bits(cls.defective_eigenvalue) == _bits(first)
+            assert [_bits(z) for z in report.defective_eigenvalues] == \
+                [_bits(z) for z in defective]
+            for name in display:
+                assert getattr(cls, name) is getattr(cls, name)
+            assert report.defective_eigenvalues is report.defective_eigenvalues
+            seen.add((omega is None, cls.verdict))
+    assert seen == {(j, v) for j in (True, False)
+                    for v in (Verdict.LINEARLY_STABLE, Verdict.SPECTRALLY_STABLE_NOT_LINEAR,
+                              Verdict.SPECTRALLY_UNSTABLE)}
 
 
 def _int_product(a, b):
