@@ -57,7 +57,6 @@ __all__ = [
     "restrict_form",
     "standard_symplectic",
     "solve_exact",
-    "in_span",
 ]
 
 RATIONAL = "rational"
@@ -92,10 +91,11 @@ def default_tolerance(max_abs: float) -> float:
 
 def _resolve_tol(tol: Optional[float], max_abs: Callable[[], float]) -> float:
     """The tolerance of a float decision: ``tol`` when the caller gives one,
-    which must be a finite number >= 0, else ``default_tolerance(max_abs())``."""
+    which must be a finite number >= 0 and not a bool, else
+    ``default_tolerance(max_abs())``."""
     if tol is None:
         return default_tolerance(max_abs())
-    if not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     return tol
 
@@ -330,25 +330,24 @@ class Matrix:
     def is_symmetric(self, tol: Optional[float] = None) -> bool:
         """A = A^T: exact over the rationals; over floats every entry finite
         and |A - A^T| <= tol entrywise (default: 1e-8 (1 + max |A_ij|))."""
-        if not self.is_square:
-            return False
-        if self.field == RATIONAL:
-            m = self._ints[0]
-            return all(map(list.__eq__, m, map(list, zip(*m))))
-        t = _resolve_tol(tol, self.max_abs)
-        a = self._arr
-        return bool(np.isfinite(a).all() and np.max(np.abs(a - a.T), initial=0.0) <= t)
+        return self._is_symmetric(1, tol)
 
     def is_skew_symmetric(self, tol: Optional[float] = None) -> bool:
         """A = -A^T, with the tolerance and finiteness of ``is_symmetric``."""
+        return self._is_symmetric(-1, tol)
+
+    def _is_symmetric(self, sign: int, tol: Optional[float]) -> bool:
+        """A = sign A^T; exactly, row i of A against column i, negated when
+        sign < 0."""
         if not self.is_square:
             return False
         if self.field == RATIONAL:
             m = self._ints[0]
-            return all(x == -y for row, col in zip(m, zip(*m)) for x, y in zip(row, col))
+            cols = map(list, zip(*m)) if sign > 0 else ([-x for x in c] for c in zip(*m))
+            return all(map(list.__eq__, m, cols))
         t = _resolve_tol(tol, self.max_abs)
         a = self._arr
-        return bool(np.isfinite(a).all() and np.max(np.abs(a + a.T), initial=0.0) <= t)
+        return bool(np.isfinite(a).all() and np.max(np.abs(a - sign * a.T), initial=0.0) <= t)
 
 
 def _j_times(b: Matrix) -> Matrix:
@@ -404,31 +403,10 @@ class Subspace:
     def is_exact(self) -> bool:
         return all(isinstance(x, (Fraction, int)) for v in self.basis for x in v)
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
     def basis_numpy(self) -> np.ndarray:
         if not self.basis:
             return np.zeros((self.ambient_dim, 0), dtype=complex)
         return np.array(self.basis, dtype=complex).T
-
-    def contains(self, vector, tol: Optional[float] = None) -> bool:
-        """Membership test: exact when both the basis and vector are exact."""
-        vec = list(vector)
-        if len(vec) != self.ambient_dim:
-            raise ShapeError("vector has wrong length")
-        if self.is_exact and all(isinstance(x, (Fraction, int)) for x in vec):
-            return in_span([list(col) for col in self.basis], vec)
-        v = np.array(vec, dtype=complex)
-        scale = max(1.0, float(np.max(np.abs(v), initial=0.0)))
-        t = _resolve_tol(tol, lambda: scale)
-        if self.dimension == 0:
-            return bool(np.linalg.norm(v) <= (1e-12 if tol is None else tol))
-        arr = self.basis_numpy()
-        c, *_ = np.linalg.lstsq(arr, v, rcond=None)
-        resid = np.linalg.norm(arr @ c - v)
-        return bool(resid <= t * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +474,6 @@ def _cleared(rows) -> tuple[list[list[int]], int]:
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("non-exact division in fraction-free elimination")
-    return q
-
-
 def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form; returns (pivot rows, pivot columns)."""
     m = [row[:] for row in m]
@@ -518,7 +489,10 @@ def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         m[r], m[pr] = m[pr], m[r]
         for i in range(r + 1, n_rows):
             for j in range(c + 1, n_cols):
-                m[i][j] = _exact_div(m[r][c] * m[i][j] - m[i][c] * m[r][j], prev)
+                q, rem = divmod(m[r][c] * m[i][j] - m[i][c] * m[r][j], prev)
+                if rem:
+                    raise ArithmeticError("non-exact division in fraction-free elimination")
+                m[i][j] = q
             m[i][c] = 0
         prev = m[r][c]
         piv_cols.append(c)
@@ -571,16 +545,6 @@ def solve_exact(a_rows: list[list[Fraction]], b: list[Fraction]) -> Optional[lis
     return _back_substitute(echelon, piv_cols, [Fraction(0)] * n_cols + [Fraction(-1)])[:n_cols]
 
 
-def in_span(columns: list[list[Fraction]], vector: list[Fraction]) -> bool:
-    """Whether the vector is an exact combination of the columns, each of
-    which must have its length (``ShapeError`` otherwise)."""
-    if any(len(col) != len(vector) for col in columns):
-        raise ShapeError("columns and vector have different lengths")
-    if not columns:
-        return all(x == 0 for x in vector)
-    return solve_exact(list(zip(*columns)), vector) is not None
-
-
 # ---------------------------------------------------------------------------
 # inertia
 
@@ -595,25 +559,21 @@ def _require_symmetric(b: Matrix, tol: Optional[float]) -> Matrix:
     return b
 
 
-def _finite_array(b: Matrix) -> np.ndarray:
-    """The read-only array of a float b, refused with ``SymmetryError``
-    unless finite."""
+def _symmetric_part(b: Matrix, tol: Optional[float], sign: int = 1) -> np.ndarray:
+    """(A + sign A^T) / 2 of a float matrix A, which must be finite and
+    satisfy |A - sign A^T| <= tol entrywise (default: 1e-8 (1 + max |A_ij|)):
+    its symmetric part, or its skew part for sign = -1."""
+    if not b.is_square:
+        raise ShapeError("symmetric operations need a square matrix")
     a = b._arr
     if not np.isfinite(a).all():
         raise SymmetryError("matrix has a non-finite entry")
-    return a
-
-
-def _symmetric_part(b: Matrix, tol: Optional[float]) -> np.ndarray:
-    """(A + A^T) / 2 of a float matrix A, which must be finite and satisfy
-    |A - A^T| <= tol entrywise (default: 1e-8 (1 + max |A_ij|))."""
-    if not b.is_square:
-        raise ShapeError("symmetric operations need a square matrix")
-    a = _finite_array(b)
     t = _resolve_tol(tol, lambda: np.max(np.abs(a), initial=0.0))
-    if not np.max(np.abs(a - a.T), initial=0.0) <= t:
-        raise SymmetryError("matrix is not symmetric within tolerance")
-    return (a + a.T) / 2
+    at = a.T if sign > 0 else -a.T
+    if not np.max(np.abs(a - at), initial=0.0) <= t:
+        kind = "skew-symmetric" if sign < 0 else "symmetric"
+        raise SymmetryError(f"matrix is not {kind} within tolerance")
+    return (a + at) / 2
 
 
 def _inertia_float(s: np.ndarray, tol: Optional[float]) -> IndexReport:

@@ -58,7 +58,6 @@ __all__ = [
     "grad_U",
     "hess_U",
     "locked_inertia",
-    "inertia_gradient",
     "find_central_configuration",
     "amended_hessian",
     "e1_linearization",
@@ -355,11 +354,6 @@ def locked_inertia(sys: NBodySystem) -> float:
     """I(q) = q^T M q."""
     q = sys.q()
     return float(np.repeat(sys.mass_vector(), 2) @ (q * q))
-
-
-def inertia_gradient(sys: NBodySystem) -> np.ndarray:
-    """dI(q) = 2 M q."""
-    return 2.0 * np.repeat(sys.mass_vector(), 2) * sys.q()
 
 
 def _perp(q: np.ndarray) -> np.ndarray:

@@ -127,13 +127,11 @@ def quotient(p: Poly, d: Poly) -> Poly:
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
-    """Greatest common divisor in normal form, by the primitive remainder
-    sequence; gcd(0, 0) is the zero polynomial."""
-    a, b = p, q
-    while b:
-        r = _prem(a, b)
-        a, b = b, r and [x // math.gcd(*r) for x in r]
-    return a and _normal(a)
+    """Greatest common divisor in normal form: the last member of
+    ``sturm_chain(p, q)``, a primitive remainder sequence, up to its sign;
+    gcd(0, 0) is the zero polynomial."""
+    g = sturm_chain(p, q)[-1]
+    return g and _normal(g)
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:

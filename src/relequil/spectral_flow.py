@@ -49,7 +49,6 @@ from .matrix_core import (
     IndeterminateError,
     Matrix,
     ShapeError,
-    Subspace,
     _char_poly_int,
     _eigenvalues,
     _inertia_float,
@@ -69,13 +68,11 @@ __all__ = [
     "Crossing",
     "SpectralFlowResult",
     "KappaIdentity",
-    "KreinSignatureReport",
     "krein_form",
     "spectral_flow",
     "relative_morse_index",
     "crossing_set",
     "kappa_identity_check",
-    "krein_signature",
 ]
 
 
@@ -195,26 +192,6 @@ class KappaIdentity:
     nullity: int
     holds: bool
     classification: object
-
-
-@dataclass(frozen=True)
-class KreinSignatureReport:
-    positive: int
-    negative: int
-    degenerate: int
-
-    @property
-    def signature(self) -> int:
-        return self.positive - self.negative
-
-    @property
-    def parity(self) -> int:
-        """Parity of the negative count."""
-        return self.negative % 2
-
-    @property
-    def nondegenerate(self) -> bool:
-        return self.degenerate == 0
 
 
 # ---------------------------------------------------------------------------
@@ -644,16 +621,3 @@ def _krein_flow_and_kappa(path: KreinPath,
         shared = factors
     flow, nullity = _flow_krein(path, tol, shared)
     return flow, _kappa_identity(b, tol, cls, factors, nullity)
-
-
-def krein_signature(subspace: Subspace, tol: Optional[float] = None) -> KreinSignatureReport:
-    """Signature data of the form G = i*J restricted to a subspace of C^2n.
-
-    For the eigenspace of J B at a simple purely imaginary eigenvalue the
-    form is definite and its sign is the Krein sign of that eigenvalue."""
-    if subspace.ambient_dim % 2 != 0:
-        raise ShapeError("the Krein form lives on an even-dimensional space")
-    z = subspace.basis_numpy()
-    f = z.conj().T @ krein_form(subspace.ambient_dim // 2) @ z
-    counts = _inertia_float((f + f.conj().T) / 2, tol)
-    return KreinSignatureReport(counts.coindex, counts.morse_index, counts.nullity)

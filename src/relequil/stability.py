@@ -50,7 +50,6 @@ from .matrix_core import (
     _cleared,
     _eigenvalues,
     _exact_spectrum,
-    _finite_array,
     _int_char_polys,
     _is_invariant,
     _j_times,
@@ -59,6 +58,7 @@ from .matrix_core import (
     _resolve_tol,
     _semisimple_exact,
     _semisimple_float,
+    _symmetric_part,
     char_poly,
     complex_spectrum,
     determinant,
@@ -230,10 +230,7 @@ def _omega_b(b: Matrix, omega: Optional[Matrix], tol: Optional[float]) -> Matrix
     if omega.shape != b.shape:
         raise ShapeError("B and Omega must have the same shape")
     if omega.field == FLOAT64:
-        arr = _finite_array(omega)
-        if not omega.is_skew_symmetric(tol):
-            raise SymmetryError("matrix is not skew-symmetric within tolerance")
-        omega = Matrix._from_array((arr - arr.T) / 2)
+        omega = Matrix._from_array(_symmetric_part(omega, tol, -1))
     elif not omega.is_skew_symmetric():
         raise SymmetryError("matrix is not exactly skew-symmetric")
     if rank(omega, tol) < b.n_rows:

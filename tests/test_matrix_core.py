@@ -24,7 +24,6 @@ from relequil.matrix_core import (
     complex_spectrum,
     default_tolerance,
     determinant,
-    in_span,
     inertia,
     is_semisimple,
     kernel,
@@ -1139,8 +1138,6 @@ def test_solve_and_span():
     rows = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]]
     x = solve_exact(rows, [Fraction(4), Fraction(9)])
     assert x == [Fraction(2), Fraction(3)]
-    assert in_span([(Fraction(1), Fraction(0))], (Fraction(5), Fraction(0)))
-    assert not in_span([(Fraction(1), Fraction(0))], (Fraction(0), Fraction(1)))
 
 
 def test_exact_solvers_refuse_mismatched_shapes():
@@ -1150,30 +1147,7 @@ def test_exact_solvers_refuse_mismatched_shapes():
                     ([[one, 0], [one]], [one, one])):  # ragged rows
         with pytest.raises(ShapeError):
             solve_exact(rows, b)
-    for columns, vector in (([[one, 0, five]], [one, 0]),  # longer column
-                            ([[one]], [one, 0]),  # shorter column
-                            ([[one, 0], [one]], [one, 0])):  # ragged columns
-        with pytest.raises(ShapeError):
-            in_span(columns, vector)
     assert solve_exact([], []) == []
-    assert in_span([], [0, 0]) and not in_span([], [0, one])
-
-
-def test_subspace_contains():
-    s = Subspace(2, ((Fraction(1), Fraction(2)),))
-    assert s.contains((Fraction(2), Fraction(4)))
-    assert not s.contains((Fraction(1), Fraction(0)))
-
-
-def test_zero_subspace_contains_honours_explicit_tol():
-    zero = Subspace.zero(2)
-    assert not zero.contains((1e-13, 0.0), tol=0.0)
-    assert zero.contains((0.0, 0.0), tol=0.0)
-    assert zero.contains((1e-13, 0.0), tol=1e-12)
-    assert not zero.contains((1e-13, 0.0), tol=1e-14)
-    # the default keeps its absolute 1e-12
-    assert zero.contains((1e-13, 0.0))
-    assert not zero.contains((1e-11, 0.0))
 
 
 def test_default_tolerance_scales():

@@ -21,7 +21,6 @@ from relequil.nbody import (
     find_central_configuration,
     grad_U,
     hess_U,
-    inertia_gradient,
     locked_inertia,
     potential_U,
     stability_verdict,
@@ -75,7 +74,6 @@ def test_locked_inertia_and_gradient():
     pts = s.q()
     masses = np.repeat([2.0, 1.0], 2)
     assert locked_inertia(s) == pytest.approx(float(masses @ (pts * pts)))
-    assert np.allclose(inertia_gradient(s), 2.0 * masses * pts)
 
 
 def test_gradient_matches_finite_differences(rng):

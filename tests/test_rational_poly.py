@@ -77,6 +77,24 @@ def test_gcd_and_squarefree():
     assert H._poly_eval(sf, Fraction(1)) == 0 and H._poly_eval(sf, Fraction(2)) == 0
 
 
+def test_gcd_at_zero_coprime_and_negative_arguments():
+    # gcd is the normal form of the last member of sturm_chain(p, q): a zero
+    # argument, a remainder sequence that ends in a constant and negative
+    # leading coefficients must all come out as the Fraction reference's
+    p = mul(from_roots([1, 2]), poly(-6))  # -6 (x-1)(x-2)
+    q = mul(from_roots([1, -4]), poly(-2))
+    cases = [(p, []), ([], p), (q, p), (p, mul(p, q)), (poly(-5), []), (poly(-5), q),
+             (poly(3, -1), poly(-1, 0, -1)), (poly(-1, 0, -1), poly(3, -1))]
+    for a, b in cases:
+        g = gcd(a, b)
+        assert g == cleared(H._poly_gcd([Fraction(x) for x in a], [Fraction(x) for x in b]))
+        assert g[-1] > 0 and math.gcd(*g) == 1
+    assert gcd(p, q) == gcd(q, p) == [-1, 1]
+    assert gcd(p, []) == [2, -3, 1]
+    assert gcd(poly(3, -1), poly(-1, 0, -1)) == gcd(poly(-5), q) == [1]
+    assert gcd([], []) == []
+
+
 def test_squarefree_decomposition_multiplicities():
     # (x-1)^3 (x+2)^1
     p = mul(from_roots([1, 1, 1]), from_roots([-2]))

@@ -15,6 +15,7 @@ from relequil.matrix_core import (
     Matrix,
     default_tolerance,
     inertia,
+    is_semisimple,
     kernel,
     rank,
 )
@@ -26,7 +27,6 @@ from relequil.spectral_flow import (
     crossing_set,
     kappa_identity_check,
     krein_form,
-    krein_signature,
     relative_morse_index,
     spectral_flow,
 )
@@ -439,6 +439,22 @@ def test_library_tol_must_be_finite_and_nonnegative(tol):
         call(b, tol=1e-12)
 
 
+@pytest.mark.parametrize("tol", [True, False])
+def test_library_tol_refuses_booleans(tol):
+    # a bool is an int to Python: tol=True was kept as the tolerance and
+    # tol=False ran as tolerance 0; every other input check refuses it
+    b = Matrix([[1.0, 0.0], [0.0, -1.0]], FLOAT64)
+    calls = (inertia, kernel, rank, classify, is_semisimple, kappa_identity_check,
+             lambda m, tol: m.is_symmetric(tol),
+             lambda m, tol: crossing_set(m, 3.0, tol=tol),
+             lambda m, tol: spectral_flow(KreinPath(m, 3.0), tol=tol),
+             lambda m, tol: spectral_flow(LinearPath(m, -m), tol=tol))
+    for call in calls:
+        with pytest.raises(ValueError, match="^tol must be a finite number >= 0, got "):
+            call(b, tol=tol)
+        call(b, tol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Krein deformation paths
 
@@ -716,18 +732,3 @@ def test_kappa_matches_float_oracle(rng):
         b = Matrix(rows, RATIONAL)
         k = kappa_identity_check(b)
         assert k.kappa == H.kappa_float(rows)
-
-
-# ---------------------------------------------------------------------------
-# Krein signature of invariant subspaces
-
-
-def test_krein_signature_flags_negative_energy():
-    from relequil.matrix_core import Subspace
-
-    s = Subspace(2, ((1.0, -1j),))
-    report = krein_signature(s)
-    assert (report.positive, report.negative) == (0, 1)
-    assert report.signature == -1
-    assert report.parity == 1
-    assert report.nondegenerate is True

@@ -36,7 +36,7 @@ from relequil.stability import (
     theorem_predict,
 )
 from relequil.rational_poly import cleared, mul, quotient, squarefree_decomposition
-from relequil.spectral_flow import kappa_identity_check
+from relequil.spectral_flow import LinearPath, kappa_identity_check
 from relequil.stability import _axis_factors, _even_yun, _omega_b
 
 COUNTEREXAMPLE = Matrix.diagonal([-2, -1, 1, -1, 0, 0])
@@ -330,6 +330,21 @@ def test_classify_refuses_bad_omega(field):
     for rows, error in BAD_OMEGAS:
         with pytest.raises(error):
             classify(Matrix.identity(4, field), omega=Matrix(rows, field))
+
+
+def test_symmetry_refusals_name_the_failed_test():
+    # B and Omega share one symmetry test per field, with the sign of A^T
+    # as its parameter: each refusal still says which test failed
+    not_symmetric = [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for field, exactly, within in ((RATIONAL, "exactly ", ""), (FLOAT64, "", " within tolerance")):
+        b, one = Matrix(not_symmetric, field), Matrix.identity(4, field)
+        for make in (lambda: classify(b), lambda: LinearPath(b, one), lambda: LinearPath(one, b)):
+            with pytest.raises(SymmetryError, match=f"^matrix is not {exactly}symmetric{within}$"):
+                make()
+        with pytest.raises(SymmetryError,
+                           match=f"^matrix is not {exactly}skew-symmetric{within}$"):
+            classify(one, omega=Matrix(BAD_OMEGAS[2][0], field))
+    # a non-finite float Omega: test_float_skew_forms_reject_nonfinite
 
 
 SPLIT_JORDAN = [[-13, 7, -11, -4], [7, -7, 5, -2], [-11, 5, -11, -6], [-4, -2, -6, -8]]
