@@ -328,8 +328,9 @@ class Matrix:
         return f"Matrix({self.n_rows}x{self.n_cols}, {self.field})"
 
     def is_symmetric(self, tol: Optional[float] = None) -> bool:
-        """A = A^T: exact over the rationals; over floats every entry finite
-        and |A - A^T| <= tol entrywise (default: 1e-8 (1 + max |A_ij|))."""
+        """A = A^T, exactly when ``_require_symmetric`` accepts A: exact over
+        the rationals; over floats every entry finite, |A - A^T| <= tol
+        entrywise (default: 1e-8 (1 + max |A_ij|)) and (A + A^T) / 2 finite."""
         return self._is_symmetric(1, tol)
 
     def is_skew_symmetric(self, tol: Optional[float] = None) -> bool:
@@ -337,22 +338,19 @@ class Matrix:
         return self._is_symmetric(-1, tol)
 
     def _is_symmetric(self, sign: int, tol: Optional[float]) -> bool:
-        """A = sign A^T; exactly, row i of A against column i, negated when
-        sign < 0."""
-        if not self.is_square:
+        """Whether ``_require_symmetric`` accepts A with this sign and tol."""
+        try:
+            _require_symmetric(self, tol, sign)
+        except (ShapeError, SymmetryError):
             return False
-        if self.field == RATIONAL:
-            m = self._ints[0]
-            cols = map(list, zip(*m)) if sign > 0 else ([-x for x in c] for c in zip(*m))
-            return all(map(list.__eq__, m, cols))
-        t = _resolve_tol(tol, self.max_abs)
-        a = self._arr
-        return bool(np.isfinite(a).all() and np.max(np.abs(a - sign * a.T), initial=0.0) <= t)
+        return True
 
 
 def _j_times(b: Matrix) -> Matrix:
-    """J B = [-B_lower; B_upper] for an exact B with an even number of rows,
-    by a row swap of its cleared integer rows."""
+    """J B = [-B_lower; B_upper] for B with an even number of rows: for an
+    exact B by a row swap of its cleared integer rows."""
+    if b.field == FLOAT64:
+        return standard_symplectic(b.n_rows // 2, FLOAT64) @ b
     ints, d = b._ints
     n = len(ints) // 2
     return Matrix._from_cleared([[-x for x in r] for r in ints[n:]] + ints[:n], d, b.n_cols)
@@ -549,31 +547,34 @@ def solve_exact(a_rows: list[list[Fraction]], b: list[Fraction]) -> Optional[lis
 # inertia
 
 
-def _require_symmetric(b: Matrix, tol: Optional[float]) -> Matrix:
+def _require_symmetric(b: Matrix, tol: Optional[float], sign: int = 1) -> Matrix:
+    """B = sign B^T (sign = -1: skew-symmetric), the one symmetry rule.  An
+    exact B is returned as it is when its cleared integers are sign times
+    their transpose.  A float B, read after an explicit tol is checked, must
+    be finite with |B - sign B^T| <= tol entrywise (default: 1e-8 (1 + max
+    |B_ij|)); it is returned as (B + sign B^T) / 2, refused if that overflows."""
+    kind = "skew-symmetric" if sign < 0 else "symmetric"
     if b.field == FLOAT64:
-        return Matrix._from_array(_symmetric_part(b, tol))
+        a = b._arr
+        t = _resolve_tol(tol, b.max_abs)
     if not b.is_square:
         raise ShapeError("symmetric operations need a square matrix")
-    if not b.is_symmetric():
-        raise SymmetryError("matrix is not exactly symmetric")
-    return b
-
-
-def _symmetric_part(b: Matrix, tol: Optional[float], sign: int = 1) -> np.ndarray:
-    """(A + sign A^T) / 2 of a float matrix A, which must be finite and
-    satisfy |A - sign A^T| <= tol entrywise (default: 1e-8 (1 + max |A_ij|)):
-    its symmetric part, or its skew part for sign = -1."""
-    if not b.is_square:
-        raise ShapeError("symmetric operations need a square matrix")
-    a = b._arr
+    if b.field == RATIONAL:
+        m = b._ints[0]
+        cols = map(list, zip(*m)) if sign > 0 else ([-x for x in c] for c in zip(*m))
+        if not all(map(list.__eq__, m, cols)):
+            raise SymmetryError(f"matrix is not exactly {kind}")
+        return b
     if not np.isfinite(a).all():
         raise SymmetryError("matrix has a non-finite entry")
-    t = _resolve_tol(tol, lambda: np.max(np.abs(a), initial=0.0))
     at = a.T if sign > 0 else -a.T
-    if not np.max(np.abs(a - at), initial=0.0) <= t:
-        kind = "skew-symmetric" if sign < 0 else "symmetric"
-        raise SymmetryError(f"matrix is not {kind} within tolerance")
-    return (a + at) / 2
+    with np.errstate(over="ignore"):
+        if not np.max(np.abs(a - at), initial=0.0) <= t:
+            raise SymmetryError(f"matrix is not {kind} within tolerance")
+        s = (a + at) / 2
+    if not np.isfinite(s).all():
+        raise SymmetryError(f"the {kind} part of the matrix overflows")
+    return Matrix._from_array(s)
 
 
 def _inertia_float(s: np.ndarray, tol: Optional[float]) -> IndexReport:
@@ -599,9 +600,9 @@ def inertia(b: Matrix, tol: Optional[float] = None) -> IndexReport:
     denominator.
     Eigenvalue counting with the default tolerance over floats.
     """
-    if b.field == FLOAT64:
-        return _inertia_float(_symmetric_part(b, tol), tol)
     b = _require_symmetric(b, tol)
+    if b.field == FLOAT64:
+        return _inertia_float(b._arr, tol)
     neg, zero, pos = rp.root_sign_counts(_int_char_polys([b])[0])
     return IndexReport(morse_index=neg, nullity=zero, coindex=pos)
 
@@ -1213,7 +1214,7 @@ def restrict_form(b: Matrix, w: Subspace) -> Matrix:
     """Gram matrix of the symmetric form b on the basis of w."""
     if b.n_rows != w.ambient_dim:
         raise ShapeError("form and subspace have different ambient dimensions")
-    _require_symmetric(b, None)
+    b = _require_symmetric(b, None)
     if w.dimension == 0:
         return Matrix.zeros(0, 0, b.field)
     if b.field == RATIONAL:

@@ -55,6 +55,7 @@ from .matrix_core import (
     _j_times,
     _require_symmetric,
     _resolve_tol,
+    inertia,
     kernel,
     rank,
     standard_symplectic,
@@ -94,7 +95,8 @@ def krein_form(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearPath:
-    """The segment A(t) = (1-t) start + t end of symmetric matrices, t in [0,1]."""
+    """The segment A(t) = (1-t) start + t end, t in [0,1], of the symmetric
+    endpoints ``_require_symmetric`` returns."""
 
     start: Matrix
     end: Matrix
@@ -104,8 +106,8 @@ class LinearPath:
             raise ShapeError("path endpoints must be square matrices of equal size")
         if self.start.field != self.end.field:
             raise FieldError("path endpoints must share a backend field")
-        for m in (self.start, self.end):
-            _require_symmetric(m, None)
+        object.__setattr__(self, "start", _require_symmetric(self.start, None))
+        object.__setattr__(self, "end", _require_symmetric(self.end, None))
 
     @property
     def dim(self) -> int:
@@ -130,7 +132,7 @@ class KreinPath:
 
     D(s) is complex Hermitian; det D(s) = r(-s^2) with the even part r of
     the characteristic polynomial of J B, so ker D(s) is the eigenspace of
-    J B for the eigenvalue i*s.
+    J B for the eigenvalue i*s.  B is what ``_require_symmetric`` returns.
     """
 
     b: Matrix
@@ -139,7 +141,7 @@ class KreinPath:
     def __post_init__(self):
         if not self.b.is_square or self.b.n_rows % 2 != 0:
             raise ShapeError("Krein path needs an even-dimensional symmetric matrix")
-        _require_symmetric(self.b, None)
+        object.__setattr__(self, "b", _require_symmetric(self.b, None))
         try:
             s = float(self.s_max)
         except OverflowError:
@@ -453,8 +455,8 @@ def _krein_crossings(path: KreinPath, tol: Optional[float], shared=None):
     Irregular crossings are yielded, not raised.
 
     A float B takes the eigenvalues of J B from float ``_classify`` as
-    ``shared``, computed from the same J (B + B^T) / 2 when not given, and
-    ``_banded_crossings``; B + s_max G in the band raises.
+    ``shared``, computed when not given, and ``_banded_crossings``; B +
+    s_max G in the band raises.
 
     A rational B takes ``_krein_chi_factors(B)`` as ``shared``, computed
     when not given, and no tolerance; when it is invertible no rank is
@@ -468,7 +470,7 @@ def _krein_crossings(path: KreinPath, tol: Optional[float], shared=None):
     if b.field != RATIONAL:
         tol = _resolve_tol(tol, lambda: b.max_abs() + float(path.s_max))
         if shared is None:
-            shared = _eigenvalues(_omega_b(_require_symmetric(b, None), None, None))
+            shared = _eigenvalues(_omega_b(b, None, None))
         s_max = float(path.s_max)
         crossings, band0, band1 = _banded_crossings(
             b._arr, krein_form(b.n_rows // 2), s_max,
@@ -480,7 +482,7 @@ def _krein_crossings(path: KreinPath, tol: Optional[float], shared=None):
         yield from ((cr, False) for cr in zero + crossings if cr is not None)
         return
     qs, factors = shared or _krein_chi_factors(b)
-    if not _invertible(factors):
+    if not all(g[0] for g, _, _, _ in factors):  # det B = r(0) = 0
         yield _krein_zero_crossing(b, None), False
     s_max = Fraction(path.s_max)
     u, v = s_max.numerator ** 2, s_max.denominator ** 2
@@ -497,12 +499,6 @@ def _krein_crossings(path: KreinPath, tol: Optional[float], shared=None):
     for s, s_exact, mult, sign, at_end in found:
         k, neg, _, pos = _crossing_counts(rs, sign, reverse=True)
         yield Crossing(s, s_exact, k, pos, neg, k == mult), at_end
-
-
-def _invertible(factors) -> bool:
-    """Whether B is invertible, from the ``_axis_factors`` of char_poly(J B):
-    det B = r(0), so when no Yun factor of r vanishes at 0."""
-    return all(g[0] for g, _, _, _ in factors)
 
 
 def _flow_krein(path: KreinPath, tol: Optional[float], shared=None) -> tuple:
@@ -544,7 +540,9 @@ def spectral_flow(path: Path, tol: Optional[float] = None) -> SpectralFlowResult
 def relative_morse_index(a0: Matrix, a1: Matrix, tol: Optional[float] = None) -> int:
     """Relative Morse index of the pair (a0, a1): minus the spectral flow of
     the straight segment from a0 to a1.  For invertible endpoints this equals
-    morse(a1) - morse(a0)."""
+    morse(a1) - morse(a0).  An explicit float tol is checked first."""
+    if tol is not None and a0.field == FLOAT64:
+        _resolve_tol(tol, None)
     return -spectral_flow(LinearPath(a0, a1), tol=tol).flow
 
 
@@ -552,7 +550,10 @@ def crossing_set(b: Matrix, s_max, tol: Optional[float] = None) -> tuple:
     """All crossings of the Krein deformation B + s*G for s in [0, s_max],
     endpoint values included; irregular ones have ``regular=False``.  A
     float B raises IndeterminateError as its flow does: for a crossing not
-    located (``_banded_crossings``), or one or B + s_max G in the band of s_max."""
+    located (``_banded_crossings``), or one or B + s_max G in the band of
+    s_max.  An explicit float tol is checked before B."""
+    if tol is not None and b.field == FLOAT64:
+        _resolve_tol(tol, None)
     return tuple(cr for cr, _ in _krein_crossings(KreinPath(b, s_max), tol))
 
 
@@ -581,12 +582,13 @@ def _kappa_identity(b: Matrix, tol: Optional[float], cls, factors, nullity=None)
     """``kappa_identity_check`` from the classification of B and what
     ``_classify`` returns with it: the factors of r, or the eigenvalues of
     J B on the float backend.  ``nullity`` is dim ker B, when known, for a
-    rational B; a float B takes its own rank at the tolerance."""
+    rational B, else its ``inertia`` on the char_poly(B) that ``_classify``
+    left in B's memo; a float B takes its own rank at the tolerance."""
     n = b.n_rows // 2
     if b.field == RATIONAL:
         kappa = sum(m * (c - (g[0] == 0)) for g, m, c, _ in factors)
         if nullity is None:
-            nullity = 0 if _invertible(factors) else b.n_rows - rank(b)
+            nullity = inertia(b).nullity
         return KappaIdentity(n, kappa, nullity, n == kappa + Fraction(nullity, 2), cls)
     t = _resolve_tol(tol, b.max_abs)
     nonzero = [e for e in factors if abs(e) > t]

@@ -46,7 +46,6 @@ from .matrix_core import (
     ShapeError,
     SingularMatrixError,
     Subspace,
-    SymmetryError,
     _cleared,
     _eigenvalues,
     _exact_spectrum,
@@ -58,7 +57,6 @@ from .matrix_core import (
     _resolve_tol,
     _semisimple_exact,
     _semisimple_float,
-    _symmetric_part,
     char_poly,
     complex_spectrum,
     determinant,
@@ -222,17 +220,12 @@ class BlockNormalForm:
 
 def _omega_b(b: Matrix, omega: Optional[Matrix], tol: Optional[float]) -> Matrix:
     """Omega B (J B by default) for an invertible skew Omega of the shape of
-    B; a float Omega must be finite and enters as (Omega - Omega^T) / 2."""
+    B; a float Omega enters as (Omega - Omega^T) / 2 (``_require_symmetric``)."""
     if omega is None:
-        if b.field == RATIONAL:
-            return _j_times(b)
-        return standard_symplectic(b.n_rows // 2, FLOAT64) @ b
+        return _j_times(b)
     if omega.shape != b.shape:
         raise ShapeError("B and Omega must have the same shape")
-    if omega.field == FLOAT64:
-        omega = Matrix._from_array(_symmetric_part(omega, tol, -1))
-    elif not omega.is_skew_symmetric():
-        raise SymmetryError("matrix is not exactly skew-symmetric")
+    omega = _require_symmetric(omega, tol, -1)
     if rank(omega, tol) < b.n_rows:
         raise SingularMatrixError("skew form is degenerate")
     return omega @ b
@@ -291,8 +284,7 @@ def _off_axis_witness(spectrum: tuple[Eigenvalue, ...], tol: float) -> Optional[
 def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float], factors=None):
     """``classify``, returning also the ``_axis_factors`` of the exact
     characteristic polynomial p of Omega B, or on the float backend the
-    eigenvalues of Omega B; a caller that has checked an exact B and has
-    these factors passes them.
+    eigenvalues of Omega B; a caller that has these factors passes them.
 
     A float Omega B takes ``eigvals`` once (``_eigenvalues``): their
     clusters are the spectrum, which the verdict and the semisimplicity
@@ -311,8 +303,7 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float], factors=
     ``np.roots`` and a Newton polish per factor for the spectrum, and for a
     defective Omega B ``minimal_poly`` (Krylov sequences modulo primes),
     whose m / s = gcd(m, m') has the defective eigenvalues as its roots."""
-    if factors is None:
-        b = _require_even_symmetric(b, tol)
+    b = _require_even_symmetric(b, tol)
     ob = _omega_b(b, omega, tol)
     if b.field == RATIONAL:
         t = 0.0

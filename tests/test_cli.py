@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,25 @@ def test_empty_matrix_same_answers_on_both_backends(tmp_path, capsys):
     assert answers[0] == answers[1] == ("linearly_stable", 0, 0)
 
 
+def test_float_entries_whose_symmetric_part_overflows_exit_1(tmp_path, capsys):
+    # (A + A^T) / 2 of 1e308 overflowed: classify refused a nan tolerance and
+    # a linear flow exited 0 after overflow warnings
+    big = [[1e308, 0.0], [0.0, 1e308]]
+    requests = (["classify", write_json(tmp_path / "b.json", big)],
+                ["flow", write_json(tmp_path / "path.json", {
+                    "type": "linear", "start": big, "end": [[1.0, 0.0], [0.0, 2.0]]})])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in requests:
+            assert main(argv + ["--backend", "float"]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: the symmetric part of the matrix overflows\n"
+        ok = write_json(tmp_path / "ok.json", [[8e307, 0.0], [0.0, 8e307]])
+        assert main(["classify", ok, "--backend", "float"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "linearly_stable"
+
+
 def test_classify_input_errors(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.json")]) == 1
     odd = write_json(tmp_path / "odd.json", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -353,6 +373,18 @@ def test_exact_krein_flow_and_kappa_build_no_float_spectrum(tmp_path, capsys, mo
         assert main(["classify", write_json(tmp_path / "b.json", rows)]) == 0
         assert json.loads(capsys.readouterr().out)["spectrum"]
         assert (len(spectra), len(minimal)) == (expected, expected - 1)
+
+
+def test_exact_kappa_takes_the_nullity_from_the_memo(monkeypatch):
+    # classify leaves char_poly(B) in B's memo, and kappa reads dim ker B off
+    # it: no rank of B by elimination
+    bareiss = count_calls(monkeypatch, "_bareiss_echelon", ("matrix_core",))
+    expected = {"spectrally_stable_not_linear": (2, 1, 1, False, "spectrally_stable_not_linear"),
+                "singular": (2, 1, 2, True, "linearly_stable")}
+    for name, want in expected.items():
+        k = kappa_identity_check(Matrix(KREIN_VERDICT_ROWS[name], RATIONAL))
+        assert (k.n, k.kappa, k.nullity, k.holds, k.classification.verdict.value) == want
+    assert bareiss == []
 
 
 def test_exact_linear_flow_takes_one_pencil_polynomial(tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from relequil.matrix_core import (
     RATIONAL,
     IndeterminateError,
     Matrix,
+    SymmetryError,
     default_tolerance,
     inertia,
     is_semisimple,
@@ -453,6 +454,79 @@ def test_library_tol_refuses_booleans(tol):
         with pytest.raises(ValueError, match="^tol must be a finite number >= 0, got "):
             call(b, tol=tol)
         call(b, tol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [True, -1.0, math.nan])
+def test_explicit_tol_is_refused_before_a_nonfinite_matrix(tol):
+    # the float predicates refused the tol first but inertia, classify and
+    # the path functions refused the non-finite matrix first
+    bad = Matrix([[1.0, math.nan], [math.nan, 1.0]], FLOAT64)
+    skew = Matrix([[0.0, math.inf], [-math.inf, 0.0]], FLOAT64)
+    one = Matrix.identity(2, FLOAT64)
+    calls = (lambda: bad.is_symmetric(tol), lambda: bad.is_skew_symmetric(tol),
+             lambda: skew.is_skew_symmetric(tol), lambda: inertia(bad, tol=tol),
+             lambda: classify(bad, tol=tol), lambda: classify(one, omega=skew, tol=tol),
+             lambda: relative_morse_index(bad, one, tol=tol),
+             lambda: relative_morse_index(one, bad, tol=tol),
+             lambda: crossing_set(bad, 3.0, tol=tol))
+    for call in calls:
+        with pytest.raises(ValueError, match="^tol must be a finite number >= 0, got "):
+            call()
+
+
+def test_float_entries_whose_symmetric_part_overflows_are_refused():
+    # (A + A^T) / 2 of an entry near 1e308 overflowed: classify then refused
+    # a nan tolerance nobody gave, and a linear path ran on after warnings
+    big, one = 1e308, Matrix.identity(2, FLOAT64)
+    calls = (classify, inertia, lambda m: classify(one, omega=m),
+             lambda m: LinearPath(m, one), lambda m: LinearPath(one, m),
+             lambda m: KreinPath(m, 1.0), lambda m: relative_morse_index(m, one),
+             lambda m: crossing_set(m, 1.0), kappa_identity_check)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in ([[big, 0.0], [0.0, big]], [[-big, 0.0], [0.0, 1.0]],
+                     [[0.0, big], [big, 0.0]], [[0.0, -big], [big, 0.0]]):
+            m = Matrix(rows, FLOAT64)
+            assert not m.is_symmetric() and not m.is_skew_symmetric()
+            for tol in (None, 0.0, 1e300):
+                assert not m.is_symmetric(tol) and not m.is_skew_symmetric(tol)
+            for call in calls:
+                with pytest.raises(SymmetryError):
+                    call(m)
+        # half the largest float still has a finite symmetric part
+        ok = Matrix([[8e307, 0.0], [0.0, 8e307]], FLOAT64)
+        assert ok.is_symmetric()
+        assert classify(ok).verdict == Verdict.LINEARLY_STABLE
+        assert inertia(ok).coindex == 2
+
+
+def test_paths_keep_the_symmetric_part_of_their_matrices():
+    # a float matrix asymmetric within tol enters a path as (A + A^T) / 2,
+    # so the flow never reads its raw lower triangle; exact input is kept
+    gen = np.random.default_rng(7)
+
+    def near(diagonal):
+        a = np.diag(diagonal) + gen.standard_normal((len(diagonal),) * 2) * 1e-12
+        return Matrix(a.tolist(), FLOAT64), (a + a.T) / 2
+
+    (s, s_sym), (e, e_sym), (b, b_sym) = (
+        near([1.0, -1.0, 2.0, -2.0]), near([-1.0, 2.0, -3.0, 1.0]), near([1.0, 2.0, 3.0, 1.0]))
+    assert not np.array_equal(s.to_numpy(), s_sym)
+    path, krein = LinearPath(s, e), KreinPath(b, 3.0)
+    for got, want in ((path.start, s_sym), (path.end, e_sym), (krein.b, b_sym)):
+        assert got.to_numpy().tobytes() == want.tobytes()
+    sym = [Matrix(x.tolist(), FLOAT64) for x in (s_sym, e_sym, b_sym)]
+    flow = spectral_flow(path)
+    assert len(flow.crossings) == 4
+    assert flow == spectral_flow(LinearPath(sym[0], sym[1]))
+    assert spectral_flow(krein) == spectral_flow(KreinPath(sym[2], 3.0))
+    crossings = crossing_set(b, 3.0)
+    assert len(crossings) == 2
+    assert crossings == crossing_set(sym[2], 3.0)
+    exact = [diag(1, -1), diag(-1, 2), diag(1, 2, 3, 1)]
+    path, krein = LinearPath(exact[0], exact[1]), KreinPath(exact[2], Fraction(3))
+    assert (path.start, path.end, krein.b) == tuple(exact)
+    assert path.start is exact[0] and path.end is exact[1] and krein.b is exact[2]
 
 
 # ---------------------------------------------------------------------------
