@@ -214,12 +214,11 @@ def _load_problem(path: str):
 
 
 def _cc_data(cc) -> dict:
-    pts = cc.system.q().reshape(-1, 2)
     return {
         "alpha": cc.system.alpha,
         "locked_inertia": locked_inertia(cc.system),
         "masses": list(cc.system.masses),
-        "positions": [[float(x), float(y)] for x, y in pts],
+        "positions": cc.system.q().reshape(-1, 2).tolist(),
         "potential": cc.potential,
         "residual": cc.residual,
         "xi_squared": cc.xi_squared,

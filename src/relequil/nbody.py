@@ -19,15 +19,20 @@ configuration.
 Everything here is float-backend: central configurations have irrational
 coordinates in general.  U and its derivatives are numpy sums over the
 pairs i < j that round exactly as a scalar loop over the pairs does: the
-squared distance is the BLAS dot of a stacked matmul (as ``d @ d``), the
-powers are CPython's ``pow`` (``np.power`` differs in the last bit), and
-every sum keeps the loop's order (a sequential accumulate for U, a weighted
-``np.bincount`` in pair order for the gradient and the diagonal Hessian
-blocks).  The CC search tests an absolute residual close to its rounding
-floor, so another rounding of these sums changes the configurations it
-converges to, or whether it does.  The search returns U and D^2U at the
-configuration it stops at, and the report reads them from there instead of
-evaluating the pair sums again.
+squared distance is the BLAS dot of a stacked matmul (as ``d @ d``); the
+exponents -alpha and -alpha - 2 are computed once per call and the powers
+are ``math.pow``, the libm ``pow`` that CPython's ``**`` calls (numpy's
+power ufunc takes a SIMD path that differs in the last bit); the pair terms
+are built for all pairs at once, each operation in the loop's order; and
+every sum keeps the loop's order (a sequential accumulate for U, one
+weighted ``np.bincount`` in pair order for the gradient and one for the
+Hessian).  A pair potential that overflows the float range, in the power
+or in the mass product after it, is refused with a ValueError.  The CC
+search tests an absolute residual close to its rounding floor, so another
+rounding of these sums changes the configurations it converges to, or
+whether it does.  The search returns U and D^2U at the configuration it
+stops at, and the report reads them from there instead of evaluating the
+pair sums again.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -109,7 +115,9 @@ def _reals(values, name: str, text: str, pairs: bool = False) -> list:
         if pairs and values and all(np.iterable(p) and not isinstance(p, str) and len(p) == 2
                                     for p in values):
             values = [x for p in values for x in p]
-        if all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in values):
+        # plain floats and ints (JSON's numbers) first: the ABC check is slow
+        if all(type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)
+               for x in values):
             try:
                 return [float(x) for x in values]
             except OverflowError:
@@ -157,18 +165,17 @@ class NBodySystem:
         """Build a system from per-body (x, y) pairs or a flat sequence of
         real numbers, recentering the weighted center of mass to the origin;
         strings, booleans and ragged pairs raise ValueError (``_reals``)."""
-        m = np.asarray(_reals(masses, "masses", "a list of numbers"), dtype=float)
+        m = _reals(masses, "masses", "a list of numbers")
         (alpha,) = _reals([alpha], "alpha", "a number")
-        q = np.asarray(_reals(positions, "positions", "(x, y) pairs or a flat list of numbers",
-                              pairs=True), dtype=float)
-        if q.size != 2 * m.size:
+        q = _reals(positions, "positions", "(x, y) pairs or a flat list of numbers", pairs=True)
+        if len(q) != 2 * len(m):
             raise ShapeError("positions must hold two coordinates per body")
         _require_finite(m, alpha, q)
+        m, q = np.asarray(m, dtype=float), np.asarray(q, dtype=float)
         if np.any(m <= 0):
             raise ValueError("masses must be positive")
-        com = _weighted_com(m, q)
-        q = q - np.tile(com, m.size)
-        return cls(tuple(float(x) for x in m), alpha, tuple(float(x) for x in q))
+        q = (q.reshape(-1, 2) - _weighted_com(m, q)).reshape(-1)
+        return cls(tuple(m.tolist()), alpha, tuple(q.tolist()))
 
     @property
     def n(self) -> int:
@@ -261,17 +268,18 @@ def _weighted_com(m: np.ndarray, q: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _pair_index(n: int):
     """For n bodies: the pairs i < j in lexicographic order; the flat indices
-    of the gradient entries, then of the 2x2 diagonal Hessian blocks, of both
-    ends of each pair, i before j; those of the Hessian blocks (i, j), then
-    (j, i).  Cached, so read-only."""
+    of the gradient entries of the ends j, then i, of all pairs; those of the
+    Hessian blocks (j, j), (i, i), (i, j), then (j, i) of all pairs.  Each
+    index array runs over the group, then the coordinate (the entry of the
+    2x2 block, row-major), then the pair.  A body b is the end j of the
+    pairs (h, b), h < b, which come before the pairs (b, j) in pair order,
+    so each entry meets its terms in pair order.  Cached, so read-only."""
     i, j = np.triu_indices(n, 1)
-    ends, two = np.column_stack([i, j]), np.arange(2)
-
-    def block(a, b):  # flat indices in the 2n x 2n Hessian of the blocks (a, b)
-        return (2 * a[..., None, None] + two[:, None]) * (2 * n) + 2 * b[..., None, None] + two
-
-    out = (i, j, (2 * ends[..., None] + two).reshape(-1), block(ends, ends).reshape(-1),
-           block(np.stack([i, j]), np.stack([j, i])))
+    two = np.arange(2)[:, None]
+    rows, cols = np.stack([j, i, i, j]), np.stack([j, i, j, i])
+    out = (i, j, (2 * np.stack([j, i])[:, None] + two).reshape(-1),
+           ((2 * rows[:, None, None] + two[:, None]) * (2 * n)
+            + 2 * cols[:, None, None] + two).reshape(-1))
     for a in out:
         a.setflags(write=False)
     return out
@@ -281,18 +289,23 @@ def _pairs(q: np.ndarray):
     """``_pair_index`` of the bodies of q, then d = q_i - q_j per pair."""
     pts = q.reshape(-1, 2)
     index = _pair_index(pts.shape[0])
-    return (*index, pts[index[0]] - pts[index[1]])
+    return (*index, pts.take(index[0], axis=0) - pts.take(index[1], axis=0))
 
 
 def _min_pair_distance(d: np.ndarray, guard: float) -> float:
     dist = np.hypot(d[:, 0], d[:, 1])
-    dmin = float(np.min(dist, initial=math.inf))
-    dmax = float(np.max(dist, initial=0.0))
+    dmin = float(dist.min(initial=math.inf))
+    dmax = float(dist.max(initial=0.0))
     if dmin <= guard * dmax or dmax == 0.0:
         raise CollisionError(
             f"minimum pairwise distance {dmin:.3e} under the guard "
             f"{guard:.1e} x diameter {dmax:.3e}")
     return dmin
+
+
+def _overflow(alpha: float, r: list) -> ValueError:
+    return ValueError(f"the pair potential r^-alpha overflows the float range at "
+                      f"alpha = {alpha!r} and r = {min(r):.3e}")
 
 
 def _potential_parts(m: np.ndarray, q: np.ndarray, alpha: float,
@@ -305,32 +318,48 @@ def _potential_parts(m: np.ndarray, q: np.ndarray, alpha: float,
     to the Hessian, +k on the blocks (i, i) and (j, j), -k on (i, j) and
     (j, i).  The result is bit for bit that of the scalar loop over pairs:
     r^2 is the BLAS dot of the stacked matmul, as ``d @ d`` is (x*x + y*y
-    rounds differently where the dot fuses the multiply-add); the powers are
-    CPython's ``pow``, since ``np.power`` differs from it in the last bit;
-    U is a sequential sum in pair order, not numpy's pairwise ``sum``; the
-    gradient and the diagonal blocks take their terms from 0.0 in pair
-    order, i before j, by one weighted ``np.bincount`` each, which adds in
-    input order as ``np.add.at`` does; and each off-diagonal block is a zero
-    block plus -k, so its zeros are unsigned.
+    rounds differently where the dot fuses the multiply-add); the exponents
+    -alpha and -alpha - 2 are computed once, and every power is
+    ``math.pow``, the same libm ``pow`` call that CPython's ``**`` makes on
+    a positive finite base (numpy's power ufunc takes a SIMD path that
+    differs in the last bit); U is a sequential sum in pair order, not
+    numpy's pairwise ``sum``; g and the four entries of k are computed for
+    all pairs at once, with the loop's operations in the loop's order; the
+    gradient and the Hessian take their terms from 0.0 in pair order
+    (``_pair_index``) by one weighted ``np.bincount`` each, which adds in
+    input order as ``np.add.at`` does; and each off-diagonal block is a
+    zero block plus -k, so its zeros are unsigned.  A power that
+    overflows, or a U, DU or D^2U that is not finite (large masses
+    overflow m_i m_j r^-alpha after the power), raises a ValueError.
     """
-    i, j, grad_at, diag_at, off_at, d = _pairs(q)
-    _min_pair_distance(d, guard)
-    n = q.size // 2
-    r2 = np.matmul(d[:, None, :], d[:, :, None]).reshape(-1)
-    r = np.sqrt(r2).tolist()
-    mm = m[i] * m[j]
-    try:
-        u = np.add.accumulate(mm * [x ** (-alpha) for x in r])[-1]
-        c = -alpha * mm * [x ** (-alpha - 2) for x in r]
-    except OverflowError:
-        raise ValueError(f"the pair potential r^-alpha overflows the float range at "
-                         f"alpha = {alpha!r} and r = {min(r):.3e}") from None
-    g = c[:, None] * d
-    k = c[:, None, None] * (
-        np.eye(2) - (alpha + 2) * (d[:, :, None] * d[:, None, :]) / r2[:, None, None])
-    grad = np.bincount(grad_at, np.stack([g, -g], axis=1).reshape(-1), 2 * n)
-    hess = np.bincount(diag_at, np.repeat(k, 2, axis=0).reshape(-1), 4 * n * n)
-    hess[off_at] = 0.0 - k  # zero block plus -k: no -0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        i, j, grad_at, hess_at, d = _pairs(q)
+        _min_pair_distance(d, guard)
+        n = q.size // 2
+        r2 = np.matmul(d[:, None, :], d[:, :, None]).reshape(-1)
+        r = np.sqrt(r2).tolist()
+        e_u, e_c = -alpha, -alpha - 2
+        try:
+            p_u = np.fromiter(map(math.pow, r, repeat(e_u)), float, len(r))
+            p_c = np.fromiter(map(math.pow, r, repeat(e_c)), float, len(r))
+        except OverflowError:
+            raise _overflow(alpha, r) from None
+        mm = m[i] * m[j]
+        u = np.add.accumulate(mm * p_u)[-1]
+        c = -alpha * mm * p_c
+        g = c * d.T  # coordinate, then pair
+        x, y = d[:, 0], d[:, 1]
+        xy = x * y
+        k = np.stack([x * x, xy, xy, y * y])  # d d^T: entry of the block, then pair
+        k *= alpha + 2
+        k /= r2
+        np.subtract(np.eye(2).reshape(4, 1), k, out=k)
+        k *= c
+        grad = np.bincount(grad_at, np.concatenate([-g, g]).reshape(-1), 2 * n)
+        nk = -k
+        hess = np.bincount(hess_at, np.concatenate([k, k, nk, nk]).reshape(-1), 4 * n * n)
+    if not (math.isfinite(u) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+        raise _overflow(alpha, r)
     return u, grad, hess.reshape(2 * n, 2 * n)
 
 
@@ -369,7 +398,7 @@ def _perp(q: np.ndarray) -> np.ndarray:
 
 def _gauge_normalize(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Recenter, rotate body 1 onto the positive x-axis, rescale to I = 1."""
-    q = q - np.tile(_weighted_com(m, q), m.size)
+    q = (q.reshape(-1, 2) - _weighted_com(m, q)).reshape(-1)
     r1 = math.hypot(q[0], q[1])
     scale = float(np.max(np.abs(q))) or 1.0
     if r1 > 1e-13 * scale:
@@ -397,11 +426,20 @@ def _slice_basis(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     return vt[4:].T
 
 
-def _residual(m: np.ndarray, q: np.ndarray, alpha: float, guard: float):
+def _residual(m: np.ndarray, mm: np.ndarray, q: np.ndarray, alpha: float, guard: float):
+    """|DU + xi^2 M q| (``mm`` is m with each mass twice), U, DU, D^2U, xi^2."""
     u, g, h = _potential_parts(m, q, alpha, guard)
     xi2 = alpha * u
-    f = g + xi2 * np.repeat(m, 2) * q
-    return float(np.linalg.norm(f)), u, g, h, xi2
+    f = g + xi2 * mm * q
+    return math.sqrt(f @ f), u, g, h, xi2  # np.linalg.norm of a 1-D float array
+
+
+def _plus_diagonal(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """h + diag(v) as a new array.  Equal to ``h + np.diag(v)`` bit for bit
+    where h holds no -0.0, as the pair kernel's Hessians do."""
+    out = h.copy()
+    out.reshape(-1)[::h.shape[0] + 1] += v
+    return out
 
 
 def find_central_configuration(sys: NBodySystem,
@@ -418,7 +456,7 @@ def find_central_configuration(sys: NBodySystem,
     alpha = sys.alpha
     mm = np.repeat(m, 2)
     q = _gauge_normalize(m, sys.q())
-    res, u, g, h, xi2 = _residual(m, q, alpha, cfg.collision_guard)
+    res, u, g, h, xi2 = _residual(m, mm, q, alpha, cfg.collision_guard)
     for _ in range(cfg.max_iter):
         if res <= cfg.cc_tol:
             break
@@ -427,7 +465,7 @@ def find_central_configuration(sys: NBodySystem,
             raise ConvergenceError(
                 "zero-dimensional slice with residual above tolerance")
         red_grad = z.T @ g
-        red_hess = z.T @ (h + xi2 * np.diag(mm)) @ z
+        red_hess = z.T @ _plus_diagonal(h, xi2 * mm) @ z
         directions = []
         try:
             directions.append(np.linalg.solve(red_hess, -red_grad))
@@ -443,7 +481,7 @@ def find_central_configuration(sys: NBodySystem,
                 try:
                     q_new = _gauge_normalize(m, q + t * (z @ c))
                     res_new, u_n, g_n, h_n, xi2_n = _residual(
-                        m, q_new, alpha, cfg.collision_guard)
+                        m, mm, q_new, alpha, cfg.collision_guard)
                 except CollisionError:
                     t *= cfg.armijo_factor
                     continue
@@ -501,14 +539,17 @@ def amended_hessian(cc: CentralConfiguration) -> AmendedHessianReport:
     xi2 = cc.xi_squared
     h = cc.hess_u  # D^2U at q, as the search evaluated it
     mq = mm * q
-    form = -h - xi2 * np.diag(mm) + 4.0 * xi2 * np.outer(mq, mq)
+    constrained = _plus_diagonal(h, xi2 * mm)
+    # -D^2U - xi^2 M + 4 xi^2 (Mq)(Mq)^T, bit for bit: negation and the sum
+    # commute exactly in round-to-nearest
+    form = 4.0 * xi2 * np.outer(mq, mq)
+    form -= constrained
     z_shat = _m_orthonormalize(_slice_basis(m, q), mm)
     if z_shat.shape[1] != 2 * n - 4:
         raise BasisConstructionError("sphere-tangent slice has the wrong dimension")
     y = np.column_stack([q, z_shat])  # already M-orthonormal jointly
     on_v = y.T @ form @ y
     on_v = (on_v + on_v.T) / 2
-    constrained = h + xi2 * np.diag(mm)
     on_shat = z_shat.T @ constrained @ z_shat
     on_shat = (on_shat + on_shat.T) / 2
     op = form / mm[:, None]  # M^{-1} (form), the operator of the second variation

@@ -852,6 +852,22 @@ def test_nbody_rejects_an_overflowing_pair_potential(tmp_path, capsys, alpha):
         assert captured.err.startswith("error: the pair potential r^-alpha overflows")
 
 
+@pytest.mark.filterwarnings("error")
+def test_nbody_rejects_a_potential_that_overflows_after_the_power(tmp_path, capsys):
+    # m_i m_j is finite, but m_i m_j r^-alpha overflows once the search has
+    # rescaled q to I = 1: numpy warned and the search exited 2 with "gauge
+    # constraints are rank deficient"
+    problem = write_json(tmp_path / "p.json", {
+        "masses": [1e150, 1e150, 1e150], "alpha": 1,
+        "positions": [[0, 0], [1, 0], [0.5, 0.9]]})
+    for command in ("nbody-find-cc", "nbody-stability"):
+        assert main([command, problem]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the pair potential r^-alpha overflows the float range "
+                                "at alpha = 1.0 and r = 9.806e-76\n")
+
+
 def test_nbody_unbuildable_slice_basis_exits_2(tmp_path, capsys):
     # at masses 1e30 the gauge constraints m and M q differ in scale by
     # 1e15 and lose rank in floating point: an error line, not a traceback

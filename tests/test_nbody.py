@@ -126,6 +126,38 @@ def test_potential_parts_bitwise_match_pair_loop():
             assert _bits(nbody._potential_parts(m, q, alpha)) == _bits(expected), (n, kind)
 
 
+def test_potential_parts_bitwise_match_pair_loop_at_rounded_exponents():
+    # alphas whose -alpha - 2 rounds, up to 60 bodies, unequal masses, on
+    # random, x-collinear and y-collinear configurations
+    rng = random.Random("pair-loop-rounded")
+    alphas = (0.1, 1 / 3, 2.2, 7.3)
+    for n in range(2, 61):
+        m = np.array([rng.uniform(0.5, 2.0) for _ in range(n)])
+        line = [k + rng.uniform(-0.3, 0.3) for k in range(n)]
+        configs = (
+            np.array(H.random_noncollision_config(rng, n, min_gap=0.01), dtype=float).reshape(-1),
+            np.array([(x, 0.0) for x in line]).reshape(-1),
+            np.array([(0.0, -x) for x in line]).reshape(-1),
+        )
+        for kind, q in enumerate(configs):
+            alpha = alphas[(n + kind) % len(alphas)]
+            expected = H.potential_parts_loop(m, q, alpha)
+            assert _bits(nbody._potential_parts(m, q, alpha)) == _bits(expected), (n, kind)
+
+
+@pytest.mark.filterwarnings("error")
+def test_potential_parts_refuses_overflow():
+    # in the power itself, and in m_i m_j r^-alpha after it, with no warning
+    with pytest.raises(ValueError) as e:
+        nbody._potential_parts(np.array([1., 1.]), np.array([0., 0., .1, 0.]), 400.0)
+    assert str(e.value) == ("the pair potential r^-alpha overflows the float range at "
+                            "alpha = 400.0 and r = 1.000e-01")
+    with pytest.raises(ValueError) as e:
+        nbody._potential_parts(np.array([1e200, 1e200]), np.array([0., 0., .5, 0.]), 1.0)
+    assert str(e.value) == ("the pair potential r^-alpha overflows the float range at "
+                            "alpha = 1.0 and r = 5.000e-01")
+
+
 def test_collision_guard_matches_pair_loop():
     m = np.array([1.0, 2.0, 0.5])
     guard = nbody.COLLISION_GUARD
@@ -178,6 +210,42 @@ def test_cc_carries_the_last_search_evaluation():
         s = cc.system
         u, _, h = nbody._potential_parts(s.mass_vector(), s.q(), s.alpha)
         assert _bits([cc.potential, cc.hess_u]) == _bits([u, h])
+
+
+def _amended_reference(cc):
+    # the forms of amended_hessian as np.diag sums
+    s = cc.system
+    m, q, xi2, h = s.mass_vector(), s.q(), cc.xi_squared, cc.hess_u
+    mm = np.repeat(m, 2)
+    mq = mm * q
+    form = -h - xi2 * np.diag(mm) + 4.0 * xi2 * np.outer(mq, mq)
+    z_shat = nbody._m_orthonormalize(nbody._slice_basis(m, q), mm)
+    y = np.column_stack([q, z_shat])
+    on_v = y.T @ form @ y
+    constrained = h + xi2 * np.diag(mm)
+    on_shat = z_shat.T @ constrained @ z_shat
+    on_shat = (on_shat + on_shat.T) / 2
+    op = form / mm[:, None]
+    lam = float(q @ form @ q)
+    radial = float(np.linalg.norm(op @ q - lam * q)) / (float(np.linalg.norm(op, 2)) or 1.0)
+    sign = float(np.max(np.abs(z_shat.T @ form @ z_shat + on_shat)))
+    return (on_v + on_v.T) / 2, on_shat, lam, radial, sign
+
+
+def test_amended_hessian_bitwise_matches_diag_sums():
+    with open(GOLDEN_NBODY, encoding="utf-8") as fh:
+        systems = [system(**case["problem"]) for case in json.load(fh)]
+    rng = random.Random("unequal-ring")
+    ring = [(0.01, -0.02)] + [(math.cos(2 * math.pi * k / 9) + rng.uniform(-0.02, 0.02),
+                               math.sin(2 * math.pi * k / 9) + rng.uniform(-0.02, 0.02))
+                              for k in range(9)]
+    systems.append(system([7.5] + [rng.uniform(0.5, 2.0) for _ in range(9)], 3.0, ring))
+    for s in systems:
+        cc = find_central_configuration(s)
+        rep = amended_hessian(cc)
+        got = [rep.on_v, rep.on_shat, rep.radial_eigenvalue, rep.radial_residual,
+               rep.sign_identity_residual]
+        assert _bits(got) == _bits(_amended_reference(cc)), s.n
 
 
 def test_inertia_float_matches_inertia(rng):
