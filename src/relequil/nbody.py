@@ -18,16 +18,18 @@ configuration.
 
 Everything here is float-backend: central configurations have irrational
 coordinates in general.  U and its derivatives are numpy sums over the
-pairs i < j that round exactly as a scalar loop over the pairs does: the
-squared distance is the BLAS dot of a stacked matmul (as ``d @ d``); the
-exponents -alpha and -alpha - 2 are computed once per call and the powers
-are ``math.pow``, the libm ``pow`` that CPython's ``**`` calls (numpy's
-power ufunc takes a SIMD path that differs in the last bit); the pair terms
-are built for all pairs at once, each operation in the loop's order; and
-every sum keeps the loop's order (a sequential accumulate for U, one
-weighted ``np.bincount`` in pair order for the gradient and one for the
-Hessian).  A pair potential that overflows the float range, in the power
-or in the mass product after it, is refused with a ValueError.  The CC
+pairs i < j, with no Python step per pair, that round exactly as a scalar
+loop over the pairs does: the squared distance is the BLAS dot of a
+stacked matmul (as ``d @ d``); the powers are ``np.float_power``, whose
+float64 loop calls libm ``pow`` per element, as CPython's ``**`` and
+``math.pow`` do (``np.power`` stays out: its SIMD loop differs from libm
+``pow`` in the last bit); the pair terms are built for all pairs at once,
+each operation in the loop's order; and every sum keeps the loop's order
+(a sequential accumulate for U, one weighted ``np.bincount`` in pair order
+for the gradient and one for the Hessian).  A pair potential that
+overflows the float range, in the power or in the mass product after it,
+is refused with a ValueError, and so are finite positions whose center of
+mass, pair differences or locked inertia overflow it.  The CC
 search tests an absolute residual close to its rounding floor, so another
 rounding of these sums changes the configurations it converges to, or
 whether it does.  The search returns U and D^2U at the configuration it
@@ -42,7 +44,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -154,11 +155,11 @@ class NBodySystem:
         if len(self.positions) != 2 * len(self.masses):
             raise ShapeError("positions must hold two coordinates per body")
         q = self.q()
+        com, d = _finite_scale(self.mass_vector(), q)
         scale = 1.0 + float(np.max(np.abs(q)))
-        com = _weighted_com(np.asarray(self.masses, dtype=float), q)
         if float(np.max(np.abs(com))) > 1e-8 * scale:
             raise ValueError("center of mass must sit at the origin; use assemble()")
-        _min_pair_distance(_pairs(q)[-1], guard=COLLISION_GUARD)
+        _min_pair_distance(d, guard=COLLISION_GUARD)
 
     @classmethod
     def assemble(cls, masses, alpha, positions) -> "NBodySystem":
@@ -174,7 +175,10 @@ class NBodySystem:
         m, q = np.asarray(m, dtype=float), np.asarray(q, dtype=float)
         if np.any(m <= 0):
             raise ValueError("masses must be positive")
-        q = (q.reshape(-1, 2) - _weighted_com(m, q)).reshape(-1)
+        # the inertia of q before recentering may overflow where that after
+        # it does not; __post_init__ checks the latter
+        com, _ = _finite_scale(m, q, inertia=False)
+        q = (q.reshape(-1, 2) - com).reshape(-1)
         return cls(tuple(m.tolist()), alpha, tuple(q.tolist()))
 
     @property
@@ -265,6 +269,26 @@ def _weighted_com(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (m[:, None] * pts).sum(axis=0) / m.sum()
 
 
+def _inertia(m: np.ndarray, q: np.ndarray) -> float:
+    """I(q) = q^T M q."""
+    return float(np.repeat(m, 2) @ (q * q))
+
+
+def _finite_scale(m: np.ndarray, q: np.ndarray, inertia: bool = True):
+    """The weighted center of mass of q and its pair differences d = q_i - q_j
+    (``_pairs``), checking with ``inertia`` the locked inertia q^T M q too.
+    Finite positions can overflow any of these; the first that is not finite
+    raises a ValueError that names it, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        com, d = _weighted_com(m, q), _pairs(q)[-1]
+        parts = (("center of mass of the positions", com), ("pair difference q_i - q_j", d),
+                 ("locked inertia q^T M q", _inertia(m, q) if inertia else 0.0))
+    for name, x in parts:
+        if not np.isfinite(x).all():
+            raise ValueError(f"the {name} overflows the float range")
+    return com, d
+
+
 @functools.lru_cache(maxsize=32)
 def _pair_index(n: int):
     """For n bodies: the pairs i < j in lexicographic order; the flat indices
@@ -303,9 +327,9 @@ def _min_pair_distance(d: np.ndarray, guard: float) -> float:
     return dmin
 
 
-def _overflow(alpha: float, r: list) -> ValueError:
+def _overflow(alpha: float, r: np.ndarray) -> ValueError:
     return ValueError(f"the pair potential r^-alpha overflows the float range at "
-                      f"alpha = {alpha!r} and r = {min(r):.3e}")
+                      f"alpha = {alpha!r} and r = {r.min():.3e}")
 
 
 def _potential_parts(m: np.ndarray, q: np.ndarray, alpha: float,
@@ -318,32 +342,30 @@ def _potential_parts(m: np.ndarray, q: np.ndarray, alpha: float,
     to the Hessian, +k on the blocks (i, i) and (j, j), -k on (i, j) and
     (j, i).  The result is bit for bit that of the scalar loop over pairs:
     r^2 is the BLAS dot of the stacked matmul, as ``d @ d`` is (x*x + y*y
-    rounds differently where the dot fuses the multiply-add); the exponents
-    -alpha and -alpha - 2 are computed once, and every power is
-    ``math.pow``, the same libm ``pow`` call that CPython's ``**`` makes on
-    a positive finite base (numpy's power ufunc takes a SIMD path that
-    differs in the last bit); U is a sequential sum in pair order, not
+    rounds differently where the dot fuses the multiply-add); the powers
+    r^-alpha and r^(-alpha-2) are one ``np.float_power`` each, whose
+    float64 loop calls libm ``pow`` per element as CPython's ``**`` and
+    ``math.pow`` do, so no step runs once per pair in Python (``np.power``
+    stays out: its SIMD loop differs from libm ``pow`` in the last bit);
+    U is a sequential sum in pair order, not
     numpy's pairwise ``sum``; g and the four entries of k are computed for
     all pairs at once, with the loop's operations in the loop's order; the
     gradient and the Hessian take their terms from 0.0 in pair order
     (``_pair_index``) by one weighted ``np.bincount`` each, which adds in
     input order as ``np.add.at`` does; and each off-diagonal block is a
     zero block plus -k, so its zeros are unsigned.  A power that
-    overflows, or a U, DU or D^2U that is not finite (large masses
-    overflow m_i m_j r^-alpha after the power), raises a ValueError.
+    overflows to inf (r^2 that underflows to 0 included), or a U, DU or
+    D^2U that is not finite (large masses overflow m_i m_j r^-alpha after
+    the power), raises a ValueError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         i, j, grad_at, hess_at, d = _pairs(q)
         _min_pair_distance(d, guard)
         n = q.size // 2
         r2 = np.matmul(d[:, None, :], d[:, :, None]).reshape(-1)
-        r = np.sqrt(r2).tolist()
-        e_u, e_c = -alpha, -alpha - 2
-        try:
-            p_u = np.fromiter(map(math.pow, r, repeat(e_u)), float, len(r))
-            p_c = np.fromiter(map(math.pow, r, repeat(e_c)), float, len(r))
-        except OverflowError:
-            raise _overflow(alpha, r) from None
+        r = np.sqrt(r2)
+        p_u = np.float_power(r, -alpha)
+        p_c = np.float_power(r, -alpha - 2)
         mm = m[i] * m[j]
         u = np.add.accumulate(mm * p_u)[-1]
         c = -alpha * mm * p_c
@@ -381,8 +403,7 @@ def hess_U(sys: NBodySystem) -> Matrix:
 
 def locked_inertia(sys: NBodySystem) -> float:
     """I(q) = q^T M q."""
-    q = sys.q()
-    return float(np.repeat(sys.mass_vector(), 2) @ (q * q))
+    return _inertia(sys.mass_vector(), sys.q())
 
 
 def _perp(q: np.ndarray) -> np.ndarray:
@@ -405,7 +426,7 @@ def _gauge_normalize(m: np.ndarray, q: np.ndarray) -> np.ndarray:
         c, s = q[0] / r1, q[1] / r1
         rot = np.array([[c, s], [-s, c]])
         q = (q.reshape(-1, 2) @ rot.T).reshape(-1)
-    inert = float(np.repeat(m, 2) @ (q * q))
+    inert = _inertia(m, q)
     if inert <= 0:
         raise CollisionError("total collapse to the origin")
     return q / math.sqrt(inert)

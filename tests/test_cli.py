@@ -868,6 +868,24 @@ def test_nbody_rejects_a_potential_that_overflows_after_the_power(tmp_path, caps
                                 "at alpha = 1.0 and r = 9.806e-76\n")
 
 
+def test_nbody_rejects_positions_whose_scale_overflows(tmp_path, capsys):
+    # finite positions: numpy warned in the pair differences, the center of
+    # mass or the rescale to I = 1, then the commands exited 1 with a
+    # collision message or "positions must be finite"
+    for positions, name in (([[1e308, 0], [-1e308, 0]], "pair difference q_i - q_j"),
+                            ([[1e308, 0], [1e308, 1e308]], "center of mass of the positions"),
+                            ([[1e200, 0], [-1e200, 0]], "locked inertia q^T M q")):
+        problem = write_json(tmp_path / "p.json",
+                             {"masses": [1, 1], "alpha": 1, "positions": positions})
+        for command in ("nbody-find-cc", "nbody-stability"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, problem]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: the {name} overflows the float range\n"
+
+
 def test_nbody_unbuildable_slice_basis_exits_2(tmp_path, capsys):
     # at masses 1e30 the gauge constraints m and M q differ in scale by
     # 1e15 and lose rank in floating point: an error line, not a traceback

@@ -62,6 +62,22 @@ def test_validation_errors():
             NBodySystem((1.0, 1.0), 1.0, (-0.5, bad, 0.5, 0.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_positions_whose_scale_overflows_are_refused():
+    # finite positions whose center of mass, pair difference q_i - q_j or
+    # locked inertia overflows, through the constructor and assemble()
+    for flat, name in (((1e308, 0.0, 1e308, 1e308), "center of mass of the positions"),
+                       ((1e308, 0.0, -1e308, 0.0), "pair difference q_i - q_j"),
+                       ((1e200, 0.0, -1e200, 0.0), "locked inertia q^T M q")):
+        for build in (NBodySystem, NBodySystem.assemble):
+            with pytest.raises(ValueError) as e:
+                build((1.0, 1.0), 1.0, flat)
+            assert str(e.value) == f"the {name} overflows the float range"
+    # far from the origin, the inertia overflows before recentering only
+    s = system([1.0, 1.0], 1.0, [(1e160, 0.0), (1.0000001e160, 0.0)])
+    assert locked_inertia(s) == pytest.approx(2 * (0.5e153) ** 2, rel=1e-6)
+
+
 def test_potential_closed_form():
     s = system([1.0, 1.0], 1.0, [(-0.5, 0.0), (0.5, 0.0)])
     assert potential_U(s) == pytest.approx(1.0, abs=1e-14)
@@ -127,10 +143,12 @@ def test_potential_parts_bitwise_match_pair_loop():
 
 
 def test_potential_parts_bitwise_match_pair_loop_at_rounded_exponents():
-    # alphas whose -alpha - 2 rounds, up to 60 bodies, unequal masses, on
-    # random, x-collinear and y-collinear configurations
+    # alphas whose -alpha - 2 rounds, and the benchmark's alphas 1, 2 and 3,
+    # up to 60 bodies, unequal masses, on random, x-collinear and
+    # y-collinear configurations
     rng = random.Random("pair-loop-rounded")
     alphas = (0.1, 1 / 3, 2.2, 7.3)
+    integral = (1.0, 2.0, 3.0)
     for n in range(2, 61):
         m = np.array([rng.uniform(0.5, 2.0) for _ in range(n)])
         line = [k + rng.uniform(-0.3, 0.3) for k in range(n)]
@@ -140,9 +158,45 @@ def test_potential_parts_bitwise_match_pair_loop_at_rounded_exponents():
             np.array([(0.0, -x) for x in line]).reshape(-1),
         )
         for kind, q in enumerate(configs):
-            alpha = alphas[(n + kind) % len(alphas)]
-            expected = H.potential_parts_loop(m, q, alpha)
-            assert _bits(nbody._potential_parts(m, q, alpha)) == _bits(expected), (n, kind)
+            for alpha in (alphas[(n + kind) % len(alphas)], integral[(n + kind) % 3]):
+                expected = H.potential_parts_loop(m, q, alpha)
+                assert _bits(nbody._potential_parts(m, q, alpha)) == _bits(expected), \
+                    (n, kind, alpha)
+
+
+def test_float_power_is_libm_pow():
+    # the pair kernel takes its powers from np.float_power and its bits from
+    # libm pow, which math.pow calls; np.power is not used because its SIMD
+    # loop differs in the last bit
+    r = np.exp(np.random.default_rng(20260819).uniform(
+        math.log(1e-150), math.log(1e150), 20000))
+    for alpha in (0.1, 1 / 3, 1.0, 2.0, 2.2, 3.0, 7.3):
+        for e in (-alpha, -alpha - 2):
+            with np.errstate(over="ignore"):
+                got = np.float_power(r, e)
+            expected = []
+            for x in r.tolist():
+                try:
+                    expected.append(math.pow(x, e))
+                except OverflowError:
+                    expected.append(math.inf)
+            differ = np.flatnonzero(got != np.array(expected))
+            assert differ.size == 0, (
+                f"np.float_power(r, {e!r}) differs from libm pow (math.pow) at "
+                f"{differ.size} of {r.size} r, the first r = {float(r[differ[0]])!r}: this "
+                f"numpy does not route float_power to libm pow, so the pair "
+                f"kernel no longer rounds as the scalar pair loop does")
+
+
+@pytest.mark.filterwarnings("error")
+def test_potential_parts_refuses_a_squared_distance_that_underflows():
+    # r^2 = 1e-340 rounds to 0 and r^-alpha to inf; math.pow raised "math
+    # domain error" there
+    s = system([1.0, 1.0], 1.0, [(0.0, 0.0), (1e-170, 0.0)])
+    with pytest.raises(ValueError) as e:
+        potential_U(s)
+    assert str(e.value) == ("the pair potential r^-alpha overflows the float range at "
+                            "alpha = 1.0 and r = 0.000e+00")
 
 
 @pytest.mark.filterwarnings("error")
