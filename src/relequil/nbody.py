@@ -427,6 +427,11 @@ def _gauge_normalize(m: np.ndarray, q: np.ndarray) -> np.ndarray:
         rot = np.array([[c, s], [-s, c]])
         q = (q.reshape(-1, 2) @ rot.T).reshape(-1)
     inert = _inertia(m, q)
+    if inert < np.finfo(float).tiny:
+        # q q underflows for tiny positions; the problem is scale-free, so
+        # first scale q by 2^-e, exactly, to |q| in [1/2, 1)
+        q = np.ldexp(q, -math.frexp(scale)[1])
+        inert = _inertia(m, q)
     if inert <= 0:
         raise CollisionError("total collapse to the origin")
     return q / math.sqrt(inert)

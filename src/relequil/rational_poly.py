@@ -28,6 +28,26 @@ stops, where a sign vanishes, or where the cell holds one point k / |p_n|
 and p vanishes there: a rational root u / v in lowest terms has v | p_n.
 The read-off finds bisection's last cell by index arithmetic.  Signs are
 those of the homogeneous form ``_sign_at`` at (numerator, denominator).
+
+``_seeded_cells`` does ``_isolate``'s task with float roots as guides and
+exact signs as proof (Kobel, Rouillier & Sagraloff, ISSAC 2016).  Each real
+root x of ``np.roots`` on p over its leading coefficient picks a cell of the
+same tree about 2^-30 |x| wide, and goes up a level, at most 8 times, until
+p changes sign over the cell or, where x lies within an eighth of the width
+of an end, over the neighbour across it; where that fails for some x, all
+start again from cells also wider than 16 times their first-order error.  The certificate is exact: p has nonzero signs of
+opposite sign at the ends of each cell, the cells are disjoint, and there
+are as many as p has real roots, V(-inf) - V(+inf) from the leading
+coefficients of the chain; so each cell holds one root, inside it, where no
+midpoint of a cell above is.  ``refine_root`` then gives what it gives from
+``_isolate``'s interval, an ancestor: bisection from any tree cell on a
+root's path meets the same cells below it, and the first of them that stops
+is the same, since ``_stops`` holds on the halves of a cell where it holds.
+Two guards keep that true: the seeded cell must not stop, and bisection
+must stop within ``_MAX_STEPS`` levels of the box, so that the cap binds
+neither from the box nor from the cell.  Where a seed is missing or
+complex, or a check fails, it returns None, and the caller isolates by
+bisection.
 """
 
 from __future__ import annotations
@@ -35,6 +55,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 __all__ = [
     "cleared",
@@ -350,6 +372,78 @@ def _stops(m2: int, w: int, den: int) -> bool:
 
 
 _MAX_STEPS = 200  # the most halvings ``refine_root`` takes
+_SEED_BITS = 30  # a seeded cell starts about 2^-30 |seed| wide
+
+
+def _seeded_cells(chain: list[Poly], lo=None, hi=None) -> Optional[list[tuple[Fraction, Fraction]]]:
+    """``_isolate(chain, lo, hi)``'s task from float seeds: cells of the
+    Cauchy-box bisection tree, left to right, one for each real root of
+    chain[0], those that meet (lo, hi) returned; None where the cells
+    cannot be proved.  See the module docstring."""
+    p = chain[0]
+    total = _variations_at(chain, "-inf") - _variations_at(chain, "+inf")
+    if not total:
+        return []
+    bound = cauchy_root_bound(p)
+    u, v = bound.numerator, bound.denominator
+    try:
+        c = np.array([a / p[-1] for a in reversed(p)])
+        z = np.roots(c)
+        scale = math.frexp(float(bound))[1]
+    except (OverflowError, np.linalg.LinAlgError):
+        return None
+    real = np.sort(z[z.imag == 0].real)
+    if len(real) != total or not np.isfinite(real).all():
+        return None
+
+    def changes(j: int, den: int) -> bool:  # p < 0 < p or p > 0 > p at the ends
+        return _sign_at(p, u * j, den) * _sign_at(p, u * (j + 1), den) < 0
+
+    def place(widths) -> Optional[list[tuple[int, int]]]:
+        """The proved cells (j, v 2^m), or None."""
+        cells: list[tuple[int, int]] = []
+        for x, w in zip(real.tolist(), widths.tolist()):
+            n, d = x.as_integer_ratio()
+            # level m + 1 has the cells (u j / (v 2^m), u (j + 1) / (v 2^m)];
+            # start at the first whose cells are wider than w
+            level = max(scale - math.frexp(w)[1] - 1, 0)
+            for m in range(level, max(level - 8, 0) - 1, -1):
+                j, r = divmod(((n * v) << m) - 1, d * u)  # x 2^m / B = j + (r + 1) / (d u)
+                den = v << m
+                if changes(j, den):
+                    break
+                # x within an eighth of the width of an end may sit across it
+                side = -1 if 8 * (r + 1) <= d * u else 1 if 8 * (r + 1) >= 7 * d * u else 0
+                if side and changes(j + side, den):
+                    j += side
+                    break
+            else:
+                return None
+            # the guards, with refine_root's bound: all cells ``below``
+            # levels under one clear of 0 stop
+            low = u * min(abs(j), abs(j + 1))
+            below = max((10**17 * u).bit_length() - low.bit_length() + 1, 1)
+            if (not low or _stops(u * (2 * j + 1), u, den) or m + below >= _MAX_STEPS
+                    or cells and (cells[-1][0] + 1) * den > j * cells[-1][1]):
+                return None
+            cells.append((j, den))
+        return cells
+
+    widths = np.ldexp(np.abs(real), -_SEED_BITS)
+    cells = place(widths)
+    if cells is None:
+        with np.errstate(all="ignore"):
+            # 16 times the seeds' first-order error from relative errors of
+            # 2^-52 in the coefficients: 2^-48 sum |c_k| |x|^k / |p'(x)|
+            err = 2.0**-48 * np.polyval(np.abs(c), np.abs(real)) / np.abs(
+                np.polyval(np.polyder(c), real))
+        cells = place(np.fmax(widths, err))
+    if cells is None:
+        return None
+    lo, hi = (None if x is None else Fraction(x) for x in (lo, hi))
+    return [(Fraction(u * j, den), Fraction(u * (j + 1), den)) for j, den in cells
+            if (lo is None or u * (j + 1) * lo.denominator > lo.numerator * den)
+            and (hi is None or u * j * hi.denominator < hi.numerator * den)]
 
 
 def refine_root(p: Poly, lo: Fraction, hi: Fraction) -> tuple[float, Optional[Fraction]]:
@@ -441,12 +535,14 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction) -> tuple[float, Optional[Fr
     # the first to stop is the answer, unless x has denominator 2^q and no
     # cell above level q stops: bisection meets x there as a midpoint.  An
     # unknown root's last cell stops or is at _MAX_STEPS, before its q.
-    x = ((Fraction(2 * a + w, 2 * den) if root is None else root) * den0 - a0) / w
-    d = x.denominator
+    xn, xd = (2 * a + w, 2 * den) if root is None else (root.numerator, root.denominator)
+    xn, d = xn * den0 - a0 * xd, xd * w  # x = xn / d, in lowest terms below
+    g = math.gcd(xn, d)
+    xn, d = xn // g, d // g
     q = d.bit_length() - 1
     end = min(q, _MAX_STEPS) if d == 1 << q else _MAX_STEPS
     for t in range(min(first, end), end + 1):
-        a, den = (a0 << t) - ((-x.numerator << t) // d + 1) * w, den0 << t
+        a, den = (a0 << t) - ((-xn << t) // d + 1) * w, den0 << t
         if t == end or _stops(2 * a + w, w, den):
             break
     if d == 1 << t:

@@ -258,11 +258,20 @@ def _real_roots(chains, lo, hi) -> list[tuple]:
     isolating interval (a, b] and sign(h) the sign of h at the root: at the
     exact root, or by a Tarski query.  Only the isolating intervals that
     meet (lo, hi) are found, and only the roots inside them refined: exact
-    signs at lo or hi and b place a root whose (a, b] holds lo or hi."""
+    signs at lo or hi and b place a root whose (a, b] holds lo or hi.
+
+    The intervals are ``rp._seeded_cells``'s, cells of the Cauchy-box
+    bisection tree placed from float seeds and proved by exact signs (a
+    sign change over each, disjoint, as many as real roots), or
+    ``rp._isolate``'s where those are refused.  A seeded cell lies below
+    ``_isolate``'s interval on its root's path; it does not stop, and
+    bisection stops within ``_MAX_STEPS`` levels of the box, so
+    ``refine_root`` gives the same float and rational from either."""
     out = []
     for chain, mult in chains:
         p = chain[0]
-        for a, b in rp._isolate(chain, lo, hi):
+        cells = rp._seeded_cells(chain, lo, hi)
+        for a, b in rp._isolate(chain, lo, hi) if cells is None else cells:
             left, right = lo is not None and a < lo, hi is not None and b >= hi
             if left or right:
                 fb = rp._sign_at(p, b.numerator, b.denominator)

@@ -886,6 +886,22 @@ def test_nbody_rejects_positions_whose_scale_overflows(tmp_path, capsys):
             assert captured.err == f"error: the {name} overflows the float range\n"
 
 
+def test_nbody_accepts_positions_whose_inertia_underflows(tmp_path, capsys):
+    # q^T M q = 5e-341 rounded to 0 and the commands exited 1 with "total
+    # collapse to the origin"; the problem is scale-free, and the two bodies
+    # are distinct
+    problem = write_json(tmp_path / "p.json",
+                         {"masses": [1, 1], "alpha": 1, "positions": [[0, 0], [1e-170, 0]]})
+    for command in ("nbody-find-cc", "nbody-stability"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, problem]) == 0
+        report = json.loads(capsys.readouterr().out)
+        cc = report.get("cc", report)
+        assert cc["locked_inertia"] == pytest.approx(1.0)
+        assert cc["positions"] == [[0.70710678118654746, 0], [-0.70710678118654746, 0]]
+
+
 def test_nbody_unbuildable_slice_basis_exits_2(tmp_path, capsys):
     # at masses 1e30 the gauge constraints m and M q differ in scale by
     # 1e15 and lose rank in floating point: an error line, not a traceback

@@ -1,9 +1,11 @@
 import math
 import time
+import warnings
 from fractions import Fraction
 from typing import Optional
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from relequil.rational_poly import (
     squarefree_decomposition,
     sturm_chain,
 )
+from relequil.spectral_flow import _real_roots
 
 
 def poly(*coeffs):
@@ -483,3 +486,179 @@ def test_isolate_and_refine_match_plain_bisection(roots, pairs, lo, hi, steps):
             assert refine_root(g, a, b) == _plain_refine_root(g, a, b)
             with mock.patch.object(rp, "_MAX_STEPS", steps):
                 assert refine_root(g, a, b) == _plain_refine_root(g, a, b, steps)
+
+
+# ---------------------------------------------------------------------------
+# Seeded isolation: cells of the bisection tree placed from float seeds and
+# proved by exact signs must give the roots that bisection from the box gives.
+
+
+def _factors(roots, pairs) -> list:
+    p = [1]
+    for r in roots:
+        p = mul(p, [-r.numerator, r.denominator])
+    for q in pairs:
+        p = mul(p, q)
+    return [g for g, _ in squarefree_decomposition(p)]
+
+
+def _root_path(g: Poly, a: Fraction, b: Fraction) -> tuple[list, int]:
+    """The cells of the Cauchy-box bisection tree on the path of the one
+    root of g in (a, b], from (a, b] down to the last that does not stop,
+    and the level below the box where bisection ends: that of the first
+    cell that stops, of the cell whose right end is the root, or of the
+    halves of the cell whose midpoint is the root."""
+    box = 2 * cauchy_root_bound(g)
+    path = []
+    while True:
+        den = math.lcm(a.denominator, b.denominator)
+        ia, ib = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        level = (box / (b - a)).numerator.bit_length() - 1
+        if rp._stops(ia + ib, ib - ia, den) or _plain_sign_at(g, ib, den) == 0:
+            return path, level
+        path.append((a, b))
+        mid = (a + b) / 2
+        if _plain_sign_at(g, mid.numerator, mid.denominator) == 0:
+            return path, level + 1
+        a, b = (a, mid) if count_distinct_real_roots(g, a, mid) else (mid, b)
+
+
+@seed(SEED)
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.one_of(_DYADIC, _RATIONAL, _TINY), max_size=4),
+       st.lists(st.one_of(_PAIR, _BOUNDARY), max_size=2), st.integers(0, 80))
+def test_refine_root_is_bisections_from_every_cell_on_the_roots_path(roots, pairs, steps):
+    # refine_root from any tree cell on a root's path, down to the last cell
+    # that does not stop, gives plain bisection's answer from the isolating
+    # interval; the seeded cells are such cells
+    for g in _factors(roots, pairs):
+        intervals = _plain_isolate_real_roots(g)
+        paths, ends = zip(*(_root_path(g, lo, hi) for lo, hi in intervals)) if intervals else ((), ())
+        for (lo, hi), path in zip(intervals, paths):
+            want = _plain_refine_root(g, lo, hi)
+            assert all(refine_root(g, a, b) == want for a, b in path)
+        cells = rp._seeded_cells(sturm_chain(g))
+        assert cells is None or all(cell in path for cell, path in zip(cells, paths))
+        # under a cap of `steps` halvings the answers differ where bisection
+        # ends more than `steps` levels below the isolating interval, so the
+        # cells are refused wherever it ends more than `steps` below the box
+        with mock.patch.object(rp, "_MAX_STEPS", steps):
+            cells = rp._seeded_cells(sturm_chain(g))
+            assert cells is None or max(ends, default=0) <= steps
+            assert cells is None or [refine_root(g, a, b) for a, b in cells] == [
+                _plain_refine_root(g, lo, hi, steps) for lo, hi in intervals]
+
+
+def _check_seeded(g: Poly, lo=None, hi=None):
+    """The seeded cells of g, which must be proved isolating cells of the
+    tree or None, with no warning; ``_real_roots`` must give from them the
+    (float, exact, multiplicity) it gives from ``_isolate`` alone."""
+    chain = sturm_chain(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = rp._seeded_cells(chain)
+        seeded = [root[:3] for root in _real_roots([(chain, 1)], lo, hi)]
+    with mock.patch.object(rp, "_seeded_cells", lambda *_: None):
+        assert seeded == [root[:3] for root in _real_roots([(chain, 1)], lo, hi)]
+    if cells is not None:
+        bound = cauchy_root_bound(g)
+        assert len(cells) == count_distinct_real_roots(g)
+        for a, b in cells:
+            assert count_distinct_real_roots(g, a, b) == 1
+            level = 2 * bound / (b - a)  # a tree cell: width 2B / 2^k, on that grid
+            assert level.denominator == 1 and level.numerator & (level.numerator - 1) == 0
+            assert ((a + bound) / (b - a)).denominator == 1
+    return cells
+
+
+@seed(SEED)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_DYADIC, _RATIONAL, _TINY), max_size=5),
+       st.lists(st.one_of(_PAIR, _BOUNDARY), max_size=2), _END, _END)
+def test_seeded_cells_give_the_roots_of_isolation(roots, pairs, lo, hi):
+    for g in _factors(roots, pairs):
+        _check_seeded(g, lo, hi)
+
+
+def test_seeded_cells_refuse_coefficients_that_overflow_a_float():
+    # c_0 / c_2 = -1e400 has no float; bisection from the box of width 2e400
+    # then reaches no root either (refine_root stops 200 halvings down, at
+    # cells 1e340 wide), so only the refusal is checked
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rp._seeded_cells(sturm_chain([-(10**400), 0, 1])) is None
+
+
+@pytest.mark.parametrize("g, proved", [
+    # a complex pair 1e-20 off the axis beside a real root
+    (mul([-3, 1], [10**40 + 1, -2 * 10**40, 10**40]), None),
+    # two roots closer than their seeds' error: here in one cell, and in
+    # the second a pair of complex seeds, refused only by the count
+    (from_roots([1, 1 + Fraction(1, 10**20)]), False),
+    (from_roots([1, 1 + Fraction(1, 10**10), 3]), False),
+    # a root on the end of every cell from level 21 of the tree down:
+    # x - r with r = B (2^19 + 1) / 2^20 for B = 1 + r
+    ([-(2**19 + 1), 2**19 - 1], False),
+    # a tiny root, whose seeded cell does not stop
+    ([-1, 10**14], True),
+    # a root 1e-60 whose bisection stops more than _MAX_STEPS levels below
+    # the box of width 2 + 2e-60
+    ([-1, 10**60], False),
+])
+def test_seeded_cells_prove_or_refuse(g, proved):
+    cells = _check_seeded(g)
+    assert proved is None or (cells is not None) == proved
+
+
+def test_seeded_cells_refuse_a_cell_that_stops(monkeypatch):
+    # a stop rule, 2^40 times wider, that holds on the seeded cell of a tiny
+    # root: bisection from the box would stop above it, so the cell is
+    # refused (refine_root's bounds assume the rule, so only the refusal is
+    # checked)
+    chain = sturm_chain([-1, 10**14])
+    assert rp._seeded_cells(chain) is not None
+    stops = rp._stops
+    monkeypatch.setattr(rp, "_stops", lambda m2, w, den: stops(m2 << 40, w, den << 40))
+    assert rp._seeded_cells(chain) is None
+
+
+def test_seeded_cells_take_no_seed_on_trust(monkeypatch):
+    # seeds 1e-6 off their roots, where a seeded cell is at most about
+    # 2^-21 |seed| wide, so that no cell holds a root; and two seeds of one
+    # root in place of one seed for each of two
+    roots = np.roots
+    monkeypatch.setattr(rp.np, "roots", lambda c: roots(c) * (1 + 1e-6))
+    for g in (from_roots([1, 2, 3]), _pair_block_even_part(6)):
+        assert _check_seeded(g) is None
+    monkeypatch.setattr(rp.np, "roots", lambda c: np.array([1.0, 1.0]))
+    assert _check_seeded(from_roots([1, 3])) is None
+
+
+def test_a_seed_across_a_cell_end_from_its_root_finds_the_root(monkeypatch):
+    # the root r of g sits 2e-15 above 3 B / 8, an end of cells on every
+    # level from 4 down, and its seed just below: going up does not help,
+    # and the cell across the end holds the root
+    r = Fraction(3 * 10**14 + 1, 5 * 10**14 - 1)
+    g = [-r.numerator, r.denominator]
+    end = 3 * cauchy_root_bound(g) / 8
+    x = float(end) if Fraction(float(end)) < end else math.nextafter(float(end), 0)
+    monkeypatch.setattr(rp.np, "roots", lambda c: np.array([x]))
+    cells = _check_seeded(g)
+    assert cells is not None and cells[0][0] == end
+
+
+def test_seeded_krein_roots_take_few_exact_signs(monkeypatch):
+    # the even parts r of char_poly(J B) of test_refine_root_sign_evaluations:
+    # proved seeded cells take two signs each, and refine_root a few more:
+    # 40 signs for r16 against 156 by bisection from the box; 122 against
+    # 598 for a 40 x 40 pair block, whose seeds need the cells widened to
+    # their error.  r48's integer roots -1..-35 come out of np.roots as
+    # complex pairs, so it is isolated by bisection (884 signs)
+    r16 = [391910400, 724818240, 418238016, 94732684, 9918652, 530713, 14767, 199, 1]
+    calls = []
+    sign_at = rp._sign_at
+    monkeypatch.setattr(rp, "_sign_at", lambda c, u, v: calls.append(v) or sign_at(c, u, v))
+    for r, most in ((r16, 48), (_pair_block_even_part(20), 150), (_pair_block_even_part(24), 900)):
+        calls.clear()
+        assert len(_real_roots([(sturm_chain(r), 1)], None, 0)) == degree(r)
+        assert len(calls) <= most
