@@ -440,10 +440,11 @@ class SemisimplicityReport:
     backend could not separate a rank decision from its tolerance band.
     ``defective_eigenvalues`` approximates the eigenvalues with a nontrivial
     Jordan block when the answer is False, from ``defect``: the float test
-    passes them there, and a defective exact A passes (A, s), s the
-    square-free part of its characteristic polynomial, from which they are
-    computed on first read, as the roots of m / s for the minimal
-    polynomial m of A, and then kept.  Equality compares ``defect``.
+    passes them there, and a defective exact A passes (A, the Yun pairs
+    (f, k) of its characteristic polynomial p, the witness (q, w) that s(A)
+    != 0 for the square-free part s of p), from which they are computed on
+    first read, as the roots of m / s for the minimal polynomial m of A
+    (``_semisimple_exact``), and then kept.  Equality compares ``defect``.
     """
 
     semisimple: Optional[bool]
@@ -455,8 +456,10 @@ class SemisimplicityReport:
     def defective_eigenvalues(self) -> tuple[complex, ...]:
         if self.backend == FLOAT64 or self.semisimple:
             return self.defect
-        a, s = self.defect
-        g = rp.quotient(rp.cleared(minimal_poly(a)), s)
+        a, yun, (q, w) = self.defect
+        g = reduce(rp.mul, (f for f, k in yun for _ in range(k - 1)), [1])  # p / s
+        if rp.degree(g) > 1 and _krylov_dependence(a._ints[0], w, q, rp.degree(g)) is not None:
+            g = rp.quotient(rp.cleared(minimal_poly(a)), reduce(rp.mul, (f for f, _ in yun), [1]))
         if rp.degree(g) <= 0:
             raise AssertionError("s does not properly divide m although s(A) != 0")
         return tuple(e.value for e in _exact_spectrum([(g, 1)]))
@@ -738,9 +741,21 @@ def _crt_lift(residues: list[list[int]], primes: list[int]) -> list[int]:
     return [c - modulus if 2 * c > modulus else c for c in coeffs]
 
 
-def _int_poly_at_matrix_is_zero(c: list[int], m: list[list[int]]) -> bool:
-    """Whether sum c_k M^k = 0 for an integer polynomial c (lowest degree
-    first, nonempty) and a nonempty square integer matrix M.
+_SPREAD = 0x9E3779B9  # 2^32 / golden ratio: its powers modulo a prime spread over [0, p)
+
+
+def _int_poly_at_matrix_witness(c: list[int], m: list[list[int]]
+                                ) -> Optional[tuple[int, tuple[int, ...]]]:
+    """None when sum c_k M^k = 0 for an integer polynomial c (lowest degree
+    first, nonempty) and a nonempty square integer matrix M; otherwise a
+    witness (p, w) that it is not: a prime p of ``_prime_bits(n)`` modulo
+    which the sum is nonzero, and a vector w != 0 mod p in its column
+    space, entries in [0, p): the sum times v = (1, r, ..., r^(n-1)) mod p
+    for r = ``_SPREAD``, or when that is 0 mod p its first column that is
+    not.  A linear form with small integer coefficients, as the kernels of
+    matrices with small entries have, vanishes on v only when p divides
+    its value at r, a nonzero integer; so w is as general a vector of the
+    column space as a random one, on all but crafted input.
 
     Every entry of M^k is at most (n max|M_ij|)^k in absolute value, so
     every entry of the sum is at most sum |c_k| (n max|M_ij|)^k; primes are
@@ -761,9 +776,13 @@ def _int_poly_at_matrix_is_zero(c: list[int], m: list[list[int]]) -> bool:
         for coeff in np.array([[ck % p for p in batch] for ck in reversed(c)], dtype=np.int64):
             work = _mulmod(mods, work, pv)
             work.reshape(len(batch), n * n)[:, :: n + 1] += coeff[:, None]  # now below 2p
-        if (work % pv).any():
-            return False
-    return True
+        for p, r in zip(batch, work % pv):
+            if r.any():
+                w = r @ np.array([pow(_SPREAD, i, p) for i in range(n)]) % p  # below n p^2
+                if not w.any():
+                    w = r[:, np.flatnonzero(r.any(axis=0))[0]]
+                return p, tuple(w.tolist())
+    return None
 
 
 def _coefficient_bound(ms: list, x: Optional[list], order: int) -> int:
@@ -1007,7 +1026,7 @@ def minimal_poly(a: Matrix) -> list[Fraction]:
     from Krylov sequences modulo primes: when w, M w, ... are independent
     modulo a prime up to degree n - deg L, mu = chi with no lift, and
     otherwise mu_w is a CRT lift checked exactly.  L divides mu, so L = mu
-    once deg L = n or once ``_int_poly_at_matrix_is_zero`` proves L(M) = 0,
+    once deg L = n or once ``_int_poly_at_matrix_witness`` proves L(M) = 0,
     at the latest after e_n.  m(x) = mu(d x) / d^k is that of A, k = deg mu.
     """
     if a.field != RATIONAL:
@@ -1024,7 +1043,7 @@ def minimal_poly(a: Matrix) -> list[Fraction]:
         if any(w):
             mu_w = _vector_min_poly(m, w, rest)
             mu = rp.mul(mu, mu_w)
-            if len(mu) == n + 1 or _int_poly_at_matrix_is_zero(mu, m):
+            if len(mu) == n + 1 or _int_poly_at_matrix_witness(mu, m) is None:
                 break
             rest = rp.quotient(rest, mu_w)
     return [Fraction(c * d ** i, d ** (len(mu) - 1)) for i, c in enumerate(mu)]
@@ -1065,13 +1084,36 @@ def _exact_spectrum(yun: Sequence[tuple[Sequence[int], int]]) -> tuple[Eigenvalu
     characteristic polynomial, as ``rp.squarefree_decomposition`` gives them.
     Each factor enters numpy as its monic coefficients, correctly rounded:
     true division of two ints is, and it raises ``OverflowError`` on a
-    quotient beyond the float range, as ``float(Fraction(c, lead))`` does."""
+    quotient beyond the float range, as ``float(Fraction(c, lead))`` does.
+
+    Its roots are those of ``np.roots``, bit for bit, from the same call:
+    ``np.linalg.eigvals`` of the companion matrix that ``np.roots`` builds
+    (trailing zero coefficients stripped, first row -c_(k-1), ..., -c_0 of
+    the monic rest), then a zero root per stripped coefficient.  LAPACK
+    returns a complex pair as exactly (x + iy, x - iy), y > 0 first, and
+    every step of ``_polish_root`` (complex *, /, - and + float, ``abs``)
+    commutes with conjugation in CPython's arithmetic, but for the sign of
+    a zero.  So only a root with y >= 0 is polished, and its partner takes
+    the conjugate of the result: the same values, up to the sign of a zero
+    real or imaginary part, which reports print alike."""
     out: list[Eigenvalue] = []
     for factor, m in yun:
         cf = [c / factor[-1] for c in factor]
         dcf = [i * c for i, c in enumerate(cf)][1:]
-        for z in np.roots(cf[::-1]):
-            out.append(Eigenvalue(value=_polish_root(cf, dcf, complex(z)), multiplicity=m))
+        zeros = next(i for i, c in enumerate(cf) if c)  # cf[-1] = 1.0
+        rest, roots = cf[zeros:-1], []
+        if rest:
+            companion = np.eye(len(rest), k=-1)
+            companion[0] = [-c for c in reversed(rest)]
+            roots = np.linalg.eigvals(companion).tolist()
+        prev = value = None
+        for z in map(complex, roots + [0.0] * zeros):
+            if z.imag < 0 and prev is not None and z == prev.conjugate():
+                value = value.conjugate()
+            else:
+                value = _polish_root(cf, dcf, z)
+            prev = z
+            out.append(Eigenvalue(value=value, multiplicity=m))
     out.sort(key=lambda e: (e.value.real, e.value.imag))
     return tuple(out)
 
@@ -1118,36 +1160,44 @@ def _eigenvalues(a: Matrix) -> np.ndarray:
     return a._char
 
 
-def _semisimple_exact(a: Matrix, *factors: list[int]) -> SemisimplicityReport:
+def _semisimple_exact(a: Matrix, yun: Sequence[tuple[Sequence[int], int]]
+                      ) -> SemisimplicityReport:
     """Exact semisimplicity of a rational square matrix A, given the Yun
-    factors of its characteristic polynomial p in normal form
-    (``rational_poly``); their product s is the square-free part of p.
+    pairs (f, k) of its characteristic polynomial p in normal form
+    (``rational_poly``); the product s of the f is the square-free part of p.
 
     A is semisimple iff s(A) = 0.  When deg s = n, p itself is square-free
     and that needs no matrix work.  Otherwise, with A = M / d for the
-    cleared integer matrix M, s(A) = 0 iff sum_k s_k d^(deg s - k) M^k = 0,
-    taken over the content of those coefficients, which
-    ``_int_poly_at_matrix_is_zero`` decides modulo primes.  That decides the
-    answer; a defective A's report keeps (A, s), and only a read of its
-    ``defective_eigenvalues`` runs ``minimal_poly``.  Its minimal polynomial
-    m has the roots of p, so gcd(m, m') = m / s, one exact ``quotient``, and
-    its roots name the defective eigenvalues.  m comes from Krylov sequences
-    modulo primes: when the Krylov matrix [v, M v, ..., M^(n-1) v] of the
-    start vector is nonsingular modulo a prime, m = p with no lift (the
-    degree proof, which later start vectors make with fewer vectors);
-    otherwise a vector's minimal polynomial is a CRT lift to twice the
-    Landau-Mignotte bound on a monic divisor of p, checked exactly by
-    g(M) w = 0 (``_vector_min_poly``)."""
-    s = reduce(rp.mul, factors, [1])
+    cleared integer matrix M, s(A) = 0 iff S(M) = 0 for the integer
+    polynomial S = sum_k s_k d^(deg s - k) x^k over its content, which
+    ``_int_poly_at_matrix_witness`` decides modulo primes.  That decides
+    the answer; a defective A's report keeps (A, the Yun pairs, the witness
+    (q, w): w is in the column space of S(M) and nonzero modulo the prime
+    q), and only a read of its ``defective_eigenvalues`` computes m / s for
+    the minimal polynomial m, whose roots name the defective eigenvalues.
+
+    m / s divides g = p / s = prod f^(k-1), read off the Yun pairs.  The
+    minimal polynomial of w under M modulo q divides m / s (rescaled to
+    M), since (m / s)(M) S(M) is an integer multiple of m(M) = 0.  So when
+    w, M w, ..., M^(deg g - 1) w are independent modulo q, deg(m / s) >=
+    deg g and m / s = g: a proof in exact modular arithmetic that needs no
+    minimal polynomial.  For deg g = 1, as for a nilpotent pair, that asks
+    only w != 0 mod q, which the witness is; otherwise it takes deg g
+    Krylov vectors (``_krylov_dependence``).  A derogatory A, or an unlucky
+    q, shows a dependence, and then m comes from ``minimal_poly`` and m / s
+    is one exact ``quotient``."""
+    s = reduce(rp.mul, (f for f, _ in yun), [1])
     k = rp.degree(s)
     if k == a.n_rows:
         return SemisimplicityReport(True, RATIONAL, 0.0)
     ints, d = a._ints
     coeffs = [x * d ** (k - i) for i, x in enumerate(s)]
     content = math.gcd(*coeffs)
-    if _int_poly_at_matrix_is_zero([c // content for c in coeffs], ints):
+    witness = _int_poly_at_matrix_witness([c // content for c in coeffs], ints)
+    if witness is None:
         return SemisimplicityReport(True, RATIONAL, 0.0)
-    return SemisimplicityReport(False, RATIONAL, 0.0, (a, tuple(s)))
+    pairs = tuple((tuple(f), mult) for f, mult in yun)
+    return SemisimplicityReport(False, RATIONAL, 0.0, (a, pairs, witness))
 
 
 def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityReport:
@@ -1155,18 +1205,19 @@ def is_semisimple(a: Matrix, tol: Optional[float] = None) -> SemisimplicityRepor
 
     Exact backend: A is semisimple iff s(A) = 0 for the square-free part s
     of its characteristic polynomial, decided by ``_semisimple_exact`` from
-    the Yun factors, as ``classify`` decides it; no minimal polynomial is
-    computed until the defective eigenvalues of a defective A are read, the
-    roots of gcd(m, m') = m / s.  Float backend: rank(A - zI) versus
-    rank((A - zI)^2) per eigenvalue cluster, with an indeterminate outcome
-    when a singular value lands inside the band [tol/10, 10*tol] or two
-    clusters lie within 10*tol of each other, as a split Jordan block does.
+    the Yun factors, as ``classify`` decides it; the defective eigenvalues
+    of a defective A, the roots of gcd(m, m') = m / s, are computed when
+    first read, and with a minimal polynomial only for a derogatory A.
+    Float backend: rank(A - zI) versus rank((A - zI)^2) per eigenvalue
+    cluster, with an indeterminate outcome when a singular value lands
+    inside the band [tol/10, 10*tol] or two clusters lie within 10*tol of
+    each other, as a split Jordan block does.
     """
     if not a.is_square:
         raise ShapeError("semisimplicity of a non-square matrix")
     if a.field == RATIONAL:
         yun = rp.squarefree_decomposition(rp.cleared(char_poly(a)))
-        return _semisimple_exact(a, *(g for g, _ in yun))
+        return _semisimple_exact(a, yun)
     t = _resolve_tol(tol, a.max_abs)
     return _semisimple_float(a._arr, complex_spectrum(a, tol=t), t)
 

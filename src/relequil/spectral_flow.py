@@ -26,9 +26,9 @@ takes its crossings from the eigenvalues of one pencil (linear) or of J B
 (Krein), every interior count from the band [-tol, tol] of one stacked
 ``eigvalsh`` (``_banded_crossings``), and an end in the band from the
 crossing form on its float kernel.  What floats cannot place raises
-IndeterminateError (exit 2), also in ``crossing_set``; an irregular
-interior crossing, or a path in the band wherever tried,
-IrregularCrossingError (exit 3).
+IndeterminateError (exit 2), also in ``crossing_set``, and so does a float
+linear path in the band wherever tried; an irregular interior crossing, or
+an exact path singular at every parameter, IrregularCrossingError (exit 3).
 """
 
 from __future__ import annotations
@@ -379,7 +379,9 @@ def _linear_locations_float(path: LinearPath, tol: float) -> list[tuple[float, i
     """The t in (0, 1) where A(t) = S + t D may be singular, as (t,
     multiplicity): t0 - 1 / mu for the eigenvalues |mu| >= 1/2 of A(t0)^-1 D
     (t in [0, 1] needs |mu| >= 1), at the better end or else the best of m
-    interior t0 (a path in the band at all of them is singular everywhere).
+    interior t0.  A path in the band at all of them raises
+    IndeterminateError: it may be singular everywhere, or its band may be
+    wide against a small block of a regular path.
     Within gap = tol / max|D| a root is real, real roots cluster, and an
     end keeps a root.  Rounding splits a p-fold root by about eps^(1/p), so
     the roots within 1e-4 of a real location add to its multiplicity, and
@@ -392,7 +394,7 @@ def _linear_locations_float(path: LinearPath, tol: float) -> list[tuple[float, i
         if small.max() > tol:
             break
     else:
-        raise IrregularCrossingError(float("nan"), "the path is singular at every parameter")
+        raise IndeterminateError("the path lies in the tolerance band at every sampled parameter")
     t0 = float(ts[np.argmax(small)])
     mu = np.linalg.eigvals(np.linalg.solve(s + t0 * d, d))
     roots = t0 - 1 / mu[np.abs(mu) >= 0.5]

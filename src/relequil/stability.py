@@ -17,12 +17,15 @@ spectrum is on the axis iff c = deg g for every factor, and the eigenvalue
 pairs on the punctured imaginary axis number kappa = sum m (c - [g(0) = 0]).
 The same factors give the Yun factors of p and its square-free part s, and
 J B is semisimple iff s(J B) = 0: at once when p is square-free, else by a
-modular test.  The float eigenvalues that a classification reports are a
-display, built from these factors when first read.  Only a read of the
-defective eigenvalue of a defective J B computes its minimal polynomial,
-from Krylov sequences modulo primes: a Krylov matrix that is nonsingular
-modulo one prime proves that it is p, and any other is a CRT lift checked
-exactly.
+modular test, which leaves a witness when it fails: a prime q and a vector
+w != 0 mod q in the column space of s(J B).  The float eigenvalues that a
+classification reports are a display, built from these factors when first
+read.  The defective eigenvalues of a defective J B are the roots of m / s
+for its minimal polynomial m, and m / s divides g = p / s, the product of
+f^(k-1) over the Yun pairs (f, k) of p.  When w, J B w, ...,
+(J B)^(deg g - 1) w are independent modulo q, m / s = g; for a nilpotent
+pair, deg g = 1, that is w != 0.  Only a derogatory J B (or an unlucky q)
+computes m, from Krylov sequences modulo primes.
 """
 
 from __future__ import annotations
@@ -300,9 +303,11 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float], factors=
     s(Omega B) = 0, decided modulo primes (``_semisimple_exact``).  The
     classification keeps the Yun factors of p and the semisimplicity
     report, and builds its float display from them only when it is read:
-    ``np.roots`` and a Newton polish per factor for the spectrum, and for a
-    defective Omega B ``minimal_poly`` (Krylov sequences modulo primes),
-    whose m / s = gcd(m, m') has the defective eigenvalues as its roots."""
+    the roots of each factor, one Newton polish per conjugate pair
+    (``_exact_spectrum``), and for a defective Omega B the roots of
+    m / s = gcd(m, m'), read off the Yun factors when the witness of
+    s(Omega B) != 0 proves m / s = p / s, and from ``minimal_poly``
+    otherwise (``_semisimple_exact``)."""
     b = _require_even_symmetric(b, tol)
     ob = _omega_b(b, omega, tol)
     if b.field == RATIONAL:
@@ -322,7 +327,7 @@ def _classify(b: Matrix, omega: Optional[Matrix], tol: Optional[float], factors=
         return StabilityClassification(Verdict.SPECTRALLY_UNSTABLE, False, b.field, t, source,
                                        None), factors
     if b.field == RATIONAL:
-        ss = _semisimple_exact(ob, *(f for f, _ in yun))
+        ss = _semisimple_exact(ob, source)
     else:
         ss = _semisimple_float(ob._arr, source, t)
     if ss.semisimple is None:

@@ -130,7 +130,8 @@ def test_classify_square_free_stable_needs_no_minimal_poly(tmp_path, capsys, mon
     assert main(["classify", stable]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "linearly_stable"
     assert calls == []
-    # a defective J B still names its eigenvalue through minimal_poly
+    # a derogatory defective J B, two nilpotent pairs, still names its
+    # eigenvalue through minimal_poly
     nilpotent = write_json(tmp_path / "n.json", COUNTEREXAMPLE_ROWS)
     assert main(["classify", nilpotent]) == 0
     assert json.loads(capsys.readouterr().out)["semisimple"] is False
@@ -366,13 +367,18 @@ def test_exact_krein_flow_and_kappa_build_no_float_spectrum(tmp_path, capsys, mo
             invertible_even_index_check(Matrix(rows, RATIONAL))
         assert spectra == minimal == []
     assert verdicts == {"linearly_stable", "spectrally_unstable", "spectrally_stable_not_linear"}
-    # classify prints the spectrum, and a defective J B's eigenvalue too
-    for rows, expected in zip(KREIN_VERDICT_ROWS.values(), (1, 1, 2, 1)):
+    # classify prints the spectrum, and a defective J B's eigenvalue too:
+    # for the nilpotent pair of diag(1, 1, 0, 2), p / s = x, so m / s = x
+    # needs no minimal polynomial; the derogatory diag(1, 0, 0, 0), a
+    # nilpotent and a zero pair, still takes one
+    derogatory = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    for rows, expected in zip([*KREIN_VERDICT_ROWS.values(), derogatory],
+                              ((1, 0), (1, 0), (2, 0), (1, 0), (2, 1))):
         spectra.clear()
         minimal.clear()
         assert main(["classify", write_json(tmp_path / "b.json", rows)]) == 0
         assert json.loads(capsys.readouterr().out)["spectrum"]
-        assert (len(spectra), len(minimal)) == (expected, expected - 1)
+        assert (len(spectra), len(minimal)) == expected
 
 
 def test_exact_kappa_takes_the_nullity_from_the_memo(monkeypatch):
@@ -475,8 +481,9 @@ def test_float_flows_take_one_stacked_eigvalsh(tmp_path, capsys, monkeypatch):
 
 def test_float_flow_end_kernel_and_singular_path(tmp_path, capsys):
     # B = diag(1, 0): G vanishes on ker B, so the start correction is 0
-    # (the Morse step to the next sample would say 1); a path singular at
-    # every parameter exits 3
+    # (the Morse step to the next sample would say 1); a float path in the
+    # band at every parameter is indeterminate (exit 2), while the exact
+    # backend proves the same path singular everywhere (exit 3)
     path = write_json(tmp_path / "krein.json",
                       {"type": "krein", "b": [[1.0, 0.0], [0.0, 0.0]], "s_max": 1.0})
     assert main(["flow", path, "--backend", "float"]) == 0
@@ -486,9 +493,38 @@ def test_float_flow_end_kernel_and_singular_path(tmp_path, capsys):
         '"path":"krein","start_correction":0}\n')
     path = write_json(tmp_path / "linear.json", {
         "type": "linear", "start": [[1.0, 0.0], [0.0, 0.0]], "end": [[2.0, 0.0], [0.0, 0.0]]})
-    assert main(["flow", path, "--backend", "float"]) == 3
+    assert main(["flow", path, "--backend", "float"]) == 2
+    assert capsys.readouterr().err == \
+        "error: the path lies in the tolerance band at every sampled parameter\n"
+    path = write_json(tmp_path / "exact.json", {
+        "type": "linear", "start": [[1, 0], [0, 0]], "end": [[2, 0], [0, 0]]})
+    assert main(["flow", path]) == 3
     assert capsys.readouterr().err == \
         "error: irregular crossing at parameter nan: the path is singular at every parameter\n"
+
+
+def test_float_flow_whose_band_swallows_a_small_block_is_indeterminate(tmp_path, capsys):
+    # the default band 1e-8 (1 + 8e12) covers the block -1 + 3t on all of
+    # [0, 1], so the float path cannot be read: exit 2, not a claim that
+    # it is singular everywhere; a narrower band finds the crossings at 1/3
+    # and 1/2 that the exact backend proves
+    path = write_json(tmp_path / "linear.json", {
+        "type": "linear", "start": [[8e12, 0.0], [0.0, -1.0]], "end": [[-8e12, 0.0], [0.0, 2.0]]})
+    assert main(["flow", path, "--backend", "float"]) == 2
+    assert capsys.readouterr().err == \
+        "error: the path lies in the tolerance band at every sampled parameter\n"
+    assert main(["flow", path, "--backend", "float", "--tol", "1e-6"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [(c["location"], c["signature"]) for c in report["crossings"]] == \
+        [(pytest.approx(1 / 3), 1), (0.5, -1)]
+    assert report["flow"] == 0
+    exact = write_json(tmp_path / "exact.json", {
+        "type": "linear", "start": [[8 * 10 ** 12, 0], [0, -1]],
+        "end": [[-8 * 10 ** 12, 0], [0, 2]]})
+    assert main(["flow", exact]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["exact_location"] for c in report["crossings"]] == ["1/3", "1/2"]
+    assert report["flow"] == 0
 
 
 def test_exact_flow_computes_no_kernel_of_an_invertible_matrix(tmp_path, capsys, monkeypatch):

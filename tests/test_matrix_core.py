@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from relequil.matrix_core import (
     FLOAT64,
     RATIONAL,
     FieldError,
+    Eigenvalue,
     IndeterminateError,
     IndexReport,
     Matrix,
@@ -36,10 +38,12 @@ from relequil.matrix_core import (
 from relequil.matrix_core import (
     _char_poly_int,
     _coefficient_bound,
-    _int_poly_at_matrix_is_zero,
+    _exact_spectrum,
+    _int_poly_at_matrix_witness,
     _j_times,
     _krylov_dependence,
     _newton,
+    _polish_root,
     _power_sum_bound,
     _prime_bits,
     _primes,
@@ -322,9 +326,9 @@ def test_char_poly_all_residues_p_minus_1():
         p = _char_poly_int([m])[0][0]
         assert p == H.char_poly_faddeev(m)
         assert p == [0] * (n - 1) + [n, 1]
-        assert _int_poly_at_matrix_is_zero(p, m)
-        assert _int_poly_at_matrix_is_zero([0, n, 1], m)  # the minimal polynomial
-        assert not _int_poly_at_matrix_is_zero([p[0] + 1] + p[1:], m)
+        assert _int_poly_at_matrix_witness(p, m) is None
+        assert _int_poly_at_matrix_witness([0, n, 1], m) is None  # the minimal polynomial
+        assert _check_witness([p[0] + 1] + p[1:], m, _scalar(1, n)) == (-1, 0)  # p(M) + I
 
 
 def test_char_poly_stack_equals_separate_calls(rng):
@@ -704,7 +708,10 @@ def test_m_over_s_is_gcd_of_m_and_derivative(blocks, defect, seed):
     # s + 1 shares no root with s, so it cannot divide m
     with pytest.raises(ArithmeticError):
         rp.quotient(m, [s[0] + 1] + s[1:])
-    assert is_semisimple(a) == _semisimple_exact(a, s)
+    # the decision reads only s, and the report keeps the Yun pairs given
+    assert _semisimple_exact(a, [(s, 1)]).semisimple is False
+    assert is_semisimple(a) == _semisimple_exact(a, rp.squarefree_decomposition(
+        rp.cleared(char_poly(a))))
 
 
 def test_minimal_poly_structured_cases(rng):
@@ -816,10 +823,16 @@ def test_minimal_poly_random_block_matrices(rng):
 
 
 def _pair_block_b(pairs, rng):
-    """B = S^T D S for the pair diagonal D of the pairs and the integer
-    symplectic S = [[I, K], [0, I]] [[I, 0], [L, I]], with K and L each a
-    sum of two random symmetric {-1, 0, 1} matrices."""
-    n = len(pairs)
+    """B = S^T D S for the pair diagonal D of the pairs and a random integer
+    symplectic S (``_symplectic_congruent``)."""
+    return _symplectic_congruent(H.pair_diagonal(pairs), rng)
+
+
+def _symplectic_congruent(d, rng):
+    """S^T D S for a 2n x 2n D and the integer symplectic S = [[I, K],
+    [0, I]] [[I, 0], [L, I]], with K and L each a sum of two random
+    symmetric {-1, 0, 1} matrices: J S^T D S is similar to J D."""
+    n = len(d) // 2
 
     def sym():
         m = [[0] * n for _ in range(n)]
@@ -837,46 +850,38 @@ def _pair_block_b(pairs, rng):
     lower = [eye[i] + [0] * n for i in range(n)] + [l_[i] + eye[i] for i in range(n)]
     s = _fraction_product(upper, lower)
     s_t = [list(col) for col in zip(*s)]
-    return _fraction_product(_fraction_product(s_t, H.pair_diagonal(pairs)), s)
+    return _fraction_product(_fraction_product(s_t, d), s)
 
 
 def test_defective_classify_runs_no_bareiss_and_builds_no_fraction(monkeypatch):
     # a nilpotent pair (1, 0) and 7 pairs of distinct products at 2n = 16:
-    # J B is defective, with mu = chi, and (1, ..., 16) is cyclic modulo the
-    # largest prime, so mu needs no lift and no elimination over the integers
+    # J B is defective and nonderogatory with p / s = x, so the witness that
+    # s(J B) != 0 proves m / s = x, and reading the defective eigenvalue
+    # runs no elimination, no minimal or characteristic polynomial and no
+    # Krylov sequence, and builds no Fraction
     pairs = [(1, 0), (1, 2), (1, 3), (2, 2), (1, 5), (2, 3), (1, 7), (2, 4)]
     b = Matrix(_pair_block_b(pairs, random.Random(16)), RATIONAL)
-    jb = matrix_core._cleared(_j_times(b).to_lists())[0]
-    assert _krylov_dependence(jb, list(range(1, 17)), next(_primes(_prime_bits(16))), 16) is None
-    eliminations, fractions, results = [], [], []
-    bareiss, original = matrix_core._bareiss_echelon, matrix_core.minimal_poly
+    calls, fractions = [], []
+    for name in ("_bareiss_echelon", "minimal_poly", "char_poly", "_int_char_polys",
+                 "_krylov_dependence"):
+        def counted(*args, _name=name, _original=getattr(matrix_core, name)):
+            calls.append(_name)
+            return _original(*args)
 
-    def counted_bareiss(m):
-        eliminations.append(len(m))
-        return bareiss(m)
+        monkeypatch.setattr(matrix_core, name, counted)
+    report = classify(b)
+    assert report.verdict == Verdict.SPECTRALLY_STABLE_NOT_LINEAR
+    assert "_bareiss_echelon" not in calls
+    calls.clear()
 
     def counted_fraction(*args):
         fractions.append(args)
         return Fraction(*args)
 
-    def counted(a):
-        monkeypatch.setattr(matrix_core, "Fraction", counted_fraction)
-        try:
-            results.append(original(a))
-        finally:
-            monkeypatch.setattr(matrix_core, "Fraction", Fraction)
-        return results[-1]
-
-    monkeypatch.setattr(matrix_core, "_bareiss_echelon", counted_bareiss)
-    monkeypatch.setattr(matrix_core, "minimal_poly", counted)
-    report = classify(b)
-    assert report.verdict == Verdict.SPECTRALLY_STABLE_NOT_LINEAR
+    monkeypatch.setattr(matrix_core, "Fraction", counted_fraction)
+    monkeypatch.setattr(rp, "Fraction", counted_fraction)
     assert report.defective_eigenvalue == 0
-    assert eliminations == []
-    # one minimal polynomial, of degree 16, whose 17 coefficients are the
-    # only Fractions built: those of the final rescaling
-    assert [len(m) for m in results] == [17]
-    assert len(fractions) == 17
+    assert calls == fractions == []
 
 
 def test_rational_matmul_matches_fraction_sums(rng):
@@ -912,6 +917,76 @@ def test_complex_spectrum_multiplicity():
     assert found == {(2.0, 2), (3.0, 1)}
 
 
+def _exact_spectrum_by_np_roots(yun):
+    """The reference for ``_exact_spectrum``: ``np.roots`` of each factor's
+    monic float coefficients and a Newton polish of every root."""
+    out = []
+    for factor, m in yun:
+        cf = [c / factor[-1] for c in factor]
+        dcf = [i * c for i, c in enumerate(cf)][1:]
+        for z in np.roots(cf[::-1]):
+            out.append(Eigenvalue(value=_polish_root(cf, dcf, complex(z)), multiplicity=m))
+    out.sort(key=lambda e: (e.value.real, e.value.imag))
+    return tuple(out)
+
+
+def _random_real_poly(rng):
+    """An integer polynomial, lowest degree first: a product of linear
+    factors, quadratics with a complex pair, even factors g(x^2) (pairs on
+    either axis), dense factors and huge roots, times x^0, x or x^2 (the
+    trailing zero coefficients ``np.roots`` strips)."""
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            parts.append([rng.randint(-9, 9), rng.randint(1, 4)])
+        elif kind == 1:
+            a, b = rng.randint(1, 5), rng.randint(-6, 6)
+            parts.append([b * b // (4 * a) + rng.randint(1, 20), b, a])
+        elif kind == 2:
+            g = [rng.randint(-30, 30) or 1 for _ in range(rng.randint(2, 4))]
+            parts.append([x for c in g for x in (c, 0)][:-1])
+        elif kind == 3:
+            parts.append([rng.randint(-99, 99) for _ in range(rng.randint(2, 7))]
+                         + [rng.randint(1, 9)])
+        else:
+            parts.append([rng.randint(-10 ** 15, 10 ** 15), 0, 1])
+    return [0] * rng.choice((0, 0, 0, 1, 2)) + reduce(rp.mul, parts, [1])
+
+
+def _key(e):
+    # a zero part of either sign prints as 0 (x + 0.0 is x, but 0.0 for -0.0)
+    return e.multiplicity, (e.value.real + 0.0).hex(), (e.value.imag + 0.0).hex()
+
+
+def test_exact_spectrum_is_np_roots_with_one_polish_per_conjugate_pair(monkeypatch, rng):
+    # the companion matrix of np.roots, its eigenvalues taken directly, and
+    # one polish per conjugate pair give np.roots and a polish of every
+    # root, bit for bit but the sign of a zero part
+    polished = []
+    monkeypatch.setattr(matrix_core, "_polish_root",
+                        lambda *args: polished.append(args[2]) or _polish_root(*args))
+    pairs = 0
+    for _ in range(300):
+        yun = [(_random_real_poly(rng), m) for m in range(1, rng.randint(2, 4))]
+        roots = [z for f, _ in yun for z in np.roots([c / f[-1] for c in reversed(f)])]
+        polished.clear()
+        assert list(map(_key, _exact_spectrum(yun))) == \
+            list(map(_key, _exact_spectrum_by_np_roots(yun)))
+        assert len(polished) == sum(z.imag >= 0 for z in roots) < len(roots) + 1
+        assert all(z.imag >= 0 for z in polished)
+        pairs += sum(z.imag < 0 for z in roots)
+    assert pairs >= 300
+    # a root below the axis whose partner is not just before it is polished
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a)[::-1])
+    for yun in ([([2, 0, 1], 1)], [([0, 5, 2, 1], 1), ([0, 1], 2)], [([1, 0, 3, 0, 1], 1)]):
+        polished.clear()
+        assert list(map(_key, _exact_spectrum(yun))) == \
+            list(map(_key, _exact_spectrum_by_np_roots(yun)))
+        assert len(polished) == sum(len(f) - 1 for f, _ in yun)
+
+
 def test_exact_is_semisimple_computes_no_minimal_poly(monkeypatch, rng):
     calls = []
     original = matrix_core.minimal_poly
@@ -926,10 +1001,19 @@ def test_exact_is_semisimple_computes_no_minimal_poly(monkeypatch, rng):
                                  (0, 1)]), rng), RATIONAL)
     assert is_semisimple(a).semisimple is True
     assert calls == []
-    # a defective matrix is decided without one, and names its eigenvalue
-    # through one minimal polynomial when that is first read
+    # a defective matrix is decided without one; a nonderogatory one names
+    # its eigenvalue without one too, the witness of s(A) != 0 proving that
+    # m / s = p / s
     report = is_semisimple(Matrix(_similar(_jordan([(Fraction(3, 2), 2), (-1, 1)]), rng),
                                   RATIONAL))
+    assert report.semisimple is False and calls == []
+    assert [complex(round(z.real, 9), round(z.imag, 9))
+            for z in report.defective_eigenvalues] == [1.5]
+    assert calls == []
+    # a derogatory one, with a second block at 3/2, through one minimal
+    # polynomial when its eigenvalues are first read
+    report = is_semisimple(Matrix(_similar(_jordan([(Fraction(3, 2), 2), (Fraction(3, 2), 1),
+                                                    (-1, 1)]), rng), RATIONAL))
     assert report.semisimple is False and calls == []
     assert [complex(round(z.real, 9), round(z.imag, 9))
             for z in report.defective_eigenvalues] == [1.5]
@@ -1053,6 +1137,152 @@ def test_semisimple_exact_matches_minimal_poly_reference(rng):
     assert outcomes == {True, False}
 
 
+def _distinct_pairs(rng, count, avoid=()):
+    """``count`` pairs (a, b) of one sign with distinct products, none in
+    ``avoid``: J D has the distinct eigenvalues +-i sqrt(a b)."""
+    pairs, products = [], set(avoid)
+    while len(pairs) < count:
+        sign = rng.choice((-1, 1))
+        a, b = sign * rng.randint(1, 5), sign * rng.randint(1, 5)
+        if a * b not in products:
+            products.add(a * b)
+            pairs.append((a, b))
+    return pairs
+
+
+def _resonance(pairs, w):
+    """The diagonal of ``pairs`` after a first 4 x 4 block on (q_1, q_2,
+    p_1, p_2), the Hessian of w (q_2 p_1 - q_1 p_2) + (q_1^2 + q_2^2) / 2:
+    J B has one Jordan block of size 2 at each of +-i w there."""
+    n = len(pairs) + 2
+    rows = H.pair_diagonal([(1, 0), (1, 0)] + pairs)
+    rows[1][n] = rows[n][1] = Fraction(w)
+    rows[0][n + 1] = rows[n + 1][0] = Fraction(-w)
+    return rows
+
+
+def _defective_cases(rng):
+    """Defective exact matrices, each as (B or None, A, derogatory): A = J B
+    for a B with a nilpotent pair or a 1:-1 resonance at +-i w among pairs
+    of distinct products, under a random symplectic congruence, and A = S
+    J S^-1 for Jordan matrices J.  A is derogatory when an eigenvalue with
+    a Jordan block of size 2 or more has a second block: a (0, 0) pair or
+    a second nilpotent pair, a pair of product w^2, a second Jordan block."""
+    cases = []
+    for i in range(120):
+        derogatory = i % 3 == 0
+        if i % 4 == 0:
+            w = rng.randint(1, 3)
+            extra = [(w, w)] if derogatory else []
+            d = _resonance(_distinct_pairs(rng, rng.randint(0, 2), {w * w}) + extra, w)
+        elif i % 4 == 1:
+            pairs = [rng.choice(((1, 0), (0, -2), (3, 0)))]
+            pairs += _distinct_pairs(rng, rng.randint(1, 4))
+            if derogatory:
+                pairs.insert(rng.randint(0, len(pairs)), rng.choice(((0, 0), (0, 1))))
+            d = H.pair_diagonal(pairs)
+        else:
+            lams = rng.sample(sorted({Fraction(k, d) for k in range(-4, 5) for d in (1, 2, 3)}), 3)
+            blocks = [(lams[0], rng.randint(2, 3))] + [(lam, rng.randint(1, 2))
+                                                       for lam in lams[1:rng.randint(1, 3)]]
+            if derogatory:
+                blocks.append((lams[0], rng.randint(1, 2)))
+            rng.shuffle(blocks)
+            cases.append((None, Matrix(_similar(_jordan(blocks), rng), RATIONAL), derogatory))
+            continue
+        b = Matrix(_symplectic_congruent(d, rng), RATIONAL)
+        cases.append((b, _j_times(b), derogatory))
+    cases.append((None, Matrix(_similar(_jordan([(5, 2), (5, 1)]), rng), RATIONAL), True))
+    b = Matrix(_pair_block_b([(1, 0), (0, 0)], rng), RATIONAL)
+    cases.append((b, _j_times(b), True))
+    return cases
+
+
+def _bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+def test_defective_eigenvalues_from_the_witness_match_the_minimal_poly_route(monkeypatch, rng):
+    # the eigenvalues read off p / s when w, M w, ... are independent modulo
+    # the witness's prime are, bit for bit, the roots of m / s from
+    # minimal_poly; a nonderogatory A computes no minimal polynomial and at
+    # most deg(p / s) Krylov vectors, none when deg(p / s) = 1
+    counts = {True: 0, False: 0}
+    for b, a, derogatory in _defective_cases(rng):
+        if b is None:
+            report = is_semisimple(a)
+        else:
+            cls = classify(b)
+            assert cls.verdict == Verdict.SPECTRALLY_STABLE_NOT_LINEAR
+            report = cls.report
+        assert report.semisimple is False
+        m = rp.cleared(minimal_poly(a))
+        assert (rp.degree(m) < a.n_rows) is derogatory
+        yun = rp.squarefree_decomposition(rp.cleared(char_poly(a)))
+        s = reduce(rp.mul, (f for f, _ in yun), [1])
+        want = [e.value for e in _exact_spectrum([(rp.quotient(m, s), 1)])]
+        minimal, krylov = [], []
+        with monkeypatch.context() as mp:
+            for name, seen in (("minimal_poly", minimal), ("_krylov_dependence", krylov)):
+                def counted(*args, _seen=seen, _original=getattr(matrix_core, name)):
+                    _seen.append(args[-1])
+                    return _original(*args)
+
+                mp.setattr(matrix_core, name, counted)
+            got = report.defective_eigenvalues
+        assert _bits(got) == _bits(want)
+        g0 = rp.degree(rp.quotient(rp.cleared(char_poly(a)), s))
+        if derogatory:
+            assert len(minimal) == 1 and krylov[0] == g0 > 1
+        else:
+            assert minimal == [] and krylov == ([g0] if g0 > 1 else [])
+        counts[derogatory] += 1
+    assert counts[True] >= 40 and counts[False] >= 80
+
+
+def test_defective_eigenvalues_fall_back_on_a_krylov_dependence(monkeypatch, rng):
+    # an unlucky prime shows a dependence among w, M w, ... although A is
+    # nonderogatory: the eigenvalues then come from minimal_poly, unchanged
+    b = Matrix(_symplectic_congruent(_resonance([(1, 2)], 3), rng), RATIONAL)
+    for a in (_j_times(b), Matrix(_similar(_jordan([(Fraction(1, 3), 3), (2, 1)]), rng),
+                                  RATIONAL)):
+        want = is_semisimple(a).defective_eigenvalues
+        real, seen, minimal = matrix_core._krylov_dependence, [], []
+        original = matrix_core.minimal_poly
+
+        def unlucky(m, w, p, k):
+            seen.append(k)
+            return [0, 1] if len(seen) == 1 else real(m, w, p, k)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(matrix_core, "_krylov_dependence", unlucky)
+            mp.setattr(matrix_core, "minimal_poly", lambda x: minimal.append(x) or original(x))
+            got = is_semisimple(a).defective_eigenvalues
+        assert _bits(got) == _bits(want) and len(want) == 2
+        assert seen[0] == 2 and minimal == [a]
+
+
+def _scalar(c, n):
+    return [[c * int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _check_witness(c, m, total):
+    """The witness that sum c_k M^k, whose exact value is ``total``, is not
+    zero: a prime of ``_prime_bits(n)`` modulo which ``total`` is not, and
+    ``total`` times (1, r, ..., r^(n-1)) for r = ``_SPREAD`` reduced into
+    [0, p), or when that is 0 mod p its first column that is not.  Returns
+    the index of that column (-1 for the combination) and the prime's place
+    in ``_primes``."""
+    p, w = _int_poly_at_matrix_witness(c, m)
+    place = next(i for i, q in enumerate(_primes(_prime_bits(len(m)))) if q == p)
+    cols = [tuple(x % p for x in col) for col in zip(*total)]
+    combination = tuple(sum(x * matrix_core._SPREAD ** i for i, x in enumerate(row)) % p
+                        for row in total)
+    j = next(j for j, col in enumerate(cols) if any(col)) if not any(combination) else -1
+    assert w == (combination if j < 0 else cols[j])
+    return j, place
+
+
 def test_poly_at_matrix_kernel():
     rng = np.random.default_rng(5)
     big = 2 ** 40 + 15
@@ -1061,29 +1291,33 @@ def test_poly_at_matrix_kernel():
             m = (rng.integers(-scale, scale, (n, n), endpoint=True)).tolist()
             # Cayley-Hamilton: p(M) = 0, and p(M) + k I != 0
             p = _char_poly_int([m])[0][0]
-            assert _int_poly_at_matrix_is_zero(p, m)
-            assert not _int_poly_at_matrix_is_zero([p[0] + 1] + p[1:], m)
-            assert not _int_poly_at_matrix_is_zero([p[0] + 2 ** 200] + p[1:], m)
+            assert _int_poly_at_matrix_witness(p, m) is None
+            assert _check_witness([p[0] + 1] + p[1:], m, _scalar(1, n)) == (-1, 0)
+            assert _check_witness([p[0] + 2 ** 200] + p[1:], m, _scalar(2 ** 200, n)) == (-1, 0)
     jordan = [[big, 1], [0, big]]
-    assert not _int_poly_at_matrix_is_zero([-big, 1], jordan)
-    assert _int_poly_at_matrix_is_zero([big * big, -2 * big, 1], jordan)
-    assert _int_poly_at_matrix_is_zero([0], [[0, 0], [0, 0]])
-    assert _int_poly_at_matrix_is_zero([0, 1], [[0, 0], [0, 0]])
-    assert not _int_poly_at_matrix_is_zero([1, 1], [[0, 0], [0, 0]])
+    assert _check_witness([-big, 1], jordan, [[0, 1], [0, 0]]) == (-1, 0)
+    # (M - I) (1, r) = 0 for M = [[1 + r, -1], [r, 0]]: the witness is a column
+    r = matrix_core._SPREAD
+    assert _check_witness([-1, 1], [[1 + r, -1], [r, 0]], [[r, -1], [r, -1]]) == (0, 0)
+    assert _int_poly_at_matrix_witness([big * big, -2 * big, 1], jordan) is None
+    assert _int_poly_at_matrix_witness([0], [[0, 0], [0, 0]]) is None
+    assert _int_poly_at_matrix_witness([0, 1], [[0, 0], [0, 0]]) is None
+    assert _check_witness([1, 1], [[0, 0], [0, 0]], _scalar(1, 2)) == (-1, 0)
 
 
 def test_poly_at_matrix_prime_bound():
     # c = [P] gives P I, zero modulo each of the first k primes the kernel
-    # uses but not zero: the kernel must take a prime beyond them
+    # uses but not zero: the kernel must take a prime beyond them, and its
+    # witness is the first one
     for n in (1, 2, 16):
         primes = _primes(_prime_bits(n))
         product = 1
-        for _ in range(6):
+        for k in range(1, 7):
             product *= next(primes)
             for m in ([[0] * n for _ in range(n)], [[int(i == j) for j in range(n)]
                                                     for i in range(n)]):
-                assert not _int_poly_at_matrix_is_zero([product], m)
-                assert not _int_poly_at_matrix_is_zero([-product], m)
+                assert _check_witness([product], m, _scalar(product, n)) == (-1, k)
+                assert _check_witness([-product], m, _scalar(-product, n)) == (-1, k)
 
 
 def test_primes_match_trial_division(monkeypatch):
