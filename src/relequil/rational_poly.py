@@ -9,7 +9,7 @@ primitive with a positive leading coefficient, which is unique; for a monic
 rational p that is ``cleared(p)``.  Remainders are pseudo-remainders with a
 positive multiplier |lc|^e, so Sturm chains keep their signs, divided by
 their content (primitive PRS; Collins 1967, Brown 1971).  ``Fraction``
-appears only in isolating intervals and in what ``refine_root`` returns.
+appears only in interval ends, root probes and what ``refine_root`` returns.
 
 Real roots are isolated by bisecting the Cauchy box (-B, B], B = u / v, with
 Sturm counts.  A node (u c_a / (v 2^k), u c_b / (v 2^k)] carries the number
@@ -17,42 +17,33 @@ N of roots <= each end, N(x) = V(-inf) - V(x) for the sign variations V of
 the chain, so a split evaluates the chain once, at its midpoint, and not at
 all where the midpoint lies outside (-2^e, 2^e) of ``_root_exponent``.
 ``isolate_real_roots(p, lo, hi)`` descends only nodes that meet (lo, hi).
-``refine_root`` gives plain bisection's answer from one shrink loop and one
-read-off.  The loop jumps s levels at once (quadratic interval refinement;
-Abbott 2006): an integer secant through the cell's ends picks the grid point
-nearest its root among the 2^s cells below, the signs there and at one or
-two neighbours find the root's cell, and s doubles, or halves when they
-miss, up to the level where the stop rule must hold below the cell (or, for
-a cell with an end at 0, can first hold).  The loop ends where its cell
-stops, where a sign vanishes, or where the cell holds one point k / |p_n|
-and p vanishes there: a rational root u / v in lowest terms has v | p_n.
-The read-off finds bisection's last cell by index arithmetic.  Signs are
-those of the homogeneous form ``_sign_at`` at (numerator, denominator).
+Signs are those of the homogeneous form ``_sign_at`` at (numerator,
+denominator).
 
-``_seeded_cells`` does ``_isolate``'s task with float roots as guides and
-exact signs as proof (Kobel, Rouillier & Sagraloff, ISSAC 2016).  Each real
-root x of ``np.roots`` on p over its leading coefficient picks a cell of the
-same tree about 2^-30 |x| wide, and goes up a level, at most 8 times, until
-p changes sign over the cell or, where x lies within an eighth of the width
-of an end, over the neighbour across it; where that fails for some x, all
-start again from cells also wider than 16 times their first-order error.  The certificate is exact: p has nonzero signs of
-opposite sign at the ends of each cell, the cells are disjoint, and there
-are as many as p has real roots, V(-inf) - V(+inf) from the leading
-coefficients of the chain; so each cell holds one root, inside it, where no
-midpoint of a cell above is.  ``refine_root`` then gives what it gives from
-``_isolate``'s interval, an ancestor: bisection from any tree cell on a
-root's path meets the same cells below it, and the first of them that stops
-is the same, since ``_stops`` holds on the halves of a cell where it holds.
-Two guards keep that true: the seeded cell must not stop, and bisection
-must stop within ``_MAX_STEPS`` levels of the box, so that the cap binds
-neither from the box nor from the cell.  Where a seed is missing or
-complex, or a check fails, it returns None, and the caller isolates by
-bisection.
+A root r is located as the float nearest it: the float k whose half-ulp
+cell (m(k - 1), m(k)] holds r, m(k) the midpoint of floats k and k + 1, so
+that exact signs of p at m(k - 1) and m(k) prove it.  ``_search`` probes
+midpoints only, from an isolating interval or a float guess: the secant
+through the last two probes, aimed one float past its root so that a good
+guess closes the cell in two signs; regula falsi on the cell's ends with
+Illinois' halving where the secant leaves them; a doubling step from an
+open end; and a bisection where three probes did not halve the cell.  The
+root is exact where a probe is a zero, or where a candidate that passes the
+rational root test (u / v with u | p_0, v | p_n) is one: the one multiple
+of 1 / |p_n| in a cell that holds at most one, else the float itself or
+its ``limit_denominator(10**12)``.
+``refine_root`` runs it from an isolating interval; ``_seeded`` from each
+real root of ``np.roots``, with exact signs as the proof (Kobel, Rouillier
+& Sagraloff, ISSAC 2016): a sign change over each cell or an exact zero,
+floats that increase, and as many as p has real roots, V(-inf) - V(+inf).
+Where the seeds are complex, missing or unproved, ``_roots_between`` takes
+``_isolate``'s intervals instead; both give the same floats and roots.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from typing import Optional
 
@@ -361,209 +352,198 @@ def _isolate(chain: list[Poly], lo=None, hi=None) -> list[tuple[Fraction, Fracti
     return out
 
 
-def _stops(m2: int, w: int, den: int) -> bool:
-    """The stop rule of ``refine_root`` on a cell of width w / den with
-    midpoint m2 / (2 den): the width is below |mid| 1e-17 + min(1e-20,
-    |mid| 1e-17), relative below |mid| = 1e-3 so that roots of small
-    magnitude keep their leading digits.  Where it holds on a cell it holds
-    on both halves: the width halves, and |mid| moves by a quarter of it."""
-    rel = 10**3 * abs(m2)
-    return 2 * 10**20 * w < rel + min(2 * den, rel)
+# Floats by place: float k is the k-th float above 0 for k > 0 and minus
+# float -k for k < 0; +-_INF are +-inf.  m(k) is the midpoint of floats k and
+# k + 1, and m(_INF - 1) = 2^1024 - 2^970, from which on numbers round to inf.
+_INF = 0x7FF0000000000000
 
 
-_MAX_STEPS = 200  # the most halvings ``refine_root`` takes
-_SEED_BITS = 30  # a seeded cell starts about 2^-30 |seed| wide
+def _float(k: int) -> float:
+    x = struct.unpack("<d", struct.pack("<q", abs(k)))[0]
+    return -x if k < 0 else x
 
 
-def _seeded_cells(chain: list[Poly], lo=None, hi=None) -> Optional[list[tuple[Fraction, Fraction]]]:
-    """``_isolate(chain, lo, hi)``'s task from float seeds: cells of the
-    Cauchy-box bisection tree, left to right, one for each real root of
-    chain[0], those that meet (lo, hi) returned; None where the cells
-    cannot be proved.  See the module docstring."""
+def _nearest(u: int, v: int) -> int:
+    """The place of the float nearest u / v, v > 0, ties to even."""
+    try:
+        x = u / v  # int / int rounds correctly
+    except OverflowError:
+        return _INF if u > 0 else -_INF
+    k = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
+    return -k if x < 0 else k
+
+
+def _mid(k: int) -> Fraction:
+    """m(k), -_INF <= k < _INF; m(k) = -m(-1 - k) for k < 0."""
+    e, f = divmod(k if k >= 0 else -1 - k, 1 << 52)
+    u, s = 2 * f + 1 + (e and 1 << 53), 1076 - max(e, 1)
+    u = u if k >= 0 else -u
+    return Fraction(u, 1 << s) if s > 0 else Fraction(u << -s)
+
+
+def _secant(e1: tuple, e2: tuple, halve: int = 0) -> Optional[int]:
+    """The place of the float nearest the root of the line through the
+    points e = (x, h, d), p(x) = h / d, the value at e1 divided by 2^halve;
+    None for a level line."""
+    (x1, h1, d1), (x2, h2, d2) = e1, e2
+    t, w = h2 * d1 << halve, (h2 * d1 << halve) - h1 * d2  # p(x2) / (p(x2) - p(x1))
+    if not w:
+        return None
+    n1, m1, n2, m2 = x1.numerator, x1.denominator, x2.numerator, x2.denominator
+    num, den = n2 * m1 * w - (n2 * m1 - n1 * m2) * t, m1 * m2 * w
+    return _nearest(num, den) if den > 0 else _nearest(-num, -den)
+
+
+def _search(p: Poly, up: int, k: Optional[int], lo=None, hi=None) -> tuple:
+    """(place K of the float nearest r, r or None, a, b) for the one root r
+    of p in (lo, hi], (a, b] its half-ulp cell or (r, r) where r is found.
+    p has the sign of ``up`` just above r; lo and hi are (end, integer with
+    the sign of p there) or None, an infinite end; k is a guess's place."""
+    n, lead = degree(p), abs(p[-1])
+    # r is in (m(i), m(j)] = (a, b], a or b None at -+_INF; fi and fj are
+    # the points (x, h, d), p(x) = h / d, at the ends, None where p is not
+    # known there
+    i, j, a, b, fi, fj = -_INF - 1, _INF, None, None, None, None
+    if lo is not None:
+        (lo, fa), i = lo, _nearest(lo[0].numerator, lo[0].denominator)
+        if i == _INF or _mid(i) > lo:
+            i -= 1
+        a = _mid(i) if i >= -_INF else None
+        fi = (lo, fa, lo.denominator ** n) if fa else None
+    if hi is not None:
+        (hi, fb), j = hi, _nearest(hi[0].numerator, hi[0].denominator)
+        if j > -_INF and _mid(j - 1) >= hi:
+            j -= 1
+        b = _mid(j) if j < _INF else None
+        fj = (hi, fb, hi.denominator ** n)
+    points = [f for f in (fi, fj) if f]
+
+    def root(r: Fraction) -> bool:
+        """r in (lo, hi] and (a, b] is a root, signed only where r = u / v
+        in lowest terms passes the rational root test u | p_0, v | p_n."""
+        if lo is not None and r <= lo or hi is not None and r > hi or not a < r <= b:
+            return False
+        if not r:
+            return not p[0]
+        return p[-1] % r.denominator == 0 and p[0] % r.numerator == 0 and \
+            _sign_at(p, r.numerator, r.denominator) == 0
+
+    tried, side, last, moved, stale, span, misses = None, len(points) and 1, j, 1, 0, j - i, 0
+    while True:
+        if tried is None and a is not None and b is not None:
+            c = b.numerator * lead // b.denominator
+            if c - a.numerator * lead // a.denominator < 2:  # one multiple of 1 / |p_n| at most
+                tried = Fraction(c, lead)
+                if root(tried):
+                    return _nearest(c, lead), tried, tried, tried
+        if j - i == 1:
+            break
+        # the secant through the last two points, aimed one place past its
+        # root; where that leaves (i, j), regula falsi on the ends with the
+        # end kept ``stale`` times halved (Illinois), or from an open end a
+        # step twice the last; bisection where three points did not halve
+        # (i, j), alternately on values and on places
+        if len(points) < 2:
+            g = (i + j) >> 1 if k is None else k
+        else:
+            g = _secant(points[-2], points[-1])
+            if g is not None and i < g - (side > 0) < j:
+                g -= side > 0
+                if a is None or b is None:
+                    g = min(g, last - 2 * moved) if side > 0 else max(g, last + 2 * moved)
+            elif fi and fj:
+                g = _secant(fi, fj, stale) - 1 if side > 0 else _secant(fj, fi, stale)
+            else:
+                g = last - 2 * moved if side > 0 else last + 2 * moved
+        if misses > 2:
+            g = (i + j) >> 1 if misses % 2 == 0 else _nearest(*((a + b) / 2).as_integer_ratio())
+        g = min(max(g, i + 1), j - 1)
+        x = _mid(g)
+        h = _sign_at(p, x.numerator, x.denominator)
+        if not h:
+            return _nearest(*x.as_integer_ratio()), x, x, x
+        points.append((x, h, x.denominator ** n))
+        was, side, moved, last = side, 1 if (h > 0) == (up > 0) else -1, abs(g - last), g
+        if side > 0:
+            j, b, fj = g, x, points[-1]
+        else:
+            i, a, fi = g, x, points[-1]
+        stale = stale + 1 if side == was else 0
+        if a is None or b is None or 2 * (j - i) <= span:
+            span, misses = j - i, 0
+        else:
+            misses += 1
+    if tried is None and abs(j) < _INF:  # else any rational root in (a, b] was tried
+        x = Fraction(_float(j))
+        for r in dict.fromkeys((x, x.limit_denominator(10**12))):
+            if root(r):
+                return j, r, r, r
+    return j, None, a, b
+
+
+def refine_root(p: Poly, lo: Fraction, hi: Fraction) -> tuple[float, Optional[Fraction]]:
+    """The float nearest the one root r of a square-free p in (lo, hi], and
+    r where it is rational and found.  ``ValueError`` when p has one nonzero
+    sign at both ends.  See the module docstring."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    fb = _sign_at(p, hi.numerator, hi.denominator)
+    if not fb:
+        return _float(_nearest(hi.numerator, hi.denominator)), hi
+    fa = _sign_at(p, lo.numerator, lo.denominator)
+    if fa and (fa > 0) == (fb > 0):
+        raise ValueError("no sign change over the isolating interval")
+    k, exact, _, _ = _search(p, fb, None, (lo, fa), (hi, fb))
+    return _float(k), exact
+
+
+def _seeded(chain: list[Poly]) -> Optional[list[tuple]]:
+    """``_search`` from each real root of ``np.roots`` on chain[0] over its
+    leading coefficient, or None where the floats do not increase.  Then
+    only the first or last search can end in the cell of -+inf, whose outer
+    end has the sign of p at -+inf, so every cell is proved."""
     p = chain[0]
     total = _variations_at(chain, "-inf") - _variations_at(chain, "+inf")
     if not total:
         return []
-    bound = cauchy_root_bound(p)
-    u, v = bound.numerator, bound.denominator
     try:
-        c = np.array([a / p[-1] for a in reversed(p)])
-        z = np.roots(c)
-        scale = math.frexp(float(bound))[1]
+        z = np.roots([a / p[-1] for a in reversed(p)])
     except (OverflowError, np.linalg.LinAlgError):
         return None
     real = np.sort(z[z.imag == 0].real)
     if len(real) != total or not np.isfinite(real).all():
         return None
+    out = []
+    for t, x in enumerate(real.tolist()):  # above root t, p has the sign of p_n (-1)^(total - 1 - t)
+        out.append(_search(p, p[-1] * (-1) ** (total - 1 - t), _nearest(*x.as_integer_ratio())))
+        if len(out) > 1 and out[-1][0] <= out[-2][0]:
+            return None
+    return out
 
-    def changes(j: int, den: int) -> bool:  # p < 0 < p or p > 0 > p at the ends
-        return _sign_at(p, u * j, den) * _sign_at(p, u * (j + 1), den) < 0
 
-    def place(widths) -> Optional[list[tuple[int, int]]]:
-        """The proved cells (j, v 2^m), or None."""
-        cells: list[tuple[int, int]] = []
-        for x, w in zip(real.tolist(), widths.tolist()):
-            n, d = x.as_integer_ratio()
-            # level m + 1 has the cells (u j / (v 2^m), u (j + 1) / (v 2^m)];
-            # start at the first whose cells are wider than w
-            level = max(scale - math.frexp(w)[1] - 1, 0)
-            for m in range(level, max(level - 8, 0) - 1, -1):
-                j, r = divmod(((n * v) << m) - 1, d * u)  # x 2^m / B = j + (r + 1) / (d u)
-                den = v << m
-                if changes(j, den):
-                    break
-                # x within an eighth of the width of an end may sit across it
-                side = -1 if 8 * (r + 1) <= d * u else 1 if 8 * (r + 1) >= 7 * d * u else 0
-                if side and changes(j + side, den):
-                    j += side
-                    break
-            else:
-                return None
-            # the guards, with refine_root's bound: all cells ``below``
-            # levels under one clear of 0 stop
-            low = u * min(abs(j), abs(j + 1))
-            below = max((10**17 * u).bit_length() - low.bit_length() + 1, 1)
-            if (not low or _stops(u * (2 * j + 1), u, den) or m + below >= _MAX_STEPS
-                    or cells and (cells[-1][0] + 1) * den > j * cells[-1][1]):
-                return None
-            cells.append((j, den))
-        return cells
-
-    widths = np.ldexp(np.abs(real), -_SEED_BITS)
-    cells = place(widths)
-    if cells is None:
-        with np.errstate(all="ignore"):
-            # 16 times the seeds' first-order error from relative errors of
-            # 2^-52 in the coefficients: 2^-48 sum |c_k| |x|^k / |p'(x)|
-            err = 2.0**-48 * np.polyval(np.abs(c), np.abs(real)) / np.abs(
-                np.polyval(np.polyder(c), real))
-        cells = place(np.fmax(widths, err))
-    if cells is None:
-        return None
+def _roots_between(chain: list[Poly], lo=None, hi=None) -> list[tuple]:
+    """The real roots of the square-free chain[0] in the open interval
+    (lo, hi), None meaning an infinite end, left to right, as (float, exact
+    root or None, a, b): those of ``refine_root``, and an isolating interval
+    (a, b], p(b) != 0 where the root is not exact."""
+    p = chain[0]
     lo, hi = (None if x is None else Fraction(x) for x in (lo, hi))
-    return [(Fraction(u * j, den), Fraction(u * (j + 1), den)) for j, den in cells
-            if (lo is None or u * (j + 1) * lo.denominator > lo.numerator * den)
-            and (hi is None or u * j * hi.denominator < hi.numerator * den)]
+    seeded = _seeded(chain)
+    if seeded is None:
+        found = [(*refine_root(p, a, b), a, b) for a, b in _isolate(chain, lo, hi)]
+    else:
+        found = [(_float(k), exact, a, b) for k, exact, a, b in seeded]
 
+    def sign(x: Fraction) -> int:
+        return _sign_at(p, x.numerator, x.denominator)
 
-def refine_root(p: Poly, lo: Fraction, hi: Fraction) -> tuple[float, Optional[Fraction]]:
-    """Shrink an isolating interval (lo, hi] of a square-free p.
+    def inside(exact: Optional[Fraction], a: Fraction, b: Fraction) -> bool:
+        if exact is not None:
+            return (lo is None or lo < exact) and (hi is None or exact < hi)
+        # the root is in (a, b): exact signs at lo or hi place it when (a, b) holds them
+        return (lo is None or a >= lo or b > lo and sign(lo) * sign(b) < 0) and \
+            (hi is None or b <= hi or a < hi and sign(hi) * sign(b) > 0)
 
-    Returns (float approximation, exact rational root or None).  The interval
-    must contain exactly one root of square-free p.  The result is that of
-    plain bisection: halve the cell until ``_stops`` holds or
-    ``_MAX_STEPS`` halvings are done, returning a midpoint at which p
-    vanishes, then test the best candidate with denominator <= 1e12
-    (``limit_denominator``).
-    How the same cell is reached with few signs of p is in the module
-    docstring.
-    """
-    lo, hi = Fraction(lo), Fraction(hi)
-    den = math.lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    b = hi.numerator * (den // hi.denominator)
-    n = degree(p)
-    fa = _sign_at(p, a, den)
-    fb = _sign_at(p, b, den)
-    if fb == 0:
-        return float(hi), hi
-    while fa == 0:
-        # lo is a different root of p sitting just outside the half-open
-        # interval; walk the left endpoint inward until the sign is usable
-        m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
-        fm = _sign_at(p, m, den)
-        if fm == 0:
-            return float(Fraction(m, den)), Fraction(m, den)
-        if (fm > 0) == (fb > 0):
-            # a simple root strictly between mid and hi would flip the sign,
-            # so the root lies in (lo, mid]
-            b, fb = m, fm
-        else:  # the form at (2u, 2v) is 2^n times that at (u, v)
-            a, fa, fb = m, fm, fb << n
-    if (fa > 0) == (fb > 0):
-        raise ValueError("no sign change over the isolating interval")
-    # the cell i of level t is (a0 2^t + i w, a0 2^t + (i + 1) w] / (den0 2^t)
-    a0, den0, w = a, den, b - a
-    wide, lead = 10**17 * w, abs(p[-1])
-    root, rational = None, True
-    level, jump, first = 0, 1, 0
-    while not _stops(2 * a + w, w, den):
-        # a cell below this one stops only where its width is under
-        # 2e-17 |mid| <= 2e-17 max |end| / den: not above level ``first``
-        first = level + (5 * 10**16 * w // max(abs(a), abs(a + w))).bit_length()
-        if level == _MAX_STEPS:
-            break
-        if rational and (a + w) * lead // den - a * lead // den < 2:
-            r = Fraction((a + w) * lead // den, lead)
-            rational = a * r.denominator < r.numerator * den and \
-                (p[0] % r.numerator == 0 if r else p[0] == 0) and \
-                _sign_at(p, r.numerator, r.denominator) == 0
-            if rational:
-                root = r
-                break
-        # below a cell clear of 0, all cells stop once min |end| 2^s >= 1e17 w,
-        # and below one with an end at 0 none stops before 2^s > 5e16
-        low = min(abs(a), abs(a + w)) or w
-        s = min(jump, _MAX_STEPS - level, max(wide.bit_length() - low.bit_length() + 1, 1))
-        grid, big = den << s, a << s
-        seen = {0: fa << n * s, 1 << s: fb << n * s}
-
-        def at(i: int) -> int:  # p at grid point i of the 2^s cells
-            if i not in seen:
-                seen[i] = _sign_at(p, big + i * w, grid)
-            return seen[i]
-
-        # from the grid point nearest the secant's root, step toward the
-        # root as the signs say, until the sign changes or two steps are done
-        i = j = ((fa << (s + 1)) // (fa - fb) + 1) >> 1
-        step = 1 if (at(i) > 0) == (fa > 0) else -1
-        while at(j) and (at(j) > 0) == (at(i) > 0) and abs(j - i) < 2:
-            j += step
-        zero = next((k for k, v in seen.items() if v == 0), None)
-        if zero is not None:
-            root = Fraction(big + zero * w, grid)
-            break
-        if (at(j) > 0) == (at(i) > 0):
-            jump = max(s // 2, 1)  # the guess missed; s = 1 cannot miss
-            continue
-        g = min(j, j - step)
-        a, den, fa, fb = big + g * w, grid, seen[g], seen[g + 1]
-        level, jump = level + s, 2 * s
-    # Bisection's answer, read off x: the place in the level-0 cell of the
-    # root or, when it is unknown, of the last cell's midpoint, whose cells
-    # above are the root's.  The cell of level t holding x is ceil(x 2^t) - 1;
-    # the first to stop is the answer, unless x has denominator 2^q and no
-    # cell above level q stops: bisection meets x there as a midpoint.  An
-    # unknown root's last cell stops or is at _MAX_STEPS, before its q.
-    xn, xd = (2 * a + w, 2 * den) if root is None else (root.numerator, root.denominator)
-    xn, d = xn * den0 - a0 * xd, xd * w  # x = xn / d, in lowest terms below
-    g = math.gcd(xn, d)
-    xn, d = xn // g, d // g
-    q = d.bit_length() - 1
-    end = min(q, _MAX_STEPS) if d == 1 << q else _MAX_STEPS
-    for t in range(min(first, end), end + 1):
-        a, den = (a0 << t) - ((-xn << t) // d + 1) * w, den0 << t
-        if t == end or _stops(2 * a + w, w, den):
-            break
-    if d == 1 << t:
-        return float(root), root
-    if not rational:
-        return (2 * a + w) / (2 * den), None
-    if root is not None and root.denominator <= 10**12 and abs(
-            (2 * a + w) * root.denominator - 2 * den * root.numerator) * 10**12 < den:
-        # mid is within 1 / (2e12 v) of the root u / v, v <= 1e12, and any
-        # other fraction with denominator <= 1e12 is 1 / (1e12 v) from it,
-        # so limit_denominator gives the root
-        return float(root), root
-    approx = Fraction(2 * a + w, 2 * den)
-    # bisection midpoints are dyadic and miss rational roots like 1/3, so
-    # test the best small-denominator candidate before settling for a float
-    guess = approx.limit_denominator(10**12)
-    u, v = guess.numerator, guess.denominator
-    if a * v < u * den <= (a + w) * v and (
-            guess == root if root is not None else _sign_at(p, u, v) == 0):
-        return float(guess), guess
-    return float(approx), None
+    return [root for root in found if inside(*root[1:])]
 
 
 def even_part(p: Poly) -> tuple[Poly, bool]:

@@ -254,34 +254,14 @@ def _crossing_counts(cs: list[list[int]], sign, reverse: bool = False):
 def _real_roots(chains, lo, hi) -> list[tuple]:
     """The real roots in the open interval (lo, hi) of square-free factors
     given as (Sturm chain, multiplicity), None meaning an infinite end, each
-    as (float, exact rational or None, multiplicity, sign, a, b) with its
-    isolating interval (a, b] and sign(h) the sign of h at the root: at the
-    exact root, or by a Tarski query.  Only the isolating intervals that
-    meet (lo, hi) are found, and only the roots inside them refined: exact
-    signs at lo or hi and b place a root whose (a, b] holds lo or hi.
-
-    The intervals are ``rp._seeded_cells``'s, cells of the Cauchy-box
-    bisection tree placed from float seeds and proved by exact signs (a
-    sign change over each, disjoint, as many as real roots), or
-    ``rp._isolate``'s where those are refused.  A seeded cell lies below
-    ``_isolate``'s interval on its root's path; it does not stop, and
-    bisection stops within ``_MAX_STEPS`` levels of the box, so
-    ``refine_root`` gives the same float and rational from either."""
+    as (float, exact rational or None, multiplicity, sign, a, b): the float
+    nearest the root, an isolating interval (a, b] from
+    ``rp._roots_between``, and sign(h) the sign of h at the root: at the
+    exact root, or by a Tarski query."""
     out = []
     for chain, mult in chains:
         p = chain[0]
-        cells = rp._seeded_cells(chain, lo, hi)
-        for a, b in rp._isolate(chain, lo, hi) if cells is None else cells:
-            left, right = lo is not None and a < lo, hi is not None and b >= hi
-            if left or right:
-                fb = rp._sign_at(p, b.numerator, b.denominator)
-                # the root is in (lo, b] when p vanishes at b or changes sign from lo
-                if left and fb and rp._sign_at(p, lo.numerator, lo.denominator) * fb >= 0:
-                    continue
-                # and in (a, hi) when p has one nonzero sign on [hi, b]
-                if right and rp._sign_at(p, hi.numerator, hi.denominator) * fb <= 0:
-                    continue
-            approx, exact = rp.refine_root(p, a, b)
+        for approx, exact, a, b in rp._roots_between(chain, lo, hi):
             sign = partial(rp._root_sign, p, lo=a, hi=b) if exact is None else _at_point(exact)
             out.append((approx, exact, mult, sign, a, b))
     return out
@@ -472,7 +452,8 @@ def _krein_crossings(path: KreinPath, tol: Optional[float], shared=None):
     A rational B takes ``_krein_chi_factors(B)`` as ``shared``, computed
     when not given, and no tolerance; when it is invertible no rank is
     computed.  Its crossings are s = sqrt(-x) for the roots x of r in
-    (-s_max^2, 0), then s_max when a Yun factor of r vanishes at -s_max^2;
+    (-s_max^2, 0), exact or from the float nearest x (ValueError where x
+    has none), then s_max when a Yun factor of r vanishes at -s_max^2;
     factors without negative roots are not isolated.  Each takes the rule
     of ``_crossing_counts`` on the r_j in x, which falls as s rises, signed
     at an irrational x by Tarski queries; a root of multiplicity m needs
@@ -501,6 +482,8 @@ def _krein_crossings(path: KreinPath, tol: Optional[float], shared=None):
     found = []
     for x, exact, mult, sign, _, _ in _real_roots(chains, Fraction(-u, v), 0):
         s_exact = None if exact is None else _fraction_sqrt(-exact)
+        if s_exact is None and math.isinf(x):
+            raise ValueError("a Krein crossing lies where x = -s^2 is past the float range")
         found.append((float(s_exact) if s_exact is not None else (-x) ** 0.5, s_exact, mult, sign, False))
     found.sort(key=lambda t: t[0])
     found += [(float(s_max), s_max, m, _at_point(Fraction(-u, v)), True)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relequil.rational_poly as rp
 from relequil import cli
 from relequil.cli import main, run_examples
 from relequil.matrix_core import FLOAT64, RATIONAL, Matrix, Subspace, is_semisimple
@@ -288,6 +289,38 @@ def test_flow_krein_tiny_frequency_is_regular(tmp_path, capsys):
     assert report["flow"] == -1
     (c,) = report["crossings"]
     assert (c["regular"], c["negative"], c["positive"], c["multiplicity"]) == (True, 1, 0, 1)
+
+
+def test_flow_krein_crossing_far_below_the_cauchy_bound(tmp_path, capsys, monkeypatch):
+    # r = (x + 10^200)(x + 6): the crossing at s = sqrt 6 lies 10^200 below
+    # the Cauchy bound of r, and the float seeds and the bisection fallback
+    # both give the float nearest x = -6, so s is sqrt(6.0)
+    path = write_json(tmp_path / "path.json", {"type": "krein", "s_max": 3, "b": [
+        [10**100, 0, 0, 0], [0, 2, 0, 0], [0, 0, 10**100, 0], [0, 0, 0, 3]]})
+    seeded, proved = rp._seeded, []
+    monkeypatch.setattr(rp, "_seeded", lambda chain: proved.append(seeded(chain)) or proved[-1])
+    for refuse in (False, True):
+        if refuse:
+            monkeypatch.setattr(rp, "_seeded", lambda chain: None)
+        assert main(["flow", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        (c,) = report["crossings"]
+        assert report["flow"] == -1
+        assert (c["location"], c["exact_location"]) == (2.4494897427831779, None)
+    assert proved and all(cells is not None for cells in proved)
+
+
+def test_flow_krein_crossing_past_the_float_range_exits_1(tmp_path, capsys):
+    # x = -s^2 = -10^400 has no float, and s = 10^200 is not found exactly
+    # from it, so the location is refused with one error line
+    path = write_json(tmp_path / "path.json", {
+        "type": "krein", "b": [[10**200, 0], [0, 10**200]], "s_max": 10**201})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["flow", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a Krein crossing lies where x = -s^2 is past the float range\n"
 
 
 GOLDEN_FLOW = os.path.join(os.path.dirname(__file__), "golden_flow_reports.json")

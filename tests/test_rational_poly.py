@@ -45,6 +45,27 @@ def from_roots(roots):
     return p
 
 
+def _assert_nearest(p, lo, hi, x: float, exact: Optional[Fraction]):
+    """(x, exact) from the root of p in (lo, hi]: exact is that root, and x
+    its float; or exact signs of p at the midpoints between x and its
+    neighbours, cut to (lo, hi], prove the root inside x's half-ulp cell."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if exact is not None:
+        assert H._poly_eval(p, exact) == 0 and lo < exact <= hi and x == float(exact)
+        return
+    a = max(lo, (Fraction(math.nextafter(x, -math.inf)) + Fraction(x)) / 2)
+    b = min(hi, (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2)
+    fa, fb = H._poly_eval(p, a), H._poly_eval(p, b)
+    assert a < b and fb and (fa * fb < 0 or a == lo and fa == 0)
+
+
+def _assert_bounded_by(got: tuple, want: tuple):
+    """got is within one ulp of a bisection reference's float, and finds
+    every exact root that the reference finds."""
+    assert abs(got[0] - want[0]) <= math.ulp(want[0])
+    assert want[1] is None or got[1] == want[1]
+
+
 def test_arithmetic_round_trip():
     p = poly(1, 0, -3, 2)  # (x - 1)^2 (2x + 1)
     q = poly(-1, 1)
@@ -190,7 +211,9 @@ def test_sturm_and_refine_match_fraction_reference():
                 assert count_distinct_real_roots(p, lo, hi) == H.sturm_count_fraction(q, lo, hi)
         assert isolate_real_roots(p) == H.isolate_fraction(q)
         for lo, hi in isolate_real_roots(p):
-            assert refine_root(p, lo, hi) == H.refine_root_fraction(q, lo, hi)
+            got = refine_root(p, lo, hi)
+            _assert_nearest(p, lo, hi, *got)
+            _assert_bounded_by(got, H.refine_root_fraction(q, lo, hi))
 
 
 def test_refine_root_left_endpoint_root():
@@ -299,9 +322,7 @@ def test_refine_root_sign_evaluations(monkeypatch):
     r16 = [391910400, 724818240, 418238016, 94732684, 9918652, 530713, 14767, 199, 1]
     # the same for a 48 x 48 pair-block B: its roots -a b are integers, each
     # decided by one sign once the cell holds one integer; r + 1 has an
-    # irrational root beside each, so its walk runs to the stop rule, and
-    # only the cap on the jumps keeps it from signs far below the cell where
-    # bisection stops (an uncapped walk went 26 levels deeper)
+    # irrational root beside each, whose search runs to the half-ulp cell
     r48 = _pair_block_even_part(24)
     assert r48 == from_roots([-c for c in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14,
                                            15, 16, 18, 20, 21, 24, 25, 27, 28, 30, 32, 35)])
@@ -316,17 +337,19 @@ def test_refine_root_sign_evaluations(monkeypatch):
         for lo, hi in intervals:
             calls.clear()
             plain.clear()
-            assert refine_root(r, lo, hi) == _plain_refine_root(r, lo, hi)
+            got = refine_root(r, lo, hi)
             assert len(calls) <= most
-            # every denominator is den(lo, hi) 2^t at level t, and plain
-            # bisection's last sign is on the level of its last cell
+            _assert_nearest(r, lo, hi, *got)
+            _assert_bounded_by(got, _plain_refine_root(r, lo, hi))
+            # every sign is on the grid of float midpoints, not finer than
+            # twice plain bisection's last cell
             assert max(v for c, v in calls if c is r) <= 2 * max(plain)
 
 
 # ---------------------------------------------------------------------------
-# The module walks the bisection tree with fewer evaluations.  Plain
-# bisection, the module's own code before that change kept verbatim below,
-# must give the same intervals, floats and exact roots.
+# Plain bisection, the module's own code before refine_root located the
+# nearest float, kept verbatim below: the intervals must be the same, every
+# float within one ulp of its float, and every exact root it finds found.
 
 Poly = list
 
@@ -466,8 +489,8 @@ _CELLS = [(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)), (Fraction(-1,
 @seed(SEED)
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.one_of(_DYADIC, _RATIONAL, _TINY), max_size=5),
-       st.lists(st.one_of(_PAIR, _BOUNDARY), max_size=2), _END, _END, st.integers(0, 40))
-def test_isolate_and_refine_match_plain_bisection(roots, pairs, lo, hi, steps):
+       st.lists(st.one_of(_PAIR, _BOUNDARY), max_size=2), _END, _END)
+def test_isolate_and_refine_match_plain_bisection(roots, pairs, lo, hi):
     p = [1]
     for r in roots:
         p = mul(p, [-r.numerator, r.denominator])
@@ -483,14 +506,15 @@ def test_isolate_and_refine_match_plain_bisection(roots, pairs, lo, hi, steps):
                 (a, b) for a, b in intervals if (x is None or b > x) and (y is None or a < y)]
         cells = intervals + [(a, b) for a, b in _CELLS if count_distinct_real_roots(g, a, b) == 1]
         for a, b in cells:
-            assert refine_root(g, a, b) == _plain_refine_root(g, a, b)
-            with mock.patch.object(rp, "_MAX_STEPS", steps):
-                assert refine_root(g, a, b) == _plain_refine_root(g, a, b, steps)
+            got = refine_root(g, a, b)
+            # the float is the nearest, proved by exact signs at its midpoints
+            _assert_nearest(g, a, b, *got)
+            _assert_bounded_by(got, _plain_refine_root(g, a, b))
 
 
 # ---------------------------------------------------------------------------
-# Seeded isolation: cells of the bisection tree placed from float seeds and
-# proved by exact signs must give the roots that bisection from the box gives.
+# Seeded isolation: half-ulp cells found from float seeds and proved by exact
+# signs must give the roots that isolation by bisection gives.
 
 
 def _factors(roots, pairs) -> list:
@@ -502,72 +526,57 @@ def _factors(roots, pairs) -> list:
     return [g for g, _ in squarefree_decomposition(p)]
 
 
-def _root_path(g: Poly, a: Fraction, b: Fraction) -> tuple[list, int]:
-    """The cells of the Cauchy-box bisection tree on the path of the one
-    root of g in (a, b], from (a, b] down to the last that does not stop,
-    and the level below the box where bisection ends: that of the first
-    cell that stops, of the cell whose right end is the root, or of the
-    halves of the cell whose midpoint is the root."""
-    box = 2 * cauchy_root_bound(g)
+def _root_path(g: Poly, a: Fraction, b: Fraction) -> list:
+    """The cells of the bisection of (a, b] that hold the one root of g in
+    it, from (a, b] down to the first narrower than the root's float cell
+    or that has the root at its midpoint or right end."""
     path = []
     while True:
-        den = math.lcm(a.denominator, b.denominator)
-        ia, ib = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
-        level = (box / (b - a)).numerator.bit_length() - 1
-        if rp._stops(ia + ib, ib - ia, den) or _plain_sign_at(g, ib, den) == 0:
-            return path, level
         path.append((a, b))
         mid = (a + b) / 2
-        if _plain_sign_at(g, mid.numerator, mid.denominator) == 0:
-            return path, level + 1
+        if H._poly_eval(g, mid) == 0 or H._poly_eval(g, b) == 0 or \
+                b - a < math.ulp(float(mid)) / 4:
+            return path
         a, b = (a, mid) if count_distinct_real_roots(g, a, mid) else (mid, b)
 
 
 @seed(SEED)
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.one_of(_DYADIC, _RATIONAL, _TINY), max_size=4),
-       st.lists(st.one_of(_PAIR, _BOUNDARY), max_size=2), st.integers(0, 80))
-def test_refine_root_is_bisections_from_every_cell_on_the_roots_path(roots, pairs, steps):
-    # refine_root from any tree cell on a root's path, down to the last cell
-    # that does not stop, gives plain bisection's answer from the isolating
-    # interval; the seeded cells are such cells
+       st.lists(st.one_of(_PAIR, _BOUNDARY), max_size=2))
+def test_refine_root_is_bisections_from_every_cell_on_the_roots_path(roots, pairs):
+    # refine_root from any bisection cell on a root's path, down to cells
+    # narrower than the root's float cell, gives what it gives from the
+    # isolating interval: the float nearest the root, and the same exact
+    # root, since the rules that find it read the float's cell only
     for g in _factors(roots, pairs):
-        intervals = _plain_isolate_real_roots(g)
-        paths, ends = zip(*(_root_path(g, lo, hi) for lo, hi in intervals)) if intervals else ((), ())
-        for (lo, hi), path in zip(intervals, paths):
-            want = _plain_refine_root(g, lo, hi)
-            assert all(refine_root(g, a, b) == want for a, b in path)
-        cells = rp._seeded_cells(sturm_chain(g))
-        assert cells is None or all(cell in path for cell, path in zip(cells, paths))
-        # under a cap of `steps` halvings the answers differ where bisection
-        # ends more than `steps` levels below the isolating interval, so the
-        # cells are refused wherever it ends more than `steps` below the box
-        with mock.patch.object(rp, "_MAX_STEPS", steps):
-            cells = rp._seeded_cells(sturm_chain(g))
-            assert cells is None or max(ends, default=0) <= steps
-            assert cells is None or [refine_root(g, a, b) for a, b in cells] == [
-                _plain_refine_root(g, lo, hi, steps) for lo, hi in intervals]
+        for lo, hi in _plain_isolate_real_roots(g):
+            want = refine_root(g, lo, hi)
+            _assert_nearest(g, lo, hi, *want)
+            assert all(refine_root(g, a, b) == want for a, b in _root_path(g, lo, hi))
 
 
 def _check_seeded(g: Poly, lo=None, hi=None):
-    """The seeded cells of g, which must be proved isolating cells of the
-    tree or None, with no warning; ``_real_roots`` must give from them the
-    (float, exact, multiplicity) it gives from ``_isolate`` alone."""
+    """The seeded roots of g, which must be proved or None, with no
+    warning; ``_real_roots`` must give from them the (float, exact,
+    multiplicity) it gives from ``_isolate`` alone."""
     chain = sturm_chain(g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cells = rp._seeded_cells(chain)
+        cells = rp._seeded(chain)
         seeded = [root[:3] for root in _real_roots([(chain, 1)], lo, hi)]
-    with mock.patch.object(rp, "_seeded_cells", lambda *_: None):
+    with mock.patch.object(rp, "_seeded", lambda *_: None):
         assert seeded == [root[:3] for root in _real_roots([(chain, 1)], lo, hi)]
     if cells is not None:
-        bound = cauchy_root_bound(g)
         assert len(cells) == count_distinct_real_roots(g)
-        for a, b in cells:
-            assert count_distinct_real_roots(g, a, b) == 1
-            level = 2 * bound / (b - a)  # a tree cell: width 2B / 2^k, on that grid
-            assert level.denominator == 1 and level.numerator & (level.numerator - 1) == 0
-            assert ((a + bound) / (b - a)).denominator == 1
+        assert [k for k, _, _, _ in cells] == sorted({k for k, _, _, _ in cells})
+        for k, exact, a, b in cells:
+            # an exact root, or the half-ulp cell of float k with a sign change
+            x = rp._float(k)
+            _assert_nearest(g, a if exact is None else exact - 1, b if exact is None else exact, x, exact)
+            assert exact is not None or (a, b) == (
+                (Fraction(math.nextafter(x, -math.inf)) + Fraction(x)) / 2,
+                (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2)
     return cells
 
 
@@ -581,79 +590,88 @@ def test_seeded_cells_give_the_roots_of_isolation(roots, pairs, lo, hi):
 
 
 def test_seeded_cells_refuse_coefficients_that_overflow_a_float():
-    # c_0 / c_2 = -1e400 has no float; bisection from the box of width 2e400
-    # then reaches no root either (refine_root stops 200 halvings down, at
-    # cells 1e340 wide), so only the refusal is checked
+    # c_0 / c_2 = -1e400 has no float, so the seeds are refused; the
+    # isolating intervals from the box of width 2e400 still give the floats
+    # nearest the roots +-10^200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert rp._seeded_cells(sturm_chain([-(10**400), 0, 1])) is None
+        chain = sturm_chain([-(10**400), 0, 1])
+        assert rp._seeded(chain) is None
+        assert [root[:2] for root in _real_roots([(chain, 1)], None, None)] == [
+            (-1e200, None), (1e200, None)]
+
+
+def test_refine_root_past_the_float_range_gives_inf():
+    # the roots -+10^400 of x^2 - 10^800 round to -+inf, as they do in IEEE
+    # arithmetic; the rational root -10^400 of x + 10^400 is not found
+    # there, since no float cell narrows it
+    for lo, hi in isolate_real_roots([-(10**800), 0, 1]):
+        assert refine_root([-(10**800), 0, 1], lo, hi) == (math.inf if lo + hi > 0 else -math.inf, None)
+    (lo, hi), = isolate_real_roots([10**400, 1])
+    assert refine_root([10**400, 1], lo, hi) == (-math.inf, None)
 
 
 @pytest.mark.parametrize("g, proved", [
     # a complex pair 1e-20 off the axis beside a real root
     (mul([-3, 1], [10**40 + 1, -2 * 10**40, 10**40]), None),
-    # two roots closer than their seeds' error: here in one cell, and in
-    # the second a pair of complex seeds, refused only by the count
+    # two roots closer than their seeds' error: here with one nearest float,
+    # and in the second a pair of complex seeds, refused only by the count
     (from_roots([1, 1 + Fraction(1, 10**20)]), False),
     (from_roots([1, 1 + Fraction(1, 10**10), 3]), False),
-    # a root on the end of every cell from level 21 of the tree down:
-    # x - r with r = B (2^19 + 1) / 2^20 for B = 1 + r
-    ([-(2**19 + 1), 2**19 - 1], False),
-    # a tiny root, whose seeded cell does not stop
+    # a root on the end of every cell from level 21 of the Cauchy-box tree
+    # down, x - r with r = B (2^19 + 1) / 2^20 for B = 1 + r
+    ([-(2**19 + 1), 2**19 - 1], True),
+    # a tiny root
     ([-1, 10**14], True),
-    # a root 1e-60 whose bisection stops more than _MAX_STEPS levels below
-    # the box of width 2 + 2e-60
-    ([-1, 10**60], False),
+    # a root 1e-60, 200 halvings below the box of width 2 + 2e-60
+    ([-1, 10**60], True),
+    # a rational root beside irrational ones, whose cells hold no multiple
+    # of 1 / |p_n|, so that the one below them is no candidate
+    (mul([-1, 1], [-2, 0, 1]), True),
 ])
 def test_seeded_cells_prove_or_refuse(g, proved):
     cells = _check_seeded(g)
     assert proved is None or (cells is not None) == proved
 
 
-def test_seeded_cells_refuse_a_cell_that_stops(monkeypatch):
-    # a stop rule, 2^40 times wider, that holds on the seeded cell of a tiny
-    # root: bisection from the box would stop above it, so the cell is
-    # refused (refine_root's bounds assume the rule, so only the refusal is
-    # checked)
-    chain = sturm_chain([-1, 10**14])
-    assert rp._seeded_cells(chain) is not None
-    stops = rp._stops
-    monkeypatch.setattr(rp, "_stops", lambda m2, w, den: stops(m2 << 40, w, den << 40))
-    assert rp._seeded_cells(chain) is None
-
-
 def test_seeded_cells_take_no_seed_on_trust(monkeypatch):
-    # seeds 1e-6 off their roots, where a seeded cell is at most about
-    # 2^-21 |seed| wide, so that no cell holds a root; and two seeds of one
-    # root in place of one seed for each of two
+    # seeds 1e-6 off their roots, about 2^33 floats away: each search walks
+    # to its root's cell and proves it; two seeds of one root in place of one
+    # for each of two, where the sign of p above the second root leads its
+    # search there; one seed for two roots, refused by the count; and three
+    # seeds between the roots 1/2 and 7/10 of three, where the sign of p
+    # above the last root leads its search to 1/2 too, refused
     roots = np.roots
     monkeypatch.setattr(rp.np, "roots", lambda c: roots(c) * (1 + 1e-6))
     for g in (from_roots([1, 2, 3]), _pair_block_even_part(6)):
-        assert _check_seeded(g) is None
+        assert _check_seeded(g) is not None
     monkeypatch.setattr(rp.np, "roots", lambda c: np.array([1.0, 1.0]))
+    assert [exact for _, exact, _, _ in _check_seeded(from_roots([1, 3]))] == [1, 3]
+    monkeypatch.setattr(rp.np, "roots", lambda c: np.array([1.0]))
     assert _check_seeded(from_roots([1, 3])) is None
+    monkeypatch.setattr(rp.np, "roots", lambda c: np.array([0.6, 0.6, 0.6]))
+    assert _check_seeded(from_roots([Fraction(1, 2), Fraction(7, 10), Fraction(9, 10)])) is None
 
 
 def test_a_seed_across_a_cell_end_from_its_root_finds_the_root(monkeypatch):
-    # the root r of g sits 2e-15 above 3 B / 8, an end of cells on every
-    # level from 4 down, and its seed just below: going up does not help,
-    # and the cell across the end holds the root
+    # the root r of g sits 2e-15 above 3 B / 8, and its seed below that
+    # point: the search crosses it to the float nearest r
     r = Fraction(3 * 10**14 + 1, 5 * 10**14 - 1)
     g = [-r.numerator, r.denominator]
     end = 3 * cauchy_root_bound(g) / 8
     x = float(end) if Fraction(float(end)) < end else math.nextafter(float(end), 0)
     monkeypatch.setattr(rp.np, "roots", lambda c: np.array([x]))
     cells = _check_seeded(g)
-    assert cells is not None and cells[0][0] == end
+    assert cells is not None and rp._float(cells[0][0]) == float(r) != x
 
 
 def test_seeded_krein_roots_take_few_exact_signs(monkeypatch):
     # the even parts r of char_poly(J B) of test_refine_root_sign_evaluations:
-    # proved seeded cells take two signs each, and refine_root a few more:
-    # 40 signs for r16 against 156 by bisection from the box; 122 against
-    # 598 for a 40 x 40 pair block, whose seeds need the cells widened to
-    # their error.  r48's integer roots -1..-35 come out of np.roots as
-    # complex pairs, so it is isolated by bisection (884 signs)
+    # a seed in its root's cell takes two signs, one some floats off a few
+    # more: 32 signs for r16 against 156 by bisection from the box; 90
+    # against 598 for a 40 x 40 pair block, whose seeds are up to 1e12 floats
+    # off.  r48's integer roots -1..-35 come out of np.roots as complex
+    # pairs, so it is isolated by bisection (895 signs)
     r16 = [391910400, 724818240, 418238016, 94732684, 9918652, 530713, 14767, 199, 1]
     calls = []
     sign_at = rp._sign_at
